@@ -49,7 +49,7 @@ def main() -> None:
 
     if args.svg:
         with open(args.svg, "w") as f:
-            f.write(render_envelope_svg(a, b, path=path))
+            f.write(render_envelope_svg(a, b, path=path.breakpoints))
         print(f"wrote {args.svg}")
 
 

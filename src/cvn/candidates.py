@@ -132,7 +132,7 @@ def _arcs_between(t, verts1: set[str], verts2: set[str], banned: set[str]):
                 extend(w, path + [(e.id, s)], used_edges | {e.id},
                        used_verts | {w})
 
-    for v in verts1:
+    for v in sorted(verts1):
         extend(v, [], set(), {v})
     return arcs
 

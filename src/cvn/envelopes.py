@@ -21,6 +21,7 @@ from .errors import (
     EmptySlice,
     ParamOutOfRange,
     RankMismatch,
+    SelfCheckFailed,
     TrivialClass,
 )
 from .graphs import (
@@ -191,8 +192,8 @@ def direction_reduction(a: SimplexPoint, m, delta: TopologicalType) -> frozenset
     b0 = point_from_coords(delta, sl.barycenter())
     s = stretch_report(a, b0).candidate_witnesses
     reduced = out_envelope(a, s, delta)
-    assert set(reduced.vertices) == set(sl.vertices), \
-        "direction reduction changed the slice"
+    if reduced.vertices != sl.vertices:
+        raise SelfCheckFailed("direction reduction changed the slice")
     return s
 
 
@@ -246,11 +247,11 @@ def rainbow_graph(gamma: ConjClass, eps) -> SimplexPoint:
     # verify the length claims instead of trusting the construction
     cands = enumerate_candidates(t)
     words = {c.word for c in cands}
-    assert gamma in words, "gamma is not a candidate of the rainbow graph"
+    if gamma not in words:
+        raise SelfCheckFailed("gamma is not a candidate of the rainbow graph")
     for c in cands:
         ln = conj_length(p, c.word) * total
-        if c.word == gamma:
-            assert ln <= 2 * tiny
-        else:
-            assert ln >= 2 * unit
+        ok = ln <= 2 * tiny if c.word == gamma else ln >= 2 * unit
+        if not ok:
+            raise SelfCheckFailed(f"rainbow candidate {c.word} has length {ln}")
     return p

@@ -99,3 +99,7 @@ class NoFacetChain(CvnError):
 
 class ParamOutOfRange(CvnError):
     pass
+
+
+class SelfCheckFailed(CvnError):
+    """An exact check of a computed result against its definition failed."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .candidates import enumerate_candidates
-from .errors import RankMismatch, TrivialClass
+from .errors import RankMismatch, SelfCheckFailed, TrivialClass
 from .graphs import SimplexPoint, marking_equivalent, tighten
 from .words import ConjClass, conjugacy_classes_up_to
 
@@ -33,7 +33,8 @@ class StretchReport:
     per_candidate: dict
 
     def __post_init__(self):
-        assert self.lam == max(self.per_candidate.values())
+        if self.lam != max(self.per_candidate.values()):
+            raise SelfCheckFailed("lam is not the largest candidate stretch")
 
 
 def stretch_report(a: SimplexPoint, b: SimplexPoint) -> StretchReport:

@@ -1,15 +1,17 @@
 """Exact convex geometry inside a coordinate simplex.
 
 All polytopes live in the simplex {x >= 0, sum x = 1} of some dimension and
-are cut out by homogeneous half-spaces c.x >= 0.  Everything is rational:
-feasibility runs a textbook phase-1 simplex method with Bland's rule, and
-vertices come from exhaustive tight-set enumeration (ambient dimension is
-at most 3n-4, so this is cheap and obviously correct).
+are cut out by homogeneous half-spaces c.x >= 0.  So each one is the slice
+sum x = 1 of the pointed cone {x >= 0 : c.x >= 0}, and its vertices are the
+extreme rays of that cone scaled to sum 1.  One exact routine finds those
+rays over the integers by the double-description method: feasibility asks
+whether any ray is left, and skeleton edges come from the rays' zero sets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -48,96 +50,85 @@ def equality(coeffs, provenance) -> list[HalfSpace]:
 
 
 # ---------------------------------------------------------------------------
-# Exact LP feasibility (phase-1 simplex, Bland's rule).
+# Extreme rays by the double-description method.
 # ---------------------------------------------------------------------------
 
 
-def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Whether {v >= 0 : rows . v = rhs} is nonempty; rhs must be >= 0."""
-    m = len(rows)
-    if m == 0:
-        return True
-    n = len(rows[0])
-    tab = [list(rows[i]) + [Fraction(int(k == i)) for k in range(m)]
-           + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # reduced costs for minimizing the artificial sum
-    red = [Fraction(0)] * (n + m + 1)
-    for j in range(n):
-        red[j] = -sum(tab[i][j] for i in range(m))
-    red[n + m] = -sum(rhs)
-    while True:
-        enter = next((j for j in range(n + m) if red[j] < 0), None)
-        if enter is None:
-            break
-        pivot_row = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][n + m] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[pivot_row]
+def _integer_rows(halfspaces, d) -> list[tuple[int, ...]]:
+    """Live rows scaled to coprime integers, each once, without the unit
+    rows x_i >= 0 that the cone starts from."""
+    seen = {tuple(int(i == j) for j in range(d)) for i in range(d)}
+    rows = []
+    for h in halfspaces:
+        if h.degenerate:
+            continue
+        scale = math.lcm(*(c.denominator for c in h.coeffs))
+        row = [c.numerator * (scale // c.denominator) for c in h.coeffs]
+        g = math.gcd(*row)
+        row = tuple(q // g for q in row)
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
+    return rows
+
+
+def _extreme_rays(halfspaces, d) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {x >= 0 : c.x >= 0 for each live c}.
+
+    Motzkin's double description with the combinatorial adjacency test
+    (Fukuda & Prodon 1996): rows are added one at a time to the cone
+    x >= 0, and a ray on the positive side is combined with one on the
+    negative side only when no third ray is tight on every row both are
+    tight on.  Rays are coprime nonnegative integer vectors, each paired
+    with its zero set as a bitmask: bit i for x_i >= 0, bit d + k for the
+    k-th integer row.  Returns [] as soon as only the origin is left.
+    """
+    full = (1 << d) - 1
+    rays = [(tuple(int(i == j) for j in range(d)), full ^ (1 << i))
+            for i in range(d)]
+    for k, row in enumerate(_integer_rows(halfspaces, d)):
+        bit = 1 << (d + k)
+        pos, neg, out = [], [], []
+        for r, z in rays:
+            s = sum(a * b for a, b in zip(row, r))
+            if s > 0:
+                pos.append((r, z, s))
+                out.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                out.append((r, z | bit))
+        zs = [z for _, z in rays]
+        for p, zp, sp in pos:
+            for n, zn, sn in neg:
+                z = zp & zn
+                if z.bit_count() < d - 2 or any(
+                    z & zr == z for zr in zs if zr != zp and zr != zn
                 ):
-                    best = ratio
-                    pivot_row = i
-        if pivot_row is None:
-            return False  # unbounded phase 1 cannot happen; defensive
-        piv = tab[pivot_row][enter]
-        tab[pivot_row] = [q / piv for q in tab[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[pivot_row])]
-        if red[enter] != 0:
-            f = red[enter]
-            red = [a - f * b for a, b in zip(red, tab[pivot_row])]
-        basis[pivot_row] = enter
-    return red[n + m] == 0
+                    continue
+                r = [sp * b - sn * a for a, b in zip(p, n)]
+                g = math.gcd(*r)
+                out.append((tuple(q // g for q in r), z | bit))
+        rays = out
+        if not rays:
+            break
+    return rays
 
 
 def feasible(halfspaces, ambient_dim: int) -> bool:
     """Exact feasibility of {x in simplex : all half-spaces hold}."""
-    live = []
+    halfspaces = tuple(halfspaces)
     for h in halfspaces:
         if len(h.coeffs) != ambient_dim:
             raise DimensionMismatch(
                 f"half-space in dim {len(h.coeffs)}, ambient {ambient_dim}"
             )
-        if not h.degenerate:
-            live.append(h)
-    d = ambient_dim
-    k = len(live)
-    rows = [[Fraction(1)] * d + [Fraction(0)] * k]
-    rhs = [Fraction(1)]
-    for j, h in enumerate(live):
-        row = list(h.coeffs) + [Fraction(0)] * k
-        row[d + j] = Fraction(-1)  # slack: c.x - s = 0
-        rows.append(row)
-        rhs.append(Fraction(0))
-    return _phase1_feasible(rows, rhs)
+    return bool(_extreme_rays(halfspaces, ambient_dim))
 
 
 # ---------------------------------------------------------------------------
 # Linear algebra helpers.
 # ---------------------------------------------------------------------------
-
-
-def _solve_square(rows, rhs):
-    """Solve a square rational system; None when singular."""
-    n = len(rows)
-    a = [list(r) + [q] for r, q in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [q / p for q in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
 
 
 def affine_rank(points) -> int:
@@ -201,20 +192,18 @@ class Polytope:
         return tuple(out)
 
     @cached_property
+    def _vertex_zero_sets(self) -> list[tuple[Vector, int]]:
+        """Vertices in sorted order, each with the zero set of its ray."""
+        out = []
+        for r, z in _extreme_rays(self.halfspaces, self.ambient_dim):
+            s = sum(r)
+            out.append((tuple(Fraction(q, s) for q in r), z))
+        return sorted(out)
+
+    @cached_property
     def vertices(self) -> tuple[Vector, ...]:
-        d = self.ambient_dim
-        cons = self.constraints
-        ones = [Fraction(1)] * d
-        found = set()
-        for combo in itertools.combinations(range(len(cons)), d - 1):
-            rows = [list(cons[i].coeffs) for i in combo] + [ones]
-            rhs = [Fraction(0)] * (d - 1) + [Fraction(1)]
-            x = _solve_square(rows, rhs)
-            if x is None:
-                continue
-            if all(h.value(x) >= 0 for h in cons):
-                found.add(x)
-        return tuple(sorted(found))
+        """The extreme rays of the cone over the polytope, scaled to sum 1."""
+        return tuple(v for v, _ in self._vertex_zero_sets)
 
     def is_feasible(self) -> bool:
         return feasible(self.halfspaces, self.ambient_dim)
@@ -234,12 +223,12 @@ class Polytope:
         vs = self.vertices
         if not vs:
             raise Infeasible("empty polytope has no skeleton")
-        tights = [self.tight_set(v) for v in vs]
+        zs = [z for _, z in self._vertex_zero_sets]
         edges = []
         for i, j in itertools.combinations(range(len(vs)), 2):
-            common = tights[i] & tights[j]
-            face = [k for k in range(len(vs)) if common <= tights[k]]
-            if face == sorted((i, j)):
+            common = zs[i] & zs[j]
+            if not any(common & zs[k] == common
+                       for k in range(len(vs)) if k != i and k != j):
                 edges.append((i, j))
         return tuple(edges)
 

@@ -1,0 +1,131 @@
+"""Slow, obviously correct twins of the polytope core, for tests only.
+
+`cvn.polytope` computes vertices, feasibility and skeleton edges from the
+extreme rays of one integer double-description run.  The routines here get
+the same answers independently, over `Fraction`: a phase-1 simplex method
+with Bland's rule for feasibility, and exhaustive tight-set enumeration for
+vertices (every nonsingular choice of d - 1 tight constraints plus sum = 1).
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+
+def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+    """Whether {v >= 0 : rows . v = rhs} is nonempty; rhs must be >= 0."""
+    m = len(rows)
+    if m == 0:
+        return True
+    n = len(rows[0])
+    tab = [list(rows[i]) + [Fraction(int(k == i)) for k in range(m)]
+           + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # reduced costs for minimizing the artificial sum
+    red = [Fraction(0)] * (n + m + 1)
+    for j in range(n):
+        red[j] = -sum(tab[i][j] for i in range(m))
+    red[n + m] = -sum(rhs)
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        if enter is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][n + m] / tab[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[pivot_row]
+                ):
+                    best = ratio
+                    pivot_row = i
+        if pivot_row is None:
+            return False  # unbounded phase 1 cannot happen; defensive
+        piv = tab[pivot_row][enter]
+        tab[pivot_row] = [q / piv for q in tab[pivot_row]]
+        for i in range(m):
+            if i != pivot_row and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[pivot_row])]
+        if red[enter] != 0:
+            f = red[enter]
+            red = [a - f * b for a, b in zip(red, tab[pivot_row])]
+        basis[pivot_row] = enter
+    return red[n + m] == 0
+
+
+def lp_feasible(halfspaces, d: int) -> bool:
+    """Feasibility of {x in simplex : c.x >= 0} as a phase-1 LP with one
+    slack per non-degenerate half-space."""
+    live = [h for h in halfspaces if not h.degenerate]
+    k = len(live)
+    rows = [[Fraction(1)] * d + [Fraction(0)] * k]
+    rhs = [Fraction(1)]
+    for j, h in enumerate(live):
+        row = list(h.coeffs) + [Fraction(0)] * k
+        row[d + j] = Fraction(-1)  # slack: c.x - s = 0
+        rows.append(row)
+        rhs.append(Fraction(0))
+    return _phase1_feasible(rows, rhs)
+
+
+def _solve_square(rows, rhs):
+    """Solve a square rational system; None when singular."""
+    n = len(rows)
+    a = [list(r) + [q] for r, q in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [q / p for q in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(a[i][n] for i in range(n))
+
+
+def constraint_rows(halfspaces, d: int) -> list[tuple[Fraction, ...]]:
+    """Non-degenerate coefficient rows plus the simplex boundary, each once."""
+    rows = [h.coeffs for h in halfspaces if not h.degenerate]
+    rows += [tuple(Fraction(int(j == i)) for j in range(d)) for i in range(d)]
+    return list(dict.fromkeys(rows))
+
+
+def _value(row, x) -> Fraction:
+    return sum(c * q for c, q in zip(row, x))
+
+
+def tight_set_vertices(halfspaces, d: int) -> tuple:
+    """Sorted vertices: every feasible solution of d - 1 tight constraints
+    together with sum x = 1."""
+    cons = constraint_rows(halfspaces, d)
+    ones = [Fraction(1)] * d
+    found = set()
+    for combo in itertools.combinations(range(len(cons)), d - 1):
+        rows = [list(cons[i]) for i in combo] + [ones]
+        rhs = [Fraction(0)] * (d - 1) + [Fraction(1)]
+        x = _solve_square(rows, rhs)
+        if x is None:
+            continue
+        if all(_value(c, x) >= 0 for c in cons):
+            found.add(x)
+    return tuple(sorted(found))
+
+
+def skeleton_edges(halfspaces, d: int, vertices) -> tuple:
+    """Vertex pairs whose smallest common face holds no other vertex."""
+    cons = constraint_rows(halfspaces, d)
+    tights = [frozenset(k for k, c in enumerate(cons) if _value(c, v) == 0)
+              for v in vertices]
+    edges = []
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        common = tights[i] & tights[j]
+        face = [k for k in range(len(vertices)) if common <= tights[k]]
+        if face == sorted((i, j)):
+            edges.append((i, j))
+    return tuple(edges)

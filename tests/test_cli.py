@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +194,19 @@ def test_cli_output_deterministic(files, capsys):
         main(["witnesses", files["a"], files["tw"]])
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_candidates_output_independent_of_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    fixture = root / "perfbench" / "fixtures" / "r3a.json"
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(root / "src"))
+        res = subprocess.run(
+            [sys.executable, "-m", "cvn.cli", "candidates", str(fixture)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        outs.add(res.stdout)
+    assert len(outs) == 1

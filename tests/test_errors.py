@@ -1,0 +1,28 @@
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cvn.errors import CvnError, SelfCheckFailed
+from cvn.metric import StretchReport
+from cvn.words import conj_class
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cvn"
+
+
+def test_no_assert_statements_in_package():
+    # checks written as assert vanish under python -O
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_inconsistent_stretch_report_raises_typed_error():
+    per = {conj_class([1], 2): Fraction(2), conj_class([2], 2): Fraction(3)}
+    with pytest.raises(SelfCheckFailed):
+        StretchReport(Fraction(2), frozenset(), per)
+    assert issubclass(SelfCheckFailed, CvnError)

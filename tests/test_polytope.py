@@ -3,8 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from polytope_oracle import (
+    _solve_square,
+    lp_feasible,
+    skeleton_edges,
+    tight_set_vertices,
+)
 
+from cvn.envelopes import envelope_slice
 from cvn.errors import DimensionMismatch, Infeasible
+from cvn.graphs import SimplexPoint, make_type
 from cvn.polytope import (
     HalfSpace,
     Polytope,
@@ -157,8 +165,6 @@ def _polygon_oracle_2d(halfspaces):
     for a, b in itertools.combinations(cons, 2):
         rows = [list(a), list(b), [1, 1, 1]]
         rhs = [Fraction(0), Fraction(0), Fraction(1)]
-        from cvn.polytope import _solve_square
-
         x = _solve_square(rows, rhs)
         if x is None:
             continue
@@ -190,3 +196,72 @@ def test_affine_rank():
     assert affine_rank([(1, 0)]) == 0
     assert affine_rank([(1, 0), (0, 1)]) == 1
     assert affine_rank([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 2
+
+
+def _random_system(rng, d):
+    """Random integer rows, mostly turned to hold at a random positive point
+    so that most systems are feasible, plus the awkward cases: an equality,
+    a duplicate, a positive rational multiple, a zero row and, sometimes, a
+    row that no point of the simplex satisfies."""
+    x0 = [rng.randint(1, 5) for _ in range(d)]
+    orient = rng.random() < 0.8
+
+    def row():
+        r = [rng.randint(-3, 3) for _ in range(d)]
+        if orient and sum(a * b for a, b in zip(r, x0)) < 0:
+            r = [-a for a in r]
+        return [Fraction(a) for a in r]
+
+    hs = [H(*row()) for _ in range(rng.randint(1, 8 - d // 2))]
+    if rng.random() < 0.3:
+        hs += equality(row(), ("eq",))
+    if rng.random() < 0.4:
+        hs.append(rng.choice(hs))
+    if rng.random() < 0.4:
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        hs.append(H(*[scale * c for c in rng.choice(hs).coeffs]))
+    if rng.random() < 0.3:
+        hs.append(H(*[0] * d))
+    if rng.random() < 0.15:
+        hs.append(H(*[-1] * d))
+    rng.shuffle(hs)
+    return hs
+
+
+def _assert_matches_oracle(hs, d):
+    p = Polytope(d, hs)
+    expect = tight_set_vertices(hs, d)
+    assert p.vertices == expect
+    assert feasible(hs, d) == lp_feasible(hs, d) == bool(expect)
+    assert p.is_feasible() == bool(expect)
+    if expect:
+        assert p.skeleton_edges == skeleton_edges(hs, d, expect)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_random_systems_match_oracles(d):
+    rng = random.Random(1000 + d)
+    outcomes = set()
+    for _ in range({5: 20, 6: 8}.get(d, 60)):
+        hs = _random_system(rng, d)
+        _assert_matches_oracle(hs, d)
+        outcomes.add(feasible(hs, d))
+    assert outcomes == {True, False}
+
+
+def test_rank3_envelope_slice_matches_oracles():
+    # K4 with a spanning star at q1: a trivalent rank-3 chart of dimension 6
+    t = make_type(3, ["q1", "q2", "q3", "q4"], [
+        ("t1", "q1", "q2", []), ("t2", "q1", "q3", []),
+        ("t3", "q1", "q4", []), ("a", "q2", "q3", [1]),
+        ("b", "q3", "q4", [2]), ("c", "q4", "q2", [3]),
+    ], ["t1", "t2", "t3"])
+
+    def point(*nums):
+        return SimplexPoint(t, tuple(Fraction(k, sum(nums)) for k in nums))
+
+    a = point(1, 2, 3, 4, 5, 6)
+    b = point(6, 1, 5, 2, 4, 3)
+    hs = envelope_slice(a, b, t).polytope.halfspaces
+    _assert_matches_oracle(hs, 6)
+    assert len(Polytope(6, hs).vertices) > 6
