@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TrivialClass
-from .graphs import Path, TopologicalType, loop_word, tighten
+from .graphs import Path, TopologicalType, is_connected, loop_word, tighten
 from .words import ConjClass
 
 SIMPLE_LOOP = "simple-loop"
@@ -57,20 +57,12 @@ def _simple_cycles(t: TopologicalType) -> list[Path]:
             if any(d != 2 for d in deg.values()):
                 continue
             verts = list(deg)
-            # connectivity of the subgraph
+            if not is_connected(verts, sub):
+                continue
             adj = {v: [] for v in verts}
             for e in sub:
                 adj[e.u].append((e.v, e.id, 1))
                 adj[e.v].append((e.u, e.id, -1))
-            seen = {verts[0]}
-            stack = [verts[0]]
-            while stack:
-                for w, _, _ in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(verts):
-                continue
             # trace the cycle
             path = []
             v = verts[0]
@@ -138,7 +130,7 @@ def _arcs_between(t, verts1: set[str], verts2: set[str], banned: set[str]):
 
 
 @lru_cache(maxsize=4096)
-def enumerate_candidates(t: TopologicalType) -> list[Candidate]:
+def enumerate_candidates(t: TopologicalType) -> tuple[Candidate, ...]:
     """All candidates of the type, one per unoriented conjugacy class."""
     cycles = _simple_cycles(t)
     found: list[Candidate] = []
@@ -177,7 +169,7 @@ def enumerate_candidates(t: TopologicalType) -> list[Candidate]:
                 b = _rotate_to(c2, t, w)
                 add(BARBELL, a + arc + b + _reverse(arc))
                 add(BARBELL, a + arc + _reverse(b) + _reverse(arc))
-    return found
+    return tuple(found)
 
 
 def candidate_words(t: TopologicalType) -> list[ConjClass]:

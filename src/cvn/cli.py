@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .candidates import enumerate_candidates
-from .envelopes import reference_witness, star_system, starstar_system, support
+from .envelopes import reference_witness, slice_polytope, support
 from .errors import BudgetExceeded, CvnError, ParamOutOfRange
 from .geodesics import (
     check_gluing,
@@ -28,6 +28,7 @@ from .geodesics import (
 )
 from .graphs import (
     graph_from_json,
+    is_connected,
     point_to_json,
     rose_type,
     theta_point,
@@ -35,9 +36,9 @@ from .graphs import (
     validate_and_normalize,
 )
 from .metric import distance, stretch, stretch_report
-from .polytope import Polytope, feasible
+from .polytope import feasible
 from .svg import envelope_vertices_json, render_envelope_svg
-from .words import ConjClass, conj_class
+from .words import ConjClass, class_order, conj_class
 
 _NAMES = "xyzuvw"
 
@@ -79,26 +80,8 @@ def _load_point(path: str):
 
 def _separating_edges(p) -> list[str]:
     t = p.ttype
-    out = []
-    for e in t.edges:
-        if e.is_loop():
-            continue
-        adj: dict = {v: set() for v in t.vertices}
-        for f in t.edges:
-            if f.id == e.id:
-                continue
-            adj[f.u].add(f.v)
-            adj[f.v].add(f.u)
-        seen = {t.vertices[0]}
-        stack = [t.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(t.vertices):
-            out.append(e.id)
-    return out
+    return [e.id for e in t.edges if not e.is_loop()
+            and not is_connected(t.vertices, [f for f in t.edges if f != e])]
 
 
 def _emit(obj, json_path=None):
@@ -143,8 +126,7 @@ def cmd_witnesses(args) -> int:
     a = _load_point(args.a)
     b = _load_point(args.b)
     rep = stretch_report(a, b)
-    cw = sorted(rep.candidate_witnesses,
-                key=lambda g: (len(g.rep), g.rep.letters))
+    cw = sorted(rep.candidate_witnesses, key=class_order)
     _emit({
         "stretch": _rat(rep.lam),
         "witnesses": [{"word": str(g), "letters": list(g.rep.letters)}
@@ -254,8 +236,8 @@ def _verify_a1(args):
     rose = rose_type(2)
     g1 = reference_witness(A, C)
     g2 = reference_witness(C, A)
-    joint = (star_system(A, g1, rose) + starstar_system(C, g1, rose)
-             + star_system(C, g2, rose) + starstar_system(A, g2, rose))
+    joint = (slice_polytope(A, C, g1, rose).halfspaces
+             + slice_polytope(C, A, g2, rose).halfspaces)
     both_ways = feasible(joint, 2)
     from .metric import conj_length
 

@@ -29,12 +29,12 @@ from .graphs import (
     TopologicalType,
     adjacent_simplices,
     make_type,
-    marking_equivalent,
     point_from_coords,
+    record_type,
 )
 from .metric import conj_length, stretch_report
-from .polytope import HalfSpace, Polytope, equality, feasible
-from .words import ConjClass, Word, extend_to_basis
+from .polytope import HalfSpace, Polytope, equality
+from .words import ConjClass, Word, class_order, extend_to_basis
 
 DEFAULT_BUDGET = 500
 
@@ -80,7 +80,7 @@ def starstar_system(b: SimplexPoint, gamma: ConjClass,
 
 
 def _direction(s) -> list[ConjClass]:
-    s = sorted(set(s), key=lambda g: (len(g.rep), g.rep.letters))
+    s = sorted(set(s), key=class_order)
     if not s:
         raise EmptyDirection("direction set is empty")
     for g in s:
@@ -127,7 +127,7 @@ def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
 def reference_witness(a: SimplexPoint, b: SimplexPoint) -> ConjClass:
     """Deterministic choice of a candidate witness from a to b."""
     cw = stretch_report(a, b).candidate_witnesses
-    return min(cw, key=lambda g: (len(g.rep), g.rep.letters))
+    return min(cw, key=class_order)
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,23 @@ class EnvelopeSlice:
     polytope: Polytope
 
 
+def slice_polytope(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
+                   delta: TopologicalType) -> Polytope:
+    """The envelope of (a, b) in the simplex of delta with reference
+    witness gamma: the star system of a, then the starstar system of b."""
+    return Polytope(len(delta.edges), star_system(a, gamma, delta)
+                    + starstar_system(b, gamma, delta))
+
+
 def envelope_slice(a: SimplexPoint, b: SimplexPoint,
                    delta: TopologicalType) -> EnvelopeSlice:
     if a.ttype.rank != b.ttype.rank or a.ttype.rank != delta.rank:
         raise RankMismatch("mixed ranks")
     gamma = reference_witness(a, b)
-    star = tuple(star_system(a, gamma, delta))
-    starstar = tuple(starstar_system(b, gamma, delta))
-    poly = Polytope(len(delta.edges), star + starstar)
+    poly = slice_polytope(a, b, gamma, delta)
+    hs = poly.halfspaces
+    star = tuple(h for h in hs if h.provenance[0] == "star")
+    starstar = tuple(h for h in hs if h.provenance[0] == "starstar")
     return EnvelopeSlice(delta, gamma, star, starstar, poly)
 
 
@@ -162,24 +171,27 @@ class Support:
 
 
 def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
-    """All simplices meeting Env(a,b), found by flood fill from T(a)."""
+    """All simplices meeting Env(a,b), found by flood fill from T(a).
+
+    Each marked type is queued once, and the budget bounds how many
+    distinct simplices are examined."""
     budget = _budget(budget)
     gamma = reference_witness(a, b)
     found: list[TopologicalType] = []
+    queued: dict = {}
+    record_type(queued, a.ttype)
     queue = [a.ttype]
-    examined: list[TopologicalType] = []
+    examined = 0
     while queue:
         t = queue.pop(0)
-        if any(marking_equivalent(t, x) for x in examined):
-            continue
-        examined.append(t)
-        if len(examined) > budget:
+        examined += 1
+        if examined > budget:
             raise BudgetExceeded(f"support search examined > {budget} simplices")
-        hs = star_system(a, gamma, t) + starstar_system(b, gamma, t)
-        if not feasible(hs, len(t.edges)):
+        if not slice_polytope(a, b, gamma, t).is_feasible():
             continue
         found.append(t)
-        queue.extend(adjacent_simplices(t))
+        queue.extend(x for x in adjacent_simplices(t)
+                     if record_type(queued, x))
     return Support(tuple(found))
 
 

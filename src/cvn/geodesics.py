@@ -21,8 +21,7 @@ from .envelopes import (
     in_envelope,
     out_envelope,
     reference_witness,
-    star_system,
-    starstar_system,
+    slice_polytope,
     support,
 )
 from .errors import (
@@ -44,7 +43,7 @@ from .graphs import (
 )
 from .metric import is_witness, same_point, stretch, stretch_report
 from .polytope import Polytope
-from .words import ConjClass
+from .words import ConjClass, class_order
 
 
 def _check_ranks(*points):
@@ -87,7 +86,9 @@ class GeodesicPath:
         return self.breakpoints[-1]
 
 
-def _type_key(t: TopologicalType):
+def _chart_order(t: TopologicalType):
+    """The order in which the walker tries charts; not an identity of
+    marked types (see graphs.type_key for that)."""
     return (
         len(t.edges),
         tuple(sorted(str(e.label) for e in t.edges)),
@@ -98,12 +99,6 @@ def _type_key(t: TopologicalType):
 def _score(delta: TopologicalType, gamma: ConjClass, coords) -> Fraction:
     counts = edge_counts(delta, gamma)
     return sum(Fraction(n) * c for n, c in zip(counts, coords))
-
-
-def _slice_polytope(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
-                    delta: TopologicalType) -> Polytope:
-    hs = star_system(a, gamma, delta) + starstar_system(b, gamma, delta)
-    return Polytope(len(delta.edges), hs)
 
 
 def _collapsible(delta: TopologicalType, coords) -> bool:
@@ -320,19 +315,19 @@ def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
             continue
         target = embed_point(b, d2)
         key = (0 if target is not None else 1, -len(d2.edges),
-               _type_key(d2))
+               _chart_order(d2))
         candidates.append((key, d2, emb))
     candidates.sort(key=lambda x: x[0])
     # two sweeps over the current and adjacent charts: first insist on
     # steps that stay off chart-boundary faces (those are the rigid ones),
     # then allow boundary steps as a last resort
     for clean in (True, False):
-        nxt = _forward_vertex(_slice_polytope(base, b, gamma, delta),
+        nxt = _forward_vertex(slice_polytope(base, b, gamma, delta),
                               coords, score_in(delta), delta, clean)
         if nxt is not None:
             return delta, nxt
         for _, d2, emb in candidates:
-            poly2 = _slice_polytope(base, b, gamma, d2)
+            poly2 = slice_polytope(base, b, gamma, d2)
             if not poly2.is_feasible():
                 continue
             nxt = _forward_vertex(poly2, emb, score_in(d2), d2, clean)
@@ -346,7 +341,7 @@ def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None) -> int:
     gamma = reference_witness(p, q)
     best = -1
     for delta in support(p, q, budget).simplices:
-        poly = _slice_polytope(p, q, gamma, delta)
+        poly = slice_polytope(p, q, gamma, delta)
         best = max(best, poly.dim)
     return best
 
@@ -387,10 +382,8 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
         raise NotMaximalSimplex("both points must be in maximal simplices")
     if via not in ("out", "in"):
         raise ValueError(f"unknown side {via!r}")
-    for gamma in sorted(
-        stretch_report(a, b).candidate_witnesses,
-        key=lambda g: (len(g.rep), g.rep.letters),
-    ):
+    for gamma in sorted(stretch_report(a, b).candidate_witnesses,
+                        key=class_order):
         if via == "out":
             poly = out_envelope(a, [gamma], b.ttype)
             x = b.lengths
@@ -412,9 +405,7 @@ def _sym_excess(p: SimplexPoint, q: SimplexPoint) -> Fraction:
 def _facet_chain(u: SimplexPoint, start: ConjClass, goal: ConjClass):
     """Candidates of u connecting start to goal so that consecutive
     out-envelopes meet in a hyperplane of the simplex of u."""
-    cands = sorted(
-        candidate_words(u.ttype), key=lambda g: (len(g.rep), g.rep.letters)
-    )
+    cands = sorted(candidate_words(u.ttype), key=class_order)
     dim = len(u.ttype.edges)
     full = dim - 1
 
@@ -522,7 +513,7 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
     """
     if a.ttype.rank != 2:
         raise Unsupported("ray walking is implemented for rank 2")
-    direction = sorted(set(s), key=lambda g: (len(g.rep), g.rep.letters))
+    direction = sorted(set(s), key=class_order)
     if not direction:
         raise ParamOutOfRange("empty direction")
     budget = _budget(budget)
@@ -558,7 +549,7 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
             charts += adjacent_simplices(here.ttype)
         moved = None
         for toward_ideal in (False, True):
-            for d2 in sorted(charts, key=_type_key):
+            for d2 in sorted(charts, key=_chart_order):
                 emb = embed_point(here, d2)
                 if emb is None:
                     continue

@@ -38,6 +38,7 @@ from .words import (
     ConjClass,
     Word,
     conj_normal_form,
+    conjugacy_classes_up_to,
     cyclic_reduce,
     free_reduce,
     generator,
@@ -150,9 +151,8 @@ class MarkedGraph:
     tree: list[str]
 
 
-def _check_connected(vertices, edges):
-    if not vertices:
-        raise DisconnectedGraph("no vertices")
+def is_connected(vertices, edges) -> bool:
+    """Whether the edges join the (nonempty) vertex sequence into one piece."""
     adj: dict[str, set[str]] = {v: set() for v in vertices}
     for e in edges:
         adj[e.u].add(e.v)
@@ -164,8 +164,27 @@ def _check_connected(vertices, edges):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) != len(vertices):
-        raise DisconnectedGraph("graph is not connected")
+    return len(seen) == len(vertices)
+
+
+def _forest_roots(vertices, edges, cycle_message: str) -> dict[str, str]:
+    """Union-find over the edges, returning the root of each vertex; the
+    first edge that closes a cycle raises NotAForest, with its id put into
+    cycle_message by str.format."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        ru, rv = find(e.u), find(e.v)
+        if ru == rv:
+            raise NotAForest(cycle_message.format(e.id))
+        parent[ru] = rv
+    return {v: find(v) for v in vertices}
 
 
 def _check_spanning_tree(t: TopologicalType):
@@ -174,19 +193,7 @@ def _check_spanning_tree(t: TopologicalType):
         raise NotAForest("tree refers to unknown edges")
     if len(tree_edges) != len(t.vertices) - 1:
         raise NotAForest("spanning tree must have V-1 edges")
-    parent = {v: v for v in t.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in tree_edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            raise NotAForest(f"tree contains a cycle through {e.id}")
-        parent[ru] = rv
+    _forest_roots(t.vertices, tree_edges, "tree contains a cycle through {}")
 
 
 def make_type(rank, vertices, edge_specs, tree) -> TopologicalType:
@@ -201,7 +208,10 @@ def make_type(rank, vertices, edge_specs, tree) -> TopologicalType:
     ids = [e.id for e in t.edges]
     if len(set(ids)) != len(ids):
         raise WrongRank("duplicate edge ids")
-    _check_connected(t.vertices, t.edges)
+    if not t.vertices:
+        raise DisconnectedGraph("no vertices")
+    if not is_connected(t.vertices, t.edges):
+        raise DisconnectedGraph("graph is not connected")
     for v in t.vertices:
         if t.valency(v) < 3:
             raise BadValency(f"vertex {v} has valency {t.valency(v)}")
@@ -418,21 +428,8 @@ def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
         e = t.edge(eid)  # raises KeyError on unknown ids
         if e.is_loop():
             raise NotAForest(f"{eid} is a loop edge")
-    # acyclicity
-    parent = {v: v for v in t.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in forest:
-        e = t.edge(eid)
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            raise NotAForest("selected edges contain a cycle")
-        parent[ru] = rv
+    root = _forest_roots(t.vertices, [t.edge(eid) for eid in forest],
+                         "selected edges contain a cycle")
     # move non-tree members into the tree one at a time
     while True:
         outside = [eid for eid in forest if eid not in t.tree]
@@ -444,7 +441,6 @@ def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
         if not swap:
             raise NotAForest("no tree exchange available")
         t = _retree(t, (t.tree - {swap[0]}) | {f})
-    root = {v: find(v) for v in t.vertices}
     new_vertices = tuple(v for v in t.vertices if root[v] == v)
     new_edges = tuple(
         Edge(e.id, root[e.u], root[e.v], e.label)
@@ -624,27 +620,53 @@ def marking_equivalent(a: TopologicalType, b: TopologicalType) -> bool:
     return next(marking_isomorphisms(a, b), None) is not None
 
 
+def type_key(t: TopologicalType) -> tuple:
+    """A bucket for marking equivalence: the edge count and the length of
+    the immersed loop of every class of length at most 2.
+
+    Equivalent types share a key, but a shared key proves nothing: no
+    finite set of classes tells all marked types apart from rank 3 on
+    (Smillie and Vogtmann 1992), so equality is always decided by
+    marking_equivalent inside the bucket.
+    """
+    return (len(t.edges),) + tuple(
+        len(tighten(t, g)) for g in _key_classes(t.rank))
+
+
+@lru_cache(maxsize=8)
+def _key_classes(rank: int) -> tuple[ConjClass, ...]:
+    return tuple(conjugacy_classes_up_to(rank, 2))
+
+
+def record_type(buckets: dict, t: TopologicalType) -> bool:
+    """Add t to buckets (type_key -> types) unless a type marking
+    equivalent to it is already there; True when t was added."""
+    group = buckets.setdefault(type_key(t), [])
+    if any(marking_equivalent(t, x) for x in group):
+        return False
+    group.append(t)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Simplex adjacency.
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=4096)
-def faces(t: TopologicalType) -> list[TopologicalType]:
+def faces(t: TopologicalType) -> tuple[TopologicalType, ...]:
     """Codimension-1 faces: single-edge collapses, up to equivalence."""
-    out: list[TopologicalType] = []
-    for e in t.edges:
-        if e.is_loop():
-            continue
-        c = collapse_forest(t, {e.id})
-        if not any(marking_equivalent(c, x) for x in out):
-            out.append(c)
-    return out
+    buckets: dict = {}
+    collapses = (collapse_forest(t, {e.id}) for e in t.edges
+                 if not e.is_loop())
+    return tuple(c for c in collapses if record_type(buckets, c))
 
 
 @lru_cache(maxsize=4096)
-def resolutions(t: TopologicalType) -> list[TopologicalType]:
-    """Trivalent types obtained from t by iterated vertex blow-ups."""
+def resolutions(t: TopologicalType) -> tuple[TopologicalType, ...]:
+    """Trivalent types obtained from t by iterated vertex blow-ups, one
+    per marking-equivalence class, each the first of its class in
+    blow-up order."""
     leaves: list[TopologicalType] = []
     stack = [t]
     while stack:
@@ -666,29 +688,11 @@ def resolutions(t: TopologicalType) -> list[TopologicalType]:
                     continue
                 side2 = frozenset(h for h in half if h not in side1)
                 stack.append(blow_up_vertex(cur, v, side1, side2))
-    # dedupe: two types agree up to marking equivalence exactly when their
-    # uniform-length points are at stretch 1 in both directions
-    from .metric import stretch
-
-    def uniform(tt):
-        n = len(tt.edges)
-        return SimplexPoint(tt, (Fraction(1, n),) * n)
-
-    ref = uniform(t)
     buckets: dict = {}
-    done: list[TopologicalType] = []
-    for leaf in dict.fromkeys(leaves):
-        p = uniform(leaf)
-        key = (stretch(p, ref), stretch(ref, p))
-        group = buckets.setdefault(key, [])
-        if any(stretch(p, q) == 1 and stretch(q, p) == 1 for q in group):
-            continue
-        group.append(p)
-        done.append(leaf)
-    return done
+    return tuple(leaf for leaf in leaves if record_type(buckets, leaf))
 
 
-def adjacent_simplices(t: TopologicalType) -> list[TopologicalType]:
+def adjacent_simplices(t: TopologicalType) -> tuple[TopologicalType, ...]:
     """Faces plus trivalent resolutions, each distinct up to equivalence."""
     return faces(t) + resolutions(t)
 

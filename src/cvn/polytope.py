@@ -117,13 +117,7 @@ def _extreme_rays(halfspaces, d) -> list[tuple[tuple[int, ...], int]]:
 
 def feasible(halfspaces, ambient_dim: int) -> bool:
     """Exact feasibility of {x in simplex : all half-spaces hold}."""
-    halfspaces = tuple(halfspaces)
-    for h in halfspaces:
-        if len(h.coeffs) != ambient_dim:
-            raise DimensionMismatch(
-                f"half-space in dim {len(h.coeffs)}, ambient {ambient_dim}"
-            )
-    return bool(_extreme_rays(halfspaces, ambient_dim))
+    return Polytope(ambient_dim, halfspaces).is_feasible()
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +186,15 @@ class Polytope:
         return tuple(out)
 
     @cached_property
+    def _rays(self) -> list[tuple[tuple[int, ...], int]]:
+        """The one double-description run that every query reads."""
+        return _extreme_rays(self.halfspaces, self.ambient_dim)
+
+    @cached_property
     def _vertex_zero_sets(self) -> list[tuple[Vector, int]]:
         """Vertices in sorted order, each with the zero set of its ray."""
         out = []
-        for r, z in _extreme_rays(self.halfspaces, self.ambient_dim):
+        for r, z in self._rays:
             s = sum(r)
             out.append((tuple(Fraction(q, s) for q in r), z))
         return sorted(out)
@@ -206,7 +205,7 @@ class Polytope:
         return tuple(v for v, _ in self._vertex_zero_sets)
 
     def is_feasible(self) -> bool:
-        return feasible(self.halfspaces, self.ambient_dim)
+        return bool(self._rays)
 
     @cached_property
     def dim(self) -> int:

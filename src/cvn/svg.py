@@ -16,10 +16,8 @@ from fractions import Fraction
 
 from .envelopes import (
     _budget,
-    envelope_slice,
     reference_witness,
-    star_system,
-    starstar_system,
+    slice_polytope,
     support,
 )
 from .errors import Unsupported
@@ -30,7 +28,6 @@ from .graphs import (
     embed_point,
     marking_isomorphisms,
 )
-from .polytope import Polytope
 
 SCALE = Fraction(300)
 MARGIN = Fraction(30)
@@ -147,11 +144,6 @@ def _bounds(layout: Layout):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _slice_vertices(a, b, gamma, t) -> list:
-    hs = star_system(a, gamma, t) + starstar_system(b, gamma, t)
-    return list(Polytope(len(t.edges), hs).vertices)
-
-
 def _cyclic(points):
     if len(points) <= 2:
         return points
@@ -189,7 +181,7 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
         out.append(f'<polygon points="{pts}" fill="none" stroke="#444444" '
                    'stroke-width="1"/>')
     for t, corners in layout.placed:
-        verts = _slice_vertices(a, b, gamma, t)
+        verts = slice_polytope(a, b, gamma, t).vertices
         if not verts:
             continue
         placed_pts = []
@@ -240,7 +232,7 @@ def envelope_vertices_json(a: SimplexPoint, b: SimplexPoint,
     gamma = reference_witness(a, b)
     out = []
     for t in _maximal(sup.simplices):
-        verts = _slice_vertices(a, b, gamma, t)
+        verts = slice_polytope(a, b, gamma, t).vertices
         out.append({
             "edges": [e.id for e in t.edges],
             "vertices": [[str(x) for x in v] for v in verts],

@@ -134,6 +134,11 @@ class ConjClass:
         return str(self.rep)
 
 
+def class_order(g: ConjClass) -> tuple:
+    """Sort key of classes: shorter first, then by representative letters."""
+    return (len(g.rep), g.rep.letters)
+
+
 def conj_normal_form(w: Word) -> ConjClass:
     """Canonical unoriented conjugacy class of w.
 

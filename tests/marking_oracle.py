@@ -1,0 +1,112 @@
+"""Slow, independent twins of the marked-type dedupe, for tests only.
+
+`cvn.graphs` buckets types by `type_key` and runs `marking_equivalent`
+only inside a bucket.  The routines here decide "same marked type" the
+older ways: `faces` scans every kept type with `marking_equivalent`,
+`resolutions` treats two trivalent types as the same when their uniform
+points are at stretch 1 in both directions, and `support` scans its list
+of examined simplices.  They must keep the same types in the same order.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from cvn.envelopes import (
+    Support,
+    _budget,
+    reference_witness,
+    star_system,
+    starstar_system,
+)
+from cvn.errors import BudgetExceeded
+from cvn.graphs import (
+    SimplexPoint,
+    TopologicalType,
+    adjacent_simplices,
+    blow_up_vertex,
+    collapse_forest,
+    marking_equivalent,
+)
+from cvn.metric import stretch
+from cvn.polytope import feasible
+
+
+def faces(t: TopologicalType) -> list[TopologicalType]:
+    """Codimension-1 faces: single-edge collapses, up to equivalence."""
+    out: list[TopologicalType] = []
+    for e in t.edges:
+        if e.is_loop():
+            continue
+        c = collapse_forest(t, {e.id})
+        if not any(marking_equivalent(c, x) for x in out):
+            out.append(c)
+    return out
+
+
+def resolutions(t: TopologicalType) -> list[TopologicalType]:
+    """Trivalent types obtained from t by iterated vertex blow-ups."""
+    leaves: list[TopologicalType] = []
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        fat = [v for v in cur.vertices if cur.valency(v) >= 4]
+        if not fat:
+            if cur is not t:
+                leaves.append(cur)
+            continue
+        v = fat[0]
+        half = cur.half_edges_at(v)
+        k = len(half)
+        first = half[0]
+        rest = half[1:]
+        for r in range(1, k - 2 + 1):
+            for side_rest in itertools.combinations(rest, r):
+                side1 = frozenset((first,) + side_rest)
+                if len(side1) < 2 or k - len(side1) < 2:
+                    continue
+                side2 = frozenset(h for h in half if h not in side1)
+                stack.append(blow_up_vertex(cur, v, side1, side2))
+    # dedupe: two types agree up to marking equivalence exactly when their
+    # uniform-length points are at stretch 1 in both directions
+
+    def uniform(tt):
+        n = len(tt.edges)
+        return SimplexPoint(tt, (Fraction(1, n),) * n)
+
+    ref = uniform(t)
+    buckets: dict = {}
+    done: list[TopologicalType] = []
+    for leaf in dict.fromkeys(leaves):
+        p = uniform(leaf)
+        key = (stretch(p, ref), stretch(ref, p))
+        group = buckets.setdefault(key, [])
+        if any(stretch(p, q) == 1 and stretch(q, p) == 1 for q in group):
+            continue
+        group.append(p)
+        done.append(leaf)
+    return done
+
+
+def support(a: SimplexPoint, b: SimplexPoint, budget=None):
+    """The flood fill deduped on pop; returns the support and the number
+    of distinct simplices it examined."""
+    budget = _budget(budget)
+    gamma = reference_witness(a, b)
+    found: list[TopologicalType] = []
+    queue = [a.ttype]
+    examined: list[TopologicalType] = []
+    while queue:
+        t = queue.pop(0)
+        if any(marking_equivalent(t, x) for x in examined):
+            continue
+        examined.append(t)
+        if len(examined) > budget:
+            raise BudgetExceeded(f"support search examined > {budget} simplices")
+        hs = star_system(a, gamma, t) + starstar_system(b, gamma, t)
+        if not feasible(hs, len(t.edges)):
+            continue
+        found.append(t)
+        queue.extend(adjacent_simplices(t))
+    return Support(tuple(found)), len(examined)

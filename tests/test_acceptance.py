@@ -12,6 +12,7 @@ from cvn.candidates import candidate_words
 from cvn.envelopes import (
     envelope,
     reference_witness,
+    slice_polytope,
     star_system,
     starstar_system,
     support,
@@ -44,7 +45,6 @@ from cvn.metric import (
 from cvn.polytope import Polytope, feasible
 from cvn.sampling import random_pair, random_point
 from cvn.svg import (
-    _slice_vertices,
     envelope_vertices_json,
     fmt,
     layout_support,
@@ -309,7 +309,7 @@ def test_criterion_10_svg_json_consistency():
         json_verts = [{tuple(v) for v in s["vertices"]} for s in slices]
         seen = []
         for t, corners in layout.placed:
-            verts = _slice_vertices(a, b, gamma, t)
+            verts = slice_polytope(a, b, gamma, t).vertices
             seen.append({tuple(str(x) for x in v) for v in verts})
             for v in verts:
                 x = sum(c * corner[0] for c, corner in zip(v, corners))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import marking_oracle
 from cvn.envelopes import (
     direction_reduction,
     envelope,
@@ -15,6 +16,7 @@ from cvn.envelopes import (
     support,
 )
 from cvn.errors import (
+    BudgetExceeded,
     EmptyDirection,
     EmptySlice,
     NotPrimitive,
@@ -22,6 +24,7 @@ from cvn.errors import (
     TrivialClass,
 )
 from cvn.graphs import (
+    barbell_point,
     marking_equivalent,
     point_from_coords,
     rose_point,
@@ -214,6 +217,29 @@ def test_support_cross_simplex():
     kinds = {len(t.edges) for t in sup.simplices}
     assert 3 in kinds  # the theta simplex
     assert 2 in kinds  # the rose face
+
+
+@pytest.mark.parametrize("a, b", [
+    (theta_point(1, 2, 4), rose_point([1, 3])),
+    (theta_point(10, 11, 12), theta_point(11, 12, 10)),
+    (barbell_point(1, 2, 3), theta_point(3, 1, 2)),
+])
+def test_support_matches_pop_dedupe_oracle(a, b):
+    want, examined = marking_oracle.support(a, b)
+    assert support(a, b) == want
+    # the budget counts the same distinct simplices
+    assert support(a, b, budget=examined) == want
+    with pytest.raises(BudgetExceeded):
+        support(a, b, budget=examined - 1)
+
+
+def test_envelope_slice_parts():
+    a = theta_point(1, 2, 4)
+    b = rose_point([1, 3])
+    sl = envelope_slice(a, b, theta_type())
+    assert sl.star == tuple(star_system(a, sl.gamma, theta_type()))
+    assert sl.starstar == tuple(starstar_system(b, sl.gamma, theta_type()))
+    assert sl.polytope.halfspaces == sl.star + sl.starstar
 
 
 def test_direction_reduction_idempotent():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import marking_oracle
+from cvn.candidates import enumerate_candidates
 from cvn.errors import (
     BadPartition,
     BadValency,
@@ -37,6 +39,7 @@ from cvn.graphs import (
     theta_type,
     tighten,
     tree_path,
+    type_key,
     validate_and_normalize,
 )
 from cvn.words import conj_class, reduce, generator
@@ -264,8 +267,40 @@ def test_rose_resolutions():
 
 
 def test_trivalent_has_no_resolutions():
-    assert resolutions(theta_type()) == []
+    assert resolutions(theta_type()) == ()
     assert adjacent_simplices(theta_type()) == faces(theta_type())
+
+
+def test_resolutions_and_faces_match_oracle_rank2():
+    for t in (rose_type(2), theta_type(), barbell_type()):
+        assert list(resolutions(t)) == marking_oracle.resolutions(t)
+        for s in (t,) + resolutions(t):
+            assert list(faces(s)) == marking_oracle.faces(s)
+
+
+def test_resolutions_and_faces_match_oracle_rank3():
+    charts = resolutions(rose_type(3))
+    assert len(charts) == 105  # 7!! trivalent marked types
+    assert list(charts) == marking_oracle.resolutions(rose_type(3))
+    for t in charts:
+        assert list(faces(t)) == marking_oracle.faces(t)
+    for t in charts[::7]:
+        for f in faces(t):
+            want = marking_oracle.resolutions(f)
+            assert list(resolutions(f)) == want
+            assert list(adjacent_simplices(f)) == marking_oracle.faces(f) + want
+
+
+@pytest.mark.parametrize("fn, t", [
+    (faces, theta_type()),
+    (resolutions, rose_type(2)),
+    (enumerate_candidates, rose_type(2)),
+], ids=["faces", "resolutions", "enumerate_candidates"])
+def test_cached_results_cannot_be_mutated(fn, t):
+    before = list(fn(t))
+    with pytest.raises(AttributeError):
+        fn(t).clear()
+    assert before and list(fn(t)) == before
 
 
 def test_marking_equivalent_permuted_ids():
@@ -277,12 +312,14 @@ def test_marking_equivalent_permuted_ids():
         ["f2"],
     )
     assert marking_equivalent(a, b)
+    assert type_key(a) == type_key(b)
 
 
 def test_marking_equivalent_petal_swap():
     a = rose_type(2)
     b = make_type(2, ["o"], [("p1", "o", "o", [2]), ("p2", "o", "o", [1])], [])
     assert marking_equivalent(a, b)
+    assert type_key(a) == type_key(b)
 
 
 def test_marking_inequivalent_roses():
@@ -301,6 +338,7 @@ def test_marking_equivalent_conjugate_labels():
     )
     # labels are x, y conjugated by y: same outer marking
     assert marking_equivalent(a, b)
+    assert type_key(a) == type_key(b)
 
 
 def test_apply_outer_automorphism_identity():
