@@ -33,7 +33,7 @@ from .graphs import (
     record_type,
 )
 from .metric import conj_length, stretch_report
-from .polytope import HalfSpace, Polytope, equality
+from .polytope import HalfSpace, Polytope, equality, feasible
 from .words import ConjClass, Word, class_order, extend_to_basis
 
 DEFAULT_BUDGET = 500
@@ -139,24 +139,26 @@ class EnvelopeSlice:
     polytope: Polytope
 
 
+def _slice(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
+           delta: TopologicalType) -> EnvelopeSlice:
+    star = tuple(star_system(a, gamma, delta))
+    starstar = tuple(starstar_system(b, gamma, delta))
+    return EnvelopeSlice(delta, gamma, star, starstar,
+                         Polytope(len(delta.edges), star + starstar))
+
+
 def slice_polytope(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
                    delta: TopologicalType) -> Polytope:
     """The envelope of (a, b) in the simplex of delta with reference
     witness gamma: the star system of a, then the starstar system of b."""
-    return Polytope(len(delta.edges), star_system(a, gamma, delta)
-                    + starstar_system(b, gamma, delta))
+    return _slice(a, b, gamma, delta).polytope
 
 
 def envelope_slice(a: SimplexPoint, b: SimplexPoint,
                    delta: TopologicalType) -> EnvelopeSlice:
     if a.ttype.rank != b.ttype.rank or a.ttype.rank != delta.rank:
         raise RankMismatch("mixed ranks")
-    gamma = reference_witness(a, b)
-    poly = slice_polytope(a, b, gamma, delta)
-    hs = poly.halfspaces
-    star = tuple(h for h in hs if h.provenance[0] == "star")
-    starstar = tuple(h for h in hs if h.provenance[0] == "starstar")
-    return EnvelopeSlice(delta, gamma, star, starstar, poly)
+    return _slice(a, b, reference_witness(a, b), delta)
 
 
 def envelope(a: SimplexPoint, b: SimplexPoint,
@@ -187,7 +189,8 @@ def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
         examined += 1
         if examined > budget:
             raise BudgetExceeded(f"support search examined > {budget} simplices")
-        if not slice_polytope(a, b, gamma, t).is_feasible():
+        hs = star_system(a, gamma, t) + starstar_system(b, gamma, t)
+        if not feasible(hs, len(t.edges)):
             continue
         found.append(t)
         queue.extend(x for x in adjacent_simplices(t)

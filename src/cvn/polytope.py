@@ -117,7 +117,13 @@ def _extreme_rays(halfspaces, d) -> list[tuple[tuple[int, ...], int]]:
 
 def feasible(halfspaces, ambient_dim: int) -> bool:
     """Exact feasibility of {x in simplex : all half-spaces hold}."""
-    return Polytope(ambient_dim, halfspaces).is_feasible()
+    halfspaces = tuple(halfspaces)
+    for h in halfspaces:
+        if len(h.coeffs) != ambient_dim:
+            raise DimensionMismatch(
+                f"half-space in dim {len(h.coeffs)}, ambient {ambient_dim}"
+            )
+    return bool(_extreme_rays(halfspaces, ambient_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +192,10 @@ class Polytope:
         return tuple(out)
 
     @cached_property
-    def _rays(self) -> list[tuple[tuple[int, ...], int]]:
-        """The one double-description run that every query reads."""
-        return _extreme_rays(self.halfspaces, self.ambient_dim)
-
-    @cached_property
     def _vertex_zero_sets(self) -> list[tuple[Vector, int]]:
         """Vertices in sorted order, each with the zero set of its ray."""
         out = []
-        for r, z in self._rays:
+        for r, z in _extreme_rays(self.halfspaces, self.ambient_dim):
             s = sum(r)
             out.append((tuple(Fraction(q, s) for q in r), z))
         return sorted(out)
@@ -205,7 +206,7 @@ class Polytope:
         return tuple(v for v, _ in self._vertex_zero_sets)
 
     def is_feasible(self) -> bool:
-        return bool(self._rays)
+        return feasible(self.halfspaces, self.ambient_dim)
 
     @cached_property
     def dim(self) -> int:

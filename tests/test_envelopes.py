@@ -233,15 +233,6 @@ def test_support_matches_pop_dedupe_oracle(a, b):
         support(a, b, budget=examined - 1)
 
 
-def test_envelope_slice_parts():
-    a = theta_point(1, 2, 4)
-    b = rose_point([1, 3])
-    sl = envelope_slice(a, b, theta_type())
-    assert sl.star == tuple(star_system(a, sl.gamma, theta_type()))
-    assert sl.starstar == tuple(starstar_system(b, sl.gamma, theta_type()))
-    assert sl.polytope.halfspaces == sl.star + sl.starstar
-
-
 def test_direction_reduction_idempotent():
     a = theta_point(1, 2, 4)
     m = [CC([1])]
