@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BadPartition,
@@ -76,17 +77,23 @@ class TopologicalType:
     edges: tuple[Edge, ...]
     tree: frozenset[str]
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rank, self.vertices, self.edges, self.tree))
+
+    def __hash__(self) -> int:
+        # every lru_cache keyed on a type hashes it; hash the fields once
+        return self._hash
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {e.id: i for i, e in enumerate(self.edges)}
+
     def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
+        return self.edges[self._positions[eid]]
 
     def index(self, eid: str) -> int:
-        for i, e in enumerate(self.edges):
-            if e.id == eid:
-                return i
-        raise KeyError(eid)
+        return self._positions[eid]
 
     def non_tree_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.id not in self.tree)
@@ -134,6 +141,14 @@ class SimplexPoint:
 
     def length_of(self, eid: str) -> Fraction:
         return self.lengths[self.ttype.index(eid)]
+
+    @cached_property
+    def scaled_lengths(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, d): the lengths as integers over their least common
+        denominator d, so lengths[i] == Fraction(numerators[i], d)."""
+        d = math.lcm(*(q.denominator for q in self.lengths))
+        return tuple(q.numerator * (d // q.denominator)
+                     for q in self.lengths), d
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +371,26 @@ def _cancel_path(steps) -> list:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _petals(t: TopologicalType) -> tuple[tuple[Path, Path], ...]:
+    """Per non-tree edge, in edge order, the pair (petal, reversed petal):
+    the petal runs from the base vertex through the tree to the edge,
+    across it and back to the base vertex."""
+    base = t.base()
+    out = []
+    for e in t.non_tree_edges():
+        loop = tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
+        out.append((loop, tuple((eid, -s) for eid, s in reversed(loop))))
+    return tuple(out)
+
+
 @lru_cache(maxsize=65536)
 def _tighten_cached(t: TopologicalType, rep_letters) -> Path:
-    base = t.base()
-    basis = t.basis_words()
-    petals = []
-    for e in t.non_tree_edges():
-        loop = list(tree_path(t, base, e.u)) + [(e.id, 1)] + list(
-            tree_path(t, e.v, base)
-        )
-        petals.append(loop)
-    coords = rewrite_in_basis(Word(rep_letters, t.rank), basis)
+    petals = _petals(t)
+    coords = rewrite_in_basis(Word(rep_letters, t.rank), t.basis_words())
     steps: list = []
     for a in coords.letters:
-        p = petals[abs(a) - 1]
-        steps.extend(p if a > 0 else [(eid, -s) for eid, s in reversed(p)])
+        steps.extend(petals[abs(a) - 1][a < 0])
     steps = _cancel_path(steps)
     while len(steps) >= 2 and steps[0] == (steps[-1][0], -steps[-1][1]):
         steps = steps[1:-1]
@@ -428,11 +448,13 @@ def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
         e = t.edge(eid)  # raises KeyError on unknown ids
         if e.is_loop():
             raise NotAForest(f"{eid} is a loop edge")
-    root = _forest_roots(t.vertices, [t.edge(eid) for eid in forest],
+    # edge order, not set order, so vertex names do not depend on the hash seed
+    root = _forest_roots(t.vertices, [e for e in t.edges if e.id in forest],
                          "selected edges contain a cycle")
     # move non-tree members into the tree one at a time
     while True:
-        outside = [eid for eid in forest if eid not in t.tree]
+        outside = [e.id for e in t.edges
+                   if e.id in forest and e.id not in t.tree]
         if not outside:
             break
         f = outside[0]
@@ -563,13 +585,9 @@ def _graph_isomorphisms(a: TopologicalType, b: TopologicalType):
 
 def _induced_automorphism(a: TopologicalType, b: TopologicalType, emap):
     """Automorphism of F_n induced by the edge map, or None if not one."""
-    base = a.base()
     w_list = []
     c_list = []
-    for e in a.non_tree_edges():
-        loop = list(tree_path(a, base, e.u)) + [(e.id, 1)] + list(
-            tree_path(a, e.v, base)
-        )
+    for e, (loop, _) in zip(a.non_tree_edges(), _petals(a)):
         image = [(emap[eid][0], s * emap[eid][1]) for eid, s in loop]
         w_list.append(e.label)
         c_list.append(path_word(b, image))

@@ -19,11 +19,16 @@ from .words import ConjClass, conjugacy_classes_up_to
 
 
 def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
-    """Length of the immersed loop realizing gamma in p."""
+    """Length of the immersed loop realizing gamma in p.
+
+    Sums the point's integer length numerators along the loop and divides
+    by their common denominator once.
+    """
     if gamma.is_trivial():
         raise TrivialClass("trivial class has zero length")
     t = p.ttype
-    return sum(p.lengths[t.index(eid)] for eid, _ in tighten(t, gamma))
+    nums, d = p.scaled_lengths
+    return Fraction(sum(nums[t.index(eid)] for eid, _ in tighten(t, gamma)), d)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IndexOutOfRange, NotABasis, NotPrimitive, Unsupported
+from .errors import (
+    BudgetExceeded,
+    IndexOutOfRange,
+    NotABasis,
+    NotPrimitive,
+    Unsupported,
+)
 
 Letters = tuple[int, ...]
 
@@ -48,20 +54,39 @@ def _letter_key(a: int) -> int:
     return 2 * abs(a) - (1 if a > 0 else 0)
 
 
+def _least_rotation(keys) -> int:
+    """Start of the lexicographically least rotation of a sequence, by
+    Booth's O(n) algorithm (a failure function over the doubled sequence)."""
+    s = list(keys) * 2
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:  # here i == -1
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
 def _canonical_cyclic(letters: Letters) -> Letters:
     """Least rotation of the cyclic word or its inverse, letters ordered
     1 < -1 < 2 < -2 < ..."""
     if not letters:
         return ()
-    best = None
-    best_key = None
+    rotations = []
     for seq in (letters, invert(letters)):
-        for k in range(len(seq)):
-            rot = seq[k:] + seq[:k]
-            key = tuple(_letter_key(a) for a in rot)
-            if best_key is None or key < best_key:
-                best, best_key = rot, key
-    return best
+        keys = [_letter_key(a) for a in seq]
+        k = _least_rotation(keys)
+        rotations.append((keys[k:] + keys[:k], seq[k:] + seq[:k]))
+    return min(rotations)[1]
 
 
 @dataclass(frozen=True)
@@ -189,7 +214,9 @@ def _nielsen_standardize(words: tuple[Letters, ...]):
     """Carry the tuple to (+-x_sigma(i)) by Nielsen moves, tracking coordinates.
 
     Returns (cur, expr) where expr[i] is a word in basis letters evaluating to
-    cur[i], or None when the tuple is not a basis of F_n.
+    cur[i], or None when the tuple is not a basis of F_n.  Raises
+    BudgetExceeded when a search at constant total length visits more than
+    _PLATEAU_CAP tuples without deciding.
     """
     n = len(words)
     cur = tuple(words)
@@ -250,7 +277,8 @@ def _nielsen_standardize(words: tuple[Letters, ...]):
         jumped = False
         while queue:
             if len(seen) > _PLATEAU_CAP:
-                return None
+                raise BudgetExceeded(
+                    f"Nielsen plateau search passed {_PLATEAU_CAP} tuples")
             st = queue.popleft()
             for nb in neighbors(st):
                 ncur = nb[0]
@@ -406,14 +434,45 @@ def is_primitive(w: Word) -> bool:
 def conjugacy_classes_up_to(rank: int, max_len: int):
     """Yield every nontrivial unoriented conjugacy class of length <= max_len.
 
-    Each class appears exactly once, via its canonical representative.
+    Each class appears exactly once, via its canonical representative, in
+    class_order.  The classes are generated once per (rank, max_len) and
+    memoised.
     """
+    yield from _classes_up_to(rank, max_len)
+
+
+@lru_cache(maxsize=32)
+def _classes_up_to(rank: int, max_len: int) -> tuple[ConjClass, ...]:
+    """The canonical representatives, by length and then letter key.
+
+    Per length n, FKM generation (Ruskey, Combinatorial Generation) walks the
+    prenecklaces over the letter keys in lexicographic order, never placing
+    a letter next to its inverse; a necklace is kept when its last letter
+    does not cancel its first and the least rotation of its inverse is not
+    smaller than itself.
+    """
+    # position i in the key order; i ^ 1 is the position of the inverse
     alphabet = [s * m for m in range(1, rank + 1) for s in (1, -1)]
-    for length in range(1, max_len + 1):
-        for tup in itertools.product(alphabet, repeat=length):
-            ok = all(tup[i] != -tup[i + 1] for i in range(length - 1))
-            if not ok or tup[-1] == -tup[0]:
-                continue
-            if _canonical_cyclic(tup) != tup:
-                continue
-            yield ConjClass(Word(tup, rank), rank)
+    out: list[ConjClass] = []
+    for n in range(1, max_len + 1):
+        a = [0] * (n + 1)  # a[1..n]; a[0] is the FKM sentinel
+
+        def extend(t: int, p: int) -> None:
+            if t > n:
+                if n % p or a[n] == a[1] ^ 1:
+                    return
+                word = a[1:]
+                inv = [x ^ 1 for x in reversed(word)]
+                r = _least_rotation(inv)
+                if inv[r:] + inv[:r] >= word:
+                    letters = tuple(alphabet[x] for x in word)
+                    out.append(ConjClass(Word(letters, rank), rank))
+                return
+            for j in range(a[t - p], len(alphabet)):
+                if t > 1 and j == a[t - 1] ^ 1:
+                    continue
+                a[t] = j
+                extend(t + 1, p if j == a[t - p] else t)
+
+        extend(1, 1)
+    return tuple(out)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import marking_oracle
+import words_oracle
 from cvn.candidates import enumerate_candidates
 from cvn.errors import (
     BadPartition,
@@ -16,7 +21,10 @@ from cvn.errors import (
     WrongRank,
 )
 from cvn.graphs import (
+    Edge,
     MarkedGraph,
+    TopologicalType,
+    _petals,
     adjacent_simplices,
     apply_outer_automorphism,
     barbell_point,
@@ -42,7 +50,7 @@ from cvn.graphs import (
     type_key,
     validate_and_normalize,
 )
-from cvn.words import conj_class, reduce, generator
+from cvn.words import conj_class, conjugacy_classes_up_to, reduce, generator
 
 
 def test_validate_and_normalize_rose():
@@ -191,6 +199,19 @@ def test_tighten_reproduces_embedded_cycles():
             assert sorted(x for x, _ in got) == sorted(x for x, _ in path)
 
 
+def test_petals_and_tighten_match_tree_path_loops_rank3():
+    classes = list(conjugacy_classes_up_to(3, 3))
+    for t in resolutions(rose_type(3)):
+        base = t.base()
+        want = [tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
+                for e in t.non_tree_edges()]
+        assert [fwd for fwd, _ in _petals(t)] == want
+        assert [rev for _, rev in _petals(t)] == [
+            tuple((eid, -s) for eid, s in reversed(w)) for w in want]
+        for g in classes:
+            assert tighten(t, g) == words_oracle.tighten(t, g)
+
+
 def test_collapse_theta_tree_edge_gives_rose():
     t = collapse_forest(theta_type(), {"e2"})
     assert len(t.vertices) == 1
@@ -220,6 +241,32 @@ def test_collapse_loop_rejected():
 def test_collapse_cycle_rejected():
     with pytest.raises(NotAForest):
         collapse_forest(theta_type(), {"e1", "e2"})
+
+
+_COLLAPSE_DIGEST = """
+import hashlib
+from cvn.graphs import collapse_forest, forests, resolutions, rose_type
+h = hashlib.sha256()
+for t in resolutions(rose_type(3))[:20]:
+    for f in forests(t):
+        if len(f) >= 2:
+            c = collapse_forest(t, f)
+            h.update(repr((c.vertices, c.edges, sorted(c.tree))).encode())
+print(h.hexdigest())
+"""
+
+
+def test_collapse_forest_independent_of_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        res = subprocess.run([sys.executable, "-c", _COLLAPSE_DIGEST],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        outs.add(res.stdout)
+    assert len(outs) == 1
 
 
 def test_blow_up_rose_round_trip():
@@ -301,6 +348,29 @@ def test_cached_results_cannot_be_mutated(fn, t):
     with pytest.raises(AttributeError):
         fn(t).clear()
     assert before and list(fn(t)) == before
+
+
+def test_equal_types_built_apart_hash_and_compare_equal():
+    a, b = theta_type(), theta_type()
+    assert a is not b
+    assert a.index("e3") == 2  # fills a's cached id map, not b's
+    rebuilt = TopologicalType(b.rank, b.vertices,
+                              tuple(Edge(e.id, e.u, e.v, e.label)
+                                    for e in b.edges), b.tree)
+    for x in (b, rebuilt):
+        assert a == x and hash(a) == hash(x)
+    assert {a: 1}[rebuilt] == 1
+    other = TopologicalType(a.rank, a.vertices, a.edges, frozenset({"e1"}))
+    assert other != a
+
+
+def test_index_and_edge_raise_key_error_on_unknown_id():
+    t = theta_type()
+    assert t.index("e2") == 1 and t.edge("e2") is t.edges[1]
+    with pytest.raises(KeyError):
+        t.index("nope")
+    with pytest.raises(KeyError):
+        t.edge("nope")
 
 
 def test_marking_equivalent_permuted_ids():

@@ -3,11 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+import words_oracle
 from cvn.errors import RankMismatch, TrivialClass
 from cvn.graphs import (
+    SimplexPoint,
     apply_outer_automorphism,
+    barbell_type,
+    blow_up_vertex,
     rose_point,
+    rose_type,
     theta_point,
+    theta_type,
+    twisted_theta_type,
 )
 from cvn.metric import (
     brute_force_lambda,
@@ -20,7 +27,7 @@ from cvn.metric import (
     stretch_report,
 )
 from cvn.sampling import random_automorphism, random_pair, random_point
-from cvn.words import conj_class, generator
+from cvn.words import conj_class, conjugacy_classes_up_to, generator
 
 
 def CC(letters):
@@ -44,6 +51,54 @@ def test_conj_length_conjugation_invariant():
 def test_conj_length_trivial_rejected():
     with pytest.raises(TrivialClass):
         conj_length(theta_point(1, 1, 1), CC([]))
+
+
+def _random_trivalent_type(rank, rng):
+    t = rose_type(rank)
+    while True:
+        fat = [v for v in t.vertices if t.valency(v) >= 4]
+        if not fat:
+            return t
+        v = rng.choice(fat)
+        half = t.half_edges_at(v)
+        rng.shuffle(half)
+        k = rng.randint(2, len(half) - 2)
+        t = blow_up_vertex(t, v, half[:k], half[k:])
+
+
+def _random_lengths_point(t, rng):
+    nums = [rng.randint(1, 40) for _ in t.edges]
+    return SimplexPoint(t, tuple(Fraction(k, sum(nums)) for k in nums))
+
+
+def test_integer_conj_length_matches_fraction_sum():
+    rng = random.Random(11)
+    cases = [(t, 6) for t in (theta_type(), twisted_theta_type(),
+                              barbell_type())]
+    cases += [(_random_trivalent_type(3, rng), 4) for _ in range(4)]
+    for t, max_len in cases:
+        classes = list(conjugacy_classes_up_to(t.rank, max_len))
+        for _ in range(3):
+            p = _random_lengths_point(t, rng)
+            for g in classes:
+                assert conj_length(p, g) == words_oracle.conj_length(p, g)
+
+
+def test_brute_force_lambda_matches_slow_enumeration():
+    rng = random.Random(12)
+    types = [theta_type(), twisted_theta_type(), barbell_type()]
+    pairs = [(rng.choice(types), rng.choice(types), 6) for _ in range(3)]
+    pairs += [(_random_trivalent_type(3, rng), _random_trivalent_type(3, rng),
+               4) for _ in range(2)]
+    for ta, tb, max_len in pairs:
+        a, b = _random_lengths_point(ta, rng), _random_lengths_point(tb, rng)
+        ratios = [(words_oracle.conj_length(b, g)
+                   / words_oracle.conj_length(a, g), g)
+                  for g in words_oracle.conjugacy_classes_up_to(ta.rank,
+                                                                max_len)]
+        best = max(r for r, _ in ratios)
+        want = (best, [g for r, g in ratios if r == best])
+        assert brute_force_lambda(a, b, max_len) == want
 
 
 def test_stretch_closed_triangle():

@@ -1,10 +1,20 @@
+import inspect
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvn.errors import IndexOutOfRange, NotABasis, NotPrimitive, Unsupported
+import words_oracle
+from cvn import words
+from cvn.errors import (
+    BudgetExceeded,
+    IndexOutOfRange,
+    NotABasis,
+    NotPrimitive,
+    Unsupported,
+)
 from cvn.words import (
     ConjClass,
     Word,
@@ -230,6 +240,49 @@ def test_conjugacy_class_enumeration_counts():
             if red:
                 oracle.add(_normal_form_oracle(red, 2))
     assert reps == oracle
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 10), (2, 8), (3, 6), (4, 4)])
+def test_class_enumeration_matches_letter_tuple_oracle(rank, max_len):
+    fast = list(conjugacy_classes_up_to(rank, max_len))
+    slow = list(words_oracle.conjugacy_classes_up_to(rank, max_len))
+    assert fast == slow  # the same classes in the same order
+
+
+def test_class_enumeration_is_a_generator_over_an_immutable_memo():
+    assert inspect.isgeneratorfunction(conjugacy_classes_up_to)
+    memo = words._classes_up_to(2, 3)
+    assert type(memo) is tuple
+    assert words._classes_up_to(2, 3) is memo
+    assert tuple(conjugacy_classes_up_to(2, 3)) == memo
+
+
+def test_booth_canonical_form_matches_rotation_scan():
+    rng = random.Random(4)
+    for _ in range(2000):
+        rank = rng.randint(1, 4)
+        alphabet = [s * m for m in range(1, rank + 1) for s in (1, -1)]
+        n = rng.randint(1, 14)
+        letters = tuple(rng.choice(alphabet) for _ in range(n))
+        if rng.random() < 0.3:  # periodic words have several least rotations
+            letters = letters[: rng.randint(1, 4)] * rng.randint(2, 4)
+        assert words._canonical_cyclic(letters) == \
+            words_oracle._canonical_cyclic(letters)
+
+
+def test_nielsen_plateau_cap_raises_budget_exceeded(monkeypatch):
+    # a basis of F_3 whose reduction needs a search at constant length
+    basis = ((-3, 1, 3), (1, 2), (-2, 3))
+    assert words._nielsen_standardize(basis) is not None
+    monkeypatch.setattr(words, "_PLATEAU_CAP", 0)
+    with pytest.raises(BudgetExceeded):
+        words._nielsen_standardize(basis)
+    words._basis_inverse.cache_clear()
+    try:
+        with pytest.raises(BudgetExceeded):
+            is_basis([Word(b, 3) for b in basis], 3)
+    finally:
+        words._basis_inverse.cache_clear()
 
 
 def test_word_str():
