@@ -4,7 +4,9 @@ Reads marked graphs from JSON files, runs the library, prints JSON with
 every number as an exact rational string plus a decimal approximation.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 domain validation
-failure, 3 computation budget exceeded.
+failure, 3 computation budget exceeded.  Only reading files and parsing
+graphs and words counts as parsing: a ValueError or KeyError raised by a
+computation is a fault of the program and is not reported as bad input.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .candidates import enumerate_candidates
@@ -73,8 +76,22 @@ def parse_word(text: str, rank: int) -> ConjClass:
     return conj_class(letters, rank)
 
 
+class _InputError(Exception):
+    """A file, graph or word on the command line that cannot be read."""
+
+
+@contextmanager
+def _parsing():
+    """The parse stage: its read and parse failures become _InputError,
+    while domain errors (CvnError) pass through unchanged."""
+    try:
+        yield
+    except (OSError, ZeroDivisionError, KeyError, ValueError) as exc:
+        raise _InputError(exc) from exc
+
+
 def _load_point(path: str):
-    with open(path) as fh:
+    with _parsing(), open(path) as fh:
         return validate_and_normalize(graph_from_json(fh.read()))
 
 
@@ -198,7 +215,8 @@ def cmd_general_position(args) -> int:
 
 def cmd_ray_audit(args) -> int:
     a = _load_point(args.graph)
-    direction = [parse_word(w, a.ttype.rank) for w in args.direction]
+    with _parsing():
+        direction = [parse_word(w, a.ttype.rank) for w in args.direction]
     audit = ray_dimension_audit(a, direction, args.steps,
                                 budget=args.budget)
     obj = {
@@ -425,9 +443,11 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, ZeroDivisionError,
-            KeyError, ValueError) as exc:
+    except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except CvnError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .candidates import edge_counts, enumerate_candidates
 from .errors import (
@@ -139,6 +140,9 @@ class EnvelopeSlice:
     polytope: Polytope
 
 
+# a slice keeps its polytope (and its vertices once asked) alive, so this
+# cache stays small: enough for the support, walker and picture of a pair
+@lru_cache(maxsize=64)
 def _slice(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
            delta: TopologicalType) -> EnvelopeSlice:
     star = tuple(star_system(a, gamma, delta))
@@ -176,8 +180,16 @@ def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
     """All simplices meeting Env(a,b), found by flood fill from T(a).
 
     Each marked type is queued once, and the budget bounds how many
-    distinct simplices are examined."""
-    budget = _budget(budget)
+    distinct simplices are examined.  Memoised per (a, b, budget) once
+    CVN_BUDGET has filled in a missing budget: repeated calls return one
+    shared, immutable Support, and each examined slice is left in the
+    slice cache for the walker and the picture.  BudgetExceeded is raised
+    again on every call."""
+    return _support(a, b, _budget(budget))
+
+
+@lru_cache(maxsize=64)
+def _support(a: SimplexPoint, b: SimplexPoint, budget: int) -> Support:
     gamma = reference_witness(a, b)
     found: list[TopologicalType] = []
     queued: dict = {}
@@ -189,8 +201,8 @@ def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
         examined += 1
         if examined > budget:
             raise BudgetExceeded(f"support search examined > {budget} simplices")
-        hs = star_system(a, gamma, t) + starstar_system(b, gamma, t)
-        if not feasible(hs, len(t.edges)):
+        sl = _slice(a, b, gamma, t)
+        if not feasible(sl.star + sl.starstar, len(t.edges)):
             continue
         found.append(t)
         queue.extend(x for x in adjacent_simplices(t)

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .errors import (
     BadPartition,
@@ -38,6 +39,7 @@ from .errors import (
 from .words import (
     ConjClass,
     Word,
+    _rewrite_letters,
     conj_normal_form,
     conjugacy_classes_up_to,
     cyclic_reduce,
@@ -138,6 +140,14 @@ class SimplexPoint:
                 raise NonpositiveLength(f"length {q}")
         if sum(self.lengths) != 1:
             raise NonpositiveLength("lengths must sum to 1")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ttype, self.lengths))
+
+    def __hash__(self) -> int:
+        # points key the embedding and pair caches; hash the fields once
+        return self._hash
 
     def length_of(self, eid: str) -> Fraction:
         return self.lengths[self.ttype.index(eid)]
@@ -387,9 +397,11 @@ def _petals(t: TopologicalType) -> tuple[tuple[Path, Path], ...]:
 @lru_cache(maxsize=65536)
 def _tighten_cached(t: TopologicalType, rep_letters) -> Path:
     petals = _petals(t)
-    coords = rewrite_in_basis(Word(rep_letters, t.rank), t.basis_words())
+    # the letters come from a valid class of this rank: no Word to check
+    coords = _rewrite_letters(rep_letters,
+                              tuple(w.letters for w in t.basis_words()), t.rank)
     steps: list = []
-    for a in coords.letters:
+    for a in coords:
         steps.extend(petals[abs(a) - 1][a < 0])
     steps = _cancel_path(steps)
     while len(steps) >= 2 and steps[0] == (steps[-1][0], -steps[-1][1]):
@@ -632,10 +644,18 @@ def marking_isomorphisms(a: TopologicalType, b: TopologicalType):
             yield emap
 
 
+@lru_cache(maxsize=4096)
+def _marking_isomorphism(a: TopologicalType, b: TopologicalType):
+    """The first edge map of marking_isomorphisms(a, b), read-only, or
+    None when the markings differ."""
+    emap = next(marking_isomorphisms(a, b), None)
+    return None if emap is None else MappingProxyType(emap)
+
+
 @lru_cache(maxsize=65536)
 def marking_equivalent(a: TopologicalType, b: TopologicalType) -> bool:
     """True when some graph isomorphism matches the two markings."""
-    return next(marking_isomorphisms(a, b), None) is not None
+    return _marking_isomorphism(a, b) is not None
 
 
 def type_key(t: TopologicalType) -> tuple:
@@ -748,17 +768,18 @@ def forests(t: TopologicalType):
             yield frozenset(sub)
 
 
+@lru_cache(maxsize=4096)
 def embed_point(p: SimplexPoint, delta: TopologicalType):
     """Coordinates of p in the closed simplex of delta, or None.
 
     Searches the faces of delta for one equivalent to the type of p; the
-    forest that was collapsed gets coordinate 0.
+    forest that was collapsed gets coordinate 0.  Memoised per (p, delta).
     """
     for forest in forests(delta):
         if len(delta.edges) - len(forest) != len(p.ttype.edges):
             continue
         face = collapse_forest(delta, forest)
-        emap = next(marking_isomorphisms(face, p.ttype), None)
+        emap = _marking_isomorphism(face, p.ttype)
         if emap is None:
             continue
         coords = []

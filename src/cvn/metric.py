@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .candidates import enumerate_candidates
 from .errors import RankMismatch, SelfCheckFailed, TrivialClass
@@ -35,15 +37,19 @@ def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
 class StretchReport:
     lam: Fraction
     candidate_witnesses: frozenset
-    per_candidate: dict
+    per_candidate: MappingProxyType  # read-only: callers share one report
 
     def __post_init__(self):
         if self.lam != max(self.per_candidate.values()):
             raise SelfCheckFailed("lam is not the largest candidate stretch")
 
 
+@lru_cache(maxsize=256)
 def stretch_report(a: SimplexPoint, b: SimplexPoint) -> StretchReport:
-    """Maximal stretch from a to b with the argmax candidate set CW(a,b)."""
+    """Maximal stretch from a to b with the argmax candidate set CW(a,b).
+
+    Memoised per (a, b): repeated calls return one shared report, whose
+    per_candidate mapping is read-only."""
     if a.ttype.rank != b.ttype.rank:
         raise RankMismatch("points live in different Outer Spaces")
     per = {}
@@ -51,7 +57,7 @@ def stretch_report(a: SimplexPoint, b: SimplexPoint) -> StretchReport:
         per[c.word] = conj_length(b, c.word) / conj_length(a, c.word)
     lam = max(per.values())
     cw = frozenset(w for w, r in per.items() if r == lam)
-    return StretchReport(lam, cw, per)
+    return StretchReport(lam, cw, MappingProxyType(per))
 
 
 def stretch(a: SimplexPoint, b: SimplexPoint) -> Fraction:

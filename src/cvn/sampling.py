@@ -14,7 +14,7 @@ from .graphs import (
     SimplexPoint,
     apply_outer_automorphism,
     barbell_type,
-    blow_up_vertex,
+    resolutions,
     rose_type,
     theta_type,
 )
@@ -52,24 +52,8 @@ def _types(rank: int):
         return (rose_type(2), theta_type(), barbell_type())
     if rank != 3:
         return (rose_type(rank),)
-    rose = rose_type(3)
-    # two explicit trivalent resolutions: a chain of three loops, and a
-    # theta with an extra loop hanging off
-    t = blow_up_vertex(rose, "o",
-                       {("p1", 0), ("p1", 1)},
-                       {("p2", 0), ("p2", 1), ("p3", 0), ("p3", 1)})
-    v2 = t.vertices[-1]
-    chain = blow_up_vertex(t, v2,
-                           {("p2", 0), ("p2", 1)},
-                           {("p3", 0), ("p3", 1), ("blow", 1)})
-    t = blow_up_vertex(rose, "o",
-                       {("p1", 0), ("p2", 0)},
-                       {("p1", 1), ("p2", 1), ("p3", 0), ("p3", 1)})
-    v2 = t.vertices[-1]
-    theta_loop = blow_up_vertex(t, v2,
-                                {("p1", 1), ("p2", 1)},
-                                {("p3", 0), ("p3", 1), ("blow", 1)})
-    return (rose, chain, theta_loop)
+    # the maximal simplices around the rose: its trivalent resolutions
+    return resolutions(rose_type(3))
 
 
 def random_point(rank: int, rng, twist_steps: int = 4) -> SimplexPoint:

@@ -10,9 +10,9 @@ the very end, so output is byte identical across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .envelopes import (
     _budget,
@@ -24,9 +24,9 @@ from .errors import Unsupported
 from .graphs import (
     SimplexPoint,
     TopologicalType,
+    _marking_isomorphism,
     collapse_forest,
     embed_point,
-    marking_isomorphisms,
 )
 
 SCALE = Fraction(300)
@@ -78,7 +78,7 @@ def _face_matches(t1: TopologicalType, t2: TopologicalType):
             if e2.is_loop():
                 continue
             c2 = collapse_forest(t2, {e2.id})
-            emap = next(marking_isomorphisms(c1, c2), None)
+            emap = _marking_isomorphism(c1, c2)
             if emap is not None:
                 yield e1.id, e2.id, {k: v[0] for k, v in emap.items()}
 
@@ -144,12 +144,35 @@ def _bounds(layout: Layout):
     return min(xs), min(ys), max(xs), max(ys)
 
 
+def _half(dx, dy) -> int:
+    """Which stretch of the angle range (-pi, pi] the direction is in:
+    below the axis, along the positive axis (or zero), above it, or along
+    the negative axis."""
+    if dy < 0:
+        return 0
+    if dy == 0:
+        return 1 if dx >= 0 else 3
+    return 2
+
+
 def _cyclic(points):
+    """Points in increasing angle about their centroid, starting just
+    past -pi like atan2, compared exactly: by half-plane, then by the sign
+    of the cross product.  Points at the same angle keep their order."""
     if len(points) <= 2:
         return points
     cx = sum(p[0] for p in points) / len(points)
     cy = sum(p[1] for p in points) / len(points)
-    return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+
+    def compare(p, q):
+        px, py, qx, qy = p[0] - cx, p[1] - cy, q[0] - cx, q[1] - cy
+        hp, hq = _half(px, py), _half(qx, qy)
+        if hp != hq:
+            return hp - hq
+        cross = px * qy - py * qx
+        return (cross < 0) - (cross > 0)
+
+    return sorted(points, key=cmp_to_key(compare))
 
 
 def _screen(layout, xy, minx, miny):

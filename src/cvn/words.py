@@ -325,20 +325,27 @@ def is_basis(basis: list[Word], rank: int) -> bool:
     return True
 
 
+def _rewrite_letters(letters: Letters, basis_letters: tuple[Letters, ...],
+                     rank: int) -> Letters:
+    """rewrite_in_basis on bare letters, which must already be valid at
+    this rank: the freely reduced coordinates, without building a Word."""
+    if len(basis_letters) != rank:
+        raise NotABasis(f"need {rank} basis words, got {len(basis_letters)}")
+    c = _basis_inverse(basis_letters, rank)
+    out: list[int] = []
+    for a in letters:
+        img = c[abs(a) - 1]
+        out.extend(img if a > 0 else invert(img))
+    return free_reduce(out)
+
+
 def rewrite_in_basis(w: Word, basis: list[Word]) -> Word:
     """Express w in the given basis; letter i of the result stands for basis[i-1].
 
     Raises NotABasis when the words do not form a basis of F_n.
     """
-    n = len(basis)
-    if n != w.rank:
-        raise NotABasis(f"need {w.rank} basis words, got {n}")
-    c = _basis_inverse(tuple(b.letters for b in basis), w.rank)
-    out: list[int] = []
-    for a in w.letters:
-        img = c[abs(a) - 1]
-        out.extend(img if a > 0 else invert(img))
-    return reduce(out, n)
+    return Word(_rewrite_letters(w.letters, tuple(b.letters for b in basis),
+                                 w.rank), w.rank)
 
 
 # ---------------------------------------------------------------------------

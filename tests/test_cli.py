@@ -70,6 +70,27 @@ def test_validate_zero_denominator(tmp_path, files, capsys):
     assert main(["validate", str(bad)]) == 1
 
 
+def test_missing_file_and_bad_word_are_input_errors(files, capsys):
+    assert main(["validate", "no-such-file.json"]) == 1
+    assert "input error" in capsys.readouterr().err
+    assert main(["ray-audit", files["rose"], "--direction", "q"]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [KeyError("edge"), ValueError("bad")])
+def test_computation_fault_is_not_an_input_error(files, capsys, monkeypatch,
+                                                 exc):
+    import cvn.cli
+
+    def broken(a, b, mode):
+        raise exc
+
+    monkeypatch.setattr(cvn.cli, "distance", broken)
+    with pytest.raises(type(exc)):
+        main(["distance", files["a"], files["b"]])
+    assert "input error" not in capsys.readouterr().err
+
+
 def test_validate_domain_error(tmp_path, files, capsys):
     data = json.loads(open(files["a"]).read())
     data["edges"][0]["length"] = "-1/2"

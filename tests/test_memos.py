@@ -1,0 +1,171 @@
+"""The module-level memos: bounded, clearable, and invisible in results.
+
+Each memoised answer is compared with the answer computed again after every
+cache of the package has been emptied, and embeddings with the first edge
+map of marking_isomorphisms, which is how embed_point found them before it
+was memoised.
+"""
+
+import importlib
+import pkgutil
+import random
+from fractions import Fraction
+
+import pytest
+
+import cvn
+from cvn import candidates, graphs
+from cvn.errors import BudgetExceeded
+from cvn.envelopes import reference_witness, slice_polytope, support
+from cvn.graphs import (
+    adjacent_simplices,
+    collapse_forest,
+    embed_point,
+    forests,
+    marking_isomorphisms,
+    theta_point,
+    twisted_theta_point,
+)
+from cvn.metric import stretch_report
+from cvn.sampling import random_pair
+
+
+def _cvn_modules():
+    return [importlib.import_module(f"cvn.{m.name}")
+            for m in pkgutil.iter_modules(cvn.__path__)]
+
+
+def _caches():
+    """Every module-level lru_cache of the package, by qualified name."""
+    out = {}
+    for mod in _cvn_modules():
+        for attr, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__:
+                out[f"{mod.__name__}.{attr}"] = obj
+    return out
+
+
+def _clear_all():
+    for fn in _caches().values():
+        fn.cache_clear()
+
+
+def _pairs():
+    rng = random.Random(11)
+    out = [(theta_point(1, 2, 3), twisted_theta_point(3, 1, 2)),
+           (theta_point(1, 2, 4), theta_point(4, 2, 1))]
+    out += [random_pair(2, rng, twist_steps=2) for _ in range(4)]
+    return out
+
+
+def test_every_cache_is_bounded():
+    caches = _caches()
+    for name in ("cvn.metric.stretch_report", "cvn.envelopes._slice",
+                 "cvn.envelopes._support", "cvn.graphs.embed_point",
+                 "cvn.graphs._marking_isomorphism"):
+        assert name in caches
+    for name, fn in caches.items():
+        assert fn.cache_parameters()["maxsize"] is not None, name
+
+
+def test_reported_caches_keep_their_statistics():
+    # the benchmark reads hit ratios from these three and clears them
+    for fn in (graphs.marking_equivalent, graphs._tighten_cached,
+               candidates.enumerate_candidates):
+        assert callable(fn.cache_info)
+        assert callable(fn.cache_clear)
+
+
+def test_stretch_report_memo_matches_fresh():
+    for a, b in _pairs():
+        memo = stretch_report(a, b)
+        assert stretch_report(a, b) is memo
+        _clear_all()
+        fresh = stretch_report(a, b)
+        assert fresh is not memo
+        assert fresh == memo
+        assert dict(fresh.per_candidate) == dict(memo.per_candidate)
+
+
+def test_shared_per_candidate_is_read_only():
+    a, b = _pairs()[0]
+    rep = stretch_report(a, b)
+    word = next(iter(rep.per_candidate))
+    with pytest.raises(TypeError):
+        rep.per_candidate[word] = Fraction(0)
+    with pytest.raises(TypeError):
+        del rep.per_candidate[word]
+    assert stretch_report(a, b).lam == max(rep.per_candidate.values())
+
+
+def test_support_and_slices_match_fresh():
+    for a, b in _pairs():
+        memo = support(a, b)
+        assert support(a, b) is memo
+        gamma = reference_witness(a, b)
+        verts = {t: slice_polytope(a, b, gamma, t).vertices
+                 for t in memo.simplices}
+        _clear_all()
+        fresh = support(a, b)
+        assert fresh == memo
+        for t in memo.simplices:
+            _clear_all()
+            assert slice_polytope(a, b, gamma, t).vertices == verts[t]
+
+
+def test_support_memo_keeps_the_budget_apart(monkeypatch):
+    a, b = _pairs()[0]
+    full = support(a, b)
+    monkeypatch.setenv("CVN_BUDGET", str(len(full.simplices) + 50))
+    assert support(a, b) is support(a, b, len(full.simplices) + 50)
+    assert support(a, b) == full
+    # an exceeded budget is raised again on every call, never cached
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            support(a, b, 1)
+
+
+def _first_map_embedding(p, delta):
+    for forest in forests(delta):
+        if len(delta.edges) - len(forest) != len(p.ttype.edges):
+            continue
+        face = collapse_forest(delta, forest)
+        emap = next(marking_isomorphisms(face, p.ttype), None)
+        if emap is None:
+            continue
+        return tuple(Fraction(0) if e.id in forest
+                     else p.length_of(emap[e.id][0]) for e in delta.edges)
+    return None
+
+
+def test_embed_point_matches_first_marking_isomorphism():
+    seen = 0
+    for a, b in _pairs():
+        for p in (a, b):
+            for delta in (p.ttype,) + adjacent_simplices(p.ttype):
+                want = _first_map_embedding(p, delta)
+                assert embed_point(p, delta) == want
+                _clear_all()
+                assert embed_point(p, delta) == want
+                seen += want is not None
+    assert seen > 0
+
+
+def test_marking_isomorphism_is_the_first_map_and_read_only():
+    theta = theta_point(1, 2, 3).ttype
+    types = (theta,) + graphs.faces(theta) + graphs.faces(
+        twisted_theta_point(1, 2, 3).ttype)
+    matched = 0
+    for s in types:
+        for t in types:
+            want = next(marking_isomorphisms(s, t), None)
+            got = graphs._marking_isomorphism(s, t)
+            assert graphs.marking_equivalent(s, t) == (want is not None)
+            if want is None:
+                assert got is None
+                continue
+            matched += 1
+            assert dict(got) == want
+            with pytest.raises(TypeError):
+                got[next(iter(want))] = ("e1", 1)
+    assert matched > len(types)

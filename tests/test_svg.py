@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from cvn.errors import Unsupported
 from cvn.graphs import rose_point, theta_point, twisted_theta_point
 from cvn.sampling import random_point
 from cvn.svg import (
+    _cyclic,
     envelope_vertices_json,
     fmt,
     layout_support,
@@ -84,6 +86,36 @@ def test_svg_deterministic_bytes():
     ]
     for a, b in pairs:
         assert render_envelope_svg(a, b) == render_envelope_svg(a, b)
+
+
+def _atan2_order(points):
+    cx = sum(p[0] for p in points) / len(points)
+    cy = sum(p[1] for p in points) / len(points)
+    return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+
+
+def test_cyclic_matches_atan2_order_on_rational_polygons():
+    rng = random.Random(7)
+    for _ in range(300):
+        # corners of a convex polygon: distinct angles about the centroid
+        n = rng.randint(3, 9)
+        angles = sorted(rng.sample(range(360), n))
+        r = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        ox = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        oy = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+        pts = [(ox + r * Fraction(math.cos(math.radians(t))).limit_denominator(10**6),
+                oy + r * Fraction(math.sin(math.radians(t))).limit_denominator(10**6))
+               for t in angles]
+        rng.shuffle(pts)
+        assert _cyclic(pts) == _atan2_order(pts)
+
+
+def test_cyclic_starts_just_past_minus_pi():
+    # about the centroid (0, 0): atan2 puts the corner at angle pi last
+    pts = [(Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1)),
+           (Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))]
+    assert _cyclic(pts) == [pts[3], pts[2], pts[1], pts[0]]
+    assert _cyclic(pts) == _atan2_order(pts)
 
 
 def test_svg_rank3_unsupported():

@@ -54,6 +54,26 @@ def test_reduce_rejects_bad_letters():
         reduce((3,), 2)
 
 
+def test_invalid_letters_raise_even_when_they_cancel():
+    for bad in ((3, -3), (1, 3, -3, 2), (0, 0), (-5, 5)):
+        with pytest.raises(IndexOutOfRange):
+            reduce(bad, 2)
+        with pytest.raises(IndexOutOfRange):
+            Word(bad, 2)
+        with pytest.raises(IndexOutOfRange):
+            conj_class(bad, 2)
+
+
+def test_letter_rewrite_matches_word_rewrite():
+    basis = [reduce((1, 2), 2), reduce((2,), 2)]
+    letters = tuple(b.letters for b in basis)
+    rng = random.Random(3)
+    for _ in range(50):
+        w = reduce([rng.choice((1, -1, 2, -2)) for _ in range(8)], 2)
+        assert (words._rewrite_letters(w.letters, letters, 2)
+                == rewrite_in_basis(w, basis).letters)
+
+
 def test_word_multiplication_and_inverse():
     x, y = generator(1, 2), generator(2, 2)
     w = x * y * x.inverse()
