@@ -33,7 +33,7 @@ from .graphs import (
     point_from_coords,
     record_type,
 )
-from .metric import conj_length, stretch_report
+from .metric import conj_length, length_numerator, stretch_report
 from .polytope import HalfSpace, Polytope, equality, feasible
 from .words import ConjClass, Word, class_order, extend_to_basis
 
@@ -41,42 +41,62 @@ DEFAULT_BUDGET = 500
 
 
 def _budget(budget):
-    if budget is not None:
-        return budget
-    return int(os.environ.get("CVN_BUDGET", DEFAULT_BUDGET))
+    """The work budget: the argument, else CVN_BUDGET, else DEFAULT_BUDGET.
+    A budget that is not a nonnegative integer raises ParamOutOfRange."""
+    if budget is None:
+        raw = os.environ.get("CVN_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ParamOutOfRange(
+                f"CVN_BUDGET={raw!r} is not an integer") from None
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise ParamOutOfRange(f"budget {budget!r} is not an integer")
+    if budget < 0:
+        raise ParamOutOfRange(f"budget {budget} is negative")
+    return budget
 
 
 def star_system(a: SimplexPoint, gamma: ConjClass,
                 delta: TopologicalType) -> list[HalfSpace]:
     """One half-space per candidate of a: on the nonnegative side, gamma is
-    stretched from a into points of delta at least as much as the candidate."""
+    stretched from a into points of delta at least as much as the candidate.
+
+    Over the integers: with L the length numerators of a (denominator d)
+    and n the edge counts in delta, candidate w gives the row
+    L(w) n(gamma) - L(gamma) n(w) over d."""
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
-    lg = conj_length(a, gamma)
+    d = a.scaled_lengths[1]
+    lg = length_numerator(a, gamma)
     ng = edge_counts(delta, gamma)
     out = []
     for c in enumerate_candidates(a.ttype):
-        lw = conj_length(a, c.word)
+        lw = length_numerator(a, c.word)
         nw = edge_counts(delta, c.word)
-        coeffs = [lw * g - lg * w for g, w in zip(ng, nw)]
-        out.append(HalfSpace.make(coeffs, ("star", str(c.word))))
+        row = tuple(lw * g - lg * w for g, w in zip(ng, nw))
+        out.append(HalfSpace(row, d, ("star", str(c.word))))
     return out
 
 
 def starstar_system(b: SimplexPoint, gamma: ConjClass,
                     delta: TopologicalType) -> list[HalfSpace]:
     """One half-space per candidate of delta: gamma is stretched from points
-    of delta into b at least as much as the candidate."""
+    of delta into b at least as much as the candidate.
+
+    Candidate w gives the row L(gamma) n(w) - L(w) n(gamma) over the
+    denominator of b, with L the length numerators of b."""
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
-    lg = conj_length(b, gamma)
+    d = b.scaled_lengths[1]
+    lg = length_numerator(b, gamma)
     ng = edge_counts(delta, gamma)
     out = []
     for c in enumerate_candidates(delta):
-        ld = conj_length(b, c.word)
-        nd = edge_counts(delta, c.word)
-        coeffs = [lg * d - ld * g for d, g in zip(nd, ng)]
-        out.append(HalfSpace.make(coeffs, ("starstar", str(c.word))))
+        lw = length_numerator(b, c.word)
+        nw = edge_counts(delta, c.word)
+        row = tuple(lg * w - lw * g for w, g in zip(nw, ng))
+        out.append(HalfSpace(row, d, ("starstar", str(c.word))))
     return out
 
 
@@ -96,14 +116,16 @@ def out_envelope(a: SimplexPoint, s, delta: TopologicalType) -> Polytope:
     hs = []
     for g in s:
         hs.extend(star_system(a, g, delta))
+    d = a.scaled_lengths[1]
     first = s[0]
-    lg = conj_length(a, first)
-    ng = edge_counts(delta, first)
+    lf = length_numerator(a, first)
+    nf = edge_counts(delta, first)
     for g in s[1:]:
-        lw = conj_length(a, g)
-        nw = edge_counts(delta, g)
-        coeffs = [lw * x - lg * y for x, y in zip(ng, nw)]
-        hs.extend(equality(coeffs, ("equal-stretch-out", str(first), str(g))))
+        lg = length_numerator(a, g)
+        ng = edge_counts(delta, g)
+        row = [lg * x - lf * y for x, y in zip(nf, ng)]
+        hs.extend(equality(row, ("equal-stretch-out", str(first), str(g)),
+                           d))
     return Polytope(len(delta.edges), hs)
 
 
@@ -113,15 +135,17 @@ def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
     hs = []
     for g in s:
         hs.extend(starstar_system(b, g, delta))
+    d = b.scaled_lengths[1]
     first = s[0]
-    lg = conj_length(b, first)
-    ng = edge_counts(delta, first)
+    lf = length_numerator(b, first)
+    nf = edge_counts(delta, first)
     for g in s[1:]:
-        lw = conj_length(b, g)
-        nw = edge_counts(delta, g)
+        lg = length_numerator(b, g)
+        ng = edge_counts(delta, g)
         # stretch into b equal: l_b(first)/l_C(first) = l_b(g)/l_C(g)
-        coeffs = [lg * x - lw * y for x, y in zip(nw, ng)]
-        hs.extend(equality(coeffs, ("equal-stretch-in", str(first), str(g))))
+        row = [lf * x - lg * y for x, y in zip(ng, nf)]
+        hs.extend(equality(row, ("equal-stretch-in", str(first), str(g)),
+                           d))
     return Polytope(len(delta.edges), hs)
 
 

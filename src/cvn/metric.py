@@ -20,17 +20,21 @@ from .graphs import SimplexPoint, marking_equivalent, tighten
 from .words import ConjClass, conjugacy_classes_up_to
 
 
-def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
-    """Length of the immersed loop realizing gamma in p.
-
-    Sums the point's integer length numerators along the loop and divides
-    by their common denominator once.
-    """
+def length_numerator(p: SimplexPoint, gamma: ConjClass) -> int:
+    """Length of the immersed loop realizing gamma in p, times the common
+    denominator of p's lengths: the sum of p.scaled_lengths numerators
+    along the loop."""
     if gamma.is_trivial():
         raise TrivialClass("trivial class has zero length")
     t = p.ttype
-    nums, d = p.scaled_lengths
-    return Fraction(sum(nums[t.index(eid)] for eid, _ in tighten(t, gamma)), d)
+    nums = p.scaled_lengths[0]
+    return sum(nums[t.index(eid)] for eid, _ in tighten(t, gamma))
+
+
+def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
+    """Length of the immersed loop realizing gamma in p: its length
+    numerator over the common denominator of p's lengths."""
+    return Fraction(length_numerator(p, gamma), p.scaled_lengths[1])
 
 
 @dataclass(frozen=True)

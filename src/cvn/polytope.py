@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 
-from .errors import DimensionMismatch, Infeasible
+from .errors import DimensionMismatch, Infeasible, ParamOutOfRange
 
 Vector = tuple[Fraction, ...]
 
@@ -25,27 +26,57 @@ SIMPLEX_BOUNDARY = "simplex-boundary"
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The constraint coeffs . x >= 0, tagged with where it came from."""
+    """The constraint (row . x) / den >= 0, tagged with where it came from.
 
-    coeffs: Vector
+    The row is integers over one positive denominator, stored in lowest
+    terms (gcd(den, *row) == 1), so equal coefficient vectors give equal
+    objects with equal hashes.  Builders that know a common denominator
+    pass it here and never make a Fraction per coefficient; make() takes
+    rationals.
+    """
+
+    row: tuple[int, ...]
+    den: int
     provenance: tuple
-    degenerate: bool = field(default=False)
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ParamOutOfRange(f"denominator {self.den} is not positive")
+        g = math.gcd(self.den, *self.row)
+        if g != 1:
+            object.__setattr__(self, "row", tuple(q // g for q in self.row))
+            object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
-    def make(coeffs, provenance) -> "HalfSpace":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        return HalfSpace(coeffs, provenance, all(c == 0 for c in coeffs))
+    def make(coeffs, provenance, den: int = 1) -> "HalfSpace":
+        """The half-space (coeffs . x) / den >= 0 for rational coeffs."""
+        coeffs = [c if isinstance(c, Rational) else Fraction(c)
+                  for c in coeffs]
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        return HalfSpace(tuple(c.numerator * (scale // c.denominator)
+                               for c in coeffs), den * scale, provenance)
+
+    @cached_property
+    def coeffs(self) -> Vector:
+        """The coefficients row / den as Fractions."""
+        return tuple(Fraction(q, self.den) for q in self.row)
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether every coefficient is zero, so the constraint always holds."""
+        return not any(self.row)
 
     def value(self, x) -> Fraction:
-        if len(x) != len(self.coeffs):
-            raise DimensionMismatch(f"{len(x)} != {len(self.coeffs)}")
-        return sum(c * q for c, q in zip(self.coeffs, x))
+        if len(x) != len(self.row):
+            raise DimensionMismatch(f"{len(x)} != {len(self.row)}")
+        return Fraction(sum(c * q for c, q in zip(self.row, x)), self.den)
 
 
-def equality(coeffs, provenance) -> list[HalfSpace]:
-    """An equality constraint as a pair of opposite half-spaces."""
-    plus = HalfSpace.make(coeffs, provenance + ("==", "+"))
-    minus = HalfSpace.make([-c for c in coeffs], provenance + ("==", "-"))
+def equality(coeffs, provenance, den: int = 1) -> list[HalfSpace]:
+    """The equality (coeffs . x) / den == 0 as a pair of opposite
+    half-spaces."""
+    plus = HalfSpace.make(coeffs, provenance + ("==", "+"), den)
+    minus = HalfSpace.make([-c for c in coeffs], provenance + ("==", "-"), den)
     return [plus, minus]
 
 
@@ -55,17 +86,15 @@ def equality(coeffs, provenance) -> list[HalfSpace]:
 
 
 def _integer_rows(halfspaces, d) -> list[tuple[int, ...]]:
-    """Live rows scaled to coprime integers, each once, without the unit
-    rows x_i >= 0 that the cone starts from."""
+    """Live rows divided by their gcd, each once, without the unit rows
+    x_i >= 0 that the cone starts from."""
     seen = {tuple(int(i == j) for j in range(d)) for i in range(d)}
     rows = []
     for h in halfspaces:
         if h.degenerate:
             continue
-        scale = math.lcm(*(c.denominator for c in h.coeffs))
-        row = [c.numerator * (scale // c.denominator) for c in h.coeffs]
-        g = math.gcd(*row)
-        row = tuple(q // g for q in row)
+        g = math.gcd(*h.row)
+        row = tuple(q // g for q in h.row)
         if row not in seen:
             seen.add(row)
             rows.append(row)
@@ -119,9 +148,9 @@ def feasible(halfspaces, ambient_dim: int) -> bool:
     """Exact feasibility of {x in simplex : all half-spaces hold}."""
     halfspaces = tuple(halfspaces)
     for h in halfspaces:
-        if len(h.coeffs) != ambient_dim:
+        if len(h.row) != ambient_dim:
             raise DimensionMismatch(
-                f"half-space in dim {len(h.coeffs)}, ambient {ambient_dim}"
+                f"half-space in dim {len(h.row)}, ambient {ambient_dim}"
             )
     return bool(_extreme_rays(halfspaces, ambient_dim))
 
@@ -168,9 +197,9 @@ class Polytope:
         self.ambient_dim = ambient_dim
         self.halfspaces = tuple(halfspaces)
         for h in self.halfspaces:
-            if len(h.coeffs) != ambient_dim:
+            if len(h.row) != ambient_dim:
                 raise DimensionMismatch(
-                    f"half-space in dim {len(h.coeffs)}, ambient {ambient_dim}"
+                    f"half-space in dim {len(h.row)}, ambient {ambient_dim}"
                 )
 
     @cached_property
@@ -180,15 +209,15 @@ class Polytope:
         out = []
         seen = set()
         for h in self.halfspaces:
-            if h.degenerate or h.coeffs in seen:
+            if h.degenerate or (h.row, h.den) in seen:
                 continue
-            seen.add(h.coeffs)
+            seen.add((h.row, h.den))
             out.append(h)
         for i in range(d):
-            co = tuple(Fraction(int(j == i)) for j in range(d))
-            if co not in seen:
-                seen.add(co)
-                out.append(HalfSpace.make(co, (SIMPLEX_BOUNDARY, i)))
+            unit = tuple(int(j == i) for j in range(d))
+            if (unit, 1) not in seen:
+                seen.add((unit, 1))
+                out.append(HalfSpace(unit, 1, (SIMPLEX_BOUNDARY, i)))
         return tuple(out)
 
     @cached_property

@@ -379,11 +379,6 @@ def whitehead_automorphisms(rank: int) -> tuple[tuple[Word, ...], ...]:
     )
 
 
-def _cyclic_len(w: Word) -> int:
-    core, _ = cyclic_reduce(w.letters)
-    return len(core)
-
-
 def extend_to_basis(w: Word) -> list[Word]:
     """Extend a primitive element to a basis whose first entry is conjugate to w.
 

@@ -1,0 +1,98 @@
+"""Slow twins of the envelope half-space builders, for tests only.
+
+`cvn.envelopes` builds every star, starstar and equal-stretch row over the
+integers: length numerators times edge counts, over the point's one common
+denominator.  The builders here are the earlier, direct transcription of
+the inequalities, one `Fraction` coefficient at a time from `conj_length`,
+kept verbatim so the integer rows can be checked against them.  Their
+`conj_length` is local too: it adds the point's `Fraction` edge lengths
+along the loop, so it shares no arithmetic with `metric.length_numerator`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cvn.candidates import edge_counts, enumerate_candidates
+from cvn.envelopes import _direction
+from cvn.errors import TrivialClass
+from cvn.graphs import SimplexPoint, TopologicalType, tighten
+from cvn.polytope import HalfSpace, Polytope, equality
+from cvn.words import ConjClass
+
+
+def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
+    """Length of the immersed loop of gamma in p, edge length by edge length."""
+    if gamma.is_trivial():
+        raise TrivialClass("trivial class has zero length")
+    return sum((p.length_of(eid) for eid, _ in tighten(p.ttype, gamma)),
+               Fraction(0))
+
+
+def star_system(a: SimplexPoint, gamma: ConjClass,
+                delta: TopologicalType) -> list[HalfSpace]:
+    """One half-space per candidate of a: on the nonnegative side, gamma is
+    stretched from a into points of delta at least as much as the candidate."""
+    if gamma.is_trivial():
+        raise TrivialClass("trivial direction")
+    lg = conj_length(a, gamma)
+    ng = edge_counts(delta, gamma)
+    out = []
+    for c in enumerate_candidates(a.ttype):
+        lw = conj_length(a, c.word)
+        nw = edge_counts(delta, c.word)
+        coeffs = [lw * g - lg * w for g, w in zip(ng, nw)]
+        out.append(HalfSpace.make(coeffs, ("star", str(c.word))))
+    return out
+
+
+def starstar_system(b: SimplexPoint, gamma: ConjClass,
+                    delta: TopologicalType) -> list[HalfSpace]:
+    """One half-space per candidate of delta: gamma is stretched from points
+    of delta into b at least as much as the candidate."""
+    if gamma.is_trivial():
+        raise TrivialClass("trivial direction")
+    lg = conj_length(b, gamma)
+    ng = edge_counts(delta, gamma)
+    out = []
+    for c in enumerate_candidates(delta):
+        ld = conj_length(b, c.word)
+        nd = edge_counts(delta, c.word)
+        coeffs = [lg * d - ld * g for d, g in zip(nd, ng)]
+        out.append(HalfSpace.make(coeffs, ("starstar", str(c.word))))
+    return out
+
+
+def out_envelope(a: SimplexPoint, s, delta: TopologicalType) -> Polytope:
+    """Points of delta reached from a with every class in s a shared witness."""
+    s = _direction(s)
+    hs = []
+    for g in s:
+        hs.extend(star_system(a, g, delta))
+    first = s[0]
+    lg = conj_length(a, first)
+    ng = edge_counts(delta, first)
+    for g in s[1:]:
+        lw = conj_length(a, g)
+        nw = edge_counts(delta, g)
+        coeffs = [lw * x - lg * y for x, y in zip(ng, nw)]
+        hs.extend(equality(coeffs, ("equal-stretch-out", str(first), str(g))))
+    return Polytope(len(delta.edges), hs)
+
+
+def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
+    """Points of delta from which every class in s witnesses into b."""
+    s = _direction(s)
+    hs = []
+    for g in s:
+        hs.extend(starstar_system(b, g, delta))
+    first = s[0]
+    lg = conj_length(b, first)
+    ng = edge_counts(delta, first)
+    for g in s[1:]:
+        lw = conj_length(b, g)
+        nw = edge_counts(delta, g)
+        # stretch into b equal: l_b(first)/l_C(first) = l_b(g)/l_C(g)
+        coeffs = [lg * x - lw * y for x, y in zip(nw, ng)]
+        hs.extend(equality(coeffs, ("equal-stretch-in", str(first), str(g))))
+    return Polytope(len(delta.edges), hs)

@@ -231,3 +231,36 @@ def test_candidates_output_independent_of_hash_seed():
         assert res.returncode == 0, res.stderr
         outs.add(res.stdout)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv_tail, env", [
+    ([], "abc"),
+    ([], "-3"),
+    (["--budget", "-3"], None),
+])
+def test_bad_budget_exits_2(files, capsys, monkeypatch, argv_tail, env):
+    if env is None:
+        monkeypatch.delenv("CVN_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CVN_BUDGET", env)
+    assert main(["support", files["a"], files["b"]] + argv_tail) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ParamOutOfRange: ")
+    assert "Traceback" not in err
+
+
+def test_budget_zero_exits_3(files, capsys):
+    assert main(["support", files["a"], files["b"], "--budget", "0"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_bad_cvn_budget_process_exits_2(files):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, CVN_BUDGET="abc", PYTHONPATH=str(root / "src"))
+    res = subprocess.run(
+        [sys.executable, "-m", "cvn.cli", "support", files["a"], files["b"]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 2
+    assert res.stderr.startswith("ParamOutOfRange: ")
+    assert res.stdout == ""

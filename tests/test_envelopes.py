@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import envelopes_oracle
 import marking_oracle
+from cvn.candidates import enumerate_candidates
 from cvn.envelopes import (
     direction_reduction,
     envelope,
@@ -11,6 +13,8 @@ from cvn.envelopes import (
     in_envelope,
     out_envelope,
     rainbow_graph,
+    reference_witness,
+    slice_polytope,
     star_system,
     starstar_system,
     support,
@@ -27,14 +31,16 @@ from cvn.graphs import (
     barbell_point,
     marking_equivalent,
     point_from_coords,
+    resolutions,
     rose_point,
     rose_type,
     theta_point,
     theta_type,
 )
 from cvn.metric import conj_length, is_witness, stretch, stretch_report
+from cvn.polytope import Polytope
 from cvn.sampling import random_pair, random_point
-from cvn.words import conj_class
+from cvn.words import class_order, conj_class
 
 
 def CC(letters):
@@ -316,3 +322,93 @@ def test_rainbow_point_in_in_envelope():
     for a in (rose_point([1, 1]), theta_point(1, 2, 4), rose_point([5, 3])):
         cw = stretch_report(p, a).candidate_witnesses
         assert cw == frozenset({g})
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 2.5, "7", True])
+def test_bad_budget_argument_is_param_out_of_range(bad):
+    a = theta_point(1, 1, 1)
+    b = theta_point(3, 2, 1)
+    with pytest.raises(ParamOutOfRange):
+        support(a, b, budget=bad)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "1.5", ""])
+def test_bad_cvn_budget_is_param_out_of_range(monkeypatch, raw):
+    monkeypatch.setenv("CVN_BUDGET", raw)
+    with pytest.raises(ParamOutOfRange):
+        support(theta_point(1, 1, 1), theta_point(3, 2, 1))
+
+
+def test_budget_zero_still_exceeds():
+    with pytest.raises(BudgetExceeded):
+        support(theta_point(1, 1, 1), theta_point(3, 2, 1), budget=0)
+
+
+def test_walker_and_ray_audit_share_the_budget_check(monkeypatch):
+    from cvn.geodesics import piecewise_rigid_geodesic, ray_dimension_audit
+
+    a = theta_point(1, 1, 1)
+    with pytest.raises(ParamOutOfRange):
+        piecewise_rigid_geodesic(a, theta_point(3, 2, 1), budget=-1)
+    monkeypatch.setenv("CVN_BUDGET", "abc")
+    with pytest.raises(ParamOutOfRange):
+        ray_dimension_audit(rose_point([5, 3]), [CC([1]), CC([2])], 1)
+
+
+def _rows(hs):
+    return [(h.coeffs, h.provenance, h.degenerate) for h in hs]
+
+
+def _same_slice(a, b, gamma, delta):
+    """The integer star and starstar rows equal the Fraction oracle's, and
+    so do the slice's vertices and feasibility."""
+    star = star_system(a, gamma, delta)
+    slow_star = envelopes_oracle.star_system(a, gamma, delta)
+    starstar = starstar_system(b, gamma, delta)
+    slow_starstar = envelopes_oracle.starstar_system(b, gamma, delta)
+    assert _rows(star) == _rows(slow_star)
+    assert _rows(starstar) == _rows(slow_starstar)
+    assert star == slow_star and starstar == slow_starstar
+    fast = slice_polytope(a, b, gamma, delta)
+    slow = Polytope(len(delta.edges), slow_star + slow_starstar)
+    assert fast.vertices == slow.vertices
+    assert fast.is_feasible() == slow.is_feasible()
+
+
+def _same_one_sided(a, b, s, delta):
+    for fast, slow in ((out_envelope(a, s, delta),
+                        envelopes_oracle.out_envelope(a, s, delta)),
+                       (in_envelope(b, s, delta),
+                        envelopes_oracle.in_envelope(b, s, delta))):
+        assert _rows(fast.halfspaces) == _rows(slow.halfspaces)
+        assert fast.vertices == slow.vertices
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_rows_match_fraction_oracle_rank2(seed):
+    a, b = random_pair(2, random.Random(seed))
+    cands = sorted({c.word for c in enumerate_candidates(a.ttype)},
+                   key=class_order)
+    for g in cands:
+        assert conj_length(a, g) == envelopes_oracle.conj_length(a, g)
+    charts = [a.ttype, b.ttype] + list(resolutions(rose_type(2)))
+    gamma = reference_witness(a, b)
+    for delta in charts:
+        for g in (gamma, cands[0], cands[-1]):
+            _same_slice(a, b, g, delta)
+        _same_one_sided(a, b, stretch_report(a, b).candidate_witnesses,
+                        delta)
+        _same_one_sided(a, b, cands[:2], delta)
+
+
+def test_integer_rows_match_fraction_oracle_on_rank3_charts():
+    a, b = random_pair(3, random.Random(5))
+    gamma = reference_witness(a, b)
+    charts = list(resolutions(rose_type(3)))
+    assert len(charts) == 105
+    for delta in charts:
+        _same_slice(a, b, gamma, delta)
+    cands = sorted({c.word for c in enumerate_candidates(a.ttype)},
+                   key=class_order)
+    for delta in charts[:5]:
+        _same_one_sided(a, b, cands[:3], delta)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from polytope_oracle import (
 )
 
 from cvn.envelopes import envelope_slice
-from cvn.errors import DimensionMismatch, Infeasible
+from cvn.errors import DimensionMismatch, Infeasible, ParamOutOfRange
 from cvn.graphs import SimplexPoint, make_type
 from cvn.polytope import (
     HalfSpace,
@@ -53,6 +54,66 @@ def test_dimension_mismatch():
         feasible([H(1, -1)], 3)
     with pytest.raises(DimensionMismatch):
         Polytope(3, [H(1, -1)])
+
+
+def test_halfspace_make_and_integer_rows_agree():
+    # the same coefficient vector from ints, Fractions, a scaled integer
+    # row over its denominator, and make with a denominator
+    forms = [
+        HalfSpace.make((Fraction(1, 2), Fraction(-3, 4), 0), ("p",)),
+        HalfSpace.make(("1/2", Fraction(-6, 8), Fraction(0)), ("p",)),
+        HalfSpace((2, -3, 0), 4, ("p",)),
+        HalfSpace((6, -9, 0), 12, ("p",)),
+        HalfSpace.make((2, -3, 0), ("p",), 4),
+        HalfSpace.make((Fraction(3, 2), Fraction(-9, 4), 0), ("p",), 3),
+    ]
+    for h in forms:
+        assert h == forms[0]
+        assert hash(h) == hash(forms[0])
+        assert (h.row, h.den) == ((2, -3, 0), 4)
+        assert h.coeffs == (Fraction(1, 2), Fraction(-3, 4), Fraction(0))
+    assert HalfSpace.make((1, 2), ("p",)) == HalfSpace((3, 6), 3, ("p",))
+    assert HalfSpace.make((1, 2), ("p",)) != HalfSpace((1, 2), 2, ("p",))
+    assert HalfSpace((1, 2), 1, ("p",)) != HalfSpace((1, 2), 1, ("q",))
+
+
+def test_halfspace_lowest_terms():
+    rng = random.Random(7)
+    for _ in range(200):
+        d = rng.randint(1, 5)
+        row = tuple(rng.randint(-6, 6) * 6 for _ in range(d))
+        den = rng.randint(1, 4) * 6
+        h = HalfSpace(row, den, ("r",))
+        assert h.den > 0
+        assert math.gcd(h.den, *h.row) == 1
+        assert h.coeffs == tuple(Fraction(q, den) for q in row)
+        assert h == HalfSpace.make([Fraction(q, den) for q in row], ("r",))
+
+
+def test_halfspace_degenerate_exactly_for_zero_rows():
+    assert HalfSpace((0, 0, 0), 7, ("z",)).degenerate
+    assert HalfSpace((0, 0, 0), 7, ("z",)).den == 1
+    assert HalfSpace.make((0, Fraction(0), "0"), ("z",)).degenerate
+    for row in itertools.product((-1, 0, 2), repeat=3):
+        assert HalfSpace(row, 3, ("r",)).degenerate == (row == (0, 0, 0))
+
+
+def test_halfspace_value_is_exact():
+    h = HalfSpace((1, -2, 3), 7, ("v",))
+    x = (Fraction(1, 3), Fraction(1, 5), Fraction(7, 15))
+    assert h.value(x) == Fraction(1 * 5 - 2 * 3 + 3 * 7, 15 * 7)
+    assert isinstance(h.value((1, 1, 1)), Fraction)
+    assert h.value((1, 1, 1)) == Fraction(2, 7)
+    assert HalfSpace((1, -1), 3, ("v",)).value((Fraction(1, 2),) * 2) == 0
+
+
+def test_halfspace_wrong_length_and_bad_denominator():
+    h = HalfSpace((1, -1), 2, ("w",))
+    with pytest.raises(DimensionMismatch):
+        h.value((Fraction(1, 3),) * 3)
+    for den in (0, -2):
+        with pytest.raises(ParamOutOfRange):
+            HalfSpace((1, -1), den, ("w",))
 
 
 def test_full_simplex_vertices():
