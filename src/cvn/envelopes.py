@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .candidates import edge_counts, enumerate_candidates
 from .errors import (
@@ -64,15 +65,16 @@ def star_system(a: SimplexPoint, gamma: ConjClass,
 
     Over the integers: with L the length numerators of a (denominator d)
     and n the edge counts in delta, candidate w gives the row
-    L(w) n(gamma) - L(gamma) n(w) over d."""
+    L(w) n(gamma) - L(gamma) n(w) over d.  L(w) sums a's numerators over
+    the candidate's own edge counts in a, so it needs no tightening."""
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
-    d = a.scaled_lengths[1]
+    nums, d = a.scaled_lengths
     lg = length_numerator(a, gamma)
     ng = edge_counts(delta, gamma)
     out = []
     for c in enumerate_candidates(a.ttype):
-        lw = length_numerator(a, c.word)
+        lw = sum(map(mul, nums, c.counts))
         nw = edge_counts(delta, c.word)
         row = tuple(lw * g - lg * w for g, w in zip(ng, nw))
         out.append(HalfSpace(row, d, ("star", str(c.word))))
@@ -85,7 +87,8 @@ def starstar_system(b: SimplexPoint, gamma: ConjClass,
     of delta into b at least as much as the candidate.
 
     Candidate w gives the row L(gamma) n(w) - L(w) n(gamma) over the
-    denominator of b, with L the length numerators of b."""
+    denominator of b, with L the length numerators of b and n(w) the
+    candidate's own edge counts in delta."""
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
     d = b.scaled_lengths[1]
@@ -94,8 +97,7 @@ def starstar_system(b: SimplexPoint, gamma: ConjClass,
     out = []
     for c in enumerate_candidates(delta):
         lw = length_numerator(b, c.word)
-        nw = edge_counts(delta, c.word)
-        row = tuple(lg * w - lw * g for w, g in zip(nw, ng))
+        row = tuple(lg * w - lw * g for w, g in zip(c.counts, ng))
         out.append(HalfSpace(row, d, ("starstar", str(c.word))))
     return out
 

@@ -377,11 +377,11 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
     out-envelope of a (or, via="in", a in the in-envelope of b); the
     certificate names the direction and the strictly satisfied constraints.
     """
+    if via not in ("out", "in"):
+        raise ParamOutOfRange(f"unknown side {via!r}")
     _check_ranks(a, b)
     if not (a.ttype.is_trivalent() and b.ttype.is_trivalent()):
         raise NotMaximalSimplex("both points must be in maximal simplices")
-    if via not in ("out", "in"):
-        raise ValueError(f"unknown side {via!r}")
     for gamma in sorted(stretch_report(a, b).candidate_witnesses,
                         key=class_order):
         if via == "out":

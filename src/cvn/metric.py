@@ -15,7 +15,12 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .candidates import enumerate_candidates
-from .errors import RankMismatch, SelfCheckFailed, TrivialClass
+from .errors import (
+    ParamOutOfRange,
+    RankMismatch,
+    SelfCheckFailed,
+    TrivialClass,
+)
 from .graphs import SimplexPoint, marking_equivalent, tighten
 from .words import ConjClass, conjugacy_classes_up_to
 
@@ -89,7 +94,7 @@ def distance(a: SimplexPoint, b: SimplexPoint, mode: str = "right") -> Distance:
     elif mode in ("symmetric", "sym"):
         lam = stretch(a, b) * stretch(b, a)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParamOutOfRange(f"unknown mode {mode!r}")
     return Distance(lam, mode)
 
 

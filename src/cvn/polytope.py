@@ -4,8 +4,12 @@ All polytopes live in the simplex {x >= 0, sum x = 1} of some dimension and
 are cut out by homogeneous half-spaces c.x >= 0.  So each one is the slice
 sum x = 1 of the pointed cone {x >= 0 : c.x >= 0}, and its vertices are the
 extreme rays of that cone scaled to sum 1.  One exact routine finds those
-rays over the integers by the double-description method: feasibility asks
-whether any ray is left, and skeleton edges come from the rays' zero sets.
+rays over the integers by the double-description method, adding the rows
+with the most negative entries first.  Vertices and skeleton edges come
+from the rays of the full run and their zero sets.  Feasibility stops at
+a certificate: the first ray that already satisfies every row still to be
+added is a point of the cone, and only a run that ends with no ray left
+says the polytope is empty.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Rational
+from operator import mul
 
 from .errors import DimensionMismatch, Infeasible, ParamOutOfRange
 
@@ -85,41 +90,82 @@ def equality(coeffs, provenance, den: int = 1) -> list[HalfSpace]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _unit_rows(d) -> tuple[tuple[int, ...], ...]:
+    """The rows of x_i >= 0, which are also the rays of the cone x >= 0."""
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
 def _integer_rows(halfspaces, d) -> list[tuple[int, ...]]:
     """Live rows divided by their gcd, each once, without the unit rows
     x_i >= 0 that the cone starts from."""
-    seen = {tuple(int(i == j) for j in range(d)) for i in range(d)}
-    rows = []
+    rows = {}
     for h in halfspaces:
-        if h.degenerate:
-            continue
-        g = math.gcd(*h.row)
-        row = tuple(q // g for q in h.row)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return rows
+        row = h.row
+        g = math.gcd(*row)
+        if g == 0:
+            continue  # degenerate
+        if g != 1:
+            row = tuple(q // g for q in row)
+        rows[row] = None
+    units = _unit_rows(d)
+    return [row for row in rows if row not in units]
 
 
-def _extreme_rays(halfspaces, d) -> list[tuple[tuple[int, ...], int]]:
+def _negatives(row) -> int:
+    return sum(q < 0 for q in row)
+
+
+def _adjacent(z, zs) -> bool:
+    """Whether two rays whose zero sets meet in z span an edge: no zero
+    set in zs other than theirs contains z.  Both of theirs are in zs, so
+    this counts the zero sets containing z and stops at the third."""
+    tight = 0
+    for zr in zs:
+        if z & zr == z:
+            tight += 1
+            if tight == 3:
+                return False
+    return True
+
+
+def _extreme_rays(halfspaces, d, witness: bool = False
+                  ) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {x >= 0 : c.x >= 0 for each live c}.
 
     Motzkin's double description with the combinatorial adjacency test
     (Fukuda & Prodon 1996): rows are added one at a time to the cone
-    x >= 0, and a ray on the positive side is combined with one on the
-    negative side only when no third ray is tight on every row both are
-    tight on.  Rays are coprime nonnegative integer vectors, each paired
-    with its zero set as a bitmask: bit i for x_i >= 0, bit d + k for the
-    k-th integer row.  Returns [] as soon as only the origin is left.
+    x >= 0, those with the most negative entries first (ties in their
+    given order), and a ray on the positive side is combined with one on
+    the negative side only when no third ray is tight on every row both
+    are tight on.  Rays are coprime nonnegative integer vectors, each
+    paired with its zero set as a bitmask: bit i for x_i >= 0, bit d + k
+    for the k-th row added.  Returns [] as soon as only the origin is left.
+
+    With witness=True the run stops at the first certificate instead:
+    before each row it looks for a ray that is nonnegative on every row
+    not yet added, which is a nonzero point of the cone, and returns that
+    one ray; a run that adds every row returns its rays as usual.  Only
+    rays made by the previous row need the look: an older ray failed some
+    later row when it was made, and still does.
     """
+    rows = sorted(_integer_rows(halfspaces, d), key=_negatives, reverse=True)
     full = (1 << d) - 1
-    rays = [(tuple(int(i == j) for j in range(d)), full ^ (1 << i))
-            for i in range(d)]
-    for k, row in enumerate(_integer_rows(halfspaces, d)):
+    rays = [(r, full ^ (1 << i)) for i, r in enumerate(_unit_rows(d))]
+    fresh = rays
+    for k, row in enumerate(rows):
+        if witness:
+            ahead = rows[k:]
+            for r, z in fresh:
+                for c in ahead:
+                    if sum(map(mul, c, r)) < 0:
+                        break
+                else:
+                    return [(r, z)]
         bit = 1 << (d + k)
         pos, neg, out = [], [], []
         for r, z in rays:
-            s = sum(a * b for a, b in zip(row, r))
+            s = sum(map(mul, row, r))
             if s > 0:
                 pos.append((r, z, s))
                 out.append((r, z))
@@ -128,31 +174,31 @@ def _extreme_rays(halfspaces, d) -> list[tuple[tuple[int, ...], int]]:
             else:
                 out.append((r, z | bit))
         zs = [z for _, z in rays]
+        fresh = []
         for p, zp, sp in pos:
             for n, zn, sn in neg:
                 z = zp & zn
-                if z.bit_count() < d - 2 or any(
-                    z & zr == z for zr in zs if zr != zp and zr != zn
-                ):
-                    continue
-                r = [sp * b - sn * a for a, b in zip(p, n)]
-                g = math.gcd(*r)
-                out.append((tuple(q // g for q in r), z | bit))
-        rays = out
+                if z.bit_count() >= d - 2 and _adjacent(z, zs):
+                    r = [sp * b - sn * a for a, b in zip(p, n)]
+                    g = math.gcd(*r)
+                    fresh.append((tuple(q // g for q in r), z | bit))
+        rays = out + fresh
         if not rays:
             break
     return rays
 
 
 def feasible(halfspaces, ambient_dim: int) -> bool:
-    """Exact feasibility of {x in simplex : all half-spaces hold}."""
+    """Exact feasibility of {x in simplex : all half-spaces hold}: True as
+    soon as the ordered double description holds a ray that satisfies
+    every half-space, False only when its full run leaves no ray."""
     halfspaces = tuple(halfspaces)
     for h in halfspaces:
         if len(h.row) != ambient_dim:
             raise DimensionMismatch(
                 f"half-space in dim {len(h.row)}, ambient {ambient_dim}"
             )
-    return bool(_extreme_rays(halfspaces, ambient_dim))
+    return bool(_extreme_rays(halfspaces, ambient_dim, witness=True))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +281,10 @@ class Polytope:
         return tuple(v for v, _ in self._vertex_zero_sets)
 
     def is_feasible(self) -> bool:
+        """Whether the polytope is nonempty: read off the vertices when
+        they are already known, else by feasible()."""
+        if "_vertex_zero_sets" in self.__dict__:
+            return bool(self.vertices)
         return feasible(self.halfspaces, self.ambient_dim)
 
     @cached_property
@@ -253,15 +303,15 @@ class Polytope:
         if not vs:
             raise Infeasible("empty polytope has no skeleton")
         zs = [z for _, z in self._vertex_zero_sets]
-        edges = []
-        for i, j in itertools.combinations(range(len(vs)), 2):
-            common = zs[i] & zs[j]
-            if not any(common & zs[k] == common
-                       for k in range(len(vs)) if k != i and k != j):
-                edges.append((i, j))
-        return tuple(edges)
+        return tuple((i, j)
+                     for i, j in itertools.combinations(range(len(vs)), 2)
+                     if _adjacent(zs[i] & zs[j], zs))
 
     def contains(self, x, mode: str = "closed") -> bool:
+        """Membership of x in the polytope ("closed") or in its relative
+        interior ("relative-interior")."""
+        if mode not in ("closed", "relative-interior"):
+            raise ParamOutOfRange(f"unknown mode {mode!r}")
         x = tuple(Fraction(q) for q in x)
         if len(x) != self.ambient_dim:
             raise DimensionMismatch(f"point in dim {len(x)}")
@@ -271,8 +321,6 @@ class Polytope:
             return False
         if mode == "closed":
             return True
-        if mode != "relative-interior":
-            raise ValueError(f"unknown mode {mode!r}")
         vs = self.vertices
         if not vs:
             return False

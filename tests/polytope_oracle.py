@@ -2,15 +2,18 @@
 
 `cvn.polytope` computes vertices, feasibility and skeleton edges from the
 extreme rays of one integer double-description run.  The routines here get
-the same answers independently, over `Fraction`: a phase-1 simplex method
+the same answers independently: a phase-1 simplex method over `Fraction`
 with Bland's rule for feasibility, and exhaustive tight-set enumeration for
-vertices (every nonsingular choice of d - 1 tight constraints plus sum = 1).
+vertices (every nonsingular choice of d - 1 tight constraints plus sum = 1,
+solved exactly over the integers).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 
 
 def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -44,14 +47,16 @@ def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
         if pivot_row is None:
             return False  # unbounded phase 1 cannot happen; defensive
         piv = tab[pivot_row][enter]
-        tab[pivot_row] = [q / piv for q in tab[pivot_row]]
+        tab[pivot_row] = [q / piv if q else q for q in tab[pivot_row]]
         for i in range(m):
             if i != pivot_row and tab[i][enter] != 0:
                 f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[pivot_row])]
+                tab[i] = [a - f * b if b else a
+                          for a, b in zip(tab[i], tab[pivot_row])]
         if red[enter] != 0:
             f = red[enter]
-            red = [a - f * b for a, b in zip(red, tab[pivot_row])]
+            red = [a - f * b if b else a
+                   for a, b in zip(red, tab[pivot_row])]
         basis[pivot_row] = enter
     return red[n + m] == 0
 
@@ -97,23 +102,52 @@ def constraint_rows(halfspaces, d: int) -> list[tuple[Fraction, ...]]:
 
 
 def _value(row, x) -> Fraction:
-    return sum(c * q for c, q in zip(row, x))
+    return sum(map(mul, row, x))
+
+
+def _primitive(v) -> list[int]:
+    g = math.gcd(*v)
+    return [q // g for q in v] if g > 1 else list(v)
 
 
 def tight_set_vertices(halfspaces, d: int) -> tuple:
-    """Sorted vertices: every feasible solution of d - 1 tight constraints
-    together with sum x = 1."""
-    cons = constraint_rows(halfspaces, d)
-    ones = [Fraction(1)] * d
+    """Sorted vertices: every feasible solution of d - 1 independent tight
+    constraints together with sum x = 1.
+
+    The choices of d - 1 constraints are enumerated depth first in
+    constraint order, over integer rows, keeping an integer basis of the
+    kernel of the rows chosen so far.  A row that vanishes on that kernel
+    depends on the chosen ones, and so does every choice extending it
+    with that row, so it is passed over.  With d - 1 rows chosen the
+    kernel is a line, spanned by v; it meets sum x = 1 in v / sum(v)
+    unless sum(v) == 0, when the system is singular."""
+    cons = []
+    for row in constraint_rows(halfspaces, d):
+        scale = math.lcm(*(q.denominator for q in row))
+        cons.append([int(q * scale) for q in row])
     found = set()
-    for combo in itertools.combinations(range(len(cons)), d - 1):
-        rows = [list(cons[i]) for i in combo] + [ones]
-        rhs = [Fraction(0)] * (d - 1) + [Fraction(1)]
-        x = _solve_square(rows, rhs)
-        if x is None:
-            continue
-        if all(_value(c, x) >= 0 for c in cons):
-            found.add(x)
+
+    def extend(start, kernel):
+        if len(kernel) == 1:
+            v = kernel[0]
+            if sum(v) < 0:
+                v = [-q for q in v]
+            s = sum(v)
+            if s and min(v) >= 0 and all(_value(c, v) >= 0 for c in cons):
+                found.add(tuple(Fraction(q, s) for q in v))
+            return
+        for i in range(start, len(cons) - len(kernel) + 2):
+            vals = [_value(cons[i], k) for k in kernel]
+            p = next((j for j, q in enumerate(vals) if q), None)
+            if p is None:
+                continue
+            # combinations of the kernel basis that vanish on row i
+            extend(i + 1, [_primitive([vals[p] * a - q * b
+                                       for a, b in zip(k, kernel[p])])
+                           for j, (k, q) in enumerate(zip(kernel, vals))
+                           if j != p])
+
+    extend(0, [[int(i == j) for j in range(d)] for i in range(d)])
     return tuple(sorted(found))
 
 

@@ -68,6 +68,18 @@ def test_candidate_paths_close_up_and_counts_match():
             assert all(k in (0, 1, 2) for k in c.counts)
 
 
+def test_candidate_counts_are_edge_counts_in_every_chart():
+    # the slice builders read c.counts where they once tightened c.word
+    charts = resolutions(rose_type(3))
+    assert len(charts) == 105
+    checked = 0
+    for t in (*charts, theta_type(), barbell_type(), rose_type(2)):
+        for c in enumerate_candidates(t):
+            assert edge_counts(t, c.word) == c.counts
+            checked += 1
+    assert checked > 1019
+
+
 def test_edge_counts_theta():
     t = theta_type()
     assert edge_counts(t, conj_class([1], 2)) == (1, 1, 0)

@@ -253,6 +253,15 @@ def test_general_position_sides_agree():
         assert general_position(a, b)[0] == general_position(a, b, "in")[0]
 
 
+def test_general_position_unknown_side_is_typed():
+    a, b = theta_point(1, 2, 4), theta_point(5, 3, 2)
+    with pytest.raises(ParamOutOfRange, match="sideways"):
+        general_position(a, b, via="sideways")
+    # the side is checked before the points are
+    with pytest.raises(ParamOutOfRange):
+        general_position(rose_point([1, 1]), b, via="sideways")
+
+
 def test_general_position_needs_maximal_simplex():
     with pytest.raises(NotMaximalSimplex):
         general_position(rose_point([1, 1]), theta_point(1, 2, 4))

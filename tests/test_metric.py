@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import words_oracle
-from cvn.errors import RankMismatch, TrivialClass
+from cvn.errors import ParamOutOfRange, RankMismatch, TrivialClass
 from cvn.graphs import (
     SimplexPoint,
     apply_outer_automorphism,
@@ -161,6 +161,12 @@ def test_distance_modes():
         distance(a, b, "symmetric").lam
         == distance(a, b, "right").lam * distance(a, b, "left").lam
     )
+
+
+def test_distance_unknown_mode_is_typed():
+    a = theta_point(1, 1, 1)
+    with pytest.raises(ParamOutOfRange, match="bogus"):
+        distance(a, theta_point(2, 1, 1), "bogus")
 
 
 def test_rank_mismatch():

@@ -11,9 +11,10 @@ from polytope_oracle import (
     tight_set_vertices,
 )
 
+from cvn import polytope
 from cvn.envelopes import envelope_slice
 from cvn.errors import DimensionMismatch, Infeasible, ParamOutOfRange
-from cvn.graphs import SimplexPoint, make_type
+from cvn.graphs import SimplexPoint, make_type, resolutions, rose_type
 from cvn.polytope import (
     HalfSpace,
     Polytope,
@@ -21,6 +22,7 @@ from cvn.polytope import (
     equality,
     feasible,
 )
+from cvn.sampling import random_pair
 
 
 def H(*coeffs):
@@ -190,6 +192,16 @@ def test_membership_closed_and_interior():
     assert not p.contains(outside, "closed")
 
 
+def test_membership_unknown_mode_is_typed():
+    p = Polytope(3, [H(1, -1, 0)])
+    inside = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    outside = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    off_simplex = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    for x in (inside, outside, off_simplex):
+        with pytest.raises(ParamOutOfRange, match="bogus"):
+            p.contains(x, "bogus")
+
+
 def test_membership_vertex_not_interior():
     p = Polytope(3, [])
     assert p.contains((1, 0, 0), "closed")
@@ -289,6 +301,16 @@ def _random_system(rng, d):
     return hs
 
 
+def _assert_witness(hs, d):
+    """The rays that end a feasibility run are nonzero points of the cone:
+    nonnegative, and nonnegative on every half-space."""
+    rays = polytope._extreme_rays(hs, d, witness=True)
+    assert rays
+    for ray, _ in rays:
+        assert min(ray) >= 0 and max(ray) > 0
+        assert all(h.value(ray) >= 0 for h in hs)
+
+
 def _assert_matches_oracle(hs, d):
     p = Polytope(d, hs)
     expect = tight_set_vertices(hs, d)
@@ -297,6 +319,9 @@ def _assert_matches_oracle(hs, d):
     assert p.is_feasible() == bool(expect)
     if expect:
         assert p.skeleton_edges == skeleton_edges(hs, d, expect)
+        _assert_witness(hs, d)
+    else:
+        assert polytope._extreme_rays(hs, d, witness=True) == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -326,3 +351,64 @@ def test_rank3_envelope_slice_matches_oracles():
     hs = envelope_slice(a, b, t).polytope.halfspaces
     _assert_matches_oracle(hs, 6)
     assert len(Polytope(6, hs).vertices) > 6
+
+
+def _rank3_sweep(seed):
+    """The half-spaces of one seeded rank-3 pair's slice in each of the 105
+    trivalent charts, the charts that the rank3 benchmark sweeps."""
+    a, b = random_pair(3, random.Random(seed))
+    return [envelope_slice(a, b, t).polytope.halfspaces
+            for t in resolutions(rose_type(3))]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank3_sweep_matches_oracles(seed):
+    # feasibility against the LP, and the skeleton from the oracle's tight
+    # sets, in every chart; exhaustive tight-set vertex enumeration takes
+    # 0.2-0.4 s a slice here, so it checks every fourth nonempty slice
+    outcomes = set()
+    nonempty = 0
+    for hs in _rank3_sweep(seed):
+        p = Polytope(6, hs)
+        yes = feasible(hs, 6)
+        outcomes.add(yes)
+        assert yes == lp_feasible(hs, 6)
+        assert yes == bool(p.vertices) == p.is_feasible()
+        if yes:
+            if nonempty % 4 == 0:
+                assert p.vertices == tight_set_vertices(hs, 6)
+            nonempty += 1
+            assert p.skeleton_edges == skeleton_edges(hs, 6, p.vertices)
+            _assert_witness(hs, 6)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank3_sweep_independent_of_row_order(seed):
+    rng = random.Random(seed)
+    for hs in _rank3_sweep(seed):
+        p = Polytope(6, hs)
+        shuffled = list(hs)
+        rng.shuffle(shuffled)
+        for other in (shuffled, hs[::-1]):
+            q = Polytope(6, other)
+            assert feasible(other, 6) == feasible(hs, 6)
+            assert q.vertices == p.vertices
+            if p.vertices:
+                assert q.skeleton_edges == p.skeleton_edges
+
+
+def test_is_feasible_reads_cached_vertices(monkeypatch):
+    calls = []
+
+    def counting(halfspaces, d):
+        calls.append(d)
+        return feasible(halfspaces, d)
+
+    monkeypatch.setattr(polytope, "feasible", counting)
+    cut, empty = Polytope(3, [H(1, -1, 0)]), Polytope(3, [H(-1, -1, -1)])
+    assert cut.is_feasible() and not empty.is_feasible()
+    assert calls == [3, 3]
+    assert cut.vertices and not empty.vertices
+    assert cut.is_feasible() and not empty.is_feasible()
+    assert calls == [3, 3]
