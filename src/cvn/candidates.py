@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TrivialClass
-from .graphs import Path, TopologicalType, is_connected, loop_word, tighten
+from .graphs import Path, TopologicalType, _loop_codes, is_connected, loop_word
 from .words import ConjClass
 
 SIMPLE_LOOP = "simple-loop"
@@ -41,7 +41,10 @@ def edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
     """How often the immersed loop of gamma runs over each edge."""
     if gamma.is_trivial():
         raise TrivialClass("trivial class has no immersed representative")
-    return path_counts(t, tighten(t, gamma))
+    c = [0] * len(t.edges)
+    for k in _loop_codes(t, gamma):  # code k steps over t.edges[|k| - 1]
+        c[abs(k) - 1] += 1
+    return tuple(c)
 
 
 def _simple_cycles(t: TopologicalType) -> list[Path]:

@@ -7,9 +7,10 @@ and the labels say which petal each surviving edge maps to.  Lengths are
 exact rationals normalized to total volume 1.
 
 Conventions: an oriented edge path is a tuple of (edge_id, sign) with sign
-+1 for u -> v.  The basepoint used for all label computations is the first
-vertex in the vertex list.  Half-edges are pairs (edge_id, end) with end 0
-at u and end 1 at v.
++1 for u -> v; inside the package a tightened loop is kept coded, the step
+(t.edges[i].id, s) as the int s * (i + 1).  The basepoint used for all
+label computations is the first vertex in the vertex list.  Half-edges are
+pairs (edge_id, end) with end 0 at u and end 1 at v.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
 from .words import (
     ConjClass,
     Word,
-    _rewrite_letters,
+    _basis_inverse,
     conj_normal_form,
     conjugacy_classes_up_to,
     cyclic_reduce,
@@ -159,6 +160,13 @@ class SimplexPoint:
         d = math.lcm(*(q.denominator for q in self.lengths))
         return tuple(q.numerator * (d // q.denominator)
                      for q in self.lengths), d
+
+    @cached_property
+    def code_weights(self) -> tuple[int, ...]:
+        """The numerators of scaled_lengths indexed by step code (see
+        _letter_paths): entries k and -k both hold edge |k|'s numerator."""
+        nums = self.scaled_lengths[0]
+        return (0,) + nums + nums[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,51 +379,95 @@ def tree_path(t: TopologicalType, u: str, v: str) -> Path:
     return tuple(up_u + down_v)
 
 
-def _cancel_path(steps) -> list:
-    out = []
-    for st in steps:
-        if out and out[-1] == (st[0], -st[1]):
-            out.pop()
-        else:
-            out.append(st)
-    return out
+@lru_cache(maxsize=4096)
+def _petals(t: TopologicalType) -> tuple[Path, ...]:
+    """Per non-tree edge, in edge order, the petal: the loop from the base
+    vertex through the tree to the edge, across it and back to the base
+    vertex."""
+    base = t.base()
+    return tuple(
+        tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
+        for e in t.non_tree_edges())
 
 
 @lru_cache(maxsize=4096)
-def _petals(t: TopologicalType) -> tuple[tuple[Path, Path], ...]:
-    """Per non-tree edge, in edge order, the pair (petal, reversed petal):
-    the petal runs from the base vertex through the tree to the edge,
-    across it and back to the base vertex."""
-    base = t.base()
-    out = []
-    for e in t.non_tree_edges():
-        loop = tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
-        out.append((loop, tuple((eid, -s) for eid, s in reversed(loop))))
-    return tuple(out)
+def _letter_paths(t: TopologicalType) -> tuple[tuple[int, ...], ...]:
+    """Per generator letter a of F_n, the reduced coded edge path from the
+    base vertex that realizes a, at index a: index 0 is empty and a
+    negative letter indexes from the end, so table[-m] is table[m]
+    reversed with every code negated.
+
+    The step over edge t.edges[i] with sign s is coded as the int
+    s * (i + 1), so a step's reverse is its negative.  Generator m is the
+    word _basis_inverse gives it in the labels of the non-tree edges, and
+    each of those letters is the coded petal of its edge."""
+    petals = [tuple(s * (t.index(eid) + 1) for eid, s in loop)
+              for loop in _petals(t)]
+    inverse = _basis_inverse(
+        tuple(e.label.letters for e in t.non_tree_edges()), t.rank)
+    paths = []
+    for word in inverse:
+        steps: list[int] = []
+        for b in word:
+            petal = petals[abs(b) - 1]
+            _push_reduced(steps, petal if b > 0 else _reverse(petal))
+        paths.append(tuple(steps))
+    return ((),) + tuple(paths) + tuple(_reverse(p) for p in reversed(paths))
+
+
+def _reverse(codes) -> tuple[int, ...]:
+    return tuple(-k for k in reversed(codes))
+
+
+def _push_reduced(steps: list, path) -> None:
+    """Append the reduced coded path to the reduced path in steps, cancelling
+    at the junction only: neither has a backtrack of its own."""
+    k = 0
+    n = len(path)
+    while k < n and steps and steps[-1] == -path[k]:
+        steps.pop()
+        k += 1
+    steps.extend(path[k:])
 
 
 @lru_cache(maxsize=65536)
-def _tighten_cached(t: TopologicalType, rep_letters) -> Path:
-    petals = _petals(t)
-    # the letters come from a valid class of this rank: no Word to check
-    coords = _rewrite_letters(rep_letters,
-                              tuple(w.letters for w in t.basis_words()), t.rank)
-    steps: list = []
-    for a in coords:
-        steps.extend(petals[abs(a) - 1][a < 0])
-    steps = _cancel_path(steps)
-    while len(steps) >= 2 and steps[0] == (steps[-1][0], -steps[-1][1]):
-        steps = steps[1:-1]
-    return tuple(steps)
+def _tighten_cached(t: TopologicalType, rep_letters) -> tuple[int, ...]:
+    """The coded immersed loop of the class with these letters: the
+    letters' paths from _letter_paths, concatenated and reduced in one
+    stack pass, with the cancelling ends of the closed path stripped."""
+    table = _letter_paths(t)
+    steps: list[int] = []
+    for a in rep_letters:
+        path = table[a]
+        if steps and steps[-1] == -path[0]:  # most junctions do not cancel
+            _push_reduced(steps, path)
+        else:
+            steps.extend(path)
+    i, j = 0, len(steps) - 1
+    while i < j and steps[i] == -steps[j]:
+        i += 1
+        j -= 1
+    return tuple(steps[i:j + 1])
 
 
-def tighten(t: TopologicalType, gamma: ConjClass) -> Path:
-    """The immersed (cyclically backtrack-free) loop realizing gamma."""
+def _loop_codes(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
+    """The coded immersed loop of gamma in t (see _letter_paths); the
+    checks of tighten without decoding the steps."""
     if gamma.is_trivial():
         raise TrivialClass("cannot tighten the trivial class")
     if gamma.rank != t.rank:
         raise RankMismatch(f"class rank {gamma.rank} != graph rank {t.rank}")
     return _tighten_cached(t, gamma.rep.letters)
+
+
+def tighten(t: TopologicalType, gamma: ConjClass) -> Path:
+    """The immersed (cyclically backtrack-free) loop realizing gamma.
+
+    The loop is computed on coded steps (see _letter_paths) and decoded:
+    code k is the step (t.edges[|k| - 1].id, sign of k)."""
+    edges = t.edges
+    return tuple((edges[k - 1].id, 1) if k > 0 else (edges[-k - 1].id, -1)
+                 for k in _loop_codes(t, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +651,7 @@ def _induced_automorphism(a: TopologicalType, b: TopologicalType, emap):
     """Automorphism of F_n induced by the edge map, or None if not one."""
     w_list = []
     c_list = []
-    for e, (loop, _) in zip(a.non_tree_edges(), _petals(a)):
+    for e, loop in zip(a.non_tree_edges(), _petals(a)):
         image = [(emap[eid][0], s * emap[eid][1]) for eid, s in loop]
         w_list.append(e.label)
         c_list.append(path_word(b, image))
@@ -668,7 +720,7 @@ def type_key(t: TopologicalType) -> tuple:
     marking_equivalent inside the bucket.
     """
     return (len(t.edges),) + tuple(
-        len(tighten(t, g)) for g in _key_classes(t.rank))
+        len(_loop_codes(t, g)) for g in _key_classes(t.rank))
 
 
 @lru_cache(maxsize=8)

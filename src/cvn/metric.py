@@ -21,19 +21,25 @@ from .errors import (
     SelfCheckFailed,
     TrivialClass,
 )
-from .graphs import SimplexPoint, marking_equivalent, tighten
+from .graphs import (
+    SimplexPoint,
+    _loop_codes,
+    _tighten_cached,
+    marking_equivalent,
+)
 from .words import ConjClass, conjugacy_classes_up_to
 
 
 def length_numerator(p: SimplexPoint, gamma: ConjClass) -> int:
     """Length of the immersed loop realizing gamma in p, times the common
     denominator of p's lengths: the sum of p.scaled_lengths numerators
-    along the loop."""
+    along the loop.
+
+    The loop is read in its coded steps, never decoded: p.code_weights
+    holds each edge's numerator at both codes of the edge."""
     if gamma.is_trivial():
         raise TrivialClass("trivial class has zero length")
-    t = p.ttype
-    nums = p.scaled_lengths[0]
-    return sum(nums[t.index(eid)] for eid, _ in tighten(t, gamma))
+    return sum(map(p.code_weights.__getitem__, _loop_codes(p.ttype, gamma)))
 
 
 def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
@@ -122,15 +128,32 @@ def brute_force_lambda(a: SimplexPoint, b: SimplexPoint, max_len: int):
     """Max ratio over all conjugacy classes of word length <= max_len.
 
     Independent of the candidate machinery; used as an oracle for the
-    finiteness theorem.  Returns (ratio, argmax classes).
-    """
-    best = None
+    finiteness theorem.  Returns (ratio, argmax classes), the classes in
+    enumeration order.
+
+    The ratio of a class is its length numerator in b over that in a,
+    times the constant d_a / d_b of the two denominators, so classes are
+    compared by integer cross-multiplication of numerators and the one
+    Fraction is made for the winner.  max_len must be an int >= 1."""
+    if (not isinstance(max_len, int) or isinstance(max_len, bool)
+            or max_len < 1):
+        raise ParamOutOfRange(f"max_len {max_len!r} is not an integer >= 1")
+    ta, tb = a.ttype, b.ttype
+    if ta.rank != tb.rank:
+        raise RankMismatch("points live in different Outer Spaces")
+    wa = a.code_weights.__getitem__
+    wb = b.code_weights.__getitem__
+    best_b, best_a = 0, 1  # every ratio is positive
     argmax: list[ConjClass] = []
-    for g in conjugacy_classes_up_to(a.ttype.rank, max_len):
-        r = conj_length(b, g) / conj_length(a, g)
-        if best is None or r > best:
-            best = r
+    for g in conjugacy_classes_up_to(ta.rank, max_len):
+        letters = g.rep.letters
+        lb = sum(map(wb, _tighten_cached(tb, letters)))
+        la = sum(map(wa, _tighten_cached(ta, letters)))
+        lhs, rhs = lb * best_a, best_b * la
+        if lhs > rhs:
+            best_b, best_a = lb, la
             argmax = [g]
-        elif r == best:
+        elif lhs == rhs:
             argmax.append(g)
-    return best, argmax
+    return (Fraction(best_b * a.scaled_lengths[1],
+                     best_a * b.scaled_lengths[1]), argmax)

@@ -8,7 +8,7 @@ import pytest
 
 import marking_oracle
 import words_oracle
-from cvn.candidates import enumerate_candidates
+from cvn.candidates import edge_counts, enumerate_candidates, path_counts
 from cvn.errors import (
     BadPartition,
     BadValency,
@@ -24,7 +24,9 @@ from cvn.graphs import (
     Edge,
     MarkedGraph,
     TopologicalType,
+    _letter_paths,
     _petals,
+    _tighten_cached,
     adjacent_simplices,
     apply_outer_automorphism,
     barbell_point,
@@ -38,6 +40,7 @@ from cvn.graphs import (
     loop_word,
     make_type,
     marking_equivalent,
+    path_word,
     point_from_coords,
     point_to_json,
     resolutions,
@@ -47,6 +50,7 @@ from cvn.graphs import (
     theta_type,
     tighten,
     tree_path,
+    twisted_theta_type,
     type_key,
     validate_and_normalize,
 )
@@ -205,11 +209,74 @@ def test_petals_and_tighten_match_tree_path_loops_rank3():
         base = t.base()
         want = [tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
                 for e in t.non_tree_edges()]
-        assert [fwd for fwd, _ in _petals(t)] == want
-        assert [rev for _, rev in _petals(t)] == [
-            tuple((eid, -s) for eid, s in reversed(w)) for w in want]
+        assert list(_petals(t)) == want
         for g in classes:
             assert tighten(t, g) == words_oracle.tighten(t, g)
+
+
+def _decode(t, codes):
+    """Coded steps back to (edge id, sign): code k is t.edges[|k| - 1]."""
+    return tuple((t.edges[abs(k) - 1].id, 1 if k > 0 else -1) for k in codes)
+
+
+def _single_edge_faces(types):
+    return [collapse_forest(t, {e.id}) for t in types for e in t.edges
+            if not e.is_loop()]
+
+
+def _assert_tighten_matches_oracle(types, classes):
+    for t in types:
+        for g in classes:
+            want = words_oracle.tighten(t, g)
+            assert _decode(t, _tighten_cached(t, g.rep.letters)) == want
+
+
+def test_coded_tighten_matches_oracle_on_rank3_charts():
+    # every chart on the short classes, every seventh up to length 6
+    charts = resolutions(rose_type(3))
+    _assert_tighten_matches_oracle(charts, list(conjugacy_classes_up_to(3, 4)))
+    _assert_tighten_matches_oracle(charts[::7],
+                                   list(conjugacy_classes_up_to(3, 6)))
+
+
+def test_coded_tighten_matches_oracle_on_rank3_faces():
+    # a collapse of a non-tree edge re-trees the graph, so its labels are
+    # longer words and the letter paths come from nontrivial basis inverses
+    # and those get the long classes
+    found = _single_edge_faces(resolutions(rose_type(3))[::7])
+    retreed = [f for f in found if any(len(w) > 1 for w in f.basis_words())]
+    assert retreed
+    _assert_tighten_matches_oracle(found, list(conjugacy_classes_up_to(3, 4)))
+    _assert_tighten_matches_oracle(retreed,
+                                   list(conjugacy_classes_up_to(3, 6)))
+
+
+def test_tighten_and_edge_counts_decode_the_coded_loop():
+    charts = resolutions(rose_type(2)) + (twisted_theta_type(),)
+    classes = list(conjugacy_classes_up_to(2, 8))
+    for t in charts + tuple(_single_edge_faces(charts)):
+        for g in classes:
+            want = words_oracle.tighten(t, g)
+            assert _decode(t, _tighten_cached(t, g.rep.letters)) == want
+            assert tighten(t, g) == want
+            assert edge_counts(t, g) == path_counts(t, want)
+
+
+def test_letter_paths_realize_the_generators():
+    charts = resolutions(rose_type(3))
+    for t in charts + tuple(_single_edge_faces(charts[::7])):
+        table = _letter_paths(t)
+        assert len(table) == 2 * t.rank + 1 and table[0] == ()
+        for m in range(1, t.rank + 1):
+            fwd, back = table[m], table[-m]
+            assert back == tuple(-k for k in reversed(fwd))
+            assert all(x != -y for x, y in zip(fwd, fwd[1:]))  # reduced
+            path = _decode(t, fwd)
+            first = t.edge(path[0][0])
+            assert (first.u if path[0][1] > 0 else first.v) == t.base()
+            loop_word(t, path)  # raises NotClosed unless the steps close up
+            assert path_word(t, path) == generator(m, t.rank)
+            assert path_word(t, _decode(t, back)) == generator(-m, t.rank)
 
 
 def test_collapse_theta_tree_edge_gives_rose():

@@ -7,9 +7,11 @@ was memoised.
 """
 
 import importlib
+import importlib.util
 import pkgutil
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +25,15 @@ from cvn.graphs import (
     embed_point,
     forests,
     marking_isomorphisms,
+    resolutions,
+    rose_type,
     theta_point,
+    tighten,
     twisted_theta_point,
 )
-from cvn.metric import stretch_report
+from cvn.metric import length_numerator, stretch_report
 from cvn.sampling import random_pair
+from cvn.words import conjugacy_classes_up_to
 
 
 def _cvn_modules():
@@ -74,6 +80,50 @@ def test_reported_caches_keep_their_statistics():
                candidates.enumerate_candidates):
         assert callable(fn.cache_info)
         assert callable(fn.cache_clear)
+
+
+def _bench_tracer():
+    """perfbench/tracer.py, whose clear_caches starts every timed pass."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_letter_path_table_is_bounded_and_cleared():
+    table = graphs._letter_paths
+    assert table.cache_parameters()["maxsize"] is not None
+    assert "cvn.graphs._letter_paths" in _caches()
+    t = theta_point(1, 2, 3).ttype
+    assert table(t) is table(t)
+    assert table.cache_info().currsize > 0
+    _bench_tracer().clear_caches()
+    assert table.cache_info().currsize == 0
+    assert graphs._tighten_cached.cache_info().currsize == 0
+
+
+def test_coded_loops_and_weights_are_immutable():
+    p = twisted_theta_point(3, 1, 2)
+    for g in conjugacy_classes_up_to(2, 4):
+        codes = graphs._tighten_cached(p.ttype, g.rep.letters)
+        assert type(codes) is tuple
+        assert all(type(k) is int and k != 0 for k in codes)
+    assert type(p.code_weights) is tuple
+    assert p.code_weights is p.code_weights
+    assert all(type(w) is int for w in p.code_weights)
+
+
+def test_tighten_matches_fresh():
+    charts = resolutions(rose_type(3))[::15]
+    classes = list(conjugacy_classes_up_to(3, 4))
+    memo = {(t, g): tighten(t, g) for t in charts for g in classes}
+    p = theta_point(1, 2, 4)
+    lengths = {g: length_numerator(p, g)
+               for g in conjugacy_classes_up_to(2, 5)}
+    _clear_all()
+    assert {(t, g): tighten(t, g) for t in charts for g in classes} == memo
+    assert {g: length_numerator(p, g) for g in lengths} == lengths
 
 
 def test_stretch_report_memo_matches_fresh():

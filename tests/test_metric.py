@@ -16,12 +16,14 @@ from cvn.graphs import (
     theta_type,
     twisted_theta_type,
 )
+from cvn.candidates import edge_counts
 from cvn.metric import (
     brute_force_lambda,
     candidate_witnesses,
     conj_length,
     distance,
     is_witness,
+    length_numerator,
     same_point,
     stretch,
     stretch_report,
@@ -101,6 +103,20 @@ def test_brute_force_lambda_matches_slow_enumeration():
         assert brute_force_lambda(a, b, max_len) == want
 
 
+def test_brute_force_lambda_matches_fraction_scan_rank3():
+    # integer cross-multiplication against Fraction ratios of the oracle
+    # lengths, on one rank-3 pair up to length 6
+    rng = random.Random(21)
+    ta, tb = _random_trivalent_type(3, rng), _random_trivalent_type(3, rng)
+    a, b = _random_lengths_point(ta, rng), _random_lengths_point(tb, rng)
+    ratios = [(words_oracle.conj_length(b, g) / words_oracle.conj_length(a, g),
+               g) for g in conjugacy_classes_up_to(3, 6)]
+    best = max(r for r, _ in ratios)
+    lam, argmax = brute_force_lambda(a, b, 6)
+    assert (lam, argmax) == (best, [g for r, g in ratios if r == best])
+    assert lam == stretch(a, b)
+
+
 def test_stretch_closed_triangle():
     a = theta_point(1, 1, 1)
     b = theta_point(2, 1, 1)
@@ -172,6 +188,29 @@ def test_distance_unknown_mode_is_typed():
 def test_rank_mismatch():
     with pytest.raises(RankMismatch):
         stretch(rose_point([1, 1]), rose_point([1, 1, 1]))
+
+
+def test_rank_mismatch_without_tighten():
+    # length_numerator, edge_counts and brute_force_lambda read the coded
+    # loop directly and must still refuse a class or point of another rank
+    r2, r3 = rose_point([1, 1]), rose_point([1, 1, 1])
+    g3 = conj_class([1, 2, 3], 3)
+    for call in (lambda: length_numerator(r2, g3),
+                 lambda: conj_length(r2, g3),
+                 lambda: edge_counts(r2.ttype, g3),
+                 lambda: brute_force_lambda(r2, r3, 3),
+                 lambda: brute_force_lambda(r3, r2, 3)):
+        with pytest.raises(RankMismatch):
+            call()
+    with pytest.raises(TrivialClass):
+        length_numerator(r3, conj_class([], 3))
+
+
+@pytest.mark.parametrize("max_len", [0, -3, 2.5, True, False, "3", None])
+def test_brute_force_lambda_rejects_bad_max_len(max_len):
+    a, b = theta_point(1, 2, 3), theta_point(3, 2, 1)
+    with pytest.raises(ParamOutOfRange):
+        brute_force_lambda(a, b, max_len)
 
 
 def test_brute_force_agrees_with_candidates():

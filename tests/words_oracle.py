@@ -5,16 +5,27 @@ it generated reduced necklaces directly: it tries every tuple over the
 alphabet and keeps those equal to their canonical form, found by an O(L^2)
 rotation scan.  ``conj_length`` is the per-edge ``Fraction`` sum that
 ``cvn.metric`` used before it summed integer numerators.  ``tighten`` builds
-the petal loops from ``tree_path`` on every call, as ``cvn.graphs`` did
-before it cached them per type.
+the petal loops from ``tree_path`` on every call, rewrites the class in the
+basis of the labels and cancels (edge id, sign) steps, as ``cvn.graphs``
+did before it kept one coded path per generator letter.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cvn.graphs import _cancel_path, tree_path
+from cvn.graphs import tree_path
 from cvn.words import ConjClass, Word, invert, rewrite_in_basis
+
+
+def _cancel_path(steps) -> list:
+    out = []
+    for st in steps:
+        if out and out[-1] == (st[0], -st[1]):
+            out.pop()
+        else:
+            out.append(st)
+    return out
 
 
 def _letter_key(a: int) -> int:
