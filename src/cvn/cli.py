@@ -18,17 +18,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .candidates import enumerate_candidates
-from .envelopes import reference_witness, slice_polytope, support
 from .errors import BudgetExceeded, CvnError, ParamOutOfRange
-from .geodesics import (
-    check_gluing,
-    general_position,
-    is_rigid,
-    on_geodesic,
-    piecewise_rigid_geodesic,
-    ray_dimension_audit,
-)
 from .graphs import (
     graph_from_json,
     is_connected,
@@ -38,10 +28,10 @@ from .graphs import (
     twisted_theta_point,
     validate_and_normalize,
 )
-from .metric import distance, stretch, stretch_report
-from .polytope import feasible
-from .svg import envelope_vertices_json, render_envelope_svg
 from .words import ConjClass, class_order, conj_class
+
+# Each subcommand imports the layers it uses when it runs, so a process
+# compiles and loads only those: validate needs graphs and words alone.
 
 _NAMES = "xyzuvw"
 
@@ -121,6 +111,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_candidates(args) -> int:
+    from .candidates import enumerate_candidates
+
     p = _load_point(args.graph)
     out = []
     for c in enumerate_candidates(p.ttype):
@@ -132,6 +124,8 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .metric import distance
+
     a = _load_point(args.a)
     b = _load_point(args.b)
     d = distance(a, b, args.mode)
@@ -140,6 +134,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_witnesses(args) -> int:
+    from .metric import stretch_report
+
     a = _load_point(args.a)
     b = _load_point(args.b)
     rep = stretch_report(a, b)
@@ -156,6 +152,10 @@ def cmd_witnesses(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    from .envelopes import reference_witness
+    from .metric import stretch
+    from .svg import envelope_vertices_json, render_envelope_svg
+
     a = _load_point(args.a)
     b = _load_point(args.b)
     slices = envelope_vertices_json(a, b, budget=args.budget)
@@ -170,6 +170,8 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_support(args) -> int:
+    from .envelopes import support
+
     a = _load_point(args.a)
     b = _load_point(args.b)
     sup = support(a, b, args.budget)
@@ -181,6 +183,10 @@ def cmd_support(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    from .geodesics import is_rigid, piecewise_rigid_geodesic
+    from .metric import stretch
+    from .svg import render_envelope_svg
+
     a = _load_point(args.a)
     b = _load_point(args.b)
     path = piecewise_rigid_geodesic(a, b, budget=args.budget)
@@ -202,6 +208,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_general_position(args) -> int:
+    from .geodesics import general_position
+
     a = _load_point(args.a)
     b = _load_point(args.b)
     ok, cert = general_position(a, b, via=args.via)
@@ -214,6 +222,8 @@ def cmd_general_position(args) -> int:
 
 
 def cmd_ray_audit(args) -> int:
+    from .geodesics import ray_dimension_audit
+
     a = _load_point(args.graph)
     with _parsing():
         direction = [parse_word(w, a.ttype.rank) for w in args.direction]
@@ -239,6 +249,10 @@ def _default(value, fallback):
 
 
 def _verify_a1(args):
+    from .envelopes import reference_witness, slice_polytope
+    from .metric import conj_length, stretch_report
+    from .polytope import feasible
+
     a0 = _default(args.a, Fraction(1, 2))
     delta = _default(args.delta, Fraction(1, 100))
     eps = _default(args.eps, Fraction(1, 10))
@@ -257,8 +271,6 @@ def _verify_a1(args):
     joint = (slice_polytope(A, C, g1, rose).halfspaces
              + slice_polytope(C, A, g2, rose).halfspaces)
     both_ways = feasible(joint, 2)
-    from .metric import conj_length
-
     checks = {
         "cw_a_to_c_is_xy_inverse": cw_ac == frozenset({xy_inv}),
         "cw_c_to_a_is_xy": cw_ca == frozenset({xy}),
@@ -277,6 +289,7 @@ def _verify_a1(args):
 
 
 def _verify_a2(args):
+    from .geodesics import on_geodesic
     from .graphs import barbell_point, rose_point
 
     a0 = _default(args.a, Fraction(1, 4))
@@ -310,6 +323,9 @@ def _verify_a2(args):
 
 
 def _verify_r2i(args):
+    from .geodesics import check_gluing
+    from .metric import stretch, stretch_report
+
     A = theta_point(1, 1, 1)
     B = theta_point(2, 1, 1)
     C = theta_point(1, Fraction(1, 3), 1)

@@ -148,11 +148,11 @@ def _forward_vertex(poly: Polytope, coords, score, delta=None,
         while stack:
             k = stack.pop()
             steps = improving(k)
+            if not steps:
+                return True  # nothing improves: top of this chart
             if avoid_boundary:
                 steps = [j for j in steps
                          if not edge_on_boundary(vs[k], vs[j])]
-            if not improving(k):
-                return True  # nothing improves: top of this chart
             for j in steps:
                 if j not in seen:
                     seen.add(j)

@@ -23,6 +23,8 @@ from .errors import (
 )
 from .graphs import (
     SimplexPoint,
+    TopologicalType,
+    _letter_paths,
     _loop_codes,
     _tighten_cached,
     marking_equivalent,
@@ -124,6 +126,75 @@ def same_point(a: SimplexPoint, b: SimplexPoint) -> bool:
     )
 
 
+def _cancel(left, right) -> int:
+    """How many steps at the end of the coded path left cancel against the
+    start of right."""
+    c, n = 0, min(len(left), len(right))
+    while c < n and left[-1 - c] == -right[c]:
+        c += 1
+    return c
+
+
+@lru_cache(maxsize=4096)
+def _junction_middles(t: TopologicalType) -> tuple:
+    """Per letter triple (p, x, n) with x != p^-1 and n != x^-1, paired
+    with its junction index (p * m + x) * m + n, where m = 2 * rank + 1
+    and each letter is taken mod m, its index in _letter_paths: the codes
+    of path(x) that survive cancellation with path(p) on the left and
+    path(n) on the right.  Triples where the two cancellations together
+    reach the length of path(x) are left out: there cancellation can
+    cascade."""
+    paths = _letter_paths(t)
+    m = len(paths)
+    letters = range(1, m)
+    out = []
+    for x in letters:
+        px = paths[x]
+        for p in letters:
+            if p + x == m:  # p is x^-1
+                continue
+            lo = _cancel(paths[p], px)
+            for n in letters:
+                if x + n == m:
+                    continue
+                hi = len(px) - _cancel(px, paths[n])
+                if lo < hi:
+                    out.append(((p * m + x) * m + n, px[lo:hi]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _class_junctions(rank: int, max_len: int) -> tuple:
+    """Per class of conjugacy_classes_up_to(rank, max_len), in its order,
+    the junction index of each cyclic letter triple of the representative:
+    (x[i-1], x[i], x[i+1]) with indices mod the length, and every letter
+    a taken as a mod 2 * rank + 1, its index in _letter_paths."""
+    m = 2 * rank + 1
+    out = []
+    for g in conjugacy_classes_up_to(rank, max_len):
+        xs = [a % m for a in g.rep.letters]
+        k = len(xs)
+        out.append(tuple((xs[i - 1] * m + xs[i]) * m + xs[(i + 1) % k]
+                         for i in range(k)))
+    return tuple(out)
+
+
+def _junction_table(p: SimplexPoint, max_len: int) -> list[int]:
+    """The weight of every junction middle of p's type, by junction index.
+
+    Every other entry holds a negative sentinel below any sum of at most
+    max_len entries, so a class of length <= max_len sums to its length
+    numerator when all its triples have middles, and below zero when one
+    does not."""
+    w = p.code_weights.__getitem__
+    middles = [(i, sum(map(w, mid))) for i, mid in _junction_middles(p.ttype)]
+    sentinel = -1 - max_len * max((v for _, v in middles), default=0)
+    table = [sentinel] * (2 * p.ttype.rank + 1) ** 3
+    for i, v in middles:
+        table[i] = v
+    return table
+
+
 def brute_force_lambda(a: SimplexPoint, b: SimplexPoint, max_len: int):
     """Max ratio over all conjugacy classes of word length <= max_len.
 
@@ -134,7 +205,17 @@ def brute_force_lambda(a: SimplexPoint, b: SimplexPoint, max_len: int):
     The ratio of a class is its length numerator in b over that in a,
     times the constant d_a / d_b of the two denominators, so classes are
     compared by integer cross-multiplication of numerators and the one
-    Fraction is made for the winner.  max_len must be an int >= 1."""
+    Fraction is made for the winner.  max_len must be an int >= 1.
+
+    Lengths come from a junction table per point (bounded cancellation,
+    Cooper 1987): for a cyclically reduced class x_1 ... x_k, let c(p, x)
+    be how far path(p) and path(x) cancel where they meet.  When, for
+    every i, c(x[i-1], x[i]) + c(x[i], x[i+1]) stays below the length of
+    path(x[i]), every letter keeps a nonempty middle, consecutive middles
+    do not cancel because each c is maximal, and the middles in a cycle
+    are the immersed loop: its length numerator is the sum of the middle
+    weights.  A class with a triple where cancellation can cascade reads
+    the sentinel and is tightened instead."""
     if (not isinstance(max_len, int) or isinstance(max_len, bool)
             or max_len < 1):
         raise ParamOutOfRange(f"max_len {max_len!r} is not an integer >= 1")
@@ -143,12 +224,18 @@ def brute_force_lambda(a: SimplexPoint, b: SimplexPoint, max_len: int):
         raise RankMismatch("points live in different Outer Spaces")
     wa = a.code_weights.__getitem__
     wb = b.code_weights.__getitem__
+    ja = _junction_table(a, max_len).__getitem__
+    jb = _junction_table(b, max_len).__getitem__
     best_b, best_a = 0, 1  # every ratio is positive
     argmax: list[ConjClass] = []
-    for g in conjugacy_classes_up_to(ta.rank, max_len):
-        letters = g.rep.letters
-        lb = sum(map(wb, _tighten_cached(tb, letters)))
-        la = sum(map(wa, _tighten_cached(ta, letters)))
+    for g, idx in zip(conjugacy_classes_up_to(ta.rank, max_len),
+                      _class_junctions(ta.rank, max_len)):
+        lb = sum(map(jb, idx))
+        if lb < 0:
+            lb = sum(map(wb, _tighten_cached(tb, g.rep.letters)))
+        la = sum(map(ja, idx))
+        if la < 0:
+            la = sum(map(wa, _tighten_cached(ta, g.rep.letters)))
         lhs, rhs = lb * best_a, best_b * la
         if lhs > rhs:
             best_b, best_a = lb, la

@@ -80,12 +80,12 @@ def test_missing_file_and_bad_word_are_input_errors(files, capsys):
 @pytest.mark.parametrize("exc", [KeyError("edge"), ValueError("bad")])
 def test_computation_fault_is_not_an_input_error(files, capsys, monkeypatch,
                                                  exc):
-    import cvn.cli
+    import cvn.metric
 
     def broken(a, b, mode):
         raise exc
 
-    monkeypatch.setattr(cvn.cli, "distance", broken)
+    monkeypatch.setattr(cvn.metric, "distance", broken)
     with pytest.raises(type(exc)):
         main(["distance", files["a"], files["b"]])
     assert "input error" not in capsys.readouterr().err

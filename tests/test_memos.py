@@ -20,6 +20,7 @@ from cvn import candidates, graphs
 from cvn.errors import BudgetExceeded
 from cvn.envelopes import reference_witness, slice_polytope, support
 from cvn.graphs import (
+    SimplexPoint,
     adjacent_simplices,
     collapse_forest,
     embed_point,
@@ -31,7 +32,7 @@ from cvn.graphs import (
     tighten,
     twisted_theta_point,
 )
-from cvn.metric import length_numerator, stretch_report
+from cvn.metric import brute_force_lambda, length_numerator, stretch_report
 from cvn.sampling import random_pair
 from cvn.words import conjugacy_classes_up_to
 
@@ -100,6 +101,19 @@ def test_letter_path_table_is_bounded_and_cleared():
     assert table.cache_info().currsize > 0
     _bench_tracer().clear_caches()
     assert table.cache_info().currsize == 0
+    assert graphs._tighten_cached.cache_info().currsize == 0
+
+
+def test_brute_force_lambda_leaves_tighten_memo_empty():
+    # every class of a fallback-free trivalent rank-3 pair is summed from
+    # the junction tables, so no loop is tightened or memoised
+    charts = resolutions(rose_type(3))
+    lengths = tuple(Fraction(k, 21) for k in range(1, 7))
+    a = SimplexPoint(charts[0], lengths)
+    b = SimplexPoint(charts[-1], lengths[::-1])
+    lam = brute_force_lambda(a, b, 6)
+    _clear_all()
+    assert brute_force_lambda(a, b, 6) == lam
     assert graphs._tighten_cached.cache_info().currsize == 0
 
 

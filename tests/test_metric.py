@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 
 import words_oracle
+from cvn import graphs, metric
 from cvn.errors import ParamOutOfRange, RankMismatch, TrivialClass
 from cvn.graphs import (
     SimplexPoint,
     apply_outer_automorphism,
+    barbell_point,
     barbell_type,
     blow_up_vertex,
     rose_point,
     rose_type,
     theta_point,
     theta_type,
+    twisted_theta_point,
     twisted_theta_type,
 )
 from cvn.candidates import edge_counts
@@ -115,6 +118,57 @@ def test_brute_force_lambda_matches_fraction_scan_rank3():
     lam, argmax = brute_force_lambda(a, b, 6)
     assert (lam, argmax) == (best, [g for r, g in ratios if r == best])
     assert lam == stretch(a, b)
+
+
+def _junction_fallbacks(p, max_len):
+    """Check the junction-table length of every class up to max_len in p
+    against its tightened loop; return how many classes fall back."""
+    table = metric._junction_table(p, max_len)
+    classes = list(conjugacy_classes_up_to(p.ttype.rank, max_len))
+    junctions = metric._class_junctions(p.ttype.rank, max_len)
+    assert len(junctions) == len(classes)
+    fallbacks = 0
+    for g, idx in zip(classes, junctions):
+        got = sum(map(table.__getitem__, idx))
+        want = sum(p.code_weights[c]
+                   for c in graphs._tighten_cached(p.ttype, g.rep.letters))
+        if got < 0:
+            fallbacks += 1
+        else:
+            assert got == want, g
+    return fallbacks
+
+
+def test_junction_table_lengths_match_tighten():
+    rng = random.Random(23)
+    untwisted = [(theta_point(1, 2, 3), 7), (twisted_theta_point(3, 1, 2), 7),
+                 (barbell_point(2, 3, 5), 7)]
+    untwisted += [(_random_lengths_point(_random_trivalent_type(3, rng), rng),
+                   6) for _ in range(4)]
+    for p, max_len in untwisted:
+        assert _junction_fallbacks(p, max_len) == 0
+    fallbacks = 0
+    for rank, max_len in ((2, 7), (2, 7), (3, 5)):
+        for p in random_pair(rank, rng, twist_steps=3):
+            fallbacks += _junction_fallbacks(p, max_len)
+    assert fallbacks > 0
+
+
+def test_junction_indices_wrap_around_short_classes():
+    # a 1-letter class reads the triple (x, x, x), a 2-letter class xy
+    # the triples (y, x, y) and (x, y, x)
+    m = 5
+    by_letters = {g.rep.letters: idx for g, idx in zip(
+        conjugacy_classes_up_to(2, 2), metric._class_junctions(2, 2))}
+    x, y, Y = 1, 2, m - 2
+    assert by_letters[(x,)] == ((x * m + x) * m + x,)
+    assert by_letters[(x, y)] == ((y * m + x) * m + y, (x * m + y) * m + x)
+    assert by_letters[(x, -y)] == ((Y * m + x) * m + Y, (x * m + Y) * m + x)
+    p = theta_point(1, 2, 4)
+    table = metric._junction_table(p, 2)
+    for letters, idx in by_letters.items():
+        got = sum(map(table.__getitem__, idx))
+        assert got == length_numerator(p, conj_class(list(letters), 2))
 
 
 def test_stretch_closed_triangle():
