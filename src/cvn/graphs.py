@@ -98,6 +98,12 @@ class TopologicalType:
     def index(self, eid: str) -> int:
         return self._positions[eid]
 
+    @cached_property
+    def _edge_ends(self) -> tuple[tuple[int, int], ...]:
+        """Per edge, the positions of its two ends in the vertex list."""
+        at = {v: i for i, v in enumerate(self.vertices)}
+        return tuple((at[e.u], at[e.v]) for e in self.edges)
+
     def non_tree_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.id not in self.tree)
 
@@ -200,11 +206,12 @@ def is_connected(vertices, edges) -> bool:
     return len(seen) == len(vertices)
 
 
-def _forest_roots(vertices, edges, cycle_message: str) -> dict[str, str]:
-    """Union-find over the edges, returning the root of each vertex; the
-    first edge that closes a cycle raises NotAForest, with its id put into
-    cycle_message by str.format."""
-    parent = {v: v for v in vertices}
+def _union_find(t: TopologicalType, idx):
+    """Union-find over the vertex positions of t, joining the ends of the
+    edges at positions idx in order.  Returns (roots, None) when the edges
+    form a forest, roots[j] the root position of vertex j, and otherwise
+    (None, i) for the first edge position i that closes a cycle."""
+    parent = list(range(len(t.vertices)))
 
     def find(x):
         while parent[x] != x:
@@ -212,21 +219,25 @@ def _forest_roots(vertices, edges, cycle_message: str) -> dict[str, str]:
             x = parent[x]
         return x
 
-    for e in edges:
-        ru, rv = find(e.u), find(e.v)
+    ends = t._edge_ends
+    for i in idx:
+        u, v = ends[i]
+        ru, rv = find(u), find(v)
         if ru == rv:
-            raise NotAForest(cycle_message.format(e.id))
+            return None, i
         parent[ru] = rv
-    return {v: find(v) for v in vertices}
+    return [find(x) for x in range(len(parent))], None
 
 
 def _check_spanning_tree(t: TopologicalType):
-    tree_edges = [e for e in t.edges if e.id in t.tree]
-    if len(t.tree) != len(tree_edges):
+    tree_idx = [i for i, e in enumerate(t.edges) if e.id in t.tree]
+    if len(t.tree) != len(tree_idx):
         raise NotAForest("tree refers to unknown edges")
-    if len(tree_edges) != len(t.vertices) - 1:
+    if len(tree_idx) != len(t.vertices) - 1:
         raise NotAForest("spanning tree must have V-1 edges")
-    _forest_roots(t.vertices, tree_edges, "tree contains a cycle through {}")
+    cycle = _union_find(t, tree_idx)[1]
+    if cycle is not None:
+        raise NotAForest(f"tree contains a cycle through {t.edges[cycle].id}")
 
 
 def make_type(rank, vertices, edge_specs, tree) -> TopologicalType:
@@ -504,44 +515,58 @@ def _fundamental_cycle_tree_edges(t: TopologicalType, eid: str) -> list[str]:
 def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
     """Collapse a forest of edges; the quotient keeps the same marking.
 
-    Non-tree members are first swapped into the spanning tree (tree
-    exchange), so the actual collapse only ever kills tree edges.
+    An unknown id raises KeyError and a loop or a cycle NotAForest, on
+    every call; the quotient of each (type, forest) is built once and
+    shared (see _collapse_cached).
     """
-    forest = set(forest)
-    for eid in forest:
-        e = t.edge(eid)  # raises KeyError on unknown ids
-        if e.is_loop():
-            raise NotAForest(f"{eid} is a loop edge")
-    # edge order, not set order, so vertex names do not depend on the hash seed
-    root = _forest_roots(t.vertices, [e for e in t.edges if e.id in forest],
-                         "selected edges contain a cycle")
-    # move non-tree members into the tree one at a time
-    while True:
-        outside = [e.id for e in t.edges
-                   if e.id in forest and e.id not in t.tree]
-        if not outside:
-            break
-        f = outside[0]
-        swap = [x for x in _fundamental_cycle_tree_edges(t, f)
-                if x not in forest]
-        if not swap:
-            raise NotAForest("no tree exchange available")
-        t = _retree(t, (t.tree - {swap[0]}) | {f})
-    new_vertices = tuple(v for v in t.vertices if root[v] == v)
-    new_edges = tuple(
-        Edge(e.id, root[e.u], root[e.v], e.label)
-        for e in t.edges
-        if e.id not in forest
-    )
-    return TopologicalType(t.rank, new_vertices, new_edges,
-                           frozenset(t.tree) - forest)
+    forest = frozenset(forest)
+    idx = sorted(t.index(eid) for eid in forest)  # KeyError on unknown ids
+    for i in idx:
+        if t.edges[i].is_loop():
+            raise NotAForest(f"{t.edges[i].id} is a loop edge")
+    if _union_find(t, idx)[1] is not None:
+        raise NotAForest("selected edges contain a cycle")
+    return _collapse_cached(t, forest)
+
+
+@lru_cache(maxsize=1024)
+def _collapse_cached(t: TopologicalType, forest: frozenset) -> TopologicalType:
+    """The quotient of t by a forest of its edge ids (not checked here).
+
+    Non-tree members are first swapped into the spanning tree (tree
+    exchange), so the actual collapse only ever kills tree edges.  A
+    vertex is named after the root the union-find gives its component, in
+    edge order, so names do not depend on the hash seed.
+    """
+    roots, _ = _union_find(
+        t, [i for i, e in enumerate(t.edges) if e.id in forest])
+    # the fundamental cycle of a non-tree member leaves the forest, since
+    # the forest has no cycle: one swap per member, in edge order
+    for f in [e.id for e in t.edges if e.id in forest and e.id not in t.tree]:
+        swap = next(x for x in _fundamental_cycle_tree_edges(t, f)
+                    if x not in forest)
+        t = _retree(t, (t.tree - {swap}) | {f})
+    names = t.vertices
+    return TopologicalType(
+        t.rank,
+        tuple(v for j, v in enumerate(names) if roots[j] == j),
+        tuple(Edge(e.id, names[roots[u]], names[roots[v]], e.label)
+              for e, (u, v) in zip(t.edges, t._edge_ends)
+              if e.id not in forest),
+        t.tree - forest)
+
+
+def _edge_collapses(t: TopologicalType) -> tuple:
+    """(edge id, collapse of that edge) per non-loop edge, in edge order."""
+    return tuple((e.id, _collapse_cached(t, frozenset((e.id,))))
+                 for e in t.edges if not e.is_loop())
 
 
 def collapse_point(p: SimplexPoint, forest) -> SimplexPoint:
     """Collapse a forest and renormalize the surviving lengths."""
+    forest = frozenset(forest)
     t2 = collapse_forest(p.ttype, forest)
-    keep = [p.lengths[i] for i, e in enumerate(p.ttype.edges)
-            if e.id not in set(forest)]
+    keep = [q for e, q in zip(p.ttype.edges, p.lengths) if e.id not in forest]
     total = sum(keep)
     return SimplexPoint(t2, tuple(q / total for q in keep))
 
@@ -747,9 +772,7 @@ def record_type(buckets: dict, t: TopologicalType) -> bool:
 def faces(t: TopologicalType) -> tuple[TopologicalType, ...]:
     """Codimension-1 faces: single-edge collapses, up to equivalence."""
     buckets: dict = {}
-    collapses = (collapse_forest(t, {e.id}) for e in t.edges
-                 if not e.is_loop())
-    return tuple(c for c in collapses if record_type(buckets, c))
+    return tuple(c for _, c in _edge_collapses(t) if record_type(buckets, c))
 
 
 @lru_cache(maxsize=4096)
@@ -808,16 +831,16 @@ def apply_outer_automorphism(p: SimplexPoint, images: list[Word]) -> SimplexPoin
     )
 
 
-def forests(t: TopologicalType):
-    """All forests of non-loop edges, smallest first, including the empty one."""
-    ids = [e.id for e in t.edges if not e.is_loop()]
-    for r in range(len(ids) + 1):
-        for sub in itertools.combinations(ids, r):
-            try:
-                collapse_forest(t, sub)
-            except NotAForest:
-                continue
-            yield frozenset(sub)
+@lru_cache(maxsize=256)
+def forests(t: TopologicalType) -> tuple[frozenset, ...]:
+    """All forests of non-loop edges, smallest first, including the empty
+    one: the subsets in itertools.combinations order that the union-find
+    finds acyclic."""
+    idx = [i for i, e in enumerate(t.edges) if not e.is_loop()]
+    return tuple(frozenset(t.edges[i].id for i in sub)
+                 for r in range(len(idx) + 1)
+                 for sub in itertools.combinations(idx, r)
+                 if _union_find(t, sub)[1] is None)
 
 
 @lru_cache(maxsize=4096)
@@ -827,11 +850,11 @@ def embed_point(p: SimplexPoint, delta: TopologicalType):
     Searches the faces of delta for one equivalent to the type of p; the
     forest that was collapsed gets coordinate 0.  Memoised per (p, delta).
     """
+    size = len(delta.edges) - len(p.ttype.edges)
     for forest in forests(delta):
-        if len(delta.edges) - len(forest) != len(p.ttype.edges):
+        if len(forest) != size:
             continue
-        face = collapse_forest(delta, forest)
-        emap = _marking_isomorphism(face, p.ttype)
+        emap = _marking_isomorphism(_collapse_cached(delta, forest), p.ttype)
         if emap is None:
             continue
         coords = []
@@ -847,6 +870,9 @@ def embed_point(p: SimplexPoint, delta: TopologicalType):
 def point_from_coords(delta: TopologicalType, coords) -> SimplexPoint:
     """Point of the closed simplex: zero coordinates collapse their edges."""
     coords = tuple(Fraction(c) for c in coords)
+    if len(coords) != len(delta.edges):
+        raise WrongRank(f"{len(coords)} coordinates for "
+                        f"{len(delta.edges)} edges")
     zero = {e.id for e, c in zip(delta.edges, coords) if c == 0}
     if any(c < 0 for c in coords):
         raise NonpositiveLength("negative coordinate")

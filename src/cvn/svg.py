@@ -24,8 +24,8 @@ from .errors import Unsupported
 from .graphs import (
     SimplexPoint,
     TopologicalType,
+    _edge_collapses,
     _marking_isomorphism,
-    collapse_forest,
     embed_point,
 )
 
@@ -70,17 +70,12 @@ def _maximal(simplices):
 
 def _face_matches(t1: TopologicalType, t2: TopologicalType):
     """Shared two-edge faces: (collapsed id in t1, collapsed id in t2, map)."""
-    for e1 in t1.edges:
-        if e1.is_loop():
-            continue
-        c1 = collapse_forest(t1, {e1.id})
-        for e2 in t2.edges:
-            if e2.is_loop():
-                continue
-            c2 = collapse_forest(t2, {e2.id})
+    faces2 = _edge_collapses(t2)
+    for id1, c1 in _edge_collapses(t1):
+        for id2, c2 in faces2:
             emap = _marking_isomorphism(c1, c2)
             if emap is not None:
-                yield e1.id, e2.id, {k: v[0] for k, v in emap.items()}
+                yield id1, id2, {k: v[0] for k, v in emap.items()}
 
 
 def _reflect(p, a, b):

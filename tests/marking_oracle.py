@@ -1,4 +1,5 @@
-"""Slow, independent twins of the marked-type dedupe, for tests only.
+"""Slow, independent twins of the marked-type dedupe and the face table,
+for tests only.
 
 `cvn.graphs` buckets types by `type_key` and runs `marking_equivalent`
 only inside a bucket.  The routines here decide "same marked type" the
@@ -6,6 +7,12 @@ older ways: `faces` scans every kept type with `marking_equivalent`,
 `resolutions` treats two trivalent types as the same when their uniform
 points are at stretch 1 in both directions, and `support` scans its list
 of examined simplices.  They must keep the same types in the same order.
+
+`cvn.graphs` also builds each forest collapse once and keeps each type's
+forests as a tuple found by a union-find over edge positions.  Here
+`collapse_forest` builds the quotient afresh on every call, swapping one
+non-tree member into the tree per pass, and `forests` keeps the subsets
+that it collapses without NotAForest.
 """
 
 from __future__ import annotations
@@ -20,17 +27,86 @@ from cvn.envelopes import (
     star_system,
     starstar_system,
 )
-from cvn.errors import BudgetExceeded
+from cvn.errors import BudgetExceeded, NotAForest
 from cvn.graphs import (
+    Edge,
     SimplexPoint,
     TopologicalType,
+    _fundamental_cycle_tree_edges,
+    _retree,
     adjacent_simplices,
     blow_up_vertex,
-    collapse_forest,
     marking_equivalent,
 )
 from cvn.metric import stretch
 from cvn.polytope import feasible
+
+
+def _forest_roots(vertices, edges) -> dict[str, str]:
+    """Union-find over the edges, returning the root of each vertex; the
+    first edge that closes a cycle raises NotAForest."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in edges:
+        ru, rv = find(e.u), find(e.v)
+        if ru == rv:
+            raise NotAForest("selected edges contain a cycle")
+        parent[ru] = rv
+    return {v: find(v) for v in vertices}
+
+
+def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
+    """Collapse a forest of edges; the quotient keeps the same marking.
+
+    Non-tree members are first swapped into the spanning tree (tree
+    exchange), so the actual collapse only ever kills tree edges.
+    """
+    forest = set(forest)
+    for eid in forest:
+        e = t.edge(eid)  # raises KeyError on unknown ids
+        if e.is_loop():
+            raise NotAForest(f"{eid} is a loop edge")
+    # edge order, not set order, so vertex names do not depend on the hash seed
+    root = _forest_roots(t.vertices, [e for e in t.edges if e.id in forest])
+    # move non-tree members into the tree one at a time
+    while True:
+        outside = [e.id for e in t.edges
+                   if e.id in forest and e.id not in t.tree]
+        if not outside:
+            break
+        f = outside[0]
+        swap = [x for x in _fundamental_cycle_tree_edges(t, f)
+                if x not in forest]
+        if not swap:
+            raise NotAForest("no tree exchange available")
+        t = _retree(t, (t.tree - {swap[0]}) | {f})
+    new_vertices = tuple(v for v in t.vertices if root[v] == v)
+    new_edges = tuple(
+        Edge(e.id, root[e.u], root[e.v], e.label)
+        for e in t.edges
+        if e.id not in forest
+    )
+    return TopologicalType(t.rank, new_vertices, new_edges,
+                           frozenset(t.tree) - forest)
+
+
+def forests(t: TopologicalType):
+    """All forests of non-loop edges, smallest first, including the empty
+    one: every subset that collapse_forest accepts."""
+    ids = [e.id for e in t.edges if not e.is_loop()]
+    for r in range(len(ids) + 1):
+        for sub in itertools.combinations(ids, r):
+            try:
+                collapse_forest(t, sub)
+            except NotAForest:
+                continue
+            yield frozenset(sub)
 
 
 def faces(t: TopologicalType) -> list[TopologicalType]:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,6 +37,7 @@ from cvn.graphs import (
     collapse_point,
     embed_point,
     faces,
+    forests,
     graph_from_json,
     loop_word,
     make_type,
@@ -54,6 +56,7 @@ from cvn.graphs import (
     type_key,
     validate_and_normalize,
 )
+from cvn.sampling import random_pair
 from cvn.words import conj_class, conjugacy_classes_up_to, reduce, generator
 
 
@@ -405,6 +408,30 @@ def test_resolutions_and_faces_match_oracle_rank3():
             assert list(adjacent_simplices(f)) == marking_oracle.faces(f) + want
 
 
+def _face_table_types():
+    """The rank-2 types with their faces, all 105 trivalent rank-3 charts,
+    and the charts of twisted random points of ranks 2 and 3."""
+    rank2 = [rose_type(2), theta_type(), twisted_theta_type(), barbell_type()]
+    rank2 += [f for t in rank2 for f in faces(t)]
+    rng = random.Random(7)
+    twisted = [p.ttype for r in (2, 3) for _ in range(6)
+               for p in random_pair(r, rng, twist_steps=3)]
+    return rank2 + list(resolutions(rose_type(3))) + twisted
+
+
+def test_face_table_matches_trial_collapse_oracle():
+    # the same forests in the same order, and equal quotients of each
+    seen = 0
+    for t in _face_table_types():
+        table = forests(t)
+        assert list(table) == list(marking_oracle.forests(t))
+        for forest in table:
+            assert collapse_forest(t, forest) == \
+                marking_oracle.collapse_forest(t, forest)
+            seen += len(forest) >= 2
+    assert seen > 0
+
+
 @pytest.mark.parametrize("fn, t", [
     (faces, theta_type()),
     (resolutions, rose_type(2)),
@@ -528,6 +555,15 @@ def test_point_from_coords_interior_and_face():
     with pytest.raises(NotAForest):
         point_from_coords(barbell_type(),
                           [Fraction(0), Fraction(1, 2), Fraction(1, 2)])
+
+
+def test_point_from_coords_needs_one_coordinate_per_edge():
+    t = theta_type()
+    for coords in ([Fraction(1, 2), 0, Fraction(1, 2), 0],
+                   [Fraction(1, 2), Fraction(1, 2)],
+                   [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0]):
+        with pytest.raises(WrongRank):
+            point_from_coords(t, coords)
 
 
 def test_collapse_point_renormalizes():

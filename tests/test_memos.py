@@ -2,8 +2,8 @@
 
 Each memoised answer is compared with the answer computed again after every
 cache of the package has been emptied, and embeddings with the first edge
-map of marking_isomorphisms, which is how embed_point found them before it
-was memoised.
+map of marking_isomorphisms over the uncached forests and collapses of
+marking_oracle, which is how embed_point found them before it was memoised.
 """
 
 import importlib
@@ -16,12 +16,14 @@ from pathlib import Path
 import pytest
 
 import cvn
+import marking_oracle
 from cvn import candidates, graphs
-from cvn.errors import BudgetExceeded
+from cvn.errors import BudgetExceeded, NotAForest
 from cvn.envelopes import reference_witness, slice_polytope, support
 from cvn.graphs import (
     SimplexPoint,
     adjacent_simplices,
+    barbell_type,
     collapse_forest,
     embed_point,
     forests,
@@ -29,6 +31,7 @@ from cvn.graphs import (
     resolutions,
     rose_type,
     theta_point,
+    theta_type,
     tighten,
     twisted_theta_point,
 )
@@ -69,7 +72,8 @@ def test_every_cache_is_bounded():
     caches = _caches()
     for name in ("cvn.metric.stretch_report", "cvn.envelopes._slice",
                  "cvn.envelopes._support", "cvn.graphs.embed_point",
-                 "cvn.graphs._marking_isomorphism"):
+                 "cvn.graphs._marking_isomorphism", "cvn.graphs.forests",
+                 "cvn.graphs._collapse_cached"):
         assert name in caches
     for name, fn in caches.items():
         assert fn.cache_parameters()["maxsize"] is not None, name
@@ -102,6 +106,36 @@ def test_letter_path_table_is_bounded_and_cleared():
     _bench_tracer().clear_caches()
     assert table.cache_info().currsize == 0
     assert graphs._tighten_cached.cache_info().currsize == 0
+
+
+def test_face_table_is_shared_and_cleared():
+    t = theta_type()
+    assert forests(t) is forests(t)
+    assert type(forests(t)) is tuple
+    for forest in forests(t):
+        once = collapse_forest(t, forest)
+        assert collapse_forest(t, set(forest)) is once
+        assert collapse_forest(t, sorted(forest)) is once
+    assert graphs._collapse_cached.cache_info().currsize > 0
+    _bench_tracer().clear_caches()
+    assert graphs.forests.cache_info().currsize == 0
+    assert graphs._collapse_cached.cache_info().currsize == 0
+
+
+def test_bad_forests_are_raised_again_and_never_cached():
+    t = barbell_type()
+    collapse_forest(t, {"e2"})
+    before = graphs._collapse_cached.cache_info()
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            collapse_forest(t, {"e2", "nope"})
+        with pytest.raises(NotAForest):
+            collapse_forest(t, {"e1"})  # a loop
+        with pytest.raises(NotAForest):
+            collapse_forest(theta_type(), {"e1", "e2"})  # a cycle
+    after = graphs._collapse_cached.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_brute_force_lambda_leaves_tighten_memo_empty():
@@ -190,10 +224,10 @@ def test_support_memo_keeps_the_budget_apart(monkeypatch):
 
 
 def _first_map_embedding(p, delta):
-    for forest in forests(delta):
+    for forest in marking_oracle.forests(delta):
         if len(delta.edges) - len(forest) != len(p.ttype.edges):
             continue
-        face = collapse_forest(delta, forest)
+        face = marking_oracle.collapse_forest(delta, forest)
         emap = next(marking_isomorphisms(face, p.ttype), None)
         if emap is None:
             continue
