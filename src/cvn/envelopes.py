@@ -11,10 +11,11 @@ simplex.  Out- and in-envelopes are the one-sided versions.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from operator import mul, or_
 
 from .candidates import edge_counts, enumerate_candidates
 from .errors import (
@@ -29,10 +30,11 @@ from .errors import (
 from .graphs import (
     SimplexPoint,
     TopologicalType,
-    adjacent_simplices,
+    face_edges,
     make_type,
     point_from_coords,
     record_type,
+    resolutions,
 )
 from .metric import conj_length, length_numerator, stretch_report
 from .polytope import HalfSpace, Polytope, equality, feasible
@@ -205,34 +207,46 @@ class Support:
 def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
     """All simplices meeting Env(a,b), found by flood fill from T(a).
 
-    Each marked type is queued once, and the budget bounds how many
-    distinct simplices are examined.  Memoised per (a, b, budget) once
+    Each marked type is queued once, and only when its slice is known to
+    be nonempty, so the budget bounds how many simplices the fill enters,
+    which is the number it finds.  Memoised per (a, b, budget) once
     CVN_BUDGET has filled in a missing budget: repeated calls return one
-    shared, immutable Support, and each examined slice is left in the
-    slice cache for the walker and the picture.  BudgetExceeded is raised
-    again on every call."""
+    shared, immutable Support, and each entered slice is left in the
+    slice cache, with its vertices, for the walker and the picture.
+    BudgetExceeded is raised again on every call."""
     return _support(a, b, _budget(budget))
 
 
 @lru_cache(maxsize=64)
 def _support(a: SimplexPoint, b: SimplexPoint, budget: int) -> Support:
+    """The flood fill behind support.
+
+    Only T(a) is tested by feasible().  Every other simplex is queued
+    from an entered simplex t whose slice vertices are known: the slice
+    of the face collapsing edge e is slice(t) with x_e = 0, so the face
+    is queued when some vertex of t has x_e = 0, and t's slice is a face
+    of each resolution's slice, so every resolution is queued."""
     gamma = reference_witness(a, b)
+    start = _slice(a, b, gamma, a.ttype)
+    if not feasible(start.star + start.starstar, len(a.ttype.edges)):
+        return Support(())
     found: list[TopologicalType] = []
     queued: dict = {}
     record_type(queued, a.ttype)
-    queue = [a.ttype]
-    examined = 0
+    queue = deque([a.ttype])
     while queue:
-        t = queue.pop(0)
-        examined += 1
-        if examined > budget:
-            raise BudgetExceeded(f"support search examined > {budget} simplices")
-        sl = _slice(a, b, gamma, t)
-        if not feasible(sl.star + sl.starstar, len(t.edges)):
-            continue
+        t = queue.popleft()
+        if len(found) == budget:
+            raise BudgetExceeded(f"support search entered > {budget} simplices")
+        zs = [z for _, z in slice_polytope(a, b, gamma, t)._vertex_zero_sets]
+        if not zs:
+            raise SelfCheckFailed(
+                f"support entered an empty slice in {[e.id for e in t.edges]}")
+        zero = reduce(or_, zs)
         found.append(t)
-        queue.extend(x for x in adjacent_simplices(t)
-                     if record_type(queued, x))
+        queue.extend(f for i, f in face_edges(t)
+                     if zero >> i & 1 and record_type(queued, f))
+        queue.extend(r for r in resolutions(t) if record_type(queued, r))
     return Support(tuple(found))
 
 

@@ -26,7 +26,6 @@ from .envelopes import (
 )
 from .errors import (
     NoFacetChain,
-    NotAForest,
     NotAGeodesic,
     NotMaximalSimplex,
     ParamOutOfRange,
@@ -39,6 +38,7 @@ from .graphs import (
     TopologicalType,
     adjacent_simplices,
     embed_point,
+    forests,
     point_from_coords,
 )
 from .metric import is_witness, same_point, stretch, stretch_report
@@ -104,13 +104,8 @@ def _score(delta: TopologicalType, gamma: ConjClass, coords) -> Fraction:
 def _collapsible(delta: TopologicalType, coords) -> bool:
     """Whether the zero set of coords is a collapsible forest, so the
     vertex is an actual point of the space rather than an ideal corner."""
-    if all(c > 0 for c in coords):
-        return True
-    try:
-        point_from_coords(delta, coords)
-    except NotAForest:
-        return False
-    return True
+    zero = frozenset(e.id for e, c in zip(delta.edges, coords) if c == 0)
+    return not zero or zero in forests(delta)
 
 
 def _forward_vertex(poly: Polytope, coords, score, delta=None,

@@ -89,6 +89,12 @@ class TopologicalType:
         return self._hash
 
     @cached_property
+    def _key(self) -> tuple:
+        # record_type buckets every type it sees; compute its key once
+        return (len(self.edges),) + tuple(
+            len(_loop_codes(self, g)) for g in _key_classes(self.rank))
+
+    @cached_property
     def _positions(self) -> dict[str, int]:
         return {e.id: i for i, e in enumerate(self.edges)}
 
@@ -742,10 +748,9 @@ def type_key(t: TopologicalType) -> tuple:
     Equivalent types share a key, but a shared key proves nothing: no
     finite set of classes tells all marked types apart from rank 3 on
     (Smillie and Vogtmann 1992), so equality is always decided by
-    marking_equivalent inside the bucket.
+    marking_equivalent inside the bucket.  Computed once per type object.
     """
-    return (len(t.edges),) + tuple(
-        len(_loop_codes(t, g)) for g in _key_classes(t.rank))
+    return t._key
 
 
 @lru_cache(maxsize=8)
@@ -769,10 +774,17 @@ def record_type(buckets: dict, t: TopologicalType) -> bool:
 
 
 @lru_cache(maxsize=4096)
+def face_edges(t: TopologicalType) -> tuple[tuple[int, TopologicalType], ...]:
+    """Codimension-1 faces up to equivalence, each with the position in
+    t.edges of the first edge whose collapse gives it."""
+    buckets: dict = {}
+    return tuple((t.index(eid), c) for eid, c in _edge_collapses(t)
+                 if record_type(buckets, c))
+
+
 def faces(t: TopologicalType) -> tuple[TopologicalType, ...]:
     """Codimension-1 faces: single-edge collapses, up to equivalence."""
-    buckets: dict = {}
-    return tuple(c for _, c in _edge_collapses(t) if record_type(buckets, c))
+    return tuple(c for _, c in face_edges(t))
 
 
 @lru_cache(maxsize=4096)

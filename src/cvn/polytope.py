@@ -291,11 +291,6 @@ class Polytope:
     def dim(self) -> int:
         return affine_rank(self.vertices)
 
-    def tight_set(self, x) -> frozenset:
-        return frozenset(
-            i for i, h in enumerate(self.constraints) if h.value(x) == 0
-        )
-
     @cached_property
     def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
         """1-faces as index pairs into the vertex list."""

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from cvn.errors import (
 )
 from cvn.graphs import (
     barbell_point,
+    collapse_forest,
     marking_equivalent,
     point_from_coords,
     resolutions,
@@ -38,7 +40,7 @@ from cvn.graphs import (
     theta_type,
 )
 from cvn.metric import conj_length, is_witness, stretch, stretch_report
-from cvn.polytope import Polytope
+from cvn.polytope import Polytope, feasible
 from cvn.sampling import random_pair, random_point
 from cvn.words import class_order, conj_class
 
@@ -231,12 +233,74 @@ def test_support_cross_simplex():
     (barbell_point(1, 2, 3), theta_point(3, 1, 2)),
 ])
 def test_support_matches_pop_dedupe_oracle(a, b):
-    want, examined = marking_oracle.support(a, b)
+    want, _ = marking_oracle.support(a, b)
     assert support(a, b) == want
-    # the budget counts the same distinct simplices
-    assert support(a, b, budget=examined) == want
+    # the budget counts the simplices entered, which are those found
+    entered = len(want.simplices)
+    assert support(a, b, budget=entered) == want
     with pytest.raises(BudgetExceeded):
-        support(a, b, budget=examined - 1)
+        support(a, b, budget=entered - 1)
+
+
+@pytest.fixture(scope="module")
+def rank3_steps():
+    """Consecutive breakpoints of a seeded rank-3 walk, whose supports
+    hold 1 to 48 simplices."""
+    from cvn.geodesics import piecewise_rigid_geodesic
+
+    a, b = random_pair(3, random.Random(1))
+    pts = piecewise_rigid_geodesic(a, b).breakpoints
+    return list(zip(pts, pts[1:]))
+
+
+def test_face_slice_is_the_slice_on_its_coordinate_hyperplane(rank3_steps):
+    # the support fill reads each face's feasibility and vertices from
+    # the slice it collapses from; check that against the face's own rows
+    rng = random.Random(7)
+    pairs = [random_pair(2, rng) for _ in range(6)] + rank3_steps
+    outcomes = set()
+    t0 = time.monotonic()
+    for a, b in pairs:
+        gamma = reference_witness(a, b)
+        for t in support(a, b).simplices:
+            verts = slice_polytope(a, b, gamma, t).vertices
+            for i, e in enumerate(t.edges):
+                if e.is_loop():
+                    continue
+                face = slice_polytope(a, b, gamma, collapse_forest(t, {e.id}))
+                on = sorted(v[:i] + v[i + 1:] for v in verts if v[i] == 0)
+                assert feasible(face.halfspaces, face.ambient_dim) == bool(on)
+                assert list(face.vertices) == on
+                outcomes.add((a.ttype.rank, bool(on)))
+    assert outcomes == {(r, x) for r in (2, 3) for x in (False, True)}
+    assert time.monotonic() - t0 < 60
+
+
+def test_support_matches_pop_dedupe_oracle_at_rank3(rank3_steps):
+    t0 = time.monotonic()
+    for a, b in rank3_steps:
+        want, _ = marking_oracle.support(a, b)
+        assert support(a, b) == want
+    assert time.monotonic() - t0 < 60
+
+
+def test_fresh_support_tests_feasibility_once(monkeypatch):
+    import cvn.envelopes
+    import cvn.polytope
+
+    calls = []
+
+    def counted(hs, d):
+        calls.append(d)
+        return feasible(hs, d)
+
+    monkeypatch.setattr(cvn.envelopes, "feasible", counted)
+    monkeypatch.setattr(cvn.polytope, "feasible", counted)
+    cvn.envelopes._support.cache_clear()
+    a = theta_point(1, 2, 4)
+    sup = support(a, rose_point([1, 3]))
+    assert len(sup.simplices) > 1
+    assert calls == [len(a.ttype.edges)]
 
 
 def test_direction_reduction_idempotent():
