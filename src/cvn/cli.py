@@ -99,6 +99,13 @@ def _emit(obj, json_path=None):
             fh.write(text + "\n")
 
 
+def _write(path, text) -> None:
+    """Write text to the file at path, when both are given."""
+    if path and text is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def cmd_validate(args) -> int:
     p = _load_point(args.graph)
     if args.reduced:
@@ -158,14 +165,15 @@ def cmd_envelope(args) -> int:
 
     a = _load_point(args.a)
     b = _load_point(args.b)
+    # the picture is made first: a rank it cannot draw fails before any
+    # output is printed or any file is opened
+    svg = render_envelope_svg(a, b, budget=args.budget) if args.svg else None
     slices = envelope_vertices_json(a, b, budget=args.budget)
     obj = {"stretch": _rat(stretch(a, b)),
            "witness": str(reference_witness(a, b)),
            "slices": slices}
     _emit(obj, args.json)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_envelope_svg(a, b, budget=args.budget))
+    _write(args.svg, svg)
     return 0
 
 
@@ -199,11 +207,10 @@ def cmd_geodesic(args) -> int:
         "rigid": rigid,
         "stretch": _rat(stretch(a, b)),
     }
+    svg = (render_envelope_svg(a, b, path=path.breakpoints,
+                               budget=args.budget) if args.svg else None)
     _emit(obj, args.json)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_envelope_svg(a, b, path=path.breakpoints,
-                                         budget=args.budget))
+    _write(args.svg, svg)
     return 0
 
 

@@ -238,7 +238,7 @@ def _support(a: SimplexPoint, b: SimplexPoint, budget: int) -> Support:
         t = queue.popleft()
         if len(found) == budget:
             raise BudgetExceeded(f"support search entered > {budget} simplices")
-        zs = [z for _, z in slice_polytope(a, b, gamma, t)._vertex_zero_sets]
+        zs = [v[1] for v in slice_polytope(a, b, gamma, t)._vertex_rays]
         if not zs:
             raise SelfCheckFailed(
                 f"support entered an empty slice in {[e.id for e in t.edges]}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .candidates import candidate_words, edge_counts
 from .envelopes import (
@@ -96,9 +97,22 @@ def _chart_order(t: TopologicalType):
     )
 
 
-def _score(delta: TopologicalType, gamma: ConjClass, coords) -> Fraction:
-    counts = edge_counts(delta, gamma)
-    return sum(Fraction(n) * c for n, c in zip(counts, coords))
+def _vertex_scores(poly: Polytope, counts) -> list[tuple[int, int]]:
+    """Per vertex of poly, the length n . v of the walked class as the
+    integer pair (n . r, s) from the vertex's ray r over its sum s."""
+    return [(sum(map(mul, counts, r)), s) for r, s in poly.rays]
+
+
+def _coords_score(counts, coords) -> tuple[int, int]:
+    """The score n . x of a point as (numerator, denominator)."""
+    q = sum(map(mul, counts, coords))
+    return q.numerator, q.denominator
+
+
+def _beats(p, q) -> bool:
+    """Whether score p = (n, s) is larger than score q, with positive
+    denominators: by cross-multiplication."""
+    return p[0] * q[1] > q[0] * p[1]
 
 
 def _collapsible(delta: TopologicalType, coords) -> bool:
@@ -108,9 +122,22 @@ def _collapsible(delta: TopologicalType, coords) -> bool:
     return not zero or zero in forests(delta)
 
 
-def _forward_vertex(poly: Polytope, coords, score, delta=None,
+def _adjacency(poly: Polytope) -> dict:
+    """The skeleton neighbours of each vertex index."""
+    adj: dict = {i: [] for i in range(len(poly.vertices))}
+    for u, w in poly.skeleton_edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    return adj
+
+
+def _forward_vertex(poly: Polytope, coords, counts, delta=None,
                     require_clean=False):
     """Best strictly-improving neighbour of coords in the polytope skeleton.
+
+    The walk maximizes n . x, with n the edge counts of the walked class
+    in the chart.  Each vertex is scored once, from its integer ray, and
+    scores are compared by cross-multiplication.
 
     coords may be a vertex or sit in the relative interior of a skeleton
     edge.  Ideal corners (zero sets that are not forests) are never
@@ -121,21 +148,20 @@ def _forward_vertex(poly: Polytope, coords, score, delta=None,
     to answer at all when every route onward walks a boundary face.
     """
     vs = poly.vertices
+    scores = _vertex_scores(poly, counts)
 
     def edge_on_boundary(u, v):
         return any(x == 0 and y == 0 for x, y in zip(u, v))
 
     standable = set(range(len(vs)))
     if delta is not None:
-        standable = {i for i in standable if _collapsible(delta, vs[i])}
-    adj: dict = {i: [] for i in range(len(vs))}
-    for u, w in poly.skeleton_edges:
-        adj[u].append(w)
-        adj[w].append(u)
+        standable = {i for i in standable
+                     if _collapsible(delta, poly.rays[i][0])}
+    adj = _adjacency(poly)
 
     def improving(i):
         return [j for j in adj[i] if j in standable
-                and score(vs[j]) > score(vs[i])]
+                and _beats(scores[j], scores[i])]
 
     def reaches_sink(i, avoid_boundary):
         seen = {i}
@@ -155,35 +181,32 @@ def _forward_vertex(poly: Polytope, coords, score, delta=None,
         return False
 
     if coords in vs:
-        i = vs.index(coords)
-        options = [vs[j] for j in improving(i)]
+        options = improving(vs.index(coords))
     else:
-        options = []
-        for u, w in poly.skeleton_edges:
-            lo, hi = vs[u], vs[w]
-            if _on_segment(coords, lo, hi):
-                options += [vs[j] for j in (u, w)
-                            if j in standable
-                            and score(vs[j]) > score(coords)]
+        here = _coords_score(counts, coords)
+        options = [j for u, w in poly.skeleton_edges
+                   if _on_segment(coords, vs[u], vs[w])
+                   for j in (u, w)
+                   if j in standable and _beats(scores[j], here)]
     if not options:
         return None
 
-    def is_clean(v):
+    def is_clean(j):
         # edges inside a boundary face of the chart do not pin down the
         # envelope of their own endpoints, so prefer neighbours from which
         # the top of the chart is reachable without ever walking one
-        return (not edge_on_boundary(coords, v)
-                and reaches_sink(vs.index(v), avoid_boundary=True))
+        return (not edge_on_boundary(coords, vs[j])
+                and reaches_sink(j, avoid_boundary=True))
 
     if require_clean:
-        options = [v for v in options if is_clean(v)]
+        options = [j for j in options if is_clean(j)]
         if not options:
             return None
-        return min(options)
-    return min(options, key=lambda v: (not is_clean(v), v))
+        return min(vs[j] for j in options)
+    return vs[min(options, key=lambda j: (not is_clean(j), vs[j]))]
 
 
-def _ideal_half_step(poly: Polytope, coords, score, delta):
+def _ideal_half_step(poly: Polytope, coords, counts, delta):
     """Step halfway toward an improving ideal corner of the polytope.
 
     A ray can leave every rose face behind: its envelope then runs from
@@ -193,20 +216,15 @@ def _ideal_half_step(poly: Polytope, coords, score, delta):
     the walk samples the midpoint instead of stopping dead.
     """
     vs = poly.vertices
-    adj: dict = {i: [] for i in range(len(vs))}
-    for u, w in poly.skeleton_edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    options = []
+    scores = _vertex_scores(poly, counts)
+    here = _coords_score(counts, coords)
     if coords in vs:
-        i = vs.index(coords)
-        options = [vs[j] for j in adj[i] if score(vs[j]) > score(coords)]
+        near = _adjacency(poly)[vs.index(coords)]
     else:
-        for u, w in poly.skeleton_edges:
-            if _on_segment(coords, vs[u], vs[w]):
-                options += [vs[j] for j in (u, w)
-                            if score(vs[j]) > score(coords)]
-    options = [v for v in options if not _collapsible(delta, v)]
+        near = [j for u, w in poly.skeleton_edges
+                if _on_segment(coords, vs[u], vs[w]) for j in (u, w)]
+    options = [vs[j] for j in near if _beats(scores[j], here)
+               and not _collapsible(delta, poly.rays[j][0])]
     if not options:
         return None
     target = min(options)
@@ -230,9 +248,8 @@ def _on_segment(x, lo, hi) -> bool:
 
 
 def _witness_pool(p: SimplexPoint, b: SimplexPoint) -> frozenset:
-    return frozenset(
-        g for g in candidate_words(p.ttype) if is_witness(g, p, b)
-    )
+    """The candidates of p's type stretched maximally from p to b."""
+    return stretch_report(p, b).candidate_witnesses
 
 
 def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
@@ -294,10 +311,6 @@ def _class_witnesses(p: SimplexPoint, b: SimplexPoint) -> set:
 def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
              delta: TopologicalType, coords):
     """One skeleton-edge step forward; crosses simplices when needed."""
-
-    def score_in(dl):
-        return lambda v: _score(dl, gamma, v)
-
     here = point_from_coords(delta, coords)
     charts = list(adjacent_simplices(delta))
     if len(here.ttype.edges) < len(delta.edges):
@@ -318,14 +331,15 @@ def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
     # then allow boundary steps as a last resort
     for clean in (True, False):
         nxt = _forward_vertex(slice_polytope(base, b, gamma, delta),
-                              coords, score_in(delta), delta, clean)
+                              coords, edge_counts(delta, gamma), delta, clean)
         if nxt is not None:
             return delta, nxt
         for _, d2, emb in candidates:
             poly2 = slice_polytope(base, b, gamma, d2)
             if not poly2.is_feasible():
                 continue
-            nxt = _forward_vertex(poly2, emb, score_in(d2), d2, clean)
+            nxt = _forward_vertex(poly2, emb, edge_counts(d2, gamma), d2,
+                                  clean)
             if nxt is not None:
                 return d2, nxt
     return None
@@ -524,13 +538,9 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
         guard += 1
         if guard > budget:
             raise WalkStuck(f"ray walk exceeded {budget} steps")
-
-        def score(dl):
-            return lambda v: _score(dl, gamma, v)
-
         poly = out_envelope(base, direction, delta)
         nxt = poly.is_feasible() and _forward_vertex(
-            poly, coords, score(delta), delta
+            poly, coords, edge_counts(delta, gamma), delta
         )
         if nxt:
             coords = nxt
@@ -551,10 +561,11 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
                 poly2 = out_envelope(here, direction, d2)
                 if not poly2.is_feasible():
                     continue
+                counts = edge_counts(d2, gamma)
                 if toward_ideal:
-                    step = _ideal_half_step(poly2, emb, score(d2), d2)
+                    step = _ideal_half_step(poly2, emb, counts, d2)
                 else:
-                    step = _forward_vertex(poly2, emb, score(d2), d2)
+                    step = _forward_vertex(poly2, emb, counts, d2)
                 if step is not None:
                     moved = (d2, step)
                     break

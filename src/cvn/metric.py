@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
 from .candidates import enumerate_candidates
@@ -26,8 +27,8 @@ from .graphs import (
     TopologicalType,
     _letter_paths,
     _loop_codes,
+    _marking_isomorphism,
     _tighten_cached,
-    marking_equivalent,
 )
 from .words import ConjClass, conjugacy_classes_up_to
 
@@ -65,16 +66,30 @@ class StretchReport:
 def stretch_report(a: SimplexPoint, b: SimplexPoint) -> StretchReport:
     """Maximal stretch from a to b with the argmax candidate set CW(a,b).
 
+    The stretch of candidate w is L_b(w) d_a / (L_a(w) d_b), with L the
+    length numerators and d the denominators of the two points.  L_a(w)
+    sums a's numerators over the candidate's own edge counts in a, so it
+    needs no tightening; candidates are compared by integer
+    cross-multiplication of (L_b, L_a) and each entry of per_candidate is
+    one Fraction.
+
     Memoised per (a, b): repeated calls return one shared report, whose
     per_candidate mapping is read-only."""
     if a.ttype.rank != b.ttype.rank:
         raise RankMismatch("points live in different Outer Spaces")
-    per = {}
-    for c in enumerate_candidates(a.ttype):
-        per[c.word] = conj_length(b, c.word) / conj_length(a, c.word)
-    lam = max(per.values())
-    cw = frozenset(w for w, r in per.items() if r == lam)
-    return StretchReport(lam, cw, MappingProxyType(per))
+    nums, da = a.scaled_lengths
+    db = b.scaled_lengths[1]
+    lens = [(c.word, length_numerator(b, c.word),
+             sum(map(mul, nums, c.counts)))
+            for c in enumerate_candidates(a.ttype)]
+    best_b, best_a = 0, 1  # every stretch is positive
+    for _, lb, la in lens:
+        if lb * best_a > best_b * la:
+            best_b, best_a = lb, la
+    per = {w: Fraction(lb * da, la * db) for w, lb, la in lens}
+    cw = frozenset(w for w, lb, la in lens if lb * best_a == best_b * la)
+    return StretchReport(Fraction(best_b * da, best_a * db), cw,
+                         MappingProxyType(per))
 
 
 def stretch(a: SimplexPoint, b: SimplexPoint) -> Fraction:
@@ -107,10 +122,14 @@ def distance(a: SimplexPoint, b: SimplexPoint, mode: str = "right") -> Distance:
 
 
 def is_witness(gamma: ConjClass, a: SimplexPoint, b: SimplexPoint) -> bool:
-    """Whether gamma is stretched maximally from a to b."""
+    """Whether gamma is stretched maximally from a to b: L_b d_a / (L_a d_b)
+    equals lam, compared by integer cross-multiplication."""
     if gamma.is_trivial():
         raise TrivialClass("trivial class cannot witness")
-    return conj_length(b, gamma) / conj_length(a, gamma) == stretch(a, b)
+    lam = stretch(a, b)
+    lb = length_numerator(b, gamma) * a.scaled_lengths[1]
+    la = length_numerator(a, gamma) * b.scaled_lengths[1]
+    return lb * lam.denominator == lam.numerator * la
 
 
 def candidate_witnesses(a: SimplexPoint, b: SimplexPoint) -> frozenset:
@@ -118,12 +137,14 @@ def candidate_witnesses(a: SimplexPoint, b: SimplexPoint) -> frozenset:
 
 
 def same_point(a: SimplexPoint, b: SimplexPoint) -> bool:
-    """Equality as points of Outer Space (zero symmetric distance)."""
-    return (
-        marking_equivalent(a.ttype, b.ttype)
-        and stretch(a, b) == 1
-        and stretch(b, a) == 1
-    )
+    """Equality as points of Outer Space (zero symmetric distance): the
+    edge map of a marking equivalence of the two types carries every
+    length of a to an equal length of b.  Every vertex has valency at
+    least 3, so a graph automorphism that fixes the marking is the
+    identity and the edge map is unique."""
+    emap = _marking_isomorphism(a.ttype, b.ttype)
+    return emap is not None and all(
+        a.length_of(e) == b.length_of(f) for e, (f, _) in emap.items())
 
 
 def _cancel(left, right) -> int:

@@ -5,8 +5,9 @@ are cut out by homogeneous half-spaces c.x >= 0.  So each one is the slice
 sum x = 1 of the pointed cone {x >= 0 : c.x >= 0}, and its vertices are the
 extreme rays of that cone scaled to sum 1.  One exact routine finds those
 rays over the integers by the double-description method, adding the rows
-with the most negative entries first.  Vertices and skeleton edges come
-from the rays of the full run and their zero sets.  Feasibility stops at
+with the most negative entries first.  Vertices, dimension and skeleton
+edges come from the rays of the full run and their zero sets, the
+dimension with no Fraction at all.  Feasibility stops at
 a certificate: the first ray that already satisfies every row still to be
 added is a point of the cone, and only a run that ends with no ray left
 says the polytope is empty.
@@ -201,34 +202,25 @@ def feasible(halfspaces, ambient_dim: int) -> bool:
     return bool(_extreme_rays(halfspaces, ambient_dim, witness=True))
 
 
-# ---------------------------------------------------------------------------
-# Linear algebra helpers.
-# ---------------------------------------------------------------------------
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a point set (-1 when empty)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    rows = [[q - b for q, b in zip(p, base)] for p in pts[1:]]
-    rank = 0
-    cols = len(base)
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+def _integer_rank(rows) -> int:
+    """Rank of integer vectors by fraction-free elimination (Bareiss 1968):
+    each step cross-multiplies by the pivot and divides exactly by the
+    previous pivot, so every entry stays an integer minor of the input."""
+    rows = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        rows[r] = [q / p for q in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +259,39 @@ class Polytope:
         return tuple(out)
 
     @cached_property
-    def _vertex_zero_sets(self) -> list[tuple[Vector, int]]:
-        """Vertices in sorted order, each with the zero set of its ray."""
+    def _vertex_rays(self) -> list[tuple[Vector, int, tuple, int]]:
+        """Vertices in sorted order, each with the zero set of its ray, the
+        coprime integer ray r and its sum s: the vertex is r / s."""
         out = []
         for r, z in _extreme_rays(self.halfspaces, self.ambient_dim):
             s = sum(r)
-            out.append((tuple(Fraction(q, s) for q in r), z))
+            out.append((tuple(Fraction(q, s) for q in r), z, r, s))
         return sorted(out)
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
         """The extreme rays of the cone over the polytope, scaled to sum 1."""
-        return tuple(v for v, _ in self._vertex_zero_sets)
+        return tuple(v[0] for v in self._vertex_rays)
+
+    @cached_property
+    def rays(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per vertex, in the order of vertices, its coprime integer ray and
+        the ray's sum: vertices[i] == ray / sum."""
+        return tuple((r, s) for _, _, r, s in self._vertex_rays)
 
     def is_feasible(self) -> bool:
         """Whether the polytope is nonempty: read off the vertices when
         they are already known, else by feasible()."""
-        if "_vertex_zero_sets" in self.__dict__:
+        if "_vertex_rays" in self.__dict__:
             return bool(self.vertices)
         return feasible(self.halfspaces, self.ambient_dim)
 
     @cached_property
     def dim(self) -> int:
-        return affine_rank(self.vertices)
+        """Dimension of the polytope (-1 when empty): the vertices lie on
+        sum x = 1, which misses the origin, so it is the rank of their
+        integer rays minus 1."""
+        return _integer_rank(r for r, _ in self.rays) - 1
 
     @cached_property
     def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
@@ -297,7 +299,7 @@ class Polytope:
         vs = self.vertices
         if not vs:
             raise Infeasible("empty polytope has no skeleton")
-        zs = [z for _, z in self._vertex_zero_sets]
+        zs = [v[1] for v in self._vertex_rays]
         return tuple((i, j)
                      for i, j in itertools.combinations(range(len(vs)), 2)
                      if _adjacent(zs[i] & zs[j], zs))

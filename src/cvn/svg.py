@@ -4,15 +4,19 @@ Each maximal simplex (three edges) is a triangle whose corner i stands for
 the degenerate point where edge i carries the whole volume.  Adjacent
 simplices sharing a two-edge face are unfolded: the second triangle is
 glued along the shared side, its free corner reflected to the other side.
-All layout arithmetic is exact; coordinates are fixed to nine decimals at
-the very end, so output is byte identical across runs.
+All layout arithmetic is exact.  The unfolding runs over Fraction; its
+corners are then put over one common denominator, and every position,
+angle comparison and rounding after that runs on integer numerators.
+Coordinates are fixed to nine decimals at the very end, so output is byte
+identical across runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .envelopes import (
     _budget,
@@ -29,21 +33,25 @@ from .graphs import (
     embed_point,
 )
 
-SCALE = Fraction(300)
-MARGIN = Fraction(30)
+SCALE = 300
+MARGIN = 30
 
 
-def fmt(q) -> str:
-    """Fixed-point decimal with nine places, exact rounding."""
-    scaled = Fraction(q) * 10**9
-    n = scaled.numerator
-    d = scaled.denominator
-    quo, rem = divmod(abs(n), d)
-    if 2 * rem >= d:
+def fmt(num: int, den: int = 1) -> str:
+    """num / den (den > 0) as a fixed-point decimal with nine places,
+    rounded exactly, halves away from zero."""
+    quo, rem = divmod(abs(num) * 10**9, den)
+    if 2 * rem >= den:
         quo += 1
-    sign = "-" if n < 0 and quo else ""
+    sign = "-" if num < 0 and quo else ""
     whole, frac = divmod(quo, 10**9)
     return f"{sign}{whole}.{frac:09d}"
+
+
+def _place(weights, corners) -> tuple[int, int]:
+    """The combination of integer corners with integer weights."""
+    return (sum(w * c[0] for w, c in zip(weights, corners)),
+            sum(w * c[1] for w, c in zip(weights, corners)))
 
 
 @dataclass(frozen=True)
@@ -52,16 +60,38 @@ class Layout:
 
     placed: tuple[tuple[TopologicalType, tuple], ...]
 
-    def position(self, p: SimplexPoint):
-        """Screen position of a point, via any chart that contains it."""
-        for t, corners in self.placed:
+    @cached_property
+    def scaled(self) -> tuple[tuple, int]:
+        """(corners, den): per placed triangle, its corners as integer
+        pairs over one common denominator den."""
+        den = math.lcm(*(q.denominator
+                         for _, cs in self.placed for c in cs for q in c))
+        return tuple(tuple(tuple(q.numerator * (den // q.denominator)
+                                 for q in c) for c in cs)
+                     for _, cs in self.placed), den
+
+    def locate(self, p: SimplexPoint):
+        """Position of a point as integer numerators (x, y) over a
+        multiple q of den, via any chart that contains it: (x, y, q), or
+        None."""
+        corners, den = self.scaled
+        for (t, _), cs in zip(self.placed, corners):
             coords = embed_point(p, t)
             if coords is None:
                 continue
-            x = sum(c * corner[0] for c, corner in zip(coords, corners))
-            y = sum(c * corner[1] for c, corner in zip(coords, corners))
-            return (x, y)
+            e = math.lcm(*(c.denominator for c in coords))
+            x, y = _place([c.numerator * (e // c.denominator)
+                           for c in coords], cs)
+            return x, y, e * den
         return None
+
+    def position(self, p: SimplexPoint):
+        """Position of a point, via any chart that contains it."""
+        at = self.locate(p)
+        if at is None:
+            return None
+        x, y, q = at
+        return Fraction(x, q), Fraction(y, q)
 
 
 def _maximal(simplices):
@@ -133,12 +163,6 @@ def layout_support(simplices) -> Layout:
     return Layout(tuple(placed))
 
 
-def _bounds(layout: Layout):
-    xs = [c[0] for _, cs in layout.placed for c in cs]
-    ys = [c[1] for _, cs in layout.placed for c in cs]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
 def _half(dx, dy) -> int:
     """Which stretch of the angle range (-pi, pi] the direction is in:
     below the axis, along the positive axis (or zero), above it, or along
@@ -153,14 +177,19 @@ def _half(dx, dy) -> int:
 def _cyclic(points):
     """Points in increasing angle about their centroid, starting just
     past -pi like atan2, compared exactly: by half-plane, then by the sign
-    of the cross product.  Points at the same angle keep their order."""
-    if len(points) <= 2:
+    of the cross product.  Points at the same angle keep their order.
+
+    Each point is taken about the centroid times the number of points,
+    n p - sum p, so integer points stay integers."""
+    n = len(points)
+    if n <= 2:
         return points
-    cx = sum(p[0] for p in points) / len(points)
-    cy = sum(p[1] for p in points) / len(points)
+    sx = sum(p[0] for p in points)
+    sy = sum(p[1] for p in points)
 
     def compare(p, q):
-        px, py, qx, qy = p[0] - cx, p[1] - cy, q[0] - cx, q[1] - cy
+        px, py = n * p[0] - sx, n * p[1] - sy
+        qx, qy = n * q[0] - sx, n * q[1] - sy
         hp, hq = _half(px, py), _half(qx, qy)
         if hp != hq:
             return hp - hq
@@ -168,12 +197,6 @@ def _cyclic(points):
         return (cross < 0) - (cross > 0)
 
     return sorted(points, key=cmp_to_key(compare))
-
-
-def _screen(layout, xy, minx, miny):
-    sx = (xy[0] - minx) * SCALE + MARGIN
-    sy = (xy[1] - miny) * SCALE + MARGIN
-    return fmt(sx), fmt(sy)
 
 
 def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
@@ -185,31 +208,39 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
     sup = support(a, b, _budget(budget))
     layout = layout_support(sup.simplices)
     gamma = reference_witness(a, b)
-    minx, miny, maxx, maxy = _bounds(layout)
-    w = fmt((maxx - minx) * SCALE + 2 * MARGIN)
-    h = fmt((maxy - miny) * SCALE + 2 * MARGIN)
+    corners, den = layout.scaled
+    xs = [c[0] for cs in corners for c in cs]
+    ys = [c[1] for cs in corners for c in cs]
+    minx, miny = min(xs), min(ys)
+
+    def screen(x, y, q):
+        """Screen coordinates of the layout point (x, y) / q, where den
+        divides q."""
+        k = q // den
+        return (fmt((x - minx * k) * SCALE + MARGIN * q, q),
+                fmt((y - miny * k) * SCALE + MARGIN * q, q))
+
+    w = fmt((max(xs) - minx) * SCALE + 2 * MARGIN * den, den)
+    h = fmt((max(ys) - miny) * SCALE + 2 * MARGIN * den, den)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
     ]
-    for t, corners in layout.placed:
-        pts = " ".join(",".join(_screen(layout, c, minx, miny))
-                       for c in corners)
+    for cs in corners:
+        pts = " ".join(",".join(screen(x, y, den)) for x, y in cs)
         out.append(f'<polygon points="{pts}" fill="none" stroke="#444444" '
                    'stroke-width="1"/>')
-    for t, corners in layout.placed:
-        verts = slice_polytope(a, b, gamma, t).vertices
-        if not verts:
+    for (t, _), cs in zip(layout.placed, corners):
+        rays = slice_polytope(a, b, gamma, t).rays
+        if not rays:
             continue
-        placed_pts = []
-        for v in verts:
-            x = sum(c * corner[0] for c, corner in zip(v, corners))
-            y = sum(c * corner[1] for c, corner in zip(v, corners))
-            placed_pts.append((x, y))
-        placed_pts = _cyclic(placed_pts)
-        joined = " ".join(",".join(_screen(layout, p, minx, miny))
-                          for p in placed_pts)
+        # vertex r / s sits at (q / s) r / q: one denominator per polygon
+        q = math.lcm(*(s for _, s in rays))
+        placed_pts = _cyclic([_place([(q // s) * x for x in r], cs)
+                              for r, s in rays])
+        joined = " ".join(",".join(screen(x, y, q * den))
+                          for x, y in placed_pts)
         if len(placed_pts) >= 3:
             out.append(f'<polygon points="{joined}" fill="#5588cc" '
                        'fill-opacity="0.35" stroke="#225599" '
@@ -220,9 +251,9 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
     if path is not None:
         coords = []
         for p in path:
-            xy = layout.position(p)
-            if xy is not None:
-                coords.append(_screen(layout, xy, minx, miny))
+            at = layout.locate(p)
+            if at is not None:
+                coords.append(screen(*at))
         if len(coords) >= 2:
             joined = " ".join(",".join(c) for c in coords)
             out.append(f'<polyline points="{joined}" fill="none" '
@@ -232,10 +263,10 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
             out.append(f'<circle cx="{c[0]}" cy="{c[1]}" r="3" '
                        'fill="#cc3322"/>')
     for p, color, label in ((a, "#117733", "A"), (b, "#882255", "B")):
-        xy = layout.position(p)
-        if xy is None:
+        at = layout.locate(p)
+        if at is None:
             continue
-        cx, cy = _screen(layout, xy, minx, miny)
+        cx, cy = screen(*at)
         out.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
         out.append(f'<text x="{cx}" y="{cy}" dx="8" dy="-6" '
                    f'font-family="monospace" font-size="14">{label}</text>')

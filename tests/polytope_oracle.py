@@ -5,7 +5,8 @@ extreme rays of one integer double-description run.  The routines here get
 the same answers independently: a phase-1 simplex method over `Fraction`
 with Bland's rule for feasibility, and exhaustive tight-set enumeration for
 vertices (every nonsingular choice of d - 1 tight constraints plus sum = 1,
-solved exactly over the integers).
+solved exactly over the integers).  Polytope.dim, the integer rank of the
+vertex rays, has the affine rank of the vertices over Fraction as its twin.
 """
 
 from __future__ import annotations
@@ -163,3 +164,28 @@ def skeleton_edges(halfspaces, d: int, vertices) -> tuple:
         if face == sorted((i, j)):
             edges.append((i, j))
     return tuple(edges)
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a point set (-1 when empty), by
+    Gauss-Jordan elimination over Fraction: the twin of Polytope.dim."""
+    pts = list(points)
+    if not pts:
+        return -1
+    base = pts[0]
+    rows = [[Fraction(q) - b for q, b in zip(p, base)] for p in pts[1:]]
+    cols = len(base)
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        rows[r] = [q / p for q in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r

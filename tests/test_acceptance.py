@@ -314,7 +314,9 @@ def test_criterion_10_svg_json_consistency():
             for v in verts:
                 x = sum(c * corner[0] for c, corner in zip(v, corners))
                 y = sum(c * corner[1] for c, corner in zip(v, corners))
-                pt = f"{fmt((x - minx) * 300 + 30)},{fmt((y - miny) * 300 + 30)}"
+                sx, sy = (x - minx) * 300 + 30, (y - miny) * 300 + 30
+                pt = (f"{fmt(sx.numerator, sx.denominator)},"
+                      f"{fmt(sy.numerator, sy.denominator)}")
                 ok &= pt in text
         # the JSON vertex lists are exactly the per-sheet vertex sets
         for vs in json_verts:

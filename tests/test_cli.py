@@ -264,3 +264,17 @@ def test_bad_cvn_budget_process_exits_2(files):
     assert res.returncode == 2
     assert res.stderr.startswith("ParamOutOfRange: ")
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["envelope", "geodesic"])
+def test_svg_at_rank3_leaves_no_output(command, tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    fixtures = root / "perfbench" / "fixtures"
+    svg, out = tmp_path / "x.svg", tmp_path / "y.json"
+    assert main([command, str(fixtures / "r3a.json"),
+                 str(fixtures / "r3b.json"),
+                 "--svg", str(svg), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Unsupported: ")
+    assert not svg.exists() and not out.exists()

@@ -1,8 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from cvn.candidates import candidate_words, edge_counts
+from cvn.envelopes import reference_witness, slice_polytope, support
 from cvn.errors import (
     NotAGeodesic,
     NotMaximalSimplex,
@@ -12,6 +16,10 @@ from cvn.errors import (
 )
 from cvn.geodesics import (
     GeodesicPath,
+    _beats,
+    _coords_score,
+    _vertex_scores,
+    _witness_pool,
     check_gluing,
     general_position,
     is_rigid,
@@ -21,15 +29,19 @@ from cvn.geodesics import (
     ray_dimension_audit,
 )
 from cvn.graphs import (
+    apply_outer_automorphism,
+    marking_equivalent,
     point_from_coords,
+    resolutions,
     rose_point,
+    rose_type,
     theta_point,
     theta_type,
     twisted_theta_point,
 )
 from cvn.metric import is_witness, same_point, stretch, stretch_report
-from cvn.sampling import random_point
-from cvn.words import conj_class
+from cvn.sampling import random_pair, random_point
+from cvn.words import conj_class, generator
 
 
 def CC(letters):
@@ -345,3 +357,96 @@ def test_ray_audit_rank_guard():
         ray_dimension_audit(
             random_point(3, random.Random(3)), [conj_class([1], 3)], 1
         )
+
+
+def _fraction_score(delta, gamma, coords):
+    """The Fraction twin of the walker's score: the length n . x of gamma
+    at the point x of the chart delta."""
+    counts = edge_counts(delta, gamma)
+    return sum(Fraction(n) * c for n, c in zip(counts, coords))
+
+
+def _same_point_by_stretch(a, b):
+    """The two-stretch definition of same_point."""
+    return (marking_equivalent(a.ttype, b.ttype)
+            and stretch(a, b) == 1 and stretch(b, a) == 1)
+
+
+def _inner_twin(p):
+    """p with its marking changed by conjugation by x: the same point of
+    the space on a different type object."""
+    x = generator(1, p.ttype.rank)
+    images = [x * generator(i, p.ttype.rank) * x.inverse()
+              for i in range(1, p.ttype.rank + 1)]
+    return apply_outer_automorphism(p, images)
+
+
+def _walks(rank, seeds):
+    for seed in seeds:
+        a, b = random_pair(rank, random.Random(seed))
+        if not same_point(a, b):
+            yield a, b, piecewise_rigid_geodesic(a, b).breakpoints
+
+
+def _score_slices():
+    """(chart, walked class, slice): the support slices of seeded rank-2
+    pairs, and the slices of seeded rank-3 pairs in every fifth trivalent
+    chart around the rose."""
+    for seed in range(8):
+        a, b = random_pair(2, random.Random(300 + seed))
+        gamma = reference_witness(a, b)
+        for delta in support(a, b).simplices:
+            yield delta, gamma, slice_polytope(a, b, gamma, delta)
+    for seed in range(2):
+        a, b = random_pair(3, random.Random(300 + seed))
+        gamma = reference_witness(a, b)
+        for delta in resolutions(rose_type(3))[::5]:
+            yield delta, gamma, slice_polytope(a, b, gamma, delta)
+
+
+def test_vertex_scores_order_like_fraction_scores():
+    # the integer scores of the vertices, and of the midpoints of the
+    # skeleton edges, order and compare as the Fraction scores do
+    mixed = 0  # slices whose vertex rays have different sums
+    for delta, gamma, poly in _score_slices():
+        counts = edge_counts(delta, gamma)
+        scores = _vertex_scores(poly, counts)
+        want = [_fraction_score(delta, gamma, v) for v in poly.vertices]
+
+        def compare(i, j):
+            return _beats(scores[i], scores[j]) - _beats(scores[j], scores[i])
+
+        indices = range(len(want))
+        assert (sorted(indices, key=cmp_to_key(compare))
+                == sorted(indices, key=want.__getitem__))
+        for i, j in itertools.product(indices, repeat=2):
+            assert _beats(scores[i], scores[j]) == (want[i] > want[j])
+        vs = poly.vertices
+        for u, w in poly.skeleton_edges:
+            mid = tuple((x + y) / 2 for x, y in zip(vs[u], vs[w]))
+            here = _coords_score(counts, mid)
+            m = _fraction_score(delta, gamma, mid)
+            assert _beats(scores[u], here) == (want[u] > m)
+            assert _beats(here, scores[w]) == (m > want[w])
+        mixed += len({s for _, s in scores}) > 1
+    assert mixed
+
+
+def test_witness_pool_is_the_candidate_witness_set():
+    for a, b, pts in _walks(2, range(4)):
+        for p in pts:
+            want = frozenset(g for g in candidate_words(p.ttype)
+                             if is_witness(g, p, b))
+            assert _witness_pool(p, b) == want
+
+
+def test_same_point_matches_two_stretch_definition():
+    pairs = same = 0
+    for a, b, pts in _walks(2, range(20)):
+        pts = list(pts) + [_inner_twin(p) for p in pts[::2]]
+        for p, q in itertools.product(pts, repeat=2):
+            want = _same_point_by_stretch(p, q)
+            assert same_point(p, q) == want
+            pairs += 1
+            same += want and p.ttype is not q.ttype
+    assert same and pairs > same

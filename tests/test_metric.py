@@ -19,7 +19,7 @@ from cvn.graphs import (
     twisted_theta_point,
     twisted_theta_type,
 )
-from cvn.candidates import edge_counts
+from cvn.candidates import candidate_words, edge_counts
 from cvn.metric import (
     brute_force_lambda,
     candidate_witnesses,
@@ -303,3 +303,35 @@ def test_rank3_stretch_against_oracle():
         a, b = random_pair(3, rng, twist_steps=2)
         lam, _ = brute_force_lambda(a, b, 4)
         assert lam <= stretch(a, b)
+
+
+def _ratio_report(a, b):
+    """The Fraction twin of stretch_report: every candidate's ratio of
+    conj_length values, their maximum and its argmax set."""
+    per = {g: conj_length(b, g) / conj_length(a, g)
+           for g in candidate_words(a.ttype)}
+    lam = max(per.values())
+    return per, lam, frozenset(g for g, r in per.items() if r == lam)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_stretch_report_matches_conj_length_ratios(rank):
+    rng = random.Random(200 + rank)
+    pairs = [random_pair(rank, rng) for _ in range(40 if rank == 2 else 12)]
+    if rank == 2:  # tied witnesses: {x, xy^-1} from a to b
+        pairs.append((theta_point(1, 1, 1), theta_point(2, 1, 1)))
+    classes = list(conjugacy_classes_up_to(rank, 3))
+    tied = 0
+    for a, b in pairs:
+        rep = stretch_report(a, b)
+        per, lam, cw = _ratio_report(a, b)
+        assert list(rep.per_candidate) == list(per)
+        assert rep.per_candidate == per
+        assert {type(r) for r in rep.per_candidate.values()} == {Fraction}
+        assert rep.lam == lam and type(rep.lam) is Fraction
+        assert rep.candidate_witnesses == cw
+        tied += len(cw) > 1
+        for g in classes:
+            ratio = conj_length(b, g) / conj_length(a, g)
+            assert is_witness(g, a, b) == (ratio == lam)
+    assert tied or rank == 3  # rank 2 has the tied pair

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from polytope_oracle import (
     _solve_square,
+    affine_rank,
     lp_feasible,
     skeleton_edges,
     tight_set_vertices,
@@ -18,7 +19,6 @@ from cvn.graphs import SimplexPoint, make_type, resolutions, rose_type
 from cvn.polytope import (
     HalfSpace,
     Polytope,
-    affine_rank,
     equality,
     feasible,
 )
@@ -301,6 +301,42 @@ def _random_system(rng, d):
     return hs
 
 
+def _assert_integer_twins(p):
+    """The integer rays and the integer dimension against their Fraction
+    twins: each vertex is its ray over the ray's sum, and dim is the
+    affine rank of the vertices."""
+    assert len(p.rays) == len(p.vertices)
+    for (ray, s), v in zip(p.rays, p.vertices):
+        assert s == sum(ray) and math.gcd(*ray) == 1
+        assert tuple(Fraction(q, s) for q in ray) == v
+    assert p.dim == affine_rank(p.vertices)
+
+
+def test_dim_matches_affine_rank_of_vertices():
+    # random systems give empty (-1) and full-dimensional polytopes, and
+    # x_1 = ... = x_d a single point (0); rank-3 envelope slices give the
+    # dimensions the support and the rigidity check read
+    rng = random.Random(77)
+    for d in (2, 3, 4, 5, 6):
+        dims = set()
+        for _ in range(60):
+            p = Polytope(d, _random_system(rng, d))
+            _assert_integer_twins(p)
+            dims.add(p.dim)
+        assert {-1, d - 1} <= dims, (d, dims)
+        chain = [h for i in range(d - 1) for h in equality(
+            [int(j == i) - int(j == i + 1) for j in range(d)], ("eq", i))]
+        point = Polytope(d, chain)
+        _assert_integer_twins(point)
+        assert point.dim == 0
+    dims = set()
+    for hs in _rank3_sweep(1) + _rank3_sweep(4):
+        p = Polytope(6, hs)
+        _assert_integer_twins(p)
+        dims.add(p.dim)
+    assert -1 in dims and len(dims) > 2
+
+
 def _assert_witness(hs, d):
     """The rays that end a feasibility run are nonzero points of the cone:
     nonnegative, and nonnegative on every half-space."""
@@ -315,6 +351,7 @@ def _assert_matches_oracle(hs, d):
     p = Polytope(d, hs)
     expect = tight_set_vertices(hs, d)
     assert p.vertices == expect
+    _assert_integer_twins(p)
     assert feasible(hs, d) == lp_feasible(hs, d) == bool(expect)
     assert p.is_feasible() == bool(expect)
     if expect:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cvn.envelopes import support
+from cvn.envelopes import reference_witness, slice_polytope, support
 from cvn.errors import Unsupported
 from cvn.graphs import rose_point, theta_point, twisted_theta_point
 from cvn.sampling import random_point
@@ -19,12 +19,49 @@ from cvn.svg import (
 import random
 
 
+def _fraction_fmt(q) -> str:
+    """The Fraction twin of fmt: nine places, halves away from zero."""
+    scaled = Fraction(q) * 10**9
+    n = scaled.numerator
+    d = scaled.denominator
+    quo, rem = divmod(abs(n), d)
+    if 2 * rem >= d:
+        quo += 1
+    sign = "-" if n < 0 and quo else ""
+    whole, frac = divmod(quo, 10**9)
+    return f"{sign}{whole}.{frac:09d}"
+
+
+def _screen_fmt(q) -> str:
+    return fmt(q.numerator, q.denominator)
+
+
 def test_fmt_fixed_nine_decimals():
-    assert fmt(Fraction(1, 3)) == "0.333333333"
-    assert fmt(Fraction(2, 3)) == "0.666666667"
-    assert fmt(Fraction(-5, 2)) == "-2.500000000"
+    assert fmt(1, 3) == "0.333333333"
+    assert fmt(2, 3) == "0.666666667"
+    assert fmt(-5, 2) == "-2.500000000"
     assert fmt(0) == "0.000000000"
-    assert fmt(Fraction(1)) == "1.000000000"
+    assert fmt(1) == "1.000000000"
+    assert fmt(-1, 3 * 10**9) == "0.000000000"  # no negative zero
+
+
+def test_fmt_matches_fraction_fmt():
+    # random rationals of both signs, unreduced numerator and denominator
+    # pairs, and exact ties half way between two ninth decimals
+    rng = random.Random(12)
+    cases = []
+    for _ in range(2000):
+        num = rng.randint(-10**12, 10**12)
+        den = rng.randint(1, 10**7)
+        k = rng.randint(1, 50)
+        cases.append((num * k, den * k))
+    for _ in range(500):
+        tie = 2 * rng.randint(-10**10, 10**10) + 1  # odd: (tie / 2) / 10^9
+        k = rng.randint(1, 30)
+        cases.append((tie * k, 2 * 10**9 * k))
+    cases += [(0, 7), (-1, 2 * 10**9), (1, 2 * 10**9), (-3, 2 * 10**9)]
+    for num, den in cases:
+        assert fmt(num, den) == _fraction_fmt(Fraction(num, den)), (num, den)
 
 
 def test_layout_single_simplex():
@@ -60,22 +97,45 @@ def test_svg_contains_endpoint_markers():
 
 
 def test_svg_coordinates_match_exact_vertices():
-    a = theta_point(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    b = theta_point(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-    text = render_envelope_svg(a, b)
-    slices = envelope_vertices_json(a, b)
-    layout = layout_support(support(a, b).simplices)
-    t, corners = layout.placed[0]
-    xs = [c[0] for _, cs in layout.placed for c in cs]
-    ys = [c[1] for _, cs in layout.placed for c in cs]
-    minx, miny = min(xs), min(ys)
-    for v in slices[0]["vertices"]:
-        coords = [Fraction(s) for s in v]
-        x = sum(c * corner[0] for c, corner in zip(coords, corners))
-        y = sum(c * corner[1] for c, corner in zip(coords, corners))
-        sx = fmt((x - minx) * 300 + 30)
-        sy = fmt((y - miny) * 300 + 30)
-        assert f"{sx},{sy}" in text
+    # every slice vertex (as listed in the JSON) and both end points,
+    # placed and rounded over Fraction, appear in the integer-built
+    # picture; unfolded layouts reach negative coordinates, which moves
+    # the picture's origin
+    rng = random.Random(8)
+    pairs = [
+        (theta_point(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+         theta_point(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+        (theta_point(Fraction(45, 100), Fraction(1, 10), Fraction(45, 100)),
+         twisted_theta_point(Fraction(2, 5), Fraction(1, 10), Fraction(1, 2))),
+        (theta_point(1, 2, 4), rose_point([1, 3])),
+    ] + [(random_point(2, rng), random_point(2, rng)) for _ in range(6)]
+    moved = 0
+    for a, b in pairs:
+        text = render_envelope_svg(a, b)
+        layout = layout_support(support(a, b).simplices)
+        gamma = reference_witness(a, b)
+        xs = [c[0] for _, cs in layout.placed for c in cs]
+        ys = [c[1] for _, cs in layout.placed for c in cs]
+        minx, miny = min(xs), min(ys)
+        moved += minx < 0 or miny < 0
+
+        def screen(x, y):
+            return (_screen_fmt((x - minx) * 300 + 30),
+                    _screen_fmt((y - miny) * 300 + 30))
+
+        json_verts = {tuple(v) for sl in envelope_vertices_json(a, b)
+                      for v in sl["vertices"]}
+        for t, corners in layout.placed:
+            for v in slice_polytope(a, b, gamma, t).vertices:
+                assert tuple(str(q) for q in v) in json_verts
+                x = sum(c * corner[0] for c, corner in zip(v, corners))
+                y = sum(c * corner[1] for c, corner in zip(v, corners))
+                assert ",".join(screen(x, y)) in text
+        for p in (a, b):
+            if layout.position(p) is not None:
+                cx, cy = screen(*layout.position(p))
+                assert f'cx="{cx}" cy="{cy}" r="4"' in text
+    assert moved
 
 
 def test_svg_deterministic_bytes():
@@ -108,6 +168,11 @@ def test_cyclic_matches_atan2_order_on_rational_polygons():
                for t in angles]
         rng.shuffle(pts)
         assert _cyclic(pts) == _atan2_order(pts)
+        # the same polygon as integer numerators over one denominator
+        den = math.lcm(*(q.denominator for p in pts for q in p))
+        scaled = [tuple(int(q * den) for q in p) for p in pts]
+        assert _cyclic(scaled) == [scaled[pts.index(p)]
+                                   for p in _cyclic(pts)]
 
 
 def test_cyclic_starts_just_past_minus_pi():
