@@ -42,14 +42,9 @@ from .words import (
     Word,
     _basis_inverse,
     conj_normal_form,
-    conjugacy_classes_up_to,
-    cyclic_reduce,
-    free_reduce,
-    generator,
     invert,
     is_basis,
     reduce,
-    rewrite_in_basis,
 )
 
 Path = tuple[tuple[str, int], ...]
@@ -89,10 +84,9 @@ class TopologicalType:
         return self._hash
 
     @cached_property
-    def _key(self) -> tuple:
-        # record_type buckets every type it sees; compute its key once
-        return (len(self.edges),) + tuple(
-            len(_loop_codes(self, g)) for g in _key_classes(self.rank))
+    def _canonical(self) -> tuple:
+        # record_type keys every type it sees; compute its key once
+        return _canonical_labelling(self)
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -629,142 +623,135 @@ def blow_up_vertex(t: TopologicalType, v: str, side1, side2) -> TopologicalType:
 # ---------------------------------------------------------------------------
 
 
-def _graph_isomorphisms(a: TopologicalType, b: TopologicalType):
-    """Yield edge maps {a_edge_id: (b_edge_id, sign)} of graph isomorphisms."""
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return
-    a_val = sorted(a.valency(v) for v in a.vertices)
-    b_val = sorted(b.valency(v) for v in b.vertices)
-    if a_val != b_val:
-        return
-
-    def groups(t):
-        g: dict[frozenset, list[Edge]] = {}
-        for e in t.edges:
-            g.setdefault(frozenset((e.u, e.v)), []).append(e)
-        return g
-
-    ga, gb = groups(a), groups(b)
-    for perm in itertools.permutations(b.vertices):
-        sigma = dict(zip(a.vertices, perm))
-        if any(a.valency(v) != b.valency(sigma[v]) for v in a.vertices):
-            continue
-        keys = list(ga)
-        target = [frozenset(sigma[x] for x in k) for k in keys]
-        if any(tk not in gb or len(gb[tk]) != len(ga[k])
-               for k, tk in zip(keys, target)):
-            continue
-        per_group = []
-        for k, tk in zip(keys, target):
-            per_group.append([list(zip(ga[k], q))
-                              for q in itertools.permutations(gb[tk])])
-        for combo in itertools.product(*per_group):
-            pairs = [pq for grp in combo for pq in grp]
-            sign_choices = []
-            ok = True
-            for ea, eb in pairs:
-                if ea.is_loop():
-                    sign_choices.append([1, -1])
-                elif (sigma[ea.u], sigma[ea.v]) == (eb.u, eb.v):
-                    sign_choices.append([1])
-                elif (sigma[ea.u], sigma[ea.v]) == (eb.v, eb.u):
-                    sign_choices.append([-1])
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for signs in itertools.product(*sign_choices):
-                yield {ea.id: (eb.id, s) for (ea, eb), s in zip(pairs, signs)}
+def _move_base(loops, c):
+    """The based loops after the base point crosses step c, which leaves
+    it: each loop becomes c^-1 loop c, reduced at both ends."""
+    out = []
+    for loop in loops:
+        head = loop[1:] if loop[0] == c else (-c,) + loop
+        out.append(head[:-1] if head and head[-1] == -c else head + (c,))
+    return tuple(out)
 
 
-def _induced_automorphism(a: TopologicalType, b: TopologicalType, emap):
-    """Automorphism of F_n induced by the edge map, or None if not one."""
-    w_list = []
-    c_list = []
-    for e, loop in zip(a.non_tree_edges(), _petals(a)):
-        image = [(emap[eid][0], s * emap[eid][1]) for eid, s in loop]
-        w_list.append(e.label)
-        c_list.append(path_word(b, image))
-    images = []
-    try:
-        for i in range(1, a.rank + 1):
-            coords = rewrite_in_basis(generator(i, a.rank), w_list)
-            acc: list[int] = []
-            for x in coords.letters:
-                lab = c_list[abs(x) - 1].letters
-                acc.extend(lab if x > 0 else invert(lab))
-            images.append(reduce(acc, a.rank))
-    except NotABasis:
-        return None
-    return images
+def _length_change(loops, c) -> int:
+    """How much crossing step c changes the total length of the loops."""
+    return sum((-1 if loop[0] == c else 1) + (-1 if loop[-1] == -c else 1)
+               for loop in loops)
 
 
-def _is_inner(images: list[Word]) -> bool:
-    """Whether x_i -> images[i] is conjugation by a fixed element."""
-    rank = len(images)
-    core, pre = cyclic_reduce(images[0].letters)
-    if core != (1,):
-        return False
-    bound = max(len(w) for w in images) + len(pre) + 2
-    for m in range(-bound, bound + 1):
-        g = free_reduce(pre + (1,) * m if m >= 0 else pre + (-1,) * (-m))
-        if all(
-            free_reduce(g + (i,) + invert(g)) == images[i - 1].letters
-            for i in range(1, rank + 1)
-        ):
-            return True
-    return False
+def _relabel(loops):
+    """The loops with edges renumbered 1, 2, ... in order of first
+    traversal, each oriented as first traversed; and the dict from each
+    old edge number to its signed new number."""
+    new: dict[int, int] = {}
+    code = []
+    for loop in loops:
+        out = []
+        for k in loop:
+            e = abs(k)
+            if e not in new:
+                new[e] = len(new) + 1 if k > 0 else -len(new) - 1
+            out.append(new[e] if k > 0 else -new[e])
+        code.append(tuple(out))
+    return tuple(code), new
 
 
-def marking_isomorphisms(a: TopologicalType, b: TopologicalType):
-    """Edge maps realizing an equivalence of marked graphs."""
-    if a.rank != b.rank:
-        return
-    for emap in _graph_isomorphisms(a, b):
-        images = _induced_automorphism(a, b, emap)
-        if images is not None and _is_inner(images):
-            yield emap
+def _canonical_labelling(t: TopologicalType):
+    """(type_key(t), labelling): labelling[i] is the signed number the
+    least code gives edge t.edges[i] (see type_key)."""
+    ends = t._edge_ends
+    leaving: list[list[int]] = [[] for _ in t.vertices]
+    for i, (u, v) in enumerate(ends):
+        leaving[u].append(i + 1)
+        leaving[v].append(-i - 1)
+
+    def head(c):
+        return ends[c - 1][1] if c > 0 else ends[-c - 1][0]
+
+    loops = _letter_paths(t)[1:t.rank + 1]
+    at = 0
+    # descent: the total length is convex on the universal cover, so a
+    # base point no single step shortens is a least one
+    while True:
+        c = next((c for c in leaving[at] if _length_change(loops, c) < 0), None)
+        if c is None:
+            break
+        loops, at = _move_base(loops, c), head(c)
+    # the least base points form a subtree: walk its level steps
+    seen = {loops}
+    todo = [(loops, at)]
+    best = None
+    while todo:
+        loops, at = todo.pop()
+        code, new = _relabel(loops)
+        if best is None or code < best[0]:
+            best = code, new
+        for c in leaving[at]:
+            if _length_change(loops, c) == 0:
+                moved = _move_base(loops, c)
+                if moved not in seen:
+                    seen.add(moved)
+                    todo.append((moved, head(c)))
+    code, new = best
+    return (t.rank, len(t.edges), code), tuple(new[i + 1]
+                                                for i in range(len(t.edges)))
+
+
+def type_key(t: TopologicalType) -> tuple:
+    """The canonical key of the marked type: (rank, edge count, least
+    code).  Computed once per type object.
+
+    The generator loops of _letter_paths are based at a lift of the base
+    vertex to the universal cover.  Moving the base point conjugates
+    every loop by the same path; the points where the total loop length
+    is least form a finite subtree.  At each, the edges are renumbered in
+    the order the loops first cross them, and oriented as first crossed;
+    the code is the loops so renumbered, and the key keeps the least.
+
+    Equal keys mean equivalent markings.  The loops generate the
+    fundamental group, so they cross every edge, and their turns at each
+    vertex join all its half-edges (split a vertex in two and they would
+    lie in a graph of smaller rank); so the code rebuilds the graph and
+    its marking from that base point, and a change of base point changes
+    the marking by a conjugation.  Conversely an equivalence carries
+    least base points to least base points and first crossings to first
+    crossings."""
+    return t._canonical[0]
 
 
 @lru_cache(maxsize=4096)
 def _marking_isomorphism(a: TopologicalType, b: TopologicalType):
-    """The first edge map of marking_isomorphisms(a, b), read-only, or
-    None when the markings differ."""
-    emap = next(marking_isomorphisms(a, b), None)
-    return None if emap is None else MappingProxyType(emap)
+    """The edge map {a_edge_id: (b_edge_id, sign)} of the marking
+    equivalence of a onto b, read-only, or None when the markings differ.
+
+    It composes a's canonical labelling with the inverse of b's.  Every
+    vertex has valency at least 3, so a graph automorphism that fixes the
+    marking is the identity and the map is unique."""
+    if type_key(a) != type_key(b):
+        return None
+    back = {abs(s): (f.id, 1 if s > 0 else -1)
+            for f, s in zip(b.edges, b._canonical[1])}
+    emap = {}
+    for e, s in zip(a.edges, a._canonical[1]):
+        fid, sign = back[abs(s)]
+        emap[e.id] = (fid, sign if s > 0 else -sign)
+    return MappingProxyType(emap)
 
 
 @lru_cache(maxsize=65536)
 def marking_equivalent(a: TopologicalType, b: TopologicalType) -> bool:
-    """True when some graph isomorphism matches the two markings."""
-    return _marking_isomorphism(a, b) is not None
+    """True when some graph isomorphism matches the two markings: the two
+    canonical keys are equal."""
+    return type_key(a) == type_key(b)
 
 
-def type_key(t: TopologicalType) -> tuple:
-    """A bucket for marking equivalence: the edge count and the length of
-    the immersed loop of every class of length at most 2.
-
-    Equivalent types share a key, but a shared key proves nothing: no
-    finite set of classes tells all marked types apart from rank 3 on
-    (Smillie and Vogtmann 1992), so equality is always decided by
-    marking_equivalent inside the bucket.  Computed once per type object.
-    """
-    return t._key
-
-
-@lru_cache(maxsize=8)
-def _key_classes(rank: int) -> tuple[ConjClass, ...]:
-    return tuple(conjugacy_classes_up_to(rank, 2))
-
-
-def record_type(buckets: dict, t: TopologicalType) -> bool:
-    """Add t to buckets (type_key -> types) unless a type marking
-    equivalent to it is already there; True when t was added."""
-    group = buckets.setdefault(type_key(t), [])
-    if any(marking_equivalent(t, x) for x in group):
+def record_type(seen: dict, t: TopologicalType) -> bool:
+    """Add t to seen (type_key -> type) unless a type marking equivalent
+    to it is already there; True when t was added."""
+    key = type_key(t)
+    if key in seen:
         return False
-    group.append(t)
+    seen[key] = t
     return True
 
 
@@ -777,9 +764,9 @@ def record_type(buckets: dict, t: TopologicalType) -> bool:
 def face_edges(t: TopologicalType) -> tuple[tuple[int, TopologicalType], ...]:
     """Codimension-1 faces up to equivalence, each with the position in
     t.edges of the first edge whose collapse gives it."""
-    buckets: dict = {}
+    seen: dict = {}
     return tuple((t.index(eid), c) for eid, c in _edge_collapses(t)
-                 if record_type(buckets, c))
+                 if record_type(seen, c))
 
 
 def faces(t: TopologicalType) -> tuple[TopologicalType, ...]:
@@ -813,8 +800,8 @@ def resolutions(t: TopologicalType) -> tuple[TopologicalType, ...]:
                     continue
                 side2 = frozenset(h for h in half if h not in side1)
                 stack.append(blow_up_vertex(cur, v, side1, side2))
-    buckets: dict = {}
-    return tuple(leaf for leaf in leaves if record_type(buckets, leaf))
+    seen: dict = {}
+    return tuple(leaf for leaf in leaves if record_type(seen, leaf))
 
 
 def adjacent_simplices(t: TopologicalType) -> tuple[TopologicalType, ...]:
@@ -881,7 +868,8 @@ def embed_point(p: SimplexPoint, delta: TopologicalType):
 
 def point_from_coords(delta: TopologicalType, coords) -> SimplexPoint:
     """Point of the closed simplex: zero coordinates collapse their edges."""
-    coords = tuple(Fraction(c) for c in coords)
+    coords = tuple(c if isinstance(c, Fraction) else Fraction(c)
+                   for c in coords)
     if len(coords) != len(delta.edges):
         raise WrongRank(f"{len(coords)} coordinates for "
                         f"{len(delta.edges)} edges")

@@ -1,12 +1,18 @@
-"""Slow, independent twins of the marked-type dedupe and the face table,
-for tests only.
+"""Slow, independent twins of marking equivalence, the marked-type dedupe
+and the face table, for tests only.
 
-`cvn.graphs` buckets types by `type_key` and runs `marking_equivalent`
-only inside a bucket.  The routines here decide "same marked type" the
-older ways: `faces` scans every kept type with `marking_equivalent`,
-`resolutions` treats two trivalent types as the same when their uniform
-points are at stretch 1 in both directions, and `support` scans its list
-of examined simplices.  They must keep the same types in the same order.
+`cvn.graphs` decides "same marked type" by equality of canonical keys and
+builds the edge map between two equivalent types from their canonical
+labellings.  Here `marking_isomorphisms` searches every graph isomorphism
+(vertex permutations, then edge permutations and signs inside each group
+of parallel edges) for one whose induced automorphism of F_n is inner,
+and `marking_equivalent` asks whether it finds one.  The routines built
+on it decide "same marked type" the older ways: `faces` scans every kept
+type with that search, `resolutions` treats two trivalent types as the
+same when their uniform points are at stretch 1 in both directions, and
+`support` scans its list of examined simplices.  They must keep the same
+types in the same order.  `blow_up_leaves` lists every trivalent type the
+blow-ups reach, before any dedupe.
 
 `cvn.graphs` also builds each forest collapse once and keeps each type's
 forests as a tuple found by a union-find over edge positions.  Here
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from cvn.envelopes import (
     Support,
@@ -27,19 +34,134 @@ from cvn.envelopes import (
     star_system,
     starstar_system,
 )
-from cvn.errors import BudgetExceeded, NotAForest
+from cvn.errors import BudgetExceeded, NotABasis, NotAForest
 from cvn.graphs import (
     Edge,
     SimplexPoint,
     TopologicalType,
     _fundamental_cycle_tree_edges,
+    _petals,
     _retree,
     adjacent_simplices,
     blow_up_vertex,
-    marking_equivalent,
+    path_word,
 )
 from cvn.metric import stretch
 from cvn.polytope import feasible
+from cvn.words import (
+    Word,
+    cyclic_reduce,
+    free_reduce,
+    generator,
+    invert,
+    reduce,
+    rewrite_in_basis,
+)
+
+
+def _graph_isomorphisms(a: TopologicalType, b: TopologicalType):
+    """Yield edge maps {a_edge_id: (b_edge_id, sign)} of graph isomorphisms."""
+    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
+        return
+    a_val = sorted(a.valency(v) for v in a.vertices)
+    b_val = sorted(b.valency(v) for v in b.vertices)
+    if a_val != b_val:
+        return
+
+    def groups(t):
+        g: dict[frozenset, list[Edge]] = {}
+        for e in t.edges:
+            g.setdefault(frozenset((e.u, e.v)), []).append(e)
+        return g
+
+    ga, gb = groups(a), groups(b)
+    for perm in itertools.permutations(b.vertices):
+        sigma = dict(zip(a.vertices, perm))
+        if any(a.valency(v) != b.valency(sigma[v]) for v in a.vertices):
+            continue
+        keys = list(ga)
+        target = [frozenset(sigma[x] for x in k) for k in keys]
+        if any(tk not in gb or len(gb[tk]) != len(ga[k])
+               for k, tk in zip(keys, target)):
+            continue
+        per_group = []
+        for k, tk in zip(keys, target):
+            per_group.append([list(zip(ga[k], q))
+                              for q in itertools.permutations(gb[tk])])
+        for combo in itertools.product(*per_group):
+            pairs = [pq for grp in combo for pq in grp]
+            sign_choices = []
+            ok = True
+            for ea, eb in pairs:
+                if ea.is_loop():
+                    sign_choices.append([1, -1])
+                elif (sigma[ea.u], sigma[ea.v]) == (eb.u, eb.v):
+                    sign_choices.append([1])
+                elif (sigma[ea.u], sigma[ea.v]) == (eb.v, eb.u):
+                    sign_choices.append([-1])
+                else:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for signs in itertools.product(*sign_choices):
+                yield {ea.id: (eb.id, s) for (ea, eb), s in zip(pairs, signs)}
+
+
+def _induced_automorphism(a: TopologicalType, b: TopologicalType, emap):
+    """Automorphism of F_n induced by the edge map, or None if not one."""
+    w_list = []
+    c_list = []
+    for e, loop in zip(a.non_tree_edges(), _petals(a)):
+        image = [(emap[eid][0], s * emap[eid][1]) for eid, s in loop]
+        w_list.append(e.label)
+        c_list.append(path_word(b, image))
+    images = []
+    try:
+        for i in range(1, a.rank + 1):
+            coords = rewrite_in_basis(generator(i, a.rank), w_list)
+            acc: list[int] = []
+            for x in coords.letters:
+                lab = c_list[abs(x) - 1].letters
+                acc.extend(lab if x > 0 else invert(lab))
+            images.append(reduce(acc, a.rank))
+    except NotABasis:
+        return None
+    return images
+
+
+def _is_inner(images: list[Word]) -> bool:
+    """Whether x_i -> images[i] is conjugation by a fixed element."""
+    rank = len(images)
+    core, pre = cyclic_reduce(images[0].letters)
+    if core != (1,):
+        return False
+    bound = max(len(w) for w in images) + len(pre) + 2
+    for m in range(-bound, bound + 1):
+        g = free_reduce(pre + (1,) * m if m >= 0 else pre + (-1,) * (-m))
+        if all(
+            free_reduce(g + (i,) + invert(g)) == images[i - 1].letters
+            for i in range(1, rank + 1)
+        ):
+            return True
+    return False
+
+
+def marking_isomorphisms(a: TopologicalType, b: TopologicalType):
+    """Edge maps realizing an equivalence of marked graphs: the graph
+    isomorphisms whose induced automorphism of F_n is inner."""
+    if a.rank != b.rank:
+        return
+    for emap in _graph_isomorphisms(a, b):
+        images = _induced_automorphism(a, b, emap)
+        if images is not None and _is_inner(images):
+            yield emap
+
+
+@lru_cache(maxsize=None)
+def marking_equivalent(a: TopologicalType, b: TopologicalType) -> bool:
+    """True when some graph isomorphism matches the two markings."""
+    return next(marking_isomorphisms(a, b), None) is not None
 
 
 def _forest_roots(vertices, edges) -> dict[str, str]:
@@ -121,8 +243,9 @@ def faces(t: TopologicalType) -> list[TopologicalType]:
     return out
 
 
-def resolutions(t: TopologicalType) -> list[TopologicalType]:
-    """Trivalent types obtained from t by iterated vertex blow-ups."""
+def blow_up_leaves(t: TopologicalType) -> list[TopologicalType]:
+    """Every trivalent type that iterated vertex blow-ups reach from t, in
+    blow-up order, with no dedupe."""
     leaves: list[TopologicalType] = []
     stack = [t]
     while stack:
@@ -144,6 +267,12 @@ def resolutions(t: TopologicalType) -> list[TopologicalType]:
                     continue
                 side2 = frozenset(h for h in half if h not in side1)
                 stack.append(blow_up_vertex(cur, v, side1, side2))
+    return leaves
+
+
+def resolutions(t: TopologicalType) -> list[TopologicalType]:
+    """Trivalent types obtained from t by iterated vertex blow-ups."""
+    leaves = blow_up_leaves(t)
     # dedupe: two types agree up to marking equivalence exactly when their
     # uniform-length points are at stretch 1 in both directions
 

@@ -557,6 +557,20 @@ def test_point_from_coords_interior_and_face():
                           [Fraction(0), Fraction(1, 2), Fraction(1, 2)])
 
 
+def test_point_from_coords_keeps_fractions_and_converts_the_rest():
+    t = theta_type()
+    coords = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    p = point_from_coords(t, coords)
+    assert p.lengths == coords
+    assert all(x is c for x, c in zip(p.lengths, coords))
+    q = point_from_coords(t, ["1/2", 0, Fraction(1, 2)])
+    assert q.lengths == (Fraction(1, 2), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in q.lengths)
+    r = point_from_coords(t, ["1/2", "1/4", "1/4"])
+    assert r == p
+    assert all(type(x) is Fraction for x in r.lengths)
+
+
 def test_point_from_coords_needs_one_coordinate_per_edge():
     t = theta_type()
     for coords in ([Fraction(1, 2), 0, Fraction(1, 2), 0],

@@ -1,0 +1,172 @@
+"""The canonical marked-type key against the brute-force oracle, and the
+Out(F_n)-equivariance of what the package computes.
+
+`cvn.graphs.type_key` decides marking equivalence by key equality and
+`_marking_isomorphism` composes two canonical labellings.  Their slow twin
+is `marking_oracle.marking_isomorphisms`, which searches every graph
+isomorphism for one that induces an inner automorphism.
+"""
+
+import itertools
+import random
+import time
+from collections import Counter
+from fractions import Fraction
+
+import marking_oracle
+from cvn.envelopes import reference_witness, slice_polytope, support
+from cvn.geodesics import _pair_dim, general_position
+from cvn.graphs import (
+    Edge,
+    SimplexPoint,
+    TopologicalType,
+    _edge_collapses,
+    _marking_isomorphism,
+    _retree,
+    apply_outer_automorphism,
+    marking_equivalent,
+    resolutions,
+    rose_type,
+    tighten,
+    type_key,
+)
+from cvn.metric import stretch
+from cvn.sampling import random_automorphism, random_pair
+from cvn.words import apply_endomorphism, conjugacy_classes_up_to
+
+LIMIT_S = 60
+
+
+def _old_bucket(t):
+    """The bucket type_key used to be: the edge count and the loop length
+    of every class of length at most 2."""
+    return (len(t.edges),) + tuple(
+        len(tighten(t, g)) for g in conjugacy_classes_up_to(t.rank, 2))
+
+
+def _twist(t, images):
+    """t with its marking changed by the automorphism x_i -> images[i]."""
+    return TopologicalType(
+        t.rank, t.vertices,
+        tuple(Edge(e.id, e.u, e.v, apply_endomorphism(e.label, images))
+              for e in t.edges),
+        t.tree)
+
+
+def _spanning_tree(t, rng):
+    """A random spanning tree of t: Kruskal over shuffled edges."""
+    root = {v: v for v in t.vertices}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    tree = set()
+    for e in rng.sample(t.edges, len(t.edges)):
+        ru, rv = find(e.u), find(e.v)
+        if ru != rv:
+            root[ru] = rv
+            tree.add(e.id)
+    return frozenset(tree)
+
+
+def _relabelled(t, rng):
+    """The same marked type written differently: a new spanning tree with
+    labels recomputed through the old marking, then new edge ids, edge
+    order and orientations, and new vertex names and order, so the base
+    vertex moves too."""
+    t = _retree(t, _spanning_tree(t, rng))
+    names = {v: f"w{k}" for k, v in enumerate(rng.sample(t.vertices,
+                                                         len(t.vertices)))}
+    ids = {e.id: f"f{k}" for k, e in enumerate(rng.sample(t.edges,
+                                                          len(t.edges)))}
+    edges = []
+    for e in rng.sample(t.edges, len(t.edges)):
+        u, v, label = names[e.u], names[e.v], e.label
+        if rng.random() < 0.5:
+            u, v, label = v, u, label.inverse()
+        edges.append(Edge(ids[e.id], u, v, label))
+    return TopologicalType(
+        t.rank, tuple(rng.sample(list(names.values()), len(names))),
+        tuple(edges), frozenset(ids[x] for x in t.tree))
+
+
+def _inputs():
+    leaves = marking_oracle.blow_up_leaves(rose_type(3))
+    collapses = [c for t in leaves for _, c in _edge_collapses(t)]
+    rng = random.Random(29)
+    twisted = [_twist(t, random_automorphism(3, rng, 3))
+               for t in resolutions(rose_type(3))]
+    relabelled = [_relabelled(t, rng)
+                  for t in leaves[::7] + collapses[::23] + twisted[::3]]
+    return leaves, collapses + twisted + relabelled
+
+
+def test_key_matches_marking_oracle():
+    start = time.perf_counter()
+    leaves, more = _inputs()
+    assert len(leaves) == 540
+    assert len({type_key(t) for t in leaves}) == 105
+    # every type against the first type of its key: the oracle must call
+    # them equivalent, and its first edge map must be the composed one
+    first: dict = {}
+    for x in leaves + more:
+        rep = first.setdefault(type_key(x), x)
+        want = next(marking_oracle.marking_isomorphisms(x, rep), None)
+        assert want is not None
+        assert dict(_marking_isomorphism(x, rep)) == want
+        assert marking_equivalent(x, rep)
+    # distinct keys inside one old bucket: the oracle must tell them apart
+    buckets: dict = {}
+    for rep in first.values():
+        buckets.setdefault(_old_bucket(rep), []).append(rep)
+    apart = 0
+    for group in buckets.values():
+        for a, b in itertools.combinations(group, 2):
+            assert next(marking_oracle.marking_isomorphisms(a, b), None) is None
+            assert _marking_isomorphism(a, b) is None
+            assert not marking_equivalent(a, b)
+            apart += 1
+    assert apart > 100
+    # a pair the old bucket could not tell apart
+    charts = resolutions(rose_type(3))
+    a, b = charts[0], charts[80]
+    assert _old_bucket(a) == _old_bucket(b)
+    assert next(marking_oracle.marking_isomorphisms(a, b), None) is None
+    assert type_key(a) != type_key(b)
+    assert time.perf_counter() - start < LIMIT_S
+
+
+def _slice_dims(a, b):
+    gamma = reference_witness(a, b)
+    return Counter(slice_polytope(a, b, gamma, t).dim
+                   for t in support(a, b).simplices)
+
+
+def test_rank2_answers_are_out_fn_equivariant():
+    rng = random.Random(37)
+    for _ in range(20):
+        a, b = random_pair(2, rng, twist_steps=3)
+        phi = random_automorphism(2, rng, steps=3)
+        fa = apply_outer_automorphism(a, phi)
+        fb = apply_outer_automorphism(b, phi)
+        assert stretch(fa, fb) == stretch(a, b)
+        assert stretch(fb, fa) == stretch(b, a)
+        if a.ttype.is_trivalent() and b.ttype.is_trivalent():
+            assert general_position(fa, fb)[0] == general_position(a, b)[0]
+        assert len(support(fa, fb).simplices) == len(support(a, b).simplices)
+        assert _slice_dims(fa, fb) == _slice_dims(a, b)
+        assert _pair_dim(fa, fb) == _pair_dim(a, b)
+
+
+def test_rank3_resolutions_are_out_fn_equivariant():
+    charts = resolutions(rose_type(3))
+    rng = random.Random(41)
+    for _ in range(3):
+        phi = random_automorphism(3, rng, steps=4)
+        twisted_rose = apply_outer_automorphism(
+            SimplexPoint(rose_type(3), (Fraction(1, 3),) * 3), phi).ttype
+        got = [type_key(t) for t in resolutions(twisted_rose)]
+        assert len(got) == 105
+        assert set(got) == {type_key(_twist(t, phi)) for t in charts}

@@ -2,8 +2,9 @@
 
 Each memoised answer is compared with the answer computed again after every
 cache of the package has been emptied, and embeddings with the first edge
-map of marking_isomorphisms over the uncached forests and collapses of
-marking_oracle, which is how embed_point found them before it was memoised.
+map of marking_oracle.marking_isomorphisms over the uncached forests and
+collapses of marking_oracle, which is how embed_point found them before it
+was memoised and keyed.
 """
 
 import importlib
@@ -27,7 +28,6 @@ from cvn.graphs import (
     collapse_forest,
     embed_point,
     forests,
-    marking_isomorphisms,
     resolutions,
     rose_type,
     theta_point,
@@ -228,7 +228,7 @@ def _first_map_embedding(p, delta):
         if len(delta.edges) - len(forest) != len(p.ttype.edges):
             continue
         face = marking_oracle.collapse_forest(delta, forest)
-        emap = next(marking_isomorphisms(face, p.ttype), None)
+        emap = next(marking_oracle.marking_isomorphisms(face, p.ttype), None)
         if emap is None:
             continue
         return tuple(Fraction(0) if e.id in forest
@@ -256,7 +256,7 @@ def test_marking_isomorphism_is_the_first_map_and_read_only():
     matched = 0
     for s in types:
         for t in types:
-            want = next(marking_isomorphisms(s, t), None)
+            want = next(marking_oracle.marking_isomorphisms(s, t), None)
             got = graphs._marking_isomorphism(s, t)
             assert graphs.marking_equivalent(s, t) == (want is not None)
             if want is None:
