@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 from .errors import TrivialClass
-from .graphs import Path, TopologicalType, _loop_codes, is_connected, loop_word
+from .graphs import Path, TopologicalType, _loop_codes, _petals, loop_word
 from .words import ConjClass
 
 SIMPLE_LOOP = "simple-loop"
@@ -48,60 +49,53 @@ def edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
 
 
 def _simple_cycles(t: TopologicalType) -> list[Path]:
-    """Embedded cycles as oriented paths, one per edge subset."""
-    out = []
-    edges = t.edges
-    for r in range(1, len(edges) + 1):
-        for sub in itertools.combinations(edges, r):
-            deg: dict[str, int] = {}
-            for e in sub:
-                deg[e.u] = deg.get(e.u, 0) + 1
-                deg[e.v] = deg.get(e.v, 0) + 1
-            if any(d != 2 for d in deg.values()):
-                continue
-            verts = list(deg)
-            if not is_connected(verts, sub):
-                continue
-            adj = {v: [] for v in verts}
-            for e in sub:
-                adj[e.u].append((e.v, e.id, 1))
-                adj[e.v].append((e.u, e.id, -1))
-            # trace the cycle
-            path = []
-            v = verts[0]
-            used: set[str] = set()
-            while len(path) < len(sub):
-                for w, eid, s in adj[v]:
-                    if eid not in used:
-                        used.add(eid)
-                        path.append((eid, s))
-                        v = w
-                        break
-            out.append(tuple(path))
-    return out
+    """Embedded cycles as oriented paths, by size and then edge positions,
+    each traced from the tail of its first edge.
+
+    Each is a sum of fundamental cycles, as edge bitmasks (the petal of a
+    non-tree edge crosses its stem twice, so its xor is its fundamental
+    cycle), visited in Gray code order.  A sum has even degrees, so it is
+    one cycle when it touches as many vertices as it has edges and one
+    trace covers it."""
+    ends = t._edge_ends
+    basis = [reduce(xor, (1 << t.index(eid) for eid, _ in petal))
+             for petal in _petals(t)]
+    found, mask = [], 0
+    for k in range(1, 1 << len(basis)):
+        mask ^= basis[(k & -k).bit_length() - 1]
+        idx = [i for i in range(len(ends)) if mask >> i & 1]
+        if len({v for i in idx for v in ends[i]}) != len(idx):
+            continue
+        start, v = ends[idx[0]]
+        path = [(t.edges[idx[0]].id, 1)]
+        left = idx[1:]
+        while v != start:
+            i = next(i for i in left if v in ends[i])
+            left.remove(i)
+            u, w = ends[i]
+            path.append((t.edges[i].id, 1 if u == v else -1))
+            v = w if u == v else u
+        if not left:
+            found.append((len(idx), idx, tuple(path)))
+    found.sort()
+    return [path for _, _, path in found]
+
+
+def _tail(t: TopologicalType, step) -> str:
+    e = t.edge(step[0])
+    return e.u if step[1] > 0 else e.v
 
 
 def _rotate_to(path: Path, t: TopologicalType, v: str) -> Path:
     """Rotate a cyclic path so it starts at vertex v."""
     for k, step in enumerate(path):
-        e = t.edge(step[0])
-        tail = e.u if step[1] > 0 else e.v
-        if tail == v:
+        if _tail(t, step) == v:
             return path[k:] + path[:k]
     raise ValueError(f"cycle does not visit {v}")
 
 
 def _reverse(path: Path) -> Path:
     return tuple((eid, -s) for eid, s in reversed(path))
-
-
-def _cycle_vertices(t: TopologicalType, path: Path) -> set[str]:
-    verts = set()
-    for eid, _ in path:
-        e = t.edge(eid)
-        verts.add(e.u)
-        verts.add(e.v)
-    return verts
 
 
 def _arcs_between(t, verts1: set[str], verts2: set[str], banned: set[str]):
@@ -111,19 +105,13 @@ def _arcs_between(t, verts1: set[str], verts2: set[str], banned: set[str]):
 
     def extend(v, path, used_edges, used_verts):
         for e in t.edges:
-            if e.id in banned or e.id in used_edges or e.is_loop():
+            if (e.id in banned or e.id in used_edges or e.is_loop()
+                    or v not in (e.u, e.v)):
                 continue
-            steps = []
-            if e.u == v:
-                steps.append((e.v, 1))
-            if e.v == v:
-                steps.append((e.u, -1))
-            for w, s in steps:
-                if w in verts2:
-                    arcs.append(tuple(path + [(e.id, s)]))
-                    continue
-                if w in verts1 or w in used_verts:
-                    continue
+            w, s = (e.v, 1) if e.u == v else (e.u, -1)
+            if w in verts2:
+                arcs.append(tuple(path + [(e.id, s)]))
+            elif w not in verts1 and w not in used_verts:
                 extend(w, path + [(e.id, s)], used_edges | {e.id},
                        used_verts | {w})
 
@@ -153,23 +141,18 @@ def enumerate_candidates(t: TopologicalType) -> tuple[Candidate, ...]:
         e2 = {eid for eid, _ in c2}
         if e1 & e2:
             continue
-        v1 = _cycle_vertices(t, c1)
-        v2 = _cycle_vertices(t, c2)
+        v1 = {_tail(t, step) for step in c1}
+        v2 = {_tail(t, step) for step in c2}
         common = v1 & v2
         if len(common) == 1:
             (v,) = common
-            a = _rotate_to(c1, t, v)
-            b = _rotate_to(c2, t, v)
+            a, b = _rotate_to(c1, t, v), _rotate_to(c2, t, v)
             add(FIGURE_EIGHT, a + b)
             add(FIGURE_EIGHT, a + _reverse(b))
         elif not common:
             for arc in _arcs_between(t, v1, v2, e1 | e2):
-                start = t.edge(arc[0][0])
-                u = start.u if arc[0][1] > 0 else start.v
-                last = t.edge(arc[-1][0])
-                w = last.v if arc[-1][1] > 0 else last.u
-                a = _rotate_to(c1, t, u)
-                b = _rotate_to(c2, t, w)
+                a = _rotate_to(c1, t, _tail(t, arc[0]))
+                b = _rotate_to(c2, t, _tail(t, _reverse(arc)[0]))
                 add(BARBELL, a + arc + b + _reverse(arc))
                 add(BARBELL, a + arc + _reverse(b) + _reverse(arc))
     return tuple(found)

@@ -321,11 +321,6 @@ def point_to_json(p: SimplexPoint) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _ends(t: TopologicalType, step) -> tuple[str, str]:
-    e = t.edge(step[0])
-    return (e.u, e.v) if step[1] > 0 else (e.v, e.u)
-
-
 def path_word(t: TopologicalType, path) -> Word:
     """Image of an edge path under the marking (concatenate labels)."""
     out: list[int] = []
@@ -337,15 +332,23 @@ def path_word(t: TopologicalType, path) -> Word:
 
 def loop_word(t: TopologicalType, path) -> ConjClass:
     """Conjugacy class represented by a closed edge path."""
-    path = tuple(path)
-    if not path:
-        raise NotClosed("empty path")
-    for k in range(len(path)):
-        head = _ends(t, path[k])[1]
-        tail = _ends(t, path[(k + 1) % len(path)])[0]
-        if head != tail:
-            raise NotClosed(f"steps {k} and {k + 1} do not concatenate")
-    return conj_normal_form(path_word(t, path))
+    ends = t._edge_ends
+    out: list[int] = []
+    k = -1
+    for k, (eid, s) in enumerate(path):
+        i = t.index(eid)
+        u, v = ends[i] if s > 0 else ends[i][::-1]
+        if k == 0:
+            first = u
+        elif u != head:
+            raise NotClosed(f"steps {k - 1} and {k} do not concatenate")
+        head = v
+        lab = t.edges[i].label.letters
+        out.extend(lab if s > 0 else invert(lab))
+    if k < 0 or head != first:
+        raise NotClosed("empty path" if k < 0 else
+                        f"steps {k} and {k + 1} do not concatenate")
+    return conj_normal_form(reduce(out, t.rank))
 
 
 @lru_cache(maxsize=4096)

@@ -30,7 +30,7 @@ from .graphs import (
     _marking_isomorphism,
     _tighten_cached,
 )
-from .words import ConjClass, conjugacy_classes_up_to
+from .words import ConjClass, _check_count, _classes_up_to, _walk_class
 
 
 def length_numerator(p: SimplexPoint, gamma: ConjClass) -> int:
@@ -190,10 +190,9 @@ def _class_junctions(rank: int, max_len: int) -> tuple:
     the junction index of each cyclic letter triple of the representative:
     (x[i-1], x[i], x[i+1]) with indices mod the length, and every letter
     a taken as a mod 2 * rank + 1, its index in _letter_paths."""
-    m = 2 * rank + 1
-    out = []
-    for g in conjugacy_classes_up_to(rank, max_len):
-        xs = [a % m for a in g.rep.letters]
+    m, out = 2 * rank + 1, []
+    for letters in _classes_up_to(rank, max_len):
+        xs = [a % m for a in letters]
         k = len(xs)
         out.append(tuple((xs[i - 1] * m + xs[i]) * m + xs[(i + 1) % k]
                          for i in range(k)))
@@ -237,31 +236,27 @@ def brute_force_lambda(a: SimplexPoint, b: SimplexPoint, max_len: int):
     are the immersed loop: its length numerator is the sum of the middle
     weights.  A class with a triple where cancellation can cascade reads
     the sentinel and is tightened instead."""
-    if (not isinstance(max_len, int) or isinstance(max_len, bool)
-            or max_len < 1):
-        raise ParamOutOfRange(f"max_len {max_len!r} is not an integer >= 1")
+    _check_count("max_len", max_len)
     ta, tb = a.ttype, b.ttype
     if ta.rank != tb.rank:
         raise RankMismatch("points live in different Outer Spaces")
-    wa = a.code_weights.__getitem__
-    wb = b.code_weights.__getitem__
-    ja = _junction_table(a, max_len).__getitem__
-    jb = _junction_table(b, max_len).__getitem__
+    wa, wb = a.code_weights.__getitem__, b.code_weights.__getitem__
+    ja, jb = (_junction_table(p, max_len).__getitem__ for p in (a, b))
     best_b, best_a = 0, 1  # every ratio is positive
-    argmax: list[ConjClass] = []
-    for g, idx in zip(conjugacy_classes_up_to(ta.rank, max_len),
-                      _class_junctions(ta.rank, max_len)):
+    argmax: list = []
+    for letters, idx in zip(_classes_up_to(ta.rank, max_len),
+                            _class_junctions(ta.rank, max_len)):
         lb = sum(map(jb, idx))
         if lb < 0:
-            lb = sum(map(wb, _tighten_cached(tb, g.rep.letters)))
+            lb = sum(map(wb, _tighten_cached(tb, letters)))
         la = sum(map(ja, idx))
         if la < 0:
-            la = sum(map(wa, _tighten_cached(ta, g.rep.letters)))
+            la = sum(map(wa, _tighten_cached(ta, letters)))
         lhs, rhs = lb * best_a, best_b * la
         if lhs > rhs:
             best_b, best_a = lb, la
-            argmax = [g]
+            argmax = [letters]
         elif lhs == rhs:
-            argmax.append(g)
-    return (Fraction(best_b * a.scaled_lengths[1],
-                     best_a * b.scaled_lengths[1]), argmax)
+            argmax.append(letters)
+    lam = Fraction(best_b * a.scaled_lengths[1], best_a * b.scaled_lengths[1])
+    return lam, [_walk_class(g, ta.rank) for g in argmax]

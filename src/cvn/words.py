@@ -18,6 +18,7 @@ from .errors import (
     IndexOutOfRange,
     NotABasis,
     NotPrimitive,
+    ParamOutOfRange,
     Unsupported,
 )
 
@@ -433,48 +434,66 @@ def is_primitive(w: Word) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ParamOutOfRange unless value is an int >= 1 (not a bool)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ParamOutOfRange(f"{name} {value!r} is not an integer >= 1")
+
+
 def conjugacy_classes_up_to(rank: int, max_len: int):
     """Yield every nontrivial unoriented conjugacy class of length <= max_len.
 
-    Each class appears exactly once, via its canonical representative, in
-    class_order.  The classes are generated once per (rank, max_len) and
-    memoised.
-    """
-    yield from _classes_up_to(rank, max_len)
+    Each class appears once, as its canonical representative, by length
+    and then letter key (not class_order); the letters are memoised per
+    (rank, max_len).  A rank or max_len that is not an integer >= 1 raises
+    ParamOutOfRange on the first next."""
+    _check_count("rank", rank)
+    _check_count("max_len", max_len)
+    for letters in _classes_up_to(rank, max_len):
+        yield _walk_class(letters, rank)
+
+
+def _walk_class(letters: Letters, rank: int) -> ConjClass:
+    """The class of letters from _classes_up_to, skipping Word's checks."""
+    w, g = object.__new__(Word), object.__new__(ConjClass)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(g, "rep", w)
+    object.__setattr__(g, "rank", rank)
+    return g
 
 
 @lru_cache(maxsize=32)
-def _classes_up_to(rank: int, max_len: int) -> tuple[ConjClass, ...]:
-    """The canonical representatives, by length and then letter key.
+def _classes_up_to(rank: int, max_len: int) -> tuple[Letters, ...]:
+    """The canonical representatives' letters, by length, then letter key.
 
-    Per length n, FKM generation (Ruskey, Combinatorial Generation) walks the
+    One FKM walk (Ruskey, Savage & Wang 1992) to depth max_len visits the
     prenecklaces over the letter keys in lexicographic order, never placing
-    a letter next to its inverse; a necklace is kept when its last letter
-    does not cancel its first and the least rotation of its inverse is not
+    a letter next to its inverse; every depth is a length.  A prenecklace
+    whose period divides its length is a necklace, and it is kept when its
+    last letter does not cancel its first and no rotation of its inverse is
     smaller than itself.
     """
     # position i in the key order; i ^ 1 is the position of the inverse
     alphabet = [s * m for m in range(1, rank + 1) for s in (1, -1)]
-    out: list[ConjClass] = []
-    for n in range(1, max_len + 1):
-        a = [0] * (n + 1)  # a[1..n]; a[0] is the FKM sentinel
+    by_len: list[list[Letters]] = [[] for _ in range(max_len + 1)]
+    a = [0] * (max_len + 1)  # a[1..t]; a[0] is the FKM sentinel
 
-        def extend(t: int, p: int) -> None:
-            if t > n:
-                if n % p or a[n] == a[1] ^ 1:
-                    return
-                word = a[1:]
-                inv = [x ^ 1 for x in reversed(word)]
-                r = _least_rotation(inv)
-                if inv[r:] + inv[:r] >= word:
-                    letters = tuple(alphabet[x] for x in word)
-                    out.append(ConjClass(Word(letters, rank), rank))
-                return
-            for j in range(a[t - p], len(alphabet)):
-                if t > 1 and j == a[t - 1] ^ 1:
-                    continue
-                a[t] = j
-                extend(t + 1, p if j == a[t - p] else t)
+    def extend(t: int, p: int) -> None:
+        for j in range(a[t - p], len(alphabet)):
+            if j == a[t - 1] ^ 1 and t > 1:
+                continue
+            a[t] = j
+            q = p if j == a[t - p] else t
+            if t % q == 0 and j != a[1] ^ 1:
+                word = tuple(a[1:t + 1])
+                inv = tuple([x ^ 1 for x in reversed(word)])
+                # a rotation starting above word[0] = a[1] is larger than word
+                if all(inv[i:] + inv[:i] >= word
+                       for i in range(t) if inv[i] <= a[1]):
+                    by_len[t].append(tuple([alphabet[x] for x in word]))
+            if t < max_len:
+                extend(t + 1, q)
 
-        extend(1, 1)
-    return tuple(out)
+    extend(1, 1)
+    return tuple(itertools.chain.from_iterable(by_len))

@@ -1,6 +1,11 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+import candidates_oracle
 
 from cvn.candidates import (
     BARBELL,
@@ -10,14 +15,16 @@ from cvn.candidates import (
     enumerate_candidates,
     path_counts,
 )
-from cvn.errors import TrivialClass
+from cvn.errors import NotClosed, TrivialClass
 from cvn.graphs import (
     barbell_type,
+    collapse_forest,
     loop_word,
     resolutions,
     rose_type,
     theta_type,
     tighten,
+    twisted_theta_type,
 )
 from cvn.sampling import random_point
 from cvn.words import conj_class, conjugacy_classes_up_to
@@ -161,3 +168,59 @@ def test_twisted_types_enumerate_consistently():
         assert 3 <= len(cands) <= 4
         for c in cands:
             assert c.counts == edge_counts(p.ttype, c.word)
+
+
+def _random_trivalent_type():
+    """perfbench/workloads.py's seeded trivalent type builder (it uses
+    public cvn constructors only)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[name] = mod  # dataclasses look their module up
+        spec.loader.exec_module(mod)
+    return sys.modules[name].random_trivalent_type
+
+
+def test_candidates_match_edge_subset_oracle():
+    # the cycle-space enumeration against the edge-subset one it replaced:
+    # the same candidates, paths, classes and counts in the same order
+    types = []
+    for t in resolutions(rose_type(3)):
+        types.append(t)
+        types.extend(collapse_forest(t, {e.id})
+                     for e in t.edges if not e.is_loop())
+    build = _random_trivalent_type()
+    rng = random.Random(14)
+    types.extend(build(2 + k % 3, rng) for k in range(600))
+    types += [rose_type(2), rose_type(3), rose_type(4), theta_type(),
+              twisted_theta_type(), barbell_type()]
+    assert len(types) >= 1200
+    assert len(set(types)) >= 900
+    for t in types:
+        fast = [(c.kind, c.path, c.word, c.counts)
+                for c in enumerate_candidates(t)]
+        slow = [(c.kind, c.path, c.word, c.counts)
+                for c in candidates_oracle.enumerate_candidates(t)]
+        assert fast == slow, t
+
+
+def test_loop_word_matches_two_pass_oracle():
+    # closure errors name the same steps; closed paths give the same class
+    paths = [
+        [("e1", 1), ("e2", -1)], [("e1", 1), ("e3", -1)],
+        [("e1", 1), ("e2", 1)], [("e2", -1), ("e1", 1), ("e3", -1)],
+        [("e1", 1), ("e3", -1), ("e2", 1), ("e1", -1)],
+        [("e1", 1), ("e2", -1), ("e1", 1)], [("e1", 1)], [],
+    ]
+    cases = [(theta_type(), p) for p in paths]
+    cases += [(rose_type(2), [("p1", 1), ("p2", -1), ("p1", 1)])]
+    for t, path in cases:
+        try:
+            want = candidates_oracle.loop_word(t, path)
+        except NotClosed as err:
+            with pytest.raises(NotClosed, match=str(err)):
+                loop_word(t, path)
+        else:
+            assert loop_word(t, path) == want

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -13,6 +14,7 @@ from cvn.errors import (
     IndexOutOfRange,
     NotABasis,
     NotPrimitive,
+    ParamOutOfRange,
     Unsupported,
 )
 from cvn.words import (
@@ -262,19 +264,59 @@ def test_conjugacy_class_enumeration_counts():
     assert reps == oracle
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_classes(rank, max_len):
+    return tuple(words_oracle.conjugacy_classes_up_to(rank, max_len))
+
+
 @pytest.mark.parametrize("rank,max_len", [(1, 10), (2, 8), (3, 6), (4, 4)])
 def test_class_enumeration_matches_letter_tuple_oracle(rank, max_len):
     fast = list(conjugacy_classes_up_to(rank, max_len))
-    slow = list(words_oracle.conjugacy_classes_up_to(rank, max_len))
+    slow = list(_oracle_classes(rank, max_len))
     assert fast == slow  # the same classes in the same order
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 8), (3, 6), (4, 4)])
+def test_letter_table_matches_letter_tuple_oracle(rank, max_len):
+    # the one FKM walk over all lengths, read as the letter table that
+    # _class_junctions and brute_force_lambda use, in the oracle's order
+    table = words._classes_up_to(rank, max_len)
+    assert list(table) == [g.rep.letters
+                           for g in _oracle_classes(rank, max_len)]
+    assert list(table) == [g.rep.letters
+                           for g in conjugacy_classes_up_to(rank, max_len)]
 
 
 def test_class_enumeration_is_a_generator_over_an_immutable_memo():
     assert inspect.isgeneratorfunction(conjugacy_classes_up_to)
     memo = words._classes_up_to(2, 3)
     assert type(memo) is tuple
+    assert all(type(letters) is tuple for letters in memo)
     assert words._classes_up_to(2, 3) is memo
-    assert tuple(conjugacy_classes_up_to(2, 3)) == memo
+    assert tuple(g.rep.letters for g in conjugacy_classes_up_to(2, 3)) == memo
+
+
+@pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 6), (3, 4)])
+def test_classes_built_without_checks_equal_checked_ones(rank, max_len):
+    # the enumeration and brute_force_lambda's argmax skip Word's checks;
+    # the checked constructor accepts every letter tuple of the walk and
+    # gives equal, equally hashed, canonical classes
+    fast = list(conjugacy_classes_up_to(rank, max_len))
+    slow = [ConjClass(Word(letters, rank), rank)
+            for letters in words._classes_up_to(rank, max_len)]
+    assert fast == slow
+    assert [hash(g) for g in fast] == [hash(g) for g in slow]
+    assert all(conj_normal_form(g.rep) == g for g in fast)
+
+
+@pytest.mark.parametrize("rank,max_len", [
+    (0, 3), (-1, 3), (True, 3), (2.5, 3), ("3", 3), (None, 3),
+    (2, 0), (2, -1), (2, True), (2, False), (2, 2.5), (2, "3"), (2, None),
+])
+def test_class_enumeration_rejects_bad_rank_and_max_len(rank, max_len):
+    gen = conjugacy_classes_up_to(rank, max_len)  # a generator: no error yet
+    with pytest.raises(ParamOutOfRange):
+        next(gen)
 
 
 def test_booth_canonical_form_matches_rotation_scan():
