@@ -12,7 +12,7 @@ self-similar rays exist but rational ones always terminate.
 import argparse
 from fractions import Fraction
 
-from cvn.errors import WalkStuck
+from cvn.errors import BudgetExceeded, WalkStuck
 from cvn.geodesics import ray_dimension_audit
 from cvn.graphs import rose_point
 from cvn.words import conj_class
@@ -23,7 +23,7 @@ def run(a: Fraction, steps: int) -> None:
     direction = [conj_class([1], 2), conj_class([2], 2)]
     try:
         audit = ray_dimension_audit(start, direction, steps)
-    except WalkStuck as e:
+    except (BudgetExceeded, WalkStuck) as e:
         print(f"a = {a}: stuck ({e})")
         return
     print(f"a = {a}: {audit.crossings[-1]} crossings")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 from .candidates import candidate_words, edge_counts
@@ -26,6 +27,7 @@ from .envelopes import (
     support,
 )
 from .errors import (
+    BudgetExceeded,
     NoFacetChain,
     NotAGeodesic,
     NotMaximalSimplex,
@@ -42,9 +44,9 @@ from .graphs import (
     forests,
     point_from_coords,
 )
-from .metric import is_witness, same_point, stretch, stretch_report
+from .metric import candidate_witnesses, is_witness, same_point, stretch
 from .polytope import Polytope
-from .words import ConjClass, class_order
+from .words import ConjClass, _check_count, class_order
 
 
 def _check_ranks(*points):
@@ -131,7 +133,17 @@ def _adjacency(poly: Polytope) -> dict:
     return adj
 
 
-def _forward_vertex(poly: Polytope, coords, counts, delta=None,
+def _near(poly: Polytope, coords) -> list[int]:
+    """The skeleton neighbours of coords when it is a vertex of poly, else
+    the ends of every skeleton edge that holds it."""
+    vs = poly.vertices
+    if coords in vs:
+        return _adjacency(poly)[vs.index(coords)]
+    return [j for u, w in poly.skeleton_edges
+            if _on_segment(coords, vs[u], vs[w]) for j in (u, w)]
+
+
+def _forward_vertex(poly: Polytope, coords, counts, delta,
                     require_clean=False):
     """Best strictly-improving neighbour of coords in the polytope skeleton.
 
@@ -153,10 +165,8 @@ def _forward_vertex(poly: Polytope, coords, counts, delta=None,
     def edge_on_boundary(u, v):
         return any(x == 0 and y == 0 for x, y in zip(u, v))
 
-    standable = set(range(len(vs)))
-    if delta is not None:
-        standable = {i for i in standable
-                     if _collapsible(delta, poly.rays[i][0])}
+    standable = {i for i in range(len(vs))
+                 if _collapsible(delta, poly.rays[i][0])}
     adj = _adjacency(poly)
 
     def improving(i):
@@ -180,14 +190,9 @@ def _forward_vertex(poly: Polytope, coords, counts, delta=None,
                     stack.append(j)
         return False
 
-    if coords in vs:
-        options = improving(vs.index(coords))
-    else:
-        here = _coords_score(counts, coords)
-        options = [j for u, w in poly.skeleton_edges
-                   if _on_segment(coords, vs[u], vs[w])
-                   for j in (u, w)
-                   if j in standable and _beats(scores[j], here)]
+    here = _coords_score(counts, coords)
+    options = [j for j in _near(poly, coords)
+               if j in standable and _beats(scores[j], here)]
     if not options:
         return None
 
@@ -218,12 +223,7 @@ def _ideal_half_step(poly: Polytope, coords, counts, delta):
     vs = poly.vertices
     scores = _vertex_scores(poly, counts)
     here = _coords_score(counts, coords)
-    if coords in vs:
-        near = _adjacency(poly)[vs.index(coords)]
-    else:
-        near = [j for u, w in poly.skeleton_edges
-                if _on_segment(coords, vs[u], vs[w]) for j in (u, w)]
-    options = [vs[j] for j in near if _beats(scores[j], here)
+    options = [vs[j] for j in _near(poly, coords) if _beats(scores[j], here)
                and not _collapsible(delta, poly.rays[j][0])]
     if not options:
         return None
@@ -247,9 +247,34 @@ def _on_segment(x, lo, hi) -> bool:
     return t is not None and 0 <= t <= 1
 
 
-def _witness_pool(p: SimplexPoint, b: SimplexPoint) -> frozenset:
-    """The candidates of p's type stretched maximally from p to b."""
-    return stretch_report(p, b).candidate_witnesses
+def _charts_at(delta: TopologicalType, coords):
+    """The point at coords of delta's chart, and the charts next to it,
+    each with the point's coordinates there: the charts adjacent to delta
+    and, when the point sits on a face, those adjacent to the face."""
+    here = point_from_coords(delta, coords)
+    charts = list(adjacent_simplices(delta))
+    if len(here.ttype.edges) < len(delta.edges):
+        charts += adjacent_simplices(here.ttype)
+    embedded = ((d2, embed_point(here, d2)) for d2 in charts)
+    return here, [(d2, emb) for d2, emb in embedded if emb is not None]
+
+
+def _first_step(charts, polytope, gamma, sweeps):
+    """The first (chart, coords) that a step function moves to, or None.
+
+    Sweeps are the outer loop; each tries the (chart, coords) pairs in
+    their given order and calls step(poly, coords, counts, chart), with
+    poly = polytope(chart) and counts the edge counts of gamma there.  A
+    chart whose polytope has no vertex is skipped."""
+    for step in sweeps:
+        for d2, coords in charts:
+            poly = polytope(d2)
+            if not poly.vertices:
+                continue
+            nxt = step(poly, coords, edge_counts(d2, gamma), d2)
+            if nxt is not None:
+                return d2, nxt
+    return None
 
 
 def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
@@ -269,14 +294,14 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
 
     phase_base = a
     gamma = reference_witness(phase_base, b)
-    base_witnesses = _class_witnesses(phase_base, b)
+    base_witnesses = candidate_witnesses(phase_base, b)
     delta = a.ttype
     coords = a.lengths
     steps = 0
     while True:
         steps += 1
         if steps > budget:
-            raise WalkStuck(f"walk exceeded {budget} steps")
+            raise BudgetExceeded(f"walk exceeded {budget} steps")
         moved = _advance(phase_base, b, gamma, delta, coords)
         if moved is None:
             raise WalkStuck("no forward envelope edge from current point")
@@ -285,64 +310,34 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
         breakpoints.append(point)
         if same_point(point, b):
             break
-        fresh = [
-            g for g in _witness_pool(point, b) if g not in base_witnesses
-        ]
-        if fresh:
+        if candidate_witnesses(point, b) - base_witnesses:
             # a new maximally-stretched class ends the current phase
             rigid.append(len(breakpoints) - 1)
             phase_base = point
             gamma = reference_witness(phase_base, b)
-            base_witnesses = _class_witnesses(phase_base, b)
+            base_witnesses = candidate_witnesses(phase_base, b)
     rigid.append(len(breakpoints) - 1)
     witnesses = tuple(
-        stretch_report(p, q).candidate_witnesses
-        for p, q in zip(breakpoints, breakpoints[1:])
+        candidate_witnesses(p, q) for p, q in zip(breakpoints, breakpoints[1:])
     )
     return GeodesicPath(tuple(breakpoints), witnesses, tuple(dict.fromkeys(rigid)))
 
 
-def _class_witnesses(p: SimplexPoint, b: SimplexPoint) -> set:
-    """Witnesses from p to b among candidates of p's simplex, kept as a
-    mutable baseline the walker compares against."""
-    return set(_witness_pool(p, b))
-
-
 def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
              delta: TopologicalType, coords):
-    """One skeleton-edge step forward; crosses simplices when needed."""
-    here = point_from_coords(delta, coords)
-    charts = list(adjacent_simplices(delta))
-    if len(here.ttype.edges) < len(delta.edges):
-        # the point sits on a face: resolutions of the face count too
-        charts += adjacent_simplices(here.ttype)
-    candidates = []
-    for d2 in charts:
-        emb = embed_point(here, d2)
-        if emb is None:
-            continue
-        target = embed_point(b, d2)
-        key = (0 if target is not None else 1, -len(d2.edges),
-               _chart_order(d2))
-        candidates.append((key, d2, emb))
-    candidates.sort(key=lambda x: x[0])
-    # two sweeps over the current and adjacent charts: first insist on
-    # steps that stay off chart-boundary faces (those are the rigid ones),
-    # then allow boundary steps as a last resort
-    for clean in (True, False):
-        nxt = _forward_vertex(slice_polytope(base, b, gamma, delta),
-                              coords, edge_counts(delta, gamma), delta, clean)
-        if nxt is not None:
-            return delta, nxt
-        for _, d2, emb in candidates:
-            poly2 = slice_polytope(base, b, gamma, d2)
-            if not poly2.is_feasible():
-                continue
-            nxt = _forward_vertex(poly2, emb, edge_counts(d2, gamma), d2,
-                                  clean)
-            if nxt is not None:
-                return d2, nxt
-    return None
+    """One skeleton-edge step forward; crosses simplices when needed.
+
+    Two sweeps over the current chart and then the adjacent ones, those
+    holding b first: the first insists on steps that stay off
+    chart-boundary faces (those are the rigid ones), the second allows
+    boundary steps as a last resort."""
+    _, near = _charts_at(delta, coords)
+    near.sort(key=lambda c: (embed_point(b, c[0]) is None,
+                             -len(c[0].edges), _chart_order(c[0])))
+    return _first_step(
+        [(delta, coords)] + near, partial(slice_polytope, base, b, gamma),
+        gamma, (partial(_forward_vertex, require_clean=True),
+                _forward_vertex))
 
 
 def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None) -> int:
@@ -355,6 +350,15 @@ def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None) -> int:
     return best
 
 
+def _pair_dims(points, budget=None):
+    """Yield ((i, j), _pair_dim) for each pair i < j of distinct points,
+    lazily, so a caller can stop at the first dimension it needs."""
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            if not same_point(p, points[j]):
+                yield (i, j), _pair_dim(p, points[j], budget)
+
+
 def is_rigid(path: GeodesicPath, budget=None) -> bool:
     """Whether every sub-arc of the path is the unique geodesic between
     its endpoints: all two-breakpoint envelopes are at most 1-dimensional."""
@@ -364,13 +368,7 @@ def is_rigid(path: GeodesicPath, budget=None) -> bool:
             for j in range(i + 1, k):
                 if not on_geodesic(pts[i], pts[j], pts[k]):
                     raise NotAGeodesic("breakpoints fail multiplicativity")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if same_point(pts[i], pts[j]):
-                continue
-            if _pair_dim(pts[i], pts[j], budget) > 1:
-                return False
-    return True
+    return all(d <= 1 for _, d in _pair_dims(pts, budget))
 
 
 @dataclass(frozen=True)
@@ -391,7 +389,7 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
     _check_ranks(a, b)
     if not (a.ttype.is_trivalent() and b.ttype.is_trivalent()):
         raise NotMaximalSimplex("both points must be in maximal simplices")
-    for gamma in sorted(stretch_report(a, b).candidate_witnesses,
+    for gamma in sorted(candidate_witnesses(a, b),
                         key=class_order):
         if via == "out":
             poly = out_envelope(a, [gamma], b.ttype)
@@ -478,7 +476,7 @@ def local_geodesic_approximation(waypoints, eps) -> GeodesicPath:
             for p, q, r in zip(out, out[1:], out[2:])
         ):
             witnesses = tuple(
-                stretch_report(p, q).candidate_witnesses
+                candidate_witnesses(p, q)
                 for p, q in zip(out, out[1:])
             )
             return GeodesicPath(tuple(out), witnesses, tuple(range(len(out))))
@@ -522,6 +520,7 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
     """
     if a.ttype.rank != 2:
         raise Unsupported("ray walking is implemented for rank 2")
+    _check_count("steps", steps)
     direction = sorted(set(s), key=class_order)
     if not direction:
         raise ParamOutOfRange("empty direction")
@@ -537,40 +536,20 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
     while crossed < steps:
         guard += 1
         if guard > budget:
-            raise WalkStuck(f"ray walk exceeded {budget} steps")
+            raise BudgetExceeded(f"ray walk exceeded {budget} steps")
         poly = out_envelope(base, direction, delta)
         nxt = poly.is_feasible() and _forward_vertex(
             poly, coords, edge_counts(delta, gamma), delta
         )
         if nxt:
             coords = nxt
-            here = point_from_coords(delta, coords)
-            points.append(here)
+            points.append(point_from_coords(delta, coords))
             crossings.append(crossed)
             continue
-        here = point_from_coords(delta, coords)
-        charts = list(adjacent_simplices(delta))
-        if len(here.ttype.edges) < len(delta.edges):
-            charts += adjacent_simplices(here.ttype)
-        moved = None
-        for toward_ideal in (False, True):
-            for d2 in sorted(charts, key=_chart_order):
-                emb = embed_point(here, d2)
-                if emb is None:
-                    continue
-                poly2 = out_envelope(here, direction, d2)
-                if not poly2.is_feasible():
-                    continue
-                counts = edge_counts(d2, gamma)
-                if toward_ideal:
-                    step = _ideal_half_step(poly2, emb, counts, d2)
-                else:
-                    step = _forward_vertex(poly2, emb, counts, d2)
-                if step is not None:
-                    moved = (d2, step)
-                    break
-            if moved is not None:
-                break
+        here, near = _charts_at(delta, coords)
+        moved = _first_step(sorted(near, key=lambda c: _chart_order(c[0])),
+                            partial(out_envelope, here, direction), gamma,
+                            (_forward_vertex, _ideal_half_step))
         if moved is None:
             raise WalkStuck("ray cannot continue in any adjacent simplex")
         base = here
@@ -578,12 +557,7 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
         crossed += 1
         points.append(point_from_coords(delta, coords))
         crossings.append(crossed)
-    dims = {}
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if same_point(points[i], points[j]):
-                continue
-            dims[(i, j)] = _pair_dim(points[i], points[j], budget)
+    dims = dict(_pair_dims(points, budget))
     bound = 3 * a.ttype.rank - 5
     stable = 0
     for i in sorted({i for i, _ in dims}, reverse=True):

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
-from .envelopes import (
-    _budget,
-    reference_witness,
-    slice_polytope,
-    support,
-)
+from .envelopes import reference_witness, slice_polytope, support
 from .errors import Unsupported
 from .graphs import (
     SimplexPoint,
@@ -205,7 +200,7 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
     maximal simplex of the support, with an optional breakpoint overlay."""
     if a.ttype.rank != 2:
         raise Unsupported("drawing is rank 2 only")
-    sup = support(a, b, _budget(budget))
+    sup = support(a, b, budget)
     layout = layout_support(sup.simplices)
     gamma = reference_witness(a, b)
     corners, den = layout.scaled
@@ -277,7 +272,7 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
 def envelope_vertices_json(a: SimplexPoint, b: SimplexPoint,
                            budget=None) -> list:
     """Exact vertex lists per support simplex, mirroring the picture."""
-    sup = support(a, b, _budget(budget))
+    sup = support(a, b, budget)
     gamma = reference_witness(a, b)
     out = []
     for t in _maximal(sup.simplices):

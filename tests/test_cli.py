@@ -254,6 +254,23 @@ def test_budget_zero_exits_3(files, capsys):
     assert "budget exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "a", "b", "--budget", "1"],
+    ["ray-audit", "rose", "--direction", "x", "y", "--steps", "4",
+     "--budget", "2"],
+])
+def test_walker_and_ray_step_budgets_exit_3(files, capsys, argv):
+    argv = [files.get(x, x) for x in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_ray_audit_bad_steps_exits_2(files, capsys):
+    assert main(["ray-audit", files["rose"], "--direction", "x", "y",
+                 "--steps", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("ParamOutOfRange: ")
+
+
 def test_bad_cvn_budget_process_exits_2(files):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, CVN_BUDGET="abc", PYTHONPATH=str(root / "src"))

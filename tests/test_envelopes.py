@@ -419,6 +419,16 @@ def test_walker_and_ray_audit_share_the_budget_check(monkeypatch):
         ray_dimension_audit(rose_point([5, 3]), [CC([1]), CC([2])], 1)
 
 
+@pytest.mark.parametrize("draw", ["render_envelope_svg",
+                                  "envelope_vertices_json"])
+def test_svg_entry_points_check_the_budget(draw):
+    import cvn.svg
+
+    with pytest.raises(ParamOutOfRange):
+        getattr(cvn.svg, draw)(theta_point(1, 1, 1), theta_point(3, 2, 1),
+                               budget=-1)
+
+
 def _rows(hs):
     return [(h.coeffs, h.provenance, h.degenerate) for h in hs]
 

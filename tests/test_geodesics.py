@@ -18,8 +18,8 @@ from cvn.geodesics import (
     GeodesicPath,
     _beats,
     _coords_score,
+    _first_step,
     _vertex_scores,
-    _witness_pool,
     check_gluing,
     general_position,
     is_rigid,
@@ -30,6 +30,7 @@ from cvn.geodesics import (
 )
 from cvn.graphs import (
     apply_outer_automorphism,
+    barbell_type,
     marking_equivalent,
     point_from_coords,
     resolutions,
@@ -38,8 +39,15 @@ from cvn.graphs import (
     theta_point,
     theta_type,
     twisted_theta_point,
+    twisted_theta_type,
 )
-from cvn.metric import is_witness, same_point, stretch, stretch_report
+from cvn.metric import (
+    candidate_witnesses,
+    is_witness,
+    same_point,
+    stretch,
+    stretch_report,
+)
 from cvn.sampling import random_pair, random_point
 from cvn.words import conj_class, generator
 
@@ -359,6 +367,48 @@ def test_ray_audit_rank_guard():
         )
 
 
+@pytest.mark.parametrize("steps", [-3, 0, True, 2.5])
+def test_ray_audit_steps_must_be_a_count(steps):
+    with pytest.raises(ParamOutOfRange):
+        ray_dimension_audit(rose_point([5, 3]), [CC([1]), CC([2])], steps)
+
+
+class _Poly:
+    def __init__(self, vertices):
+        self.vertices = vertices
+
+
+def test_first_step_sweeps_outside_charts_in_order():
+    # four charts, the first with no vertex; sweep "one" moves in the
+    # first, third and fourth chart, sweep "two" in the second.  Sweeps
+    # outside charts, in the given order, skipping the empty chart: "one"
+    # moves in the third chart before "two" is ever tried
+    a, b, c, d = (rose_type(2), theta_type(), twisted_theta_type(),
+                  barbell_type())
+    polys = {a: _Poly(()), b: _Poly((1,)), c: _Poly((1,)), d: _Poly((1,))}
+    gamma = CC([1, 2])
+    calls = []
+
+    def sweep(name, moves):
+        def step(poly, coords, counts, chart):
+            assert poly is polys[chart]
+            assert counts == edge_counts(chart, gamma)
+            calls.append((name, coords))
+            return moves.get(chart)
+        return step
+
+    charts = [(a, "a"), (b, "b"), (c, "c"), (d, "d")]
+    got = _first_step(charts, polys.__getitem__, gamma,
+                      (sweep("one", {a: 0, c: 3, d: 4}),
+                       sweep("two", {b: 2})))
+    assert got == (c, 3)
+    assert calls == [("one", "b"), ("one", "c")]
+    calls.clear()
+    assert _first_step(charts, polys.__getitem__, gamma,
+                       (sweep("one", {}), sweep("two", {}))) is None
+    assert calls == [("one", x) for x in "bcd"] + [("two", x) for x in "bcd"]
+
+
 def _fraction_score(delta, gamma, coords):
     """The Fraction twin of the walker's score: the length n . x of gamma
     at the point x of the chart delta."""
@@ -437,7 +487,7 @@ def test_witness_pool_is_the_candidate_witness_set():
         for p in pts:
             want = frozenset(g for g in candidate_words(p.ttype)
                              if is_witness(g, p, b))
-            assert _witness_pool(p, b) == want
+            assert candidate_witnesses(p, b) == want
 
 
 def test_same_point_matches_two_stretch_definition():
