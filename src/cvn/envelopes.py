@@ -219,35 +219,41 @@ def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
 
 @lru_cache(maxsize=64)
 def _support(a: SimplexPoint, b: SimplexPoint, budget: int) -> Support:
-    """The flood fill behind support.
+    return Support(tuple(_fill(a, b, reference_witness(a, b), budget)))
+
+
+def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
+    """The flood fill behind support, lazily: yields each simplex it
+    enters, in fill order, once the simplex's slice vertices are known
+    and before its neighbours are queued, so a caller that stops early
+    queues and keys nothing further.
 
     Only T(a) is tested by feasible().  Every other simplex is queued
     from an entered simplex t whose slice vertices are known: the slice
     of the face collapsing edge e is slice(t) with x_e = 0, so the face
     is queued when some vertex of t has x_e = 0, and t's slice is a face
     of each resolution's slice, so every resolution is queued."""
-    gamma = reference_witness(a, b)
     start = _slice(a, b, gamma, a.ttype)
     if not feasible(start.star + start.starstar, len(a.ttype.edges)):
-        return Support(())
-    found: list[TopologicalType] = []
+        return
+    entered = 0
     queued: dict = {}
     record_type(queued, a.ttype)
     queue = deque([a.ttype])
     while queue:
         t = queue.popleft()
-        if len(found) == budget:
+        if entered == budget:
             raise BudgetExceeded(f"support search entered > {budget} simplices")
         zs = [v[1] for v in slice_polytope(a, b, gamma, t)._vertex_rays]
         if not zs:
             raise SelfCheckFailed(
                 f"support entered an empty slice in {[e.id for e in t.edges]}")
         zero = reduce(or_, zs)
-        found.append(t)
+        entered += 1
+        yield t
         queue.extend(f for i, f in face_edges(t)
                      if zero >> i & 1 and record_type(queued, f))
         queue.extend(r for r in resolutions(t) if record_type(queued, r))
-    return Support(tuple(found))
 
 
 def direction_reduction(a: SimplexPoint, m, delta: TopologicalType) -> frozenset:

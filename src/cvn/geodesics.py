@@ -14,17 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import combinations
 from operator import mul
 
 from .candidates import candidate_words, edge_counts
 from .envelopes import (
     _budget,
+    _fill,
     in_envelope,
     out_envelope,
     reference_witness,
     slice_polytope,
-    support,
 )
 from .errors import (
     BudgetExceeded,
@@ -340,35 +341,48 @@ def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
                 _forward_vertex))
 
 
-def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None) -> int:
-    """Largest envelope-slice dimension of the pair over its support."""
+def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None,
+              cap=None) -> int:
+    """Largest envelope-slice dimension of the pair over its support, or
+    the first slice dimension of the fill that reaches cap, where the fill
+    stops.  The default cap 3n-4 is exact: a trivalent chart has 3n-3
+    edges, so no slice is larger."""
+    if cap is None:
+        cap = 3 * p.ttype.rank - 4
     gamma = reference_witness(p, q)
     best = -1
-    for delta in support(p, q, budget).simplices:
-        poly = slice_polytope(p, q, gamma, delta)
-        best = max(best, poly.dim)
+    for delta in _fill(p, q, gamma, _budget(budget)):
+        best = max(best, slice_polytope(p, q, gamma, delta).dim)
+        if best >= cap:
+            break
     return best
 
 
-def _pair_dims(points, budget=None):
-    """Yield ((i, j), _pair_dim) for each pair i < j of distinct points,
-    lazily, so a caller can stop at the first dimension it needs."""
-    for i, p in enumerate(points):
-        for j in range(i + 1, len(points)):
-            if not same_point(p, points[j]):
-                yield (i, j), _pair_dim(p, points[j], budget)
+def _pair_dims(points, pairs, budget=None, cap=None):
+    """Yield ((i, j), _pair_dim) for each pair (i, j) of distinct points,
+    in the given order and lazily, so a caller can stop at the first
+    dimension it needs."""
+    for i, j in pairs:
+        if not same_point(points[i], points[j]):
+            yield (i, j), _pair_dim(points[i], points[j], budget, cap)
 
 
 def is_rigid(path: GeodesicPath, budget=None) -> bool:
     """Whether every sub-arc of the path is the unique geodesic between
-    its endpoints: all two-breakpoint envelopes are at most 1-dimensional."""
+    its endpoints: all two-breakpoint envelopes are at most 1-dimensional.
+
+    This is the all-pairs property, so it is False whenever Env(a, b) of
+    the end points is at least 2-dimensional, which holds for almost
+    every pair at rank n >= 2 (its dimension is 3n-4).  Pairs are tested
+    widest first, each with its fill stopped at dimension 2: the pair
+    (a, b) comes first, and its T(a) slice is usually enough."""
     pts = path.breakpoints
-    for i in range(len(pts)):
-        for k in range(i + 2, len(pts)):
-            for j in range(i + 1, k):
-                if not on_geodesic(pts[i], pts[j], pts[k]):
-                    raise NotAGeodesic("breakpoints fail multiplicativity")
-    return all(d <= 1 for _, d in _pair_dims(pts, budget))
+    for i, j, k in combinations(range(len(pts)), 3):
+        if not on_geodesic(pts[i], pts[j], pts[k]):
+            raise NotAGeodesic("breakpoints fail multiplicativity")
+    widest = sorted(combinations(range(len(pts)), 2),
+                    key=lambda ij: (ij[0] - ij[1], ij[0]))
+    return all(d <= 1 for _, d in _pair_dims(pts, widest, budget, cap=2))
 
 
 @dataclass(frozen=True)
@@ -502,6 +516,14 @@ def _approx_once(pts, scale):
     return out
 
 
+# the in-chart step and the crossing sweeps revisit the same slices; each
+# keeps its polytope and vertices, like envelopes._slice
+@lru_cache(maxsize=64)
+def _ray_slice(a: SimplexPoint, direction: tuple,
+               delta: TopologicalType) -> Polytope:
+    return out_envelope(a, direction, delta)
+
+
 @dataclass(frozen=True)
 class RayAudit:
     points: tuple[SimplexPoint, ...]
@@ -521,7 +543,7 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
     if a.ttype.rank != 2:
         raise Unsupported("ray walking is implemented for rank 2")
     _check_count("steps", steps)
-    direction = sorted(set(s), key=class_order)
+    direction = tuple(sorted(set(s), key=class_order))
     if not direction:
         raise ParamOutOfRange("empty direction")
     budget = _budget(budget)
@@ -537,7 +559,7 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
         guard += 1
         if guard > budget:
             raise BudgetExceeded(f"ray walk exceeded {budget} steps")
-        poly = out_envelope(base, direction, delta)
+        poly = _ray_slice(base, direction, delta)
         nxt = poly.is_feasible() and _forward_vertex(
             poly, coords, edge_counts(delta, gamma), delta
         )
@@ -548,7 +570,7 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
             continue
         here, near = _charts_at(delta, coords)
         moved = _first_step(sorted(near, key=lambda c: _chart_order(c[0])),
-                            partial(out_envelope, here, direction), gamma,
+                            partial(_ray_slice, here, direction), gamma,
                             (_forward_vertex, _ideal_half_step))
         if moved is None:
             raise WalkStuck("ray cannot continue in any adjacent simplex")
@@ -557,7 +579,8 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
         crossed += 1
         points.append(point_from_coords(delta, coords))
         crossings.append(crossed)
-    dims = dict(_pair_dims(points, budget))
+    dims = dict(_pair_dims(points, combinations(range(len(points)), 2),
+                           budget))
     bound = 3 * a.ttype.rank - 5
     stable = 0
     for i in sorted({i for i, _ in dims}, reverse=True):

@@ -322,3 +322,22 @@ def test_criterion_10_svg_json_consistency():
         for vs in json_verts:
             ok &= vs in seen
     _report(10, ok, time.monotonic() - t0, 30)
+
+
+def test_criterion_11_envelope_dimension():
+    # "for almost all pairs of points in CV_n their envelopes have
+    # dimension 3n-4": the first six trivalent pairs in general position
+    # at ranks 2 and 3
+    t0 = time.monotonic()
+    ok = True
+    for rank, seed in ((2, 3), (3, 7)):
+        rng = random.Random(seed)
+        checked = 0
+        while checked < 6:
+            a, b = random_pair(rank, rng)
+            if not (a.ttype.is_trivalent() and b.ttype.is_trivalent()) \
+                    or same_point(a, b) or not general_position(a, b)[0]:
+                continue
+            ok &= _pair_dim(a, b) == 3 * rank - 4
+            checked += 1
+    _report(11, ok, time.monotonic() - t0, 20)

@@ -5,9 +5,12 @@ from functools import cmp_to_key
 
 import pytest
 
+import marking_oracle
+from cvn import envelopes, geodesics
 from cvn.candidates import candidate_words, edge_counts
-from cvn.envelopes import reference_witness, slice_polytope, support
+from cvn.envelopes import _fill, reference_witness, slice_polytope, support
 from cvn.errors import (
+    BudgetExceeded,
     NotAGeodesic,
     NotMaximalSimplex,
     ParamOutOfRange,
@@ -19,6 +22,7 @@ from cvn.geodesics import (
     _beats,
     _coords_score,
     _first_step,
+    _pair_dim,
     _vertex_scores,
     check_gluing,
     general_position,
@@ -243,6 +247,124 @@ def test_is_rigid_rejects_non_geodesic():
         is_rigid(bogus)
 
 
+def _general_position_pairs(rank, seed, count):
+    """The first count pairs drawn from random_pair(rank, Random(seed))
+    whose points are trivalent, distinct and in general position."""
+    rng = random.Random(seed)
+    while count:
+        a, b = random_pair(rank, rng)
+        if (a.ttype.is_trivalent() and b.ttype.is_trivalent()
+                and not same_point(a, b) and general_position(a, b)[0]):
+            count -= 1
+            yield a, b
+
+
+def _full_dim(p, q):
+    """The largest slice dimension over the whole support: the uncapped
+    definition of _pair_dim."""
+    gamma = reference_witness(p, q)
+    return max((slice_polytope(p, q, gamma, t).dim
+                for t in support(p, q).simplices), default=-1)
+
+
+def _rigid_in_order(path):
+    """is_rigid by its definition: multiplicativity, then every pair
+    (i, j) in order, each with its full support."""
+    pts = path.breakpoints
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        if not on_geodesic(pts[i], pts[j], pts[k]):
+            raise NotAGeodesic("breakpoints fail multiplicativity")
+    return all(_full_dim(pts[i], pts[j]) <= 1
+               for i, j in itertools.combinations(range(len(pts)), 2)
+               if not same_point(pts[i], pts[j]))
+
+
+@pytest.fixture(scope="module")
+def fill_pairs():
+    """Six seeded rank-2 pairs and the consecutive breakpoints of a
+    seeded rank-3 walk."""
+    rng = random.Random(7)
+    pairs = [random_pair(2, rng) for _ in range(6)]
+    a, b = random_pair(3, random.Random(1))
+    pts = piecewise_rigid_geodesic(a, b).breakpoints
+    steps = list(zip(pts, pts[1:]))
+    assert len(steps) == 13
+    return pairs + steps
+
+
+def test_drained_fill_is_the_support(fill_pairs):
+    sizes = set()
+    for a, b in fill_pairs:
+        gamma = reference_witness(a, b)
+        want = support(a, b).simplices
+        assert tuple(_fill(a, b, gamma, len(want))) == want
+        if a.ttype.rank == 2:
+            assert marking_oracle.support(a, b)[0].simplices == want
+        if want:
+            # the fill yields every simplex it entered before it raises
+            got = []
+            with pytest.raises(BudgetExceeded):
+                got.extend(_fill(a, b, gamma, len(want) - 1))
+            assert tuple(got) == want[:-1]
+        sizes.add(len(want))
+    assert max(sizes) > 4
+
+
+def test_capped_pair_dim_matches_the_full_maximum(fill_pairs):
+    seen = set()
+    for a, b in fill_pairs:
+        full = _full_dim(a, b)
+        assert _pair_dim(a, b) == full
+        for cap in range(4):
+            capped = _pair_dim(a, b, cap=cap)
+            assert (capped >= cap) == (full >= cap)
+            assert capped <= full
+            if full < cap:
+                assert capped == full
+        seen.add((a.ttype.rank, full))
+    assert seen == {(2, 2), (3, 1)}
+
+
+def test_widest_first_is_rigid_matches_in_order_oracle():
+    edge_a = theta_point(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    edge_b = point_from_coords(
+        theta_type(), (Fraction(2, 7), Fraction(3, 7), Fraction(2, 7)))
+    chord_b = theta_point(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    mid = _segment_point(edge_a, chord_b, Fraction(1, 2))
+    paths = [piecewise_rigid_geodesic(edge_a, edge_b),
+             GeodesicPath((edge_a, mid, chord_b), (frozenset(),) * 2, (0, 2))]
+    for a, b in _general_position_pairs(2, 3, 20):
+        path = piecewise_rigid_geodesic(a, b)
+        slices = envelopes._slice.cache_info().misses
+        assert not is_rigid(path)
+        # (a, b) is tested first and its T(a) slice is enough; the last
+        # breakpoint is b as a new object, so that slice is one new entry
+        assert envelopes._slice.cache_info().misses == slices + 1
+        paths.append(path)
+    outcomes = [is_rigid(path) for path in paths]
+    assert outcomes == [_rigid_in_order(path) for path in paths]
+    assert outcomes[:2] == [True, False]
+
+
+def test_capped_fill_answers_within_a_budget_the_support_exceeds():
+    walks = [piecewise_rigid_geodesic(a, b)
+             for a, b in _general_position_pairs(2, 3, 5)]
+    for path in walks:
+        assert not is_rigid(path, budget=1)
+        with pytest.raises(BudgetExceeded):
+            support(path.start, path.end, budget=1)
+    # a rigid segment is only known rigid once its whole support is in
+    u, v = walks[0].breakpoints[1:3]
+    size = len(support(u, v).simplices)
+    assert size > 1 and _pair_dim(u, v) == 1
+    segment = GeodesicPath((u, v), (candidate_witnesses(u, v),), (0, 1))
+    with pytest.raises(BudgetExceeded):
+        is_rigid(segment, budget=size - 1)
+    with pytest.raises(BudgetExceeded):
+        _pair_dim(u, v, budget=size - 1, cap=2)
+    assert is_rigid(segment, budget=size)
+
+
 def test_general_position_generic_pair():
     ok, cert = general_position(theta_point(1, 2, 4), theta_point(5, 3, 2))
     assert ok
@@ -358,6 +480,26 @@ def test_ray_audit_figure_eight():
         if i >= 1:
             assert d == 1
     assert audit.stable_from <= 1
+
+
+def test_ray_audit_builds_each_out_envelope_once(monkeypatch):
+    # the point and direction of the ray-audit CLI fixture, rose.json
+    a = rose_point([Fraction(5, 8), Fraction(3, 8)])
+    direction = [CC([1]), CC([2])]
+    with monkeypatch.context() as m:
+        m.setattr(geodesics, "_ray_slice", geodesics.out_envelope)
+        want = ray_dimension_audit(a, direction, 4)
+    builds = []
+    build = geodesics.out_envelope
+
+    def counted(base, s, delta):
+        builds.append((base, s, delta))
+        return build(base, s, delta)
+
+    monkeypatch.setattr(geodesics, "out_envelope", counted)
+    geodesics._ray_slice.cache_clear()
+    assert ray_dimension_audit(a, direction, 4) == want
+    assert len(builds) == len(set(builds)) == 11
 
 
 def test_ray_audit_rank_guard():
