@@ -32,16 +32,22 @@ class Candidate:
 
 
 def path_counts(t: TopologicalType, path) -> tuple[int, ...]:
-    c = [0] * len(t.edges)
+    c, pos = [0] * len(t.edges), t._positions
     for eid, _ in path:
-        c[t.index(eid)] += 1
+        c[pos[eid]] += 1
     return tuple(c)
 
 
 def edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
-    """How often the immersed loop of gamma runs over each edge."""
+    """How often the immersed loop of gamma runs over each edge, memoised
+    per (type, class)."""
     if gamma.is_trivial():
         raise TrivialClass("trivial class has no immersed representative")
+    return _edge_counts(t, gamma)
+
+
+@lru_cache(maxsize=8192)
+def _edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
     c = [0] * len(t.edges)
     for k in _loop_codes(t, gamma):  # code k steps over t.edges[|k| - 1]
         c[abs(k) - 1] += 1

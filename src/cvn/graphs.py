@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import neg
 from types import MappingProxyType
 
 from .errors import (
@@ -41,7 +42,7 @@ from .words import (
     ConjClass,
     Word,
     _basis_inverse,
-    conj_normal_form,
+    _class_of,
     invert,
     is_basis,
     reduce,
@@ -331,24 +332,24 @@ def path_word(t: TopologicalType, path) -> Word:
 
 
 def loop_word(t: TopologicalType, path) -> ConjClass:
-    """Conjugacy class represented by a closed edge path."""
-    ends = t._edge_ends
+    """Conjugacy class of a closed edge path, through words._class_of."""
+    ends, pos, edges = t._edge_ends, t._positions, t.edges
     out: list[int] = []
     k = -1
     for k, (eid, s) in enumerate(path):
-        i = t.index(eid)
+        i = pos[eid]
         u, v = ends[i] if s > 0 else ends[i][::-1]
         if k == 0:
             first = u
         elif u != head:
             raise NotClosed(f"steps {k - 1} and {k} do not concatenate")
         head = v
-        lab = t.edges[i].label.letters
-        out.extend(lab if s > 0 else invert(lab))
+        lab = edges[i].label.letters
+        out.extend(lab if s > 0 else map(neg, reversed(lab)))
     if k < 0 or head != first:
         raise NotClosed("empty path" if k < 0 else
                         f"steps {k} and {k + 1} do not concatenate")
-    return conj_normal_form(reduce(out, t.rank))
+    return _class_of(tuple(out), t.rank)
 
 
 @lru_cache(maxsize=4096)

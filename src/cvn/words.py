@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -118,7 +118,16 @@ class Word:
     def is_trivial(self) -> bool:
         return not self.letters
 
-    def __str__(self):
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.letters, self.rank))
+
+    def __hash__(self) -> int:
+        # classes key the edge-count and length memos; hash the fields once
+        return self._hash
+
+    @cached_property
+    def _name(self) -> str:
         if not self.letters:
             return "1"
         names = "xyzuvw"
@@ -129,6 +138,9 @@ class Word:
             return s if a > 0 else s + "^-1"
 
         return " ".join(nm(a) for a in self.letters)
+
+    def __str__(self):
+        return self._name
 
 
 def reduce(letters, rank: int) -> Word:
@@ -151,13 +163,16 @@ class ConjClass:
     rank: int
 
     def is_trivial(self) -> bool:
-        return self.rep.is_trivial()
+        return not self.rep.letters
 
     def __len__(self):
         return len(self.rep)
 
+    def __hash__(self) -> int:
+        return self.rep._hash  # equal classes have equal reps
+
     def __str__(self):
-        return str(self.rep)
+        return self.rep._name
 
 
 def class_order(g: ConjClass) -> tuple:
@@ -176,7 +191,15 @@ def conj_normal_form(w: Word) -> ConjClass:
 
 
 def conj_class(letters, rank: int) -> ConjClass:
-    return conj_normal_form(reduce(letters, rank))
+    return _class_of(tuple(letters), rank)
+
+
+@lru_cache(maxsize=4096)
+def _class_of(letters: Letters, rank: int) -> ConjClass:
+    """The class of the letters, not necessarily reduced: the one object
+    memoised under its canonical letters, shared while that entry is held."""
+    g = conj_normal_form(reduce(letters, rank))
+    return g if g.rep.letters == letters else _class_of(g.rep.letters, rank)
 
 
 def apply_endomorphism(w: Word, images: list[Word]) -> Word:

@@ -21,6 +21,7 @@ import marking_oracle
 from cvn import candidates, graphs
 from cvn.errors import BudgetExceeded, NotAForest
 from cvn.envelopes import reference_witness, slice_polytope, support
+from cvn.geodesics import _pair_dim
 from cvn.graphs import (
     SimplexPoint,
     adjacent_simplices,
@@ -37,7 +38,7 @@ from cvn.graphs import (
 )
 from cvn.metric import brute_force_lambda, length_numerator, stretch_report
 from cvn.sampling import random_pair
-from cvn.words import conjugacy_classes_up_to
+from cvn.words import Word, conj_class, conjugacy_classes_up_to, invert
 
 
 def _cvn_modules():
@@ -68,15 +69,38 @@ def _pairs():
     return out
 
 
+# the per-class memos: classes by letters, edge counts per (type, class)
+# and length numerators per (point, class)
+CLASS_MEMOS = ("cvn.words._class_of", "cvn.candidates._edge_counts",
+               "cvn.metric._length_numerator")
+
+
 def test_every_cache_is_bounded():
     caches = _caches()
     for name in ("cvn.metric.stretch_report", "cvn.envelopes._slice",
                  "cvn.envelopes._support", "cvn.graphs.embed_point",
                  "cvn.graphs._marking_isomorphism", "cvn.graphs.forests",
-                 "cvn.graphs._collapse_cached"):
+                 "cvn.graphs._collapse_cached") + CLASS_MEMOS:
         assert name in caches
     for name, fn in caches.items():
         assert fn.cache_parameters()["maxsize"] is not None, name
+
+
+def _class_memo_sizes():
+    caches = _caches()
+    return [caches[name].cache_info().currsize for name in CLASS_MEMOS]
+
+
+def test_class_memos_are_cleared_by_the_bench():
+    charts = resolutions(rose_type(3))[:3]
+    p = SimplexPoint(charts[0], tuple(Fraction(k, 21) for k in range(1, 7)))
+    for t in charts:
+        for c in candidates.enumerate_candidates(t):
+            candidates.edge_counts(t, c.word)
+            length_numerator(p, c.word)
+    assert all(_class_memo_sizes())
+    _bench_tracer().clear_caches()
+    assert _class_memo_sizes() == [0, 0, 0]
 
 
 def test_reported_caches_keep_their_statistics():
@@ -149,6 +173,11 @@ def test_brute_force_lambda_leaves_tighten_memo_empty():
     _clear_all()
     assert brute_force_lambda(a, b, 6) == lam
     assert graphs._tighten_cached.cache_info().currsize == 0
+    # enumeration wraps its classes itself, so no class is interned, and
+    # no edge count or length is memoised
+    assert _class_memo_sizes() == [0, 0, 0]
+    list(conjugacy_classes_up_to(3, 4))
+    assert _class_memo_sizes() == [0, 0, 0]
 
 
 def test_coded_loops_and_weights_are_immutable():
@@ -172,6 +201,84 @@ def test_tighten_matches_fresh():
     _clear_all()
     assert {(t, g): tighten(t, g) for t in charts for g in classes} == memo
     assert {g: length_numerator(p, g) for g in lengths} == lengths
+
+
+def _chart_answers(t):
+    """The candidates of t and every per-class answer read for them."""
+    n = len(t.edges)
+    p = SimplexPoint(t, tuple(Fraction(k, n * (n + 1) // 2)
+                              for k in range(1, n + 1)))
+    cands = candidates.enumerate_candidates(t)
+    return (cands, [candidates.edge_counts(t, c.word) for c in cands],
+            [length_numerator(p, c.word) for c in cands],
+            [str(c.word) for c in cands])
+
+
+def test_candidates_and_class_memos_match_fresh_in_every_rank3_chart():
+    charts = resolutions(rose_type(3))
+    assert len(charts) == 105
+    memo = [_chart_answers(t) for t in charts]
+    for t, want in zip(charts, memo):
+        _clear_all()
+        # candidates compare by kind, path, class and counts, in order
+        assert _chart_answers(t) == want
+
+
+def test_class_name_and_hash_are_the_uncached_ones():
+    fresh = [conj_class(c.word.rep.letters, 3)
+             for c in candidates.enumerate_candidates(
+                 resolutions(rose_type(3))[7])]
+    for g in fresh + list(conjugacy_classes_up_to(2, 4)):
+        assert str(g) == str(g.rep) == Word.__dict__["_name"].func(g.rep)
+        assert str(g) is str(g)
+        rep = Word(g.rep.letters, g.rank)  # a new object: nothing cached
+        assert hash(g) == hash(g.rep) == hash((rep.letters, rep.rank))
+
+
+def test_equal_classes_of_two_charts_are_one_object():
+    charts = resolutions(rose_type(3))
+    first = {c.word: c.word for c in candidates.enumerate_candidates(charts[0])}
+    shared = 0
+    for t in charts[1:]:
+        for c in candidates.enumerate_candidates(t):
+            if c.word in first:
+                assert c.word is first[c.word]
+                shared += 1
+    assert shared > 0
+    for g in first:
+        assert conj_class(g.rep.letters, 3) is g
+        assert conj_class(invert(g.rep.letters), 3) is g
+    _clear_all()
+    g = next(iter(first))
+    assert conj_class(g.rep.letters, 3) == g
+    assert conj_class(g.rep.letters, 3) is not g
+
+
+def test_support_and_pair_dim_do_not_depend_on_cache_state():
+    # a rank-3 pair whose support (248 simplices) fills in about a second,
+    # computed from cold caches and again after three other pairs have
+    # filled the class, candidate and type memos
+    rng = random.Random(7)
+    pairs = [random_pair(3, rng) for _ in range(4)]
+    a, b = pairs[0]
+
+    def answers():
+        return (support(a, b).simplices, _pair_dim(a, b),
+                _pair_dim(a, b, cap=2))
+
+    _clear_all()
+    cold = answers()
+    assert len(cold[0]) == 248
+    _clear_all()
+    warmed = 0
+    for p, q in pairs[1:]:
+        _pair_dim(p, q)
+        with pytest.raises(BudgetExceeded):
+            support(p, q, 60)
+        warmed += 1
+    assert warmed == 3
+    assert all(_class_memo_sizes())
+    assert answers() == cold
 
 
 def test_stretch_report_memo_matches_fresh():
