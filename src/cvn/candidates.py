@@ -32,9 +32,9 @@ class Candidate:
 
 
 def path_counts(t: TopologicalType, path) -> tuple[int, ...]:
-    c, pos = [0] * len(t.edges), t._positions
+    c = [0] * len(t.edges)
     for eid, _ in path:
-        c[pos[eid]] += 1
+        c[t.index(eid)] += 1
     return tuple(c)
 
 

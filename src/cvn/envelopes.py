@@ -37,7 +37,7 @@ from .graphs import (
     resolutions,
 )
 from .metric import conj_length, length_numerator, stretch_report
-from .polytope import HalfSpace, Polytope, equality
+from .polytope import HalfSpace, Polytope, equality, feasible
 from .words import ConjClass, Word, class_order, extend_to_basis
 
 DEFAULT_BUDGET = 500
@@ -228,18 +228,14 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
     and before its neighbours are queued, so a caller that stops early
     queues and keys nothing further.
 
-    a certifies T(a): gamma is maximal among T(a)'s candidates, so a's own
-    length numerators meet every star row (with equality) and starstar
-    row, or SelfCheckFailed is raised.  Every other simplex is queued
+    Only T(a) is tested by feasible().  Every other simplex is queued
     from an entered simplex t whose slice vertices are known: the slice
     of the face collapsing edge e is slice(t) with x_e = 0, so the face
     is queued when some vertex of t has x_e = 0, and t's slice is a face
     of each resolution's slice, so every resolution is queued."""
     start = _slice(a, b, gamma, a.ttype)
-    nums = a.scaled_lengths[0]
-    for h in start.star + start.starstar:
-        if sum(map(mul, h.row, nums)) < 0:
-            raise SelfCheckFailed(f"a violates its start row {h.provenance}")
+    if not feasible(start.star + start.starstar, len(a.ttype.edges)):
+        return
     entered = 0
     queued: dict = {}
     record_type(queued, a.ttype)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import neg
 from types import MappingProxyType
 
 from .errors import (
@@ -333,19 +332,19 @@ def path_word(t: TopologicalType, path) -> Word:
 
 def loop_word(t: TopologicalType, path) -> ConjClass:
     """Conjugacy class of a closed edge path, through words._class_of."""
-    ends, pos, edges = t._edge_ends, t._positions, t.edges
+    ends = t._edge_ends
     out: list[int] = []
     k = -1
     for k, (eid, s) in enumerate(path):
-        i = pos[eid]
+        i = t.index(eid)
         u, v = ends[i] if s > 0 else ends[i][::-1]
         if k == 0:
             first = u
         elif u != head:
             raise NotClosed(f"steps {k - 1} and {k} do not concatenate")
         head = v
-        lab = edges[i].label.letters
-        out.extend(lab if s > 0 else map(neg, reversed(lab)))
+        lab = t.edges[i].label.letters
+        out.extend(lab if s > 0 else invert(lab))
     if k < 0 or head != first:
         raise NotClosed("empty path" if k < 0 else
                         f"steps {k} and {k + 1} do not concatenate")

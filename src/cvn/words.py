@@ -12,6 +12,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import neg
 
 from .errors import (
     BudgetExceeded,
@@ -37,7 +38,7 @@ def free_reduce(letters) -> Letters:
 
 
 def invert(letters) -> Letters:
-    return tuple(-a for a in reversed(letters))
+    return tuple(map(neg, reversed(letters)))
 
 
 def cyclic_reduce(letters: Letters) -> tuple[Letters, Letters]:
@@ -123,8 +124,7 @@ class Word:
         return hash((self.letters, self.rank))
 
     def __hash__(self) -> int:
-        # classes key the edge-count and length memos; hash the fields once
-        return self._hash
+        return self._hash  # once: classes key the count and length memos
 
     @cached_property
     def _name(self) -> str:
@@ -196,10 +196,14 @@ def conj_class(letters, rank: int) -> ConjClass:
 
 @lru_cache(maxsize=4096)
 def _class_of(letters: Letters, rank: int) -> ConjClass:
-    """The class of the letters, not necessarily reduced: the one object
-    memoised under its canonical letters, shared while that entry is held."""
-    g = conj_normal_form(reduce(letters, rank))
-    return g if g.rep.letters == letters else _class_of(g.rep.letters, rank)
+    """The class of raw letters, as the object that _interned holds."""
+    return _interned(conj_normal_form(reduce(letters, rank)))
+
+
+@lru_cache(maxsize=4096)
+def _interned(g: ConjClass) -> ConjClass:
+    """The first object equal to g, shared while this entry is held."""
+    return g
 
 
 def apply_endomorphism(w: Word, images: list[Word]) -> Word:
