@@ -60,6 +60,21 @@ def _budget(budget):
     return budget
 
 
+def _rows(lg: int, ng, terms, sign: int):
+    """The stretch rows against gamma, with L(gamma) = lg and n(gamma) = ng:
+    for each (w, L(w), n(w)) in terms, yields w and the integer row
+    sign * (L(w) n(gamma) - L(gamma) n(w)).
+
+    With L a point's length numerators and n edge counts in a chart, the
+    row is nonnegative at x exactly when gamma's stretch from the point
+    into x is at least w's (sign 1), or when gamma's stretch from x into
+    the point is at least w's (sign -1)."""
+    lg *= sign
+    for w, lw, nw in terms:
+        lw *= sign
+        yield w, tuple(lw * g - lg * x for g, x in zip(ng, nw))
+
+
 def star_system(a: SimplexPoint, gamma: ConjClass,
                 delta: TopologicalType) -> list[HalfSpace]:
     """One half-space per candidate of a: on the nonnegative side, gamma is
@@ -72,15 +87,12 @@ def star_system(a: SimplexPoint, gamma: ConjClass,
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
     nums, d = a.scaled_lengths
-    lg = length_numerator(a, gamma)
-    ng = edge_counts(delta, gamma)
-    out = []
-    for c in enumerate_candidates(a.ttype):
-        lw = sum(map(mul, nums, c.counts))
-        nw = edge_counts(delta, c.word)
-        row = tuple(lw * g - lg * w for g, w in zip(ng, nw))
-        out.append(HalfSpace(row, d, ("star", str(c.word))))
-    return out
+    terms = ((c.word, sum(map(mul, nums, c.counts)),
+              edge_counts(delta, c.word))
+             for c in enumerate_candidates(a.ttype))
+    rows = _rows(length_numerator(a, gamma), edge_counts(delta, gamma),
+                 terms, 1)
+    return [HalfSpace(row, d, ("star", str(w))) for w, row in rows]
 
 
 def starstar_system(b: SimplexPoint, gamma: ConjClass,
@@ -94,14 +106,11 @@ def starstar_system(b: SimplexPoint, gamma: ConjClass,
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
     d = b.scaled_lengths[1]
-    lg = length_numerator(b, gamma)
-    ng = edge_counts(delta, gamma)
-    out = []
-    for c in enumerate_candidates(delta):
-        lw = length_numerator(b, c.word)
-        row = tuple(lg * w - lw * g for w, g in zip(c.counts, ng))
-        out.append(HalfSpace(row, d, ("starstar", str(c.word))))
-    return out
+    terms = ((c.word, length_numerator(b, c.word), c.counts)
+             for c in enumerate_candidates(delta))
+    rows = _rows(length_numerator(b, gamma), edge_counts(delta, gamma),
+                 terms, -1)
+    return [HalfSpace(row, d, ("starstar", str(w))) for w, row in rows]
 
 
 def _direction(s) -> list[ConjClass]:
@@ -114,43 +123,32 @@ def _direction(s) -> list[ConjClass]:
     return s
 
 
+def _one_sided(p: SimplexPoint, s, delta: TopologicalType, system,
+               kind: str, sign: int) -> Polytope:
+    """The system of p for every class of s, then the rows that make each
+    later class's stretch equal to the first class's: the equal-stretch
+    rows are the system's rows against the first class, as equalities."""
+    s = _direction(s)
+    hs = [h for g in s for h in system(p, g, delta)]
+    d = p.scaled_lengths[1]
+    first = s[0]
+    terms = ((g, length_numerator(p, g), edge_counts(delta, g))
+             for g in s[1:])
+    rows = _rows(length_numerator(p, first), edge_counts(delta, first),
+                 terms, sign)
+    for g, row in rows:
+        hs.extend(equality(row, (kind, str(first), str(g)), d))
+    return Polytope(len(delta.edges), hs)
+
+
 def out_envelope(a: SimplexPoint, s, delta: TopologicalType) -> Polytope:
     """Points of delta reached from a with every class in s a shared witness."""
-    s = _direction(s)
-    hs = []
-    for g in s:
-        hs.extend(star_system(a, g, delta))
-    d = a.scaled_lengths[1]
-    first = s[0]
-    lf = length_numerator(a, first)
-    nf = edge_counts(delta, first)
-    for g in s[1:]:
-        lg = length_numerator(a, g)
-        ng = edge_counts(delta, g)
-        row = [lg * x - lf * y for x, y in zip(nf, ng)]
-        hs.extend(equality(row, ("equal-stretch-out", str(first), str(g)),
-                           d))
-    return Polytope(len(delta.edges), hs)
+    return _one_sided(a, s, delta, star_system, "equal-stretch-out", 1)
 
 
 def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
     """Points of delta from which every class in s witnesses into b."""
-    s = _direction(s)
-    hs = []
-    for g in s:
-        hs.extend(starstar_system(b, g, delta))
-    d = b.scaled_lengths[1]
-    first = s[0]
-    lf = length_numerator(b, first)
-    nf = edge_counts(delta, first)
-    for g in s[1:]:
-        lg = length_numerator(b, g)
-        ng = edge_counts(delta, g)
-        # stretch into b equal: l_b(first)/l_C(first) = l_b(g)/l_C(g)
-        row = [lf * x - lg * y for x, y in zip(ng, nf)]
-        hs.extend(equality(row, ("equal-stretch-in", str(first), str(g)),
-                           d))
-    return Polytope(len(delta.edges), hs)
+    return _one_sided(b, s, delta, starstar_system, "equal-stretch-in", -1)
 
 
 def reference_witness(a: SimplexPoint, b: SimplexPoint) -> ConjClass:
@@ -163,8 +161,6 @@ def reference_witness(a: SimplexPoint, b: SimplexPoint) -> ConjClass:
 class EnvelopeSlice:
     simplex: TopologicalType
     gamma: ConjClass
-    star: tuple
-    starstar: tuple
     polytope: Polytope
 
 
@@ -173,10 +169,8 @@ class EnvelopeSlice:
 @lru_cache(maxsize=64)
 def _slice(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
            delta: TopologicalType) -> EnvelopeSlice:
-    star = tuple(star_system(a, gamma, delta))
-    starstar = tuple(starstar_system(b, gamma, delta))
-    return EnvelopeSlice(delta, gamma, star, starstar,
-                         Polytope(len(delta.edges), star + starstar))
+    rows = star_system(a, gamma, delta) + starstar_system(b, gamma, delta)
+    return EnvelopeSlice(delta, gamma, Polytope(len(delta.edges), rows))
 
 
 def slice_polytope(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
@@ -234,7 +228,7 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
     is queued when some vertex of t has x_e = 0, and t's slice is a face
     of each resolution's slice, so every resolution is queued."""
     start = _slice(a, b, gamma, a.ttype)
-    if not feasible(start.star + start.starstar, len(a.ttype.edges)):
+    if not feasible(start.polytope.halfspaces, len(a.ttype.edges)):
         return
     entered = 0
     queued: dict = {}

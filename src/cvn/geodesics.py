@@ -5,9 +5,11 @@ gluing tests are exact rational identities.  The central construction walks
 edges of envelope polytopes: the walk from A maximizes the length of the
 reference witness (a linear functional whose unique maximum over the
 envelope is B), restarting a new phase whenever a fresh candidate of the
-current simplex becomes maximally stretched into B.  Consecutive envelope
-edges within a phase are rigid, so the output is a concatenation of
-uniquely-geodesic segments.
+current simplex becomes maximally stretched into B.  At rank 2,
+consecutive envelope edges within a phase are rigid, so the output is a
+concatenation of uniquely-geodesic segments; acceptance criterion 06
+checks every segment.  The walker also runs at rank 3, but there its
+segments are not checked rigid, and some are not (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from operator import mul
 from .candidates import candidate_words, edge_counts
 from .envelopes import (
     _budget,
+    _direction,
     _fill,
     in_envelope,
     out_envelope,
@@ -403,14 +406,11 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
     _check_ranks(a, b)
     if not (a.ttype.is_trivalent() and b.ttype.is_trivalent()):
         raise NotMaximalSimplex("both points must be in maximal simplices")
-    for gamma in sorted(candidate_witnesses(a, b),
-                        key=class_order):
-        if via == "out":
-            poly = out_envelope(a, [gamma], b.ttype)
-            x = b.lengths
-        else:
-            poly = in_envelope(b, [gamma], a.ttype)
-            x = a.lengths
+    build, p, q = ((out_envelope, a, b) if via == "out"
+                   else (in_envelope, b, a))
+    x = q.lengths
+    for gamma in sorted(candidate_witnesses(a, b), key=class_order):
+        poly = build(p, [gamma], q.ttype)
         if poly.is_feasible() and poly.contains(x, "relative-interior"):
             strict = tuple(
                 h.provenance for h in poly.constraints if h.value(x) > 0
@@ -542,10 +542,8 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
     """
     if a.ttype.rank != 2:
         raise Unsupported("ray walking is implemented for rank 2")
+    direction = tuple(_direction(s))
     _check_count("steps", steps)
-    direction = tuple(sorted(set(s), key=class_order))
-    if not direction:
-        raise ParamOutOfRange("empty direction")
     budget = _budget(budget)
     gamma = direction[0]
     base = a

@@ -11,10 +11,12 @@ from cvn.candidates import candidate_words, edge_counts
 from cvn.envelopes import _fill, reference_witness, slice_polytope, support
 from cvn.errors import (
     BudgetExceeded,
+    EmptyDirection,
     NotAGeodesic,
     NotMaximalSimplex,
     ParamOutOfRange,
     RankMismatch,
+    TrivialClass,
     Unsupported,
 )
 from cvn.geodesics import (
@@ -513,6 +515,21 @@ def test_ray_audit_rank_guard():
 def test_ray_audit_steps_must_be_a_count(steps):
     with pytest.raises(ParamOutOfRange):
         ray_dimension_audit(rose_point([5, 3]), [CC([1]), CC([2])], steps)
+
+
+def test_ray_audit_checks_its_direction_first():
+    # the direction goes through the envelopes' own check before any step
+    # or budget check: an empty one is EmptyDirection, as for
+    # out_envelope, and a trivial class is TrivialClass even when the
+    # steps or the budget would stop the walk before its first slice
+    a = rose_point([5, 3])
+    with pytest.raises(EmptyDirection):
+        ray_dimension_audit(a, [], 1)
+    trivial = [CC([1]), CC([])]
+    with pytest.raises(TrivialClass):
+        ray_dimension_audit(a, trivial, 0)
+    with pytest.raises(TrivialClass):
+        ray_dimension_audit(a, trivial, 1, budget=0)
 
 
 class _Poly:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,3 +21,19 @@ def test_walk_geodesic_writes_svg(tmp_path):
     assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<svg ')
     assert svg.rstrip().endswith("</svg>")
     assert 'stroke-dasharray="6,3"' in svg  # the breakpoint overlay
+
+
+# the stdout of scripts/ray_crossings.py with its defaults: three rational
+# figure-eight rays of four crossings each and their pair dimensions
+RAY_CROSSINGS_SHA256 = (
+    "656e6d12f9665c9057fa25dc02f85c3c7de1302863c0dd7f877af18b891e3dff")
+
+
+def test_ray_crossings_output_is_pinned():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ray_crossings.py")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert hashlib.sha256(res.stdout).hexdigest() == RAY_CROSSINGS_SHA256
