@@ -37,7 +37,7 @@ from .graphs import (
     resolutions,
 )
 from .metric import conj_length, length_numerator, stretch_report
-from .polytope import HalfSpace, Polytope, equality, feasible
+from .polytope import HalfSpace, Polytope, equality
 from .words import ConjClass, Word, class_order, extend_to_basis
 
 DEFAULT_BUDGET = 500
@@ -222,13 +222,15 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
     and before its neighbours are queued, so a caller that stops early
     queues and keys nothing further.
 
-    Only T(a) is tested by feasible().  Every other simplex is queued
-    from an entered simplex t whose slice vertices are known: the slice
-    of the face collapsing edge e is slice(t) with x_e = 0, so the face
-    is queued when some vertex of t has x_e = 0, and t's slice is a face
-    of each resolution's slice, so every resolution is queued."""
+    Only T(a) is tested for feasibility, by its polytope: a fresh slice
+    calls feasible() once, a memoised one reads its known vertices.
+    Every other simplex is queued from an entered simplex t whose slice
+    vertices are known: the slice of the face collapsing edge e is
+    slice(t) with x_e = 0, so the face is queued when some vertex of t
+    has x_e = 0, and t's slice is a face of each resolution's slice, so
+    every resolution is queued."""
     start = _slice(a, b, gamma, a.ttype)
-    if not feasible(start.polytope.halfspaces, len(a.ttype.edges)):
+    if not start.polytope.is_feasible():
         return
     entered = 0
     queued: dict = {}

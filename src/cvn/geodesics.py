@@ -14,7 +14,7 @@ segments are not checked rigid, and some are not (ROADMAP item 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
@@ -80,9 +80,17 @@ def check_gluing(a: SimplexPoint, c: SimplexPoint, b: SimplexPoint) -> frozenset
 
 @dataclass(frozen=True)
 class GeodesicPath:
+    """A path of breakpoints.  target, when set, is the end point as the
+    caller gave it: the same point of CV_n as the last breakpoint, which
+    the walk builds in its own chart and which need not equal the
+    caller's object, so memos keyed on the caller's point are read
+    through target.  It takes no part in equality or repr."""
+
     breakpoints: tuple[SimplexPoint, ...]
     segment_witnesses: tuple[frozenset, ...]
     rigid_segments: tuple[int, ...]
+    target: SimplexPoint | None = field(default=None, compare=False,
+                                        repr=False)
 
     @property
     def start(self) -> SimplexPoint:
@@ -137,14 +145,18 @@ def _adjacency(poly: Polytope) -> dict:
     return adj
 
 
-def _near(poly: Polytope, coords) -> list[int]:
-    """The skeleton neighbours of coords when it is a vertex of poly, else
+def _near(poly: Polytope, coords, counts, scores, adj):
+    """The score of coords and its skeleton neighbours: scores[i] and
+    adj[i] when coords is the vertex i of poly, else its own score and
     the ends of every skeleton edge that holds it."""
     vs = poly.vertices
-    if coords in vs:
-        return _adjacency(poly)[vs.index(coords)]
-    return [j for u, w in poly.skeleton_edges
+    try:
+        i = vs.index(coords)
+    except ValueError:
+        return _coords_score(counts, coords), [
+            j for u, w in poly.skeleton_edges
             if _on_segment(coords, vs[u], vs[w]) for j in (u, w)]
+    return scores[i], adj[i]
 
 
 def _forward_vertex(poly: Polytope, coords, counts, delta,
@@ -153,7 +165,8 @@ def _forward_vertex(poly: Polytope, coords, counts, delta,
 
     The walk maximizes n . x, with n the edge counts of the walked class
     in the chart.  Each vertex is scored once, from its integer ray, and
-    scores are compared by cross-multiplication.
+    scores are compared by cross-multiplication; coords is looked up in
+    the vertex list once, for its score and its neighbours.
 
     coords may be a vertex or sit in the relative interior of a skeleton
     edge.  Ideal corners (zero sets that are not forests) are never
@@ -194,8 +207,8 @@ def _forward_vertex(poly: Polytope, coords, counts, delta,
                     stack.append(j)
         return False
 
-    here = _coords_score(counts, coords)
-    options = [j for j in _near(poly, coords)
+    here, near = _near(poly, coords, counts, scores, adj)
+    options = [j for j in near
                if j in standable and _beats(scores[j], here)]
     if not options:
         return None
@@ -226,8 +239,8 @@ def _ideal_half_step(poly: Polytope, coords, counts, delta):
     """
     vs = poly.vertices
     scores = _vertex_scores(poly, counts)
-    here = _coords_score(counts, coords)
-    options = [vs[j] for j in _near(poly, coords) if _beats(scores[j], here)
+    here, near = _near(poly, coords, counts, scores, _adjacency(poly))
+    options = [vs[j] for j in near if _beats(scores[j], here)
                and not _collapsible(delta, poly.rays[j][0])]
     if not options:
         return None
@@ -251,16 +264,15 @@ def _on_segment(x, lo, hi) -> bool:
     return t is not None and 0 <= t <= 1
 
 
-def _charts_at(delta: TopologicalType, coords):
-    """The point at coords of delta's chart, and the charts next to it,
-    each with the point's coordinates there: the charts adjacent to delta
-    and, when the point sits on a face, those adjacent to the face."""
-    here = point_from_coords(delta, coords)
+def _charts_at(delta: TopologicalType, here: SimplexPoint):
+    """The charts next to the point here of delta's chart, each with the
+    point's coordinates there: the charts adjacent to delta and, when the
+    point sits on a face, those adjacent to the face."""
     charts = list(adjacent_simplices(delta))
     if len(here.ttype.edges) < len(delta.edges):
         charts += adjacent_simplices(here.ttype)
     embedded = ((d2, embed_point(here, d2)) for d2 in charts)
-    return here, [(d2, emb) for d2, emb in embedded if emb is not None]
+    return [(d2, emb) for d2, emb in embedded if emb is not None]
 
 
 def _first_step(charts, polytope, gamma, sweeps):
@@ -294,7 +306,7 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
     breakpoints = [a]
     rigid = [0]
     if same_point(a, b):
-        return GeodesicPath((a,), (), (0,))
+        return GeodesicPath((a,), (), (0,), b)
 
     phase_base = a
     gamma = reference_witness(phase_base, b)
@@ -306,7 +318,7 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
         steps += 1
         if steps > budget:
             raise BudgetExceeded(f"walk exceeded {budget} steps")
-        moved = _advance(phase_base, b, gamma, delta, coords)
+        moved = _advance(phase_base, b, gamma, delta, coords, breakpoints[-1])
         if moved is None:
             raise WalkStuck("no forward envelope edge from current point")
         delta, coords = moved
@@ -321,27 +333,38 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
             gamma = reference_witness(phase_base, b)
             base_witnesses = candidate_witnesses(phase_base, b)
     rigid.append(len(breakpoints) - 1)
-    witnesses = tuple(
-        candidate_witnesses(p, q) for p, q in zip(breakpoints, breakpoints[1:])
-    )
-    return GeodesicPath(tuple(breakpoints), witnesses, tuple(dict.fromkeys(rigid)))
+    # the last segment ends at b itself, the same point as the last
+    # breakpoint, so its witnesses come from the walk's own (p, b) memo
+    witnesses = tuple(candidate_witnesses(p, q) for p, q
+                      in zip(breakpoints, breakpoints[1:-1] + [b]))
+    return GeodesicPath(tuple(breakpoints), witnesses,
+                        tuple(dict.fromkeys(rigid)), b)
 
 
 def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
-             delta: TopologicalType, coords):
-    """One skeleton-edge step forward; crosses simplices when needed.
+             delta: TopologicalType, coords, here: SimplexPoint):
+    """One skeleton-edge step forward from here, the point at coords of
+    delta's chart; crosses simplices when needed.
 
     Two sweeps over the current chart and then the adjacent ones, those
     holding b first: the first insists on steps that stay off
     chart-boundary faces (those are the rigid ones), the second allows
-    boundary steps as a last resort."""
-    _, near = _charts_at(delta, coords)
+    boundary steps as a last resort.  Most steps are clean steps inside
+    the current chart, so the adjacent charts are embedded and sorted on
+    demand, only when the current chart has no clean step; the sweep
+    order is the same."""
+    polytope = partial(slice_polytope, base, b, gamma)
+    clean = partial(_forward_vertex, require_clean=True)
+    current = [(delta, coords)]
+    moved = _first_step(current, polytope, gamma, (clean,))
+    if moved is not None:
+        return moved
+    near = _charts_at(delta, here)
     near.sort(key=lambda c: (embed_point(b, c[0]) is None,
                              -len(c[0].edges), _chart_order(c[0])))
-    return _first_step(
-        [(delta, coords)] + near, partial(slice_polytope, base, b, gamma),
-        gamma, (partial(_forward_vertex, require_clean=True),
-                _forward_vertex))
+    return (_first_step(near, polytope, gamma, (clean,))
+            or _first_step(current + near, polytope, gamma,
+                           (_forward_vertex,)))
 
 
 def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None,
@@ -374,12 +397,19 @@ def is_rigid(path: GeodesicPath, budget=None) -> bool:
     """Whether every sub-arc of the path is the unique geodesic between
     its endpoints: all two-breakpoint envelopes are at most 1-dimensional.
 
+    The end pair is read as (a, b): when the path has a target, it stands
+    in for the last breakpoint, the same point of CV_n, so stretches,
+    witnesses and envelopes come from the memos its walk and its caller
+    already filled for b.
+
     This is the all-pairs property, so it is False whenever Env(a, b) of
     the end points is at least 2-dimensional, which holds for almost
     every pair at rank n >= 2 (its dimension is 3n-4).  Pairs are tested
     widest first, each with its fill stopped at dimension 2: the pair
     (a, b) comes first, and its T(a) slice is usually enough."""
     pts = path.breakpoints
+    if path.target is not None:
+        pts = pts[:-1] + (path.target,)
     for i, j, k in combinations(range(len(pts)), 3):
         if not on_geodesic(pts[i], pts[j], pts[k]):
             raise NotAGeodesic("breakpoints fail multiplicativity")
@@ -566,7 +596,8 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
             points.append(point_from_coords(delta, coords))
             crossings.append(crossed)
             continue
-        here, near = _charts_at(delta, coords)
+        here = points[-1]
+        near = _charts_at(delta, here)
         moved = _first_step(sorted(near, key=lambda c: _chart_order(c[0])),
                             partial(_ray_slice, here, direction), gamma,
                             (_forward_vertex, _ideal_half_step))

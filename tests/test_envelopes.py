@@ -294,13 +294,18 @@ def test_fresh_support_tests_feasibility_once(monkeypatch):
         calls.append(d)
         return feasible(hs, d)
 
-    monkeypatch.setattr(cvn.envelopes, "feasible", counted)
     monkeypatch.setattr(cvn.polytope, "feasible", counted)
     cvn.envelopes._support.cache_clear()
+    cvn.envelopes._slice.cache_clear()
     a = theta_point(1, 2, 4)
     sup = support(a, rose_point([1, 3]))
     assert len(sup.simplices) > 1
     assert calls == [len(a.ttype.edges)]
+    # a second fill finds the slice of T(a) memoised with its vertices
+    calls.clear()
+    cvn.envelopes._support.cache_clear()
+    assert support(a, rose_point([1, 3])) == sup
+    assert calls == []
 
 
 def test_direction_reduction_idempotent():

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
 import marking_oracle
+from geodesics_oracle import eager_advance
 from cvn import envelopes, geodesics
 from cvn.candidates import candidate_words, edge_counts
 from cvn.envelopes import _fill, reference_witness, slice_polytope, support
@@ -37,6 +41,7 @@ from cvn.geodesics import (
 from cvn.graphs import (
     apply_outer_automorphism,
     barbell_type,
+    graph_from_json,
     marking_equivalent,
     point_from_coords,
     resolutions,
@@ -46,6 +51,7 @@ from cvn.graphs import (
     theta_type,
     twisted_theta_point,
     twisted_theta_type,
+    validate_and_normalize,
 )
 from cvn.metric import (
     candidate_witnesses,
@@ -236,6 +242,8 @@ def test_is_rigid_fails_for_interior_chord():
          stretch_report(mid, b).candidate_witnesses),
         (0, 2),
     )
+    # a hand-built path has no target and is read as it stands
+    assert chord.target is None
     assert not is_rigid(chord)
 
 
@@ -245,6 +253,7 @@ def test_is_rigid_rejects_non_geodesic():
     b = theta_point(7, 5, 8)
     assert not on_geodesic(a, mid, b)
     bogus = GeodesicPath((a, mid, b), (frozenset(), frozenset()), (0, 2))
+    assert bogus.target is None
     with pytest.raises(NotAGeodesic):
         is_rigid(bogus)
 
@@ -338,14 +347,79 @@ def test_widest_first_is_rigid_matches_in_order_oracle():
     for a, b in _general_position_pairs(2, 3, 20):
         path = piecewise_rigid_geodesic(a, b)
         slices = envelopes._slice.cache_info().misses
+        reports = stretch_report.cache_info().misses
         assert not is_rigid(path)
-        # (a, b) is tested first and its T(a) slice is enough; the last
-        # breakpoint is b as a new object, so that slice is one new entry
-        assert envelopes._slice.cache_info().misses == slices + 1
+        # (a, b) is tested first and its T(a) slice is enough; the end
+        # pair is read as (a, b), so the walk already built that slice and
+        # the stretch report of every pair it walked or ended at b.  The
+        # only new reports are those of the interior pairs (i, j), j < n-1,
+        # that are not consecutive, which only multiplicativity reads
+        n = len(path.breakpoints)
+        assert envelopes._slice.cache_info().misses == slices
+        assert (stretch_report.cache_info().misses
+                == reports + math.comb(n - 1, 2) - (n - 2))
         paths.append(path)
     outcomes = [is_rigid(path) for path in paths]
     assert outcomes == [_rigid_in_order(path) for path in paths]
     assert outcomes[:2] == [True, False]
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def _fixture(name):
+    return validate_and_normalize(
+        graph_from_json((FIXTURES / f"{name}.json").read_text()))
+
+
+@pytest.fixture(scope="module")
+def fresh_walks():
+    """(a, b, walk): the 20 general-position rank-2 walks, the theta
+    fixture walk a -> b and the rank-3 fixture walk r3a -> r3b."""
+    pairs = list(_general_position_pairs(2, 3, 20))
+    pairs += [(_fixture("a"), _fixture("b")),
+              (_fixture("r3a"), _fixture("r3b"))]
+    return [(a, b, piecewise_rigid_geodesic(a, b)) for a, b in pairs]
+
+
+def test_on_demand_charts_walk_like_the_eager_twin(fresh_walks, monkeypatch):
+    monkeypatch.setattr(geodesics, "_advance", eager_advance)
+    for a, b, path in fresh_walks:
+        assert piecewise_rigid_geodesic(a, b) == path
+    assert {a.ttype.rank for a, _, _ in fresh_walks} == {2, 3}
+
+
+def test_walk_inside_its_start_chart_embeds_no_neighbour(monkeypatch):
+    calls = []
+
+    def counted(delta, here):
+        calls.append(here)
+        return charts_at(delta, here)
+
+    charts_at = geodesics._charts_at
+    monkeypatch.setattr(geodesics, "_charts_at", counted)
+    a, b = _fixture("a"), _fixture("b")
+    path = piecewise_rigid_geodesic(a, b)
+    assert len(path.breakpoints) == 3
+    assert all(p.ttype is a.ttype for p in path.breakpoints)
+    assert calls == []
+    # a walk through the rose face crosses charts, and embeds on demand
+    eps = Fraction(1, 10)
+    piecewise_rigid_geodesic(
+        theta_point(Fraction(45, 100), eps, Fraction(45, 100)),
+        twisted_theta_point(Fraction(40, 100), eps, Fraction(50, 100)))
+    assert calls
+
+
+def test_end_pair_reads_as_a_b(fresh_walks):
+    for a, b, path in fresh_walks:
+        assert path.target is b and path.end is not b
+        assert same_point(path.end, b)
+        bare = dataclasses.replace(path, target=None)
+        assert bare == path and repr(bare) == repr(path)
+        assert is_rigid(path) == is_rigid(bare)
+        prev, last = path.breakpoints[-2:]
+        assert path.segment_witnesses[-1] == candidate_witnesses(prev, last)
 
 
 def test_capped_fill_answers_within_a_budget_the_support_exceeds():

@@ -37,3 +37,21 @@ def test_ray_crossings_output_is_pinned():
     )
     assert res.returncode == 0, res.stderr.decode()
     assert hashlib.sha256(res.stdout).hexdigest() == RAY_CROSSINGS_SHA256
+
+
+# the stdout of scripts/walk_geodesic.py with its defaults: the two-phase
+# walk between two theta points, its witnesses, multiplicativity and the
+# verdict "fully rigid: False"
+WALK_GEODESIC_SHA256 = (
+    "af3d610a6c62725d249706983a99f0efe97899ffae2fd73d4fbb7cdbcda21c78")
+
+
+def test_walk_geodesic_output_is_pinned():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "walk_geodesic.py")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert b"fully rigid: False" in res.stdout
+    assert hashlib.sha256(res.stdout).hexdigest() == WALK_GEODESIC_SHA256
