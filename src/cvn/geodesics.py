@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
+from math import prod
 from operator import mul
 
 from .candidates import candidate_words, edge_counts
@@ -190,7 +191,7 @@ def _forward_vertex(poly: Polytope, coords, counts, delta,
         return [j for j in adj[i] if j in standable
                 and _beats(scores[j], scores[i])]
 
-    def reaches_sink(i, avoid_boundary):
+    def reaches_sink(i):
         seen = {i}
         stack = [i]
         while stack:
@@ -198,11 +199,8 @@ def _forward_vertex(poly: Polytope, coords, counts, delta,
             steps = improving(k)
             if not steps:
                 return True  # nothing improves: top of this chart
-            if avoid_boundary:
-                steps = [j for j in steps
-                         if not edge_on_boundary(vs[k], vs[j])]
             for j in steps:
-                if j not in seen:
+                if j not in seen and not edge_on_boundary(vs[k], vs[j]):
                     seen.add(j)
                     stack.append(j)
         return False
@@ -218,7 +216,7 @@ def _forward_vertex(poly: Polytope, coords, counts, delta,
         # envelope of their own endpoints, so prefer neighbours from which
         # the top of the chart is reachable without ever walking one
         return (not edge_on_boundary(coords, vs[j])
-                and reaches_sink(j, avoid_boundary=True))
+                and reaches_sink(j))
 
     if require_clean:
         options = [j for j in options if is_clean(j)]
@@ -410,9 +408,12 @@ def is_rigid(path: GeodesicPath, budget=None) -> bool:
     pts = path.breakpoints
     if path.target is not None:
         pts = pts[:-1] + (path.target,)
-    for i, j, k in combinations(range(len(pts)), 3):
-        if not on_geodesic(pts[i], pts[j], pts[k]):
-            raise NotAGeodesic("breakpoints fail multiplicativity")
+    # multiplicativity on every triple: by the multiplicative triangle
+    # inequality the product over consecutive pairs bounds every split of
+    # the end pair from above, so one chain identity settles all triples
+    if len(pts) > 2 and stretch(pts[0], pts[-1]) != prod(
+            stretch(p, q) for p, q in zip(pts, pts[1:])):
+        raise NotAGeodesic("breakpoints fail multiplicativity")
     widest = sorted(combinations(range(len(pts)), 2),
                     key=lambda ij: (ij[0] - ij[1], ij[0]))
     return all(d <= 1 for _, d in _pair_dims(pts, widest, budget, cap=2))

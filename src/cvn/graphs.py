@@ -277,12 +277,18 @@ def validate_and_normalize(g: MarkedGraph) -> SimplexPoint:
     """Check all marked graph invariants and rescale total length to 1."""
     t = make_type(g.rank, g.vertices, [(e[0], e[1], e[2], e[4]) for e in g.edges],
                   g.tree)
-    lengths = [Fraction(e[3]) for e in g.edges]
+    return SimplexPoint(t, _normalized(e[3] for e in g.edges))
+
+
+def _normalized(lengths) -> tuple[Fraction, ...]:
+    """Lengths as Fractions rescaled to total 1, each checked positive
+    before any division."""
+    lengths = [Fraction(q) for q in lengths]
     for q in lengths:
         if q <= 0:
             raise NonpositiveLength(f"length {q}")
     total = sum(lengths)
-    return SimplexPoint(t, tuple(q / total for q in lengths))
+    return tuple(q / total for q in lengths)
 
 
 def graph_from_json(text) -> MarkedGraph:
@@ -569,9 +575,8 @@ def collapse_point(p: SimplexPoint, forest) -> SimplexPoint:
     """Collapse a forest and renormalize the surviving lengths."""
     forest = frozenset(forest)
     t2 = collapse_forest(p.ttype, forest)
-    keep = [q for e, q in zip(p.ttype.edges, p.lengths) if e.id not in forest]
-    total = sum(keep)
-    return SimplexPoint(t2, tuple(q / total for q in keep))
+    return SimplexPoint(t2, _normalized(
+        q for e, q in zip(p.ttype.edges, p.lengths) if e.id not in forest))
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +825,7 @@ def adjacent_simplices(t: TopologicalType) -> tuple[TopologicalType, ...]:
 def apply_outer_automorphism(p: SimplexPoint, images: list[Word]) -> SimplexPoint:
     """Change the marking by the automorphism x_i -> images[i]."""
     t = p.ttype
-    if len(images) != t.rank or not is_basis(images, t.rank):
+    if not is_basis(images, t.rank):
         raise NotAnAutomorphism("images do not define an automorphism")
     from .words import apply_endomorphism
 
@@ -897,10 +902,8 @@ def rose_type(rank: int) -> TopologicalType:
 
 
 def rose_point(lengths) -> SimplexPoint:
-    lengths = [Fraction(q) for q in lengths]
-    total = sum(lengths)
-    return SimplexPoint(rose_type(len(lengths)),
-                        tuple(q / total for q in lengths))
+    lengths = _normalized(lengths)
+    return SimplexPoint(rose_type(len(lengths)), lengths)
 
 
 def theta_type() -> TopologicalType:
@@ -914,9 +917,7 @@ def theta_type() -> TopologicalType:
 
 
 def theta_point(l1, l2, l3) -> SimplexPoint:
-    ls = [Fraction(l1), Fraction(l2), Fraction(l3)]
-    total = sum(ls)
-    return SimplexPoint(theta_type(), tuple(q / total for q in ls))
+    return SimplexPoint(theta_type(), _normalized((l1, l2, l3)))
 
 
 def twisted_theta_type() -> TopologicalType:
@@ -931,9 +932,7 @@ def twisted_theta_type() -> TopologicalType:
 
 
 def twisted_theta_point(l1, l2, l3) -> SimplexPoint:
-    ls = [Fraction(l1), Fraction(l2), Fraction(l3)]
-    total = sum(ls)
-    return SimplexPoint(twisted_theta_type(), tuple(q / total for q in ls))
+    return SimplexPoint(twisted_theta_type(), _normalized((l1, l2, l3)))
 
 
 def barbell_type() -> TopologicalType:
@@ -947,6 +946,4 @@ def barbell_type() -> TopologicalType:
 
 
 def barbell_point(l1, l2, l3) -> SimplexPoint:
-    ls = [Fraction(l1), Fraction(l2), Fraction(l3)]
-    total = sum(ls)
-    return SimplexPoint(barbell_type(), tuple(q / total for q in ls))
+    return SimplexPoint(barbell_type(), _normalized((l1, l2, l3)))

@@ -9,13 +9,11 @@ a metric graph do not see the orientation of a loop.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import neg
 
 from .errors import (
-    BudgetExceeded,
     IndexOutOfRange,
     NotABasis,
     NotPrimitive,
@@ -225,127 +223,78 @@ def abelianize(w: Word) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting in a basis (Nielsen reduction with recorded coordinates).
+# Rewriting in a basis (Stallings folding with recorded coordinates).
 # ---------------------------------------------------------------------------
 
-_PLATEAU_CAP = 50_000
 
-
-def _is_standard(cur) -> bool:
-    if any(len(t) != 1 for t in cur):
-        return False
-    mags = sorted(abs(t[0]) for t in cur)
-    return mags == list(range(1, len(cur) + 1))
-
-
-def _nielsen_standardize(words: tuple[Letters, ...]):
-    """Carry the tuple to (+-x_sigma(i)) by Nielsen moves, tracking coordinates.
-
-    Returns (cur, expr) where expr[i] is a word in basis letters evaluating to
-    cur[i], or None when the tuple is not a basis of F_n.  Raises
-    BudgetExceeded when a search at constant total length visits more than
-    _PLATEAU_CAP tuples without deciding.
-    """
-    n = len(words)
-    cur = tuple(words)
-    expr = tuple((i + 1,) for i in range(n))
-
-    def neighbors(state):
-        scur, sexpr = state
-        out = []
-        for i in range(n):
-            c = list(scur)
-            e = list(sexpr)
-            c[i] = invert(c[i])
-            e[i] = invert(e[i])
-            out.append((tuple(c), tuple(e)))
-            for j in range(n):
-                if i == j:
-                    continue
-                for s in (1, -1):
-                    wj = scur[j] if s > 0 else invert(scur[j])
-                    ej = sexpr[j] if s > 0 else invert(sexpr[j])
-                    for left in (False, True):
-                        c = list(scur)
-                        e = list(sexpr)
-                        if left:
-                            c[i] = free_reduce(wj + c[i])
-                            e[i] = free_reduce(ej + e[i])
-                        else:
-                            c[i] = free_reduce(c[i] + wj)
-                            e[i] = free_reduce(e[i] + ej)
-                        out.append((tuple(c), tuple(e)))
-        return out
-
-    def total(scur):
-        return sum(len(t) for t in scur)
-
-    state = (cur, expr)
-    while True:
-        scur, _ = state
-        if any(len(t) == 0 for t in scur):
-            return None
-        if _is_standard(scur):
-            return state
-        base = total(scur)
-        # greedy strict descent
-        best = None
-        for nb in neighbors(state):
-            if any(len(t) == 0 for t in nb[0]):
-                return None
-            t = total(nb[0])
-            if t < base and (best is None or t < total(best[0])):
-                best = nb
-        if best is not None:
-            state = best
-            continue
-        # plateau search at constant total length
-        seen = {scur}
-        queue = deque([state])
-        jumped = False
-        while queue:
-            if len(seen) > _PLATEAU_CAP:
-                raise BudgetExceeded(
-                    f"Nielsen plateau search passed {_PLATEAU_CAP} tuples")
-            st = queue.popleft()
-            for nb in neighbors(st):
-                ncur = nb[0]
-                if any(len(t) == 0 for t in ncur):
-                    return None
-                t = total(ncur)
-                if t < base:
-                    state = nb
-                    jumped = True
-                    break
-                if t == base and ncur not in seen:
-                    if _is_standard(ncur):
-                        return nb
-                    seen.add(ncur)
-                    queue.append(nb)
-            if jumped:
-                break
-        if not jumped:
-            return None
+def _twin_edges(edges):
+    """Two edges that leave one vertex with the same letter, each as
+    (edge, the vertex it reaches, its b-word read that way), or None."""
+    leaving = {}
+    for e in edges:
+        tail, a, head, word = e
+        for key, far, w in (((tail, a), head, word),
+                            ((head, -a), tail, invert(word))):
+            if key in leaving:
+                return leaving[key], (e, far, w)
+            leaving[key] = (e, far, w)
+    return None
 
 
 @lru_cache(maxsize=256)
 def _basis_inverse(basis_letters: tuple[Letters, ...], rank: int) -> tuple[Letters, ...]:
-    """For a basis (b_1..b_n) return c_1..c_n with c_m(b) = x_m, in b-letters."""
-    n = len(basis_letters)
-    res = _nielsen_standardize(basis_letters)
-    if res is None:
+    """For a basis (b_1..b_n) return c_1..c_n with c_m(b) = x_m, in b-letters.
+
+    Stallings folding (Stallings 1983; Kapovich and Myasnikov 2002).  A
+    wedge at the base vertex 0 has one loop per b_i that spells it; the
+    first edge of loop i carries the b-word (i,) and the others the empty
+    word, so each closed path at the base carries its element in
+    b-letters.  Two edges that leave one vertex with the same letter, with
+    b-words W1 and W2, reach w1 and w2: w2 is merged into w1 (the base is
+    never merged away) after every edge leaving w2 is prefixed with
+    g = W1^-1 W2 and every edge entering it suffixed with g^-1.  The two
+    edges then carry the same word, and every closed path at the base
+    keeps its word.  A fold of two edges with distinct ends keeps the
+    rank, so rank many nonempty words over the letters 1..rank form a
+    basis exactly when no fold joins two edges with the same ends and one
+    vertex remains: the rose, whose loop of letter m carries c_m.  Raises
+    NotABasis otherwise."""
+    if len(basis_letters) != rank:
+        raise NotABasis(f"need {rank} basis words, got {len(basis_letters)}")
+    if not all(basis_letters) or any(not 0 < abs(a) <= rank
+                                     for w in basis_letters for a in w):
         raise NotABasis(f"{basis_letters} is not a basis of F_{rank}")
-    cur, expr = res
-    c: list[Letters] = [()] * n
-    for i in range(n):
-        (a,) = cur[i]
-        c[abs(a) - 1] = expr[i] if a > 0 else invert(expr[i])
-    return tuple(c)
+    edges = []  # [tail, letter > 0, head, b-word]: tail --x_letter--> head
+    top = 0
+    for i, word in enumerate(basis_letters, 1):
+        ends = [0, *range(top + 1, top + len(word)), 0]
+        top += len(word) - 1
+        for k, a in enumerate(word):
+            label = (i,) if k == 0 else ()
+            edges.append([ends[k], a, ends[k + 1], label] if a > 0
+                         else [ends[k + 1], -a, ends[k], invert(label)])
+    while (twins := _twin_edges(edges)) is not None:
+        (_, w1, word1), (e2, w2, word2) = twins
+        if w1 == w2:
+            raise NotABasis(f"{basis_letters} is not a basis of F_{rank}: "
+                            "a fold drops the rank")
+        if w2 == 0:
+            w1, word1, w2, word2 = w2, word2, w1, word1
+        g = free_reduce(invert(word1) + word2)
+        g_inv = invert(g)
+        edges = [e for e in edges if e is not e2]
+        for e in edges:
+            if e[0] == w2:
+                e[0], e[3] = w1, free_reduce(g + e[3])
+            if e[2] == w2:
+                e[2], e[3] = w1, free_reduce(e[3] + g_inv)
+    if any(e[0] or e[2] for e in edges):
+        raise NotABasis(f"{basis_letters} is not a basis of F_{rank}: "
+                        "it folds to more than one vertex")
+    return tuple(word for _, _, _, word in sorted(edges, key=lambda e: e[1]))
 
 
 def is_basis(basis: list[Word], rank: int) -> bool:
-    if len(basis) != rank:
-        return False
     try:
         _basis_inverse(tuple(b.letters for b in basis), rank)
     except NotABasis:
@@ -357,8 +306,6 @@ def _rewrite_letters(letters: Letters, basis_letters: tuple[Letters, ...],
                      rank: int) -> Letters:
     """rewrite_in_basis on bare letters, which must already be valid at
     this rank: the freely reduced coordinates, without building a Word."""
-    if len(basis_letters) != rank:
-        raise NotABasis(f"need {rank} basis words, got {len(basis_letters)}")
     c = _basis_inverse(basis_letters, rank)
     out: list[int] = []
     for a in letters:

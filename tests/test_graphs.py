@@ -14,6 +14,7 @@ from cvn.errors import (
     BadPartition,
     BadValency,
     DisconnectedGraph,
+    NonpositiveLength,
     NotABasis,
     NotAForest,
     NotAnAutomorphism,
@@ -52,6 +53,7 @@ from cvn.graphs import (
     theta_type,
     tighten,
     tree_path,
+    twisted_theta_point,
     twisted_theta_type,
     type_key,
     validate_and_normalize,
@@ -522,6 +524,29 @@ def test_apply_outer_automorphism_rejects_non_auto():
     with pytest.raises(NotAnAutomorphism):
         apply_outer_automorphism(rose_point([1, 1]),
                                  [reduce((1, 1), 2), reduce((1, 1, 2, 2), 2)])
+
+
+def test_apply_outer_automorphism_rejects_images_of_another_rank():
+    # x_3 is no letter of F_2: a basis check, not an IndexError
+    with pytest.raises(NotAnAutomorphism):
+        apply_outer_automorphism(rose_point([1, 2]),
+                                 [generator(3, 3), generator(1, 3)])
+
+
+def test_standard_points_reject_nonpositive_lengths_before_dividing():
+    # each of these sums to 0, and each raised a bare ZeroDivisionError
+    for build, lengths in [(theta_point, (0, 0, 0)), (theta_point, (1, -1, 0)),
+                           (twisted_theta_point, (1, 0, -1)),
+                           (barbell_point, (1, 1, -2)),
+                           (rose_point, ([2, -2],)),
+                           (theta_point, (2, -1, 1))]:
+        with pytest.raises(NonpositiveLength):
+            build(*lengths)
+    g = graph_from_json(point_to_json(theta_point(1, 1, 1)))
+    bad = MarkedGraph(g.rank, g.vertices,
+                      [e[:3] + (0,) + e[4:] for e in g.edges], g.tree)
+    with pytest.raises(NonpositiveLength):
+        validate_and_normalize(bad)
 
 
 def test_embed_point_in_own_simplex():

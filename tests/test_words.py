@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 import words_oracle
 from cvn import words
 from cvn.errors import (
-    BudgetExceeded,
     IndexOutOfRange,
     NotABasis,
     NotPrimitive,
     ParamOutOfRange,
     Unsupported,
 )
+from cvn.sampling import random_automorphism
 from cvn.words import (
     ConjClass,
     Word,
@@ -332,19 +333,85 @@ def test_booth_canonical_form_matches_rotation_scan():
             words_oracle._canonical_cyclic(letters)
 
 
-def test_nielsen_plateau_cap_raises_budget_exceeded(monkeypatch):
-    # a basis of F_3 whose reduction needs a search at constant length
+def test_plateau_basis_is_inverted_without_a_search():
+    # a basis of F_3 whose Nielsen reduction needed a search at constant
+    # total length; folding inverts it directly
     basis = ((-3, 1, 3), (1, 2), (-2, 3))
-    assert words._nielsen_standardize(basis) is not None
-    monkeypatch.setattr(words, "_PLATEAU_CAP", 0)
-    with pytest.raises(BudgetExceeded):
-        words._nielsen_standardize(basis)
-    words._basis_inverse.cache_clear()
+    want = ((2, 3, 1, -3, -2), (2, 3, -1, -3), (2, 3, -1))
+    assert words._basis_inverse(basis, 3) == want
+    assert words_oracle.basis_inverse(basis, 3) == want
+    for m, c in enumerate(want, 1):
+        assert free_reduce(itertools.chain.from_iterable(
+            basis[b - 1] if b > 0 else invert(basis[-b - 1])
+            for b in c)) == (m,)
+
+
+def test_basis_inverse_rejects_letters_and_counts_outside_the_rank():
+    for letters, rank in [(((3,), (1,)), 2), (((1,), (-3,)), 2),
+                          (((1,),), 2), (((1,), (2,), (3,)), 2), ((), 1)]:
+        with pytest.raises(NotABasis):
+            words._basis_inverse(letters, rank)
+
+
+def _inverse_or_error(inverse, letters, rank):
     try:
-        with pytest.raises(BudgetExceeded):
-            is_basis([Word(b, 3) for b in basis], 3)
-    finally:
+        return inverse(letters, rank)
+    except NotABasis:
+        return NotABasis
+
+
+def _differential_inputs(rng):
+    """(letters, rank): permuted automorphic images at ranks 1-4, long
+    rank-3/4 bases, random non-bases, and words with letters beyond the
+    rank."""
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        basis = [w.letters for w in
+                 random_automorphism(rank, rng, rng.randint(1, 12))]
+        rng.shuffle(basis)
+        yield tuple(basis), rank
+    n = 0
+    while n < 60:
+        rank = rng.choice((3, 4))
+        basis = tuple(w.letters for w in
+                      random_automorphism(rank, rng, rng.randint(10, 30)))
+        if 30 <= sum(map(len, basis)) <= 60:
+            n += 1
+            yield basis, rank
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        yield tuple(free_reduce(rng.choice((1, -1)) * rng.randint(1, rank)
+                                for _ in range(rng.randint(0, 5)))
+                    for _ in range(rank)), rank
+    for _ in range(200):  # rank words of a basis of F_(rank+1)
+        rank = rng.randint(1, 3)
+        basis = [w.letters for w in
+                 random_automorphism(rank + 1, rng, rng.randint(0, 8))]
+        rng.shuffle(basis)
+        yield tuple(basis[:rank]), rank
+    yield ((1, 1), (2,)), 2  # the proper subgroup (x^2, y)
+    yield ((1, 2), (2, 1)), 2
+    yield ((1, 2), (1, -2)), 2  # index 2
+    yield ((2, 1, -2), (2,), ()), 3  # an empty word
+    yield ((2, 1, -2), (1, 2, 1, -2, -1), (3,)), 3  # not cyclically reduced
+    yield ((-3, 1, 3), (1, 2), (-2, 3)), 3
+
+
+def test_basis_inverse_matches_nielsen_twin():
+    start = time.perf_counter()
+    decided = {True: 0, False: 0}
+    for letters, rank in _differential_inputs(random.Random(20)):
         words._basis_inverse.cache_clear()
+        want = _inverse_or_error(words_oracle.basis_inverse, letters, rank)
+        got = _inverse_or_error(words._basis_inverse, letters, rank)
+        assert got == want, (letters, rank)
+        letter_rank = max([rank, *map(abs, itertools.chain(*letters))])
+        basis = [Word(b, letter_rank) for b in letters]
+        assert is_basis(basis, rank) == (want is not NotABasis)
+        decided[want is not NotABasis] += 1
+    words._basis_inverse.cache_clear()
+    assert min(decided.values()) > 200
+    assert time.perf_counter() - start < 60
 
 
 def test_word_str():

@@ -8,14 +8,27 @@ rotation scan.  ``conj_length`` is the per-edge ``Fraction`` sum that
 the petal loops from ``tree_path`` on every call, rewrites the class in the
 basis of the labels and cancels (edge id, sign) steps, as ``cvn.graphs``
 did before it kept one coded path per generator letter.
+``basis_inverse`` is the Nielsen reduction ``cvn.words`` used before it
+inverted bases by Stallings folding: a greedy descent in total length, then
+a breadth-first search at constant total length capped at ``_PLATEAU_CAP``
+tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
+from cvn.errors import BudgetExceeded, NotABasis
 from cvn.graphs import tree_path
-from cvn.words import ConjClass, Word, invert, rewrite_in_basis
+from cvn.words import (
+    ConjClass,
+    Letters,
+    Word,
+    free_reduce,
+    invert,
+    rewrite_in_basis,
+)
 
 
 def _cancel_path(steps) -> list:
@@ -91,3 +104,117 @@ def conj_length(p, gamma: ConjClass):
     """Length of the immersed loop realizing gamma in p, a Fraction sum."""
     t = p.ttype
     return sum(p.lengths[t.index(eid)] for eid, _ in tighten(t, gamma))
+
+
+_PLATEAU_CAP = 50_000
+
+
+def _is_standard(cur) -> bool:
+    if any(len(t) != 1 for t in cur):
+        return False
+    mags = sorted(abs(t[0]) for t in cur)
+    return mags == list(range(1, len(cur) + 1))
+
+
+def _nielsen_standardize(words: tuple[Letters, ...]):
+    """Carry the tuple to (+-x_sigma(i)) by Nielsen moves, tracking coordinates.
+
+    Returns (cur, expr) where expr[i] is a word in basis letters evaluating to
+    cur[i], or None when the tuple is not a basis of F_n.  Raises
+    BudgetExceeded when a search at constant total length visits more than
+    _PLATEAU_CAP tuples without deciding.
+    """
+    n = len(words)
+    cur = tuple(words)
+    expr = tuple((i + 1,) for i in range(n))
+
+    def neighbors(state):
+        scur, sexpr = state
+        out = []
+        for i in range(n):
+            c = list(scur)
+            e = list(sexpr)
+            c[i] = invert(c[i])
+            e[i] = invert(e[i])
+            out.append((tuple(c), tuple(e)))
+            for j in range(n):
+                if i == j:
+                    continue
+                for s in (1, -1):
+                    wj = scur[j] if s > 0 else invert(scur[j])
+                    ej = sexpr[j] if s > 0 else invert(sexpr[j])
+                    for left in (False, True):
+                        c = list(scur)
+                        e = list(sexpr)
+                        if left:
+                            c[i] = free_reduce(wj + c[i])
+                            e[i] = free_reduce(ej + e[i])
+                        else:
+                            c[i] = free_reduce(c[i] + wj)
+                            e[i] = free_reduce(e[i] + ej)
+                        out.append((tuple(c), tuple(e)))
+        return out
+
+    def total(scur):
+        return sum(len(t) for t in scur)
+
+    state = (cur, expr)
+    while True:
+        scur, _ = state
+        if any(len(t) == 0 for t in scur):
+            return None
+        if _is_standard(scur):
+            return state
+        base = total(scur)
+        # greedy strict descent
+        best = None
+        for nb in neighbors(state):
+            if any(len(t) == 0 for t in nb[0]):
+                return None
+            t = total(nb[0])
+            if t < base and (best is None or t < total(best[0])):
+                best = nb
+        if best is not None:
+            state = best
+            continue
+        # plateau search at constant total length
+        seen = {scur}
+        queue = deque([state])
+        jumped = False
+        while queue:
+            if len(seen) > _PLATEAU_CAP:
+                raise BudgetExceeded(
+                    f"Nielsen plateau search passed {_PLATEAU_CAP} tuples")
+            st = queue.popleft()
+            for nb in neighbors(st):
+                ncur = nb[0]
+                if any(len(t) == 0 for t in ncur):
+                    return None
+                t = total(ncur)
+                if t < base:
+                    state = nb
+                    jumped = True
+                    break
+                if t == base and ncur not in seen:
+                    if _is_standard(ncur):
+                        return nb
+                    seen.add(ncur)
+                    queue.append(nb)
+            if jumped:
+                break
+        if not jumped:
+            return None
+
+
+def basis_inverse(basis_letters: tuple[Letters, ...], rank: int) -> tuple[Letters, ...]:
+    """For a basis (b_1..b_n) return c_1..c_n with c_m(b) = x_m, in b-letters."""
+    n = len(basis_letters)
+    res = _nielsen_standardize(basis_letters)
+    if res is None:
+        raise NotABasis(f"{basis_letters} is not a basis of F_{rank}")
+    cur, expr = res
+    c: list[Letters] = [()] * n
+    for i in range(n):
+        (a,) = cur[i]
+        c[abs(a) - 1] = expr[i] if a > 0 else invert(expr[i])
+    return tuple(c)
