@@ -5,7 +5,10 @@ gluing tests are exact rational identities.  The central construction walks
 edges of envelope polytopes: the walk from A maximizes the length of the
 reference witness (a linear functional whose unique maximum over the
 envelope is B), restarting a new phase whenever a fresh candidate of the
-current simplex becomes maximally stretched into B.  At rank 2,
+current simplex becomes maximally stretched into B.  Every step of the
+walker and of the ray audit is the first move of one stream, `_moves`
+(CLEAN, then VERTEX, then IDEAL moves from a point of a chart), whose kind
+a sweep of `_first_step` allows.  At rank 2,
 consecutive envelope edges within a phase are rigid, so the output is a
 concatenation of uniquely-geodesic segments; acceptance criterion 06
 checks every segment.  The walker also runs at rank 3, but there its
@@ -137,113 +140,83 @@ def _collapsible(delta: TopologicalType, coords) -> bool:
     return not zero or zero in forests(delta)
 
 
-def _adjacency(poly: Polytope) -> dict:
-    """The skeleton neighbours of each vertex index."""
-    adj: dict = {i: [] for i in range(len(poly.vertices))}
-    for u, w in poly.skeleton_edges:
-        adj[u].append(w)
-        adj[w].append(u)
-    return adj
+CLEAN, VERTEX, IDEAL = "clean", "vertex", "ideal"
 
 
-def _near(poly: Polytope, coords, counts, scores, adj):
-    """The score of coords and its skeleton neighbours: scores[i] and
-    adj[i] when coords is the vertex i of poly, else its own score and
-    the ends of every skeleton edge that holds it."""
-    vs = poly.vertices
-    try:
-        i = vs.index(coords)
-    except ValueError:
-        return _coords_score(counts, coords), [
-            j for u, w in poly.skeleton_edges
-            if _on_segment(coords, vs[u], vs[w]) for j in (u, w)]
-    return scores[i], adj[i]
-
-
-def _forward_vertex(poly: Polytope, coords, counts, delta,
-                    require_clean=False):
-    """Best strictly-improving neighbour of coords in the polytope skeleton.
+def _moves(poly: Polytope, coords, counts, delta):
+    """The strictly improving moves from coords in the skeleton of poly,
+    best first, as (kind, target).
 
     The walk maximizes n . x, with n the edge counts of the walked class
     in the chart.  Each vertex is scored once, from its integer ray, and
-    scores are compared by cross-multiplication; coords is looked up in
-    the vertex list once, for its score and its neighbours.
+    scores are compared by cross-multiplication.  coords may be a vertex,
+    looked up once for its score and its neighbours, or sit in the
+    relative interior of a skeleton edge, whose ends are its neighbours.
+    The kinds come in this order, each in lexicographic order of the
+    vertex it heads for:
 
-    coords may be a vertex or sit in the relative interior of a skeleton
-    edge.  Ideal corners (zero sets that are not forests) are never
-    stepped onto.  Among improving neighbours, edges through the interior
-    beat edges running inside a boundary face of the simplex, so the walk
-    hugs the envelope's own facets; remaining ties break toward the
-    lexicographically smallest far endpoint.  With require_clean, refuse
-    to answer at all when every route onward walks a boundary face.
+    - CLEAN: a standable vertex (its zero set is a forest, so it is an
+      actual point of the space) along an edge off every boundary face,
+      from which the top of the chart is reachable without walking a
+      boundary edge.  Edges inside a boundary face do not pin down the
+      envelope of their own endpoints, so these are the rigid steps, and
+      the walk hugs the envelope's own facets.  Each is checked only when
+      the stream reaches it.
+    - VERTEX: the other standable vertices.
+    - IDEAL: the midpoint toward a corner whose zero set is not a forest.
+      A ray can leave every rose face behind: its envelope then runs from
+      coords straight toward such a corner, and every interior point of
+      that segment is a genuine point of the chart.
     """
     vs = poly.vertices
     scores = _vertex_scores(poly, counts)
+    standable = [_collapsible(delta, r) for r, _ in poly.rays]
+    adj: list = [[] for _ in vs]
+    for u, w in poly.skeleton_edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    try:
+        i = vs.index(coords)
+    except ValueError:
+        here = _coords_score(counts, coords)
+        near = {j for u, w in poly.skeleton_edges
+                if _on_segment(coords, vs[u], vs[w]) for j in (u, w)}
+    else:
+        here, near = scores[i], set(adj[i])
+    up = sorted((j for j in near if _beats(scores[j], here)),
+                key=vs.__getitem__)
 
-    def edge_on_boundary(u, v):
+    def on_boundary(u, v):
         return any(x == 0 and y == 0 for x, y in zip(u, v))
-
-    standable = {i for i in range(len(vs))
-                 if _collapsible(delta, poly.rays[i][0])}
-    adj = _adjacency(poly)
-
-    def improving(i):
-        return [j for j in adj[i] if j in standable
-                and _beats(scores[j], scores[i])]
 
     def reaches_sink(i):
         seen = {i}
         stack = [i]
         while stack:
             k = stack.pop()
-            steps = improving(k)
+            steps = [j for j in adj[k]
+                     if standable[j] and _beats(scores[j], scores[k])]
             if not steps:
                 return True  # nothing improves: top of this chart
             for j in steps:
-                if j not in seen and not edge_on_boundary(vs[k], vs[j]):
+                if j not in seen and not on_boundary(vs[k], vs[j]):
                     seen.add(j)
                     stack.append(j)
         return False
 
-    here, near = _near(poly, coords, counts, scores, adj)
-    options = [j for j in near
-               if j in standable and _beats(scores[j], here)]
-    if not options:
-        return None
-
-    def is_clean(j):
-        # edges inside a boundary face of the chart do not pin down the
-        # envelope of their own endpoints, so prefer neighbours from which
-        # the top of the chart is reachable without ever walking one
-        return (not edge_on_boundary(coords, vs[j])
-                and reaches_sink(j))
-
-    if require_clean:
-        options = [j for j in options if is_clean(j)]
-        if not options:
-            return None
-        return min(vs[j] for j in options)
-    return vs[min(options, key=lambda j: (not is_clean(j), vs[j]))]
-
-
-def _ideal_half_step(poly: Polytope, coords, counts, delta):
-    """Step halfway toward an improving ideal corner of the polytope.
-
-    A ray can leave every rose face behind: its envelope then runs from
-    the current position straight toward a corner whose zero set is not
-    a forest.  No vertex of the skeleton is standable there, but every
-    interior point of that segment is a genuine point of the chart, so
-    the walk samples the midpoint instead of stopping dead.
-    """
-    vs = poly.vertices
-    scores = _vertex_scores(poly, counts)
-    here, near = _near(poly, coords, counts, scores, _adjacency(poly))
-    options = [vs[j] for j in near if _beats(scores[j], here)
-               and not _collapsible(delta, poly.rays[j][0])]
-    if not options:
-        return None
-    target = min(options)
-    return tuple((c + t) / 2 for c, t in zip(coords, target))
+    rest = []
+    for j in up:
+        if not standable[j]:
+            continue
+        if not on_boundary(coords, vs[j]) and reaches_sink(j):
+            yield CLEAN, vs[j]
+        else:
+            rest.append(vs[j])
+    for v in rest:
+        yield VERTEX, v
+    for j in up:
+        if not standable[j]:
+            yield IDEAL, tuple((c + t) / 2 for c, t in zip(coords, vs[j]))
 
 
 def _on_segment(x, lo, hi) -> bool:
@@ -274,20 +247,23 @@ def _charts_at(delta: TopologicalType, here: SimplexPoint):
 
 
 def _first_step(charts, polytope, gamma, sweeps):
-    """The first (chart, coords) that a step function moves to, or None.
+    """The first (chart, target) of an allowed move, or None.
 
-    Sweeps are the outer loop; each tries the (chart, coords) pairs in
-    their given order and calls step(poly, coords, counts, chart), with
-    poly = polytope(chart) and counts the edge counts of gamma there.  A
-    chart whose polytope has no vertex is skipped."""
-    for step in sweeps:
+    Each sweep is a set of allowed move kinds (see _moves).  Sweeps are
+    the outer loop; each tries the (chart, coords) pairs in their given
+    order and takes the first move of _moves(poly, coords, counts, chart)
+    whose kind it allows, with poly = polytope(chart) and counts the edge
+    counts of gamma there.  A chart whose polytope has no vertex is
+    skipped."""
+    for kinds in sweeps:
         for d2, coords in charts:
             poly = polytope(d2)
             if not poly.vertices:
                 continue
-            nxt = step(poly, coords, edge_counts(d2, gamma), d2)
-            if nxt is not None:
-                return d2, nxt
+            for kind, target in _moves(poly, coords, edge_counts(d2, gamma),
+                                       d2):
+                if kind in kinds:
+                    return d2, target
     return None
 
 
@@ -344,25 +320,23 @@ def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
     """One skeleton-edge step forward from here, the point at coords of
     delta's chart; crosses simplices when needed.
 
-    Two sweeps over the current chart and then the adjacent ones, those
-    holding b first: the first insists on steps that stay off
-    chart-boundary faces (those are the rigid ones), the second allows
-    boundary steps as a last resort.  Most steps are clean steps inside
-    the current chart, so the adjacent charts are embedded and sorted on
-    demand, only when the current chart has no clean step; the sweep
-    order is the same."""
+    The first sweep allows CLEAN moves only (those are the rigid ones),
+    in the current chart and then in the adjacent ones, those holding b
+    first; the second allows VERTEX moves too, as a last resort, over the
+    same charts in the same order.  Most steps are clean steps inside the
+    current chart, so the adjacent charts are embedded and sorted on
+    demand, only when the current chart has no clean step."""
     polytope = partial(slice_polytope, base, b, gamma)
-    clean = partial(_forward_vertex, require_clean=True)
     current = [(delta, coords)]
-    moved = _first_step(current, polytope, gamma, (clean,))
+    moved = _first_step(current, polytope, gamma, ({CLEAN},))
     if moved is not None:
         return moved
     near = _charts_at(delta, here)
     near.sort(key=lambda c: (embed_point(b, c[0]) is None,
                              -len(c[0].edges), _chart_order(c[0])))
-    return (_first_step(near, polytope, gamma, (clean,))
+    return (_first_step(near, polytope, gamma, ({CLEAN},))
             or _first_step(current + near, polytope, gamma,
-                           (_forward_vertex,)))
+                           ({CLEAN, VERTEX},)))
 
 
 def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None,
@@ -588,33 +562,25 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
         guard += 1
         if guard > budget:
             raise BudgetExceeded(f"ray walk exceeded {budget} steps")
-        poly = _ray_slice(base, direction, delta)
-        nxt = poly.is_feasible() and _forward_vertex(
-            poly, coords, edge_counts(delta, gamma), delta
-        )
-        if nxt:
-            coords = nxt
-            points.append(point_from_coords(delta, coords))
-            crossings.append(crossed)
-            continue
-        here = points[-1]
-        near = _charts_at(delta, here)
-        moved = _first_step(sorted(near, key=lambda c: _chart_order(c[0])),
-                            partial(_ray_slice, here, direction), gamma,
-                            (_forward_vertex, _ideal_half_step))
+        moved = _first_step([(delta, coords)],
+                            partial(_ray_slice, base, direction), gamma,
+                            ({CLEAN, VERTEX},))
         if moved is None:
-            raise WalkStuck("ray cannot continue in any adjacent simplex")
-        base = here
+            here = points[-1]
+            near = sorted(_charts_at(delta, here),
+                          key=lambda c: _chart_order(c[0]))
+            moved = _first_step(near, partial(_ray_slice, here, direction),
+                                gamma, ({CLEAN, VERTEX}, {IDEAL}))
+            if moved is None:
+                raise WalkStuck("ray cannot continue in any adjacent simplex")
+            base = here
+            crossed += 1
         delta, coords = moved
-        crossed += 1
         points.append(point_from_coords(delta, coords))
         crossings.append(crossed)
     dims = dict(_pair_dims(points, combinations(range(len(points)), 2),
                            budget))
     bound = 3 * a.ttype.rank - 5
-    stable = 0
-    for i in sorted({i for i, _ in dims}, reverse=True):
-        if any(d > bound for (x, _), d in dims.items() if x >= i):
-            stable = i + 1
-            break
+    stable = 1 + max((i for (i, _), d in dims.items() if d > bound),
+                     default=-1)
     return RayAudit(tuple(points), tuple(crossings), dims, stable)

@@ -825,7 +825,8 @@ def adjacent_simplices(t: TopologicalType) -> tuple[TopologicalType, ...]:
 def apply_outer_automorphism(p: SimplexPoint, images: list[Word]) -> SimplexPoint:
     """Change the marking by the automorphism x_i -> images[i]."""
     t = p.ttype
-    if not is_basis(images, t.rank):
+    # is_basis reads letters only, so the images' rank is checked apart
+    if any(w.rank != t.rank for w in images) or not is_basis(images, t.rank):
         raise NotAnAutomorphism("images do not define an automorphism")
     from .words import apply_endomorphism
 

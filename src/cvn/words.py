@@ -383,15 +383,13 @@ def extend_to_basis(w: Word) -> list[Word]:
         raise NotPrimitive(f"{w} has minimal cyclic length {len(cur)}")
     (a,) = cur.letters
     m, s = abs(a), (1 if a > 0 else -1)
-    # invert the composed automorphism via rewriting in its image basis
-    inv_images = []
-    for i in range(1, rank + 1):
-        u = rewrite_in_basis(generator(i, rank), psi)
-        inv_images.append(Word(u.letters, rank))
+    # invert the composed automorphism: x_i in its image basis, whose
+    # folded words are freely reduced
+    inv_images = [Word(c, rank) for c in
+                  _basis_inverse(tuple(p.letters for p in psi), rank)]
     first = inv_images[m - 1] if s > 0 else inv_images[m - 1].inverse()
     basis = [first] + [inv_images[i - 1] for i in range(1, rank + 1) if i != m]
-    for i in range(1, rank + 1):  # sanity: result is a basis
-        rewrite_in_basis(generator(i, rank), basis)
+    _basis_inverse(tuple(b.letters for b in basis), rank)  # sanity: a basis
     return basis
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import geodesics_oracle
 import marking_oracle
 from geodesics_oracle import eager_advance
 from cvn import envelopes, geodesics
@@ -23,6 +24,9 @@ from cvn.errors import (
     Unsupported,
 )
 from cvn.geodesics import (
+    CLEAN,
+    IDEAL,
+    VERTEX,
     GeodesicPath,
     _beats,
     _coords_score,
@@ -574,6 +578,31 @@ def test_ray_audit_builds_each_out_envelope_once(monkeypatch):
     assert len(builds) == len(set(builds)) == 11
 
 
+def _stable_by_scan(dims, bound):
+    """stable_from by its definition: the first index past which no pair
+    starting there or later has dimension above bound."""
+    for i in sorted({i for i, _ in dims}, reverse=True):
+        if any(d > bound for (x, _), d in dims.items() if x >= i):
+            return i + 1
+    return 0
+
+
+def test_ray_audit_stable_from_is_one_past_the_last_wide_pair(monkeypatch):
+    # every pair of the real rays has dimension 1 = 3n-5, so feed the
+    # audit made-up dimensions
+    a = rose_point([Fraction(5, 8), Fraction(3, 8)])
+    cases = [{}, {(0, 1): 1}, {(0, 1): 2, (1, 2): 1},
+             {(0, 2): 2, (1, 2): 2, (2, 3): 1},
+             {(0, 3): 2, (2, 3): 1, (1, 2): 2, (1, 3): 0},
+             {(0, 1): 1, (3, 4): 2, (1, 4): 1}]
+    for dims in cases:
+        monkeypatch.setattr(geodesics, "_pair_dims",
+                            lambda *args, dims=dims: iter(dims.items()))
+        got = ray_dimension_audit(a, [CC([1]), CC([2])], 1).stable_from
+        assert got == _stable_by_scan(dims, 1)
+    assert [_stable_by_scan(d, 1) for d in cases] == [0, 0, 1, 2, 2, 4]
+
+
 def test_ray_audit_rank_guard():
     with pytest.raises(Unsupported):
         ray_dimension_audit(
@@ -607,35 +636,82 @@ class _Poly:
         self.vertices = vertices
 
 
-def test_first_step_sweeps_outside_charts_in_order():
-    # four charts, the first with no vertex; sweep "one" moves in the
-    # first, third and fourth chart, sweep "two" in the second.  Sweeps
-    # outside charts, in the given order, skipping the empty chart: "one"
-    # moves in the third chart before "two" is ever tried
+def test_first_step_sweeps_outside_charts_in_order(monkeypatch):
+    # four charts, the first with no vertex.  Sweeps are the outer loop,
+    # each over the charts in the given order, skipping the empty chart,
+    # and each takes the first move in a chart whose kind it allows: the
+    # CLEAN move of the third chart beats the VERTEX move of the second
+    # when CLEAN is swept first
     a, b, c, d = (rose_type(2), theta_type(), twisted_theta_type(),
                   barbell_type())
     polys = {a: _Poly(()), b: _Poly((1,)), c: _Poly((1,)), d: _Poly((1,))}
+    moves = {a: [(CLEAN, 0)], b: [(VERTEX, 2)],
+             c: [(CLEAN, 3), (VERTEX, 6)], d: [(CLEAN, 4), (VERTEX, 7)]}
     gamma = CC([1, 2])
     calls = []
 
-    def sweep(name, moves):
-        def step(poly, coords, counts, chart):
-            assert poly is polys[chart]
-            assert counts == edge_counts(chart, gamma)
-            calls.append((name, coords))
-            return moves.get(chart)
-        return step
+    def stub(poly, coords, counts, chart):
+        assert poly is polys[chart]
+        assert counts == edge_counts(chart, gamma)
+        calls.append(coords)
+        yield from moves[chart]
 
+    monkeypatch.setattr(geodesics, "_moves", stub)
     charts = [(a, "a"), (b, "b"), (c, "c"), (d, "d")]
-    got = _first_step(charts, polys.__getitem__, gamma,
-                      (sweep("one", {a: 0, c: 3, d: 4}),
-                       sweep("two", {b: 2})))
-    assert got == (c, 3)
-    assert calls == [("one", "b"), ("one", "c")]
-    calls.clear()
-    assert _first_step(charts, polys.__getitem__, gamma,
-                       (sweep("one", {}), sweep("two", {}))) is None
-    assert calls == [("one", x) for x in "bcd"] + [("two", x) for x in "bcd"]
+
+    def first(sweeps, at=charts):
+        calls.clear()
+        return _first_step(at, polys.__getitem__, gamma, sweeps)
+
+    assert first(({CLEAN}, {VERTEX})) == (c, 3)
+    assert calls == ["b", "c"]
+    assert first(({IDEAL}, {VERTEX})) == (b, 2)
+    assert calls == ["b", "c", "d", "b"]
+    assert first(({VERTEX},), [charts[0], charts[2]]) == (c, 6)
+    assert calls == ["c"]
+    assert first(({IDEAL}, {IDEAL})) is None
+    assert calls == list("bcdbcd")
+
+
+def _first_of(moves, kinds):
+    return next((t for k, t in moves if k in kinds), None)
+
+
+def test_move_stream_matches_the_step_twins(fresh_walks, monkeypatch):
+    # every input the walker and the ray audit hand to _moves: the first
+    # CLEAN, the first CLEAN or VERTEX and the first IDEAL move are the
+    # picks of the step functions the stream replaced
+    seen = []
+    moves = geodesics._moves
+
+    def recorded(poly, coords, counts, chart):
+        seen.append((poly, coords, counts, chart))
+        return moves(poly, coords, counts, chart)
+
+    monkeypatch.setattr(geodesics, "_moves", recorded)
+    for a, b, _ in fresh_walks:
+        piecewise_rigid_geodesic(a, b)
+    direction = [CC([1]), CC([2])]
+    for x in (Fraction(5, 8), Fraction(7, 12), Fraction(13, 21)):
+        ray_dimension_audit(rose_point([x, 1 - x]), direction, 4)
+    # the ray in direction y alone from (2/3, 1/3) meets two improving
+    # ideal corners at once, so the order of IDEAL moves shows
+    ray_dimension_audit(rose_point([Fraction(2, 3), Fraction(1, 3)]),
+                        [CC([2])], 3)
+    kinds = set()
+    ideal_pairs = 0
+    for poly, coords, counts, chart in seen:
+        stream = list(moves(poly, coords, counts, chart))
+        if stream:
+            kinds.add(stream[0][0])
+        ideal_pairs += [k for k, _ in stream].count(IDEAL) > 1
+        assert _first_of(stream, {CLEAN}) == geodesics_oracle._forward_vertex(
+            poly, coords, counts, chart, require_clean=True)
+        assert _first_of(stream, {CLEAN, VERTEX}) == (
+            geodesics_oracle._forward_vertex(poly, coords, counts, chart))
+        assert _first_of(stream, {IDEAL}) == (
+            geodesics_oracle._ideal_half_step(poly, coords, counts, chart))
+    assert kinds == {CLEAN, VERTEX, IDEAL} and ideal_pairs
 
 
 def _fraction_score(delta, gamma, coords):

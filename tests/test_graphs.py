@@ -531,6 +531,11 @@ def test_apply_outer_automorphism_rejects_images_of_another_rank():
     with pytest.raises(NotAnAutomorphism):
         apply_outer_automorphism(rose_point([1, 2]),
                                  [generator(3, 3), generator(1, 3)])
+    # rank-3 words whose letters fit rank 2 are no automorphism of F_2
+    # either: the point would carry rank-3 labels on a rank-2 type
+    with pytest.raises(NotAnAutomorphism):
+        apply_outer_automorphism(rose_point([Fraction(1, 3), Fraction(2, 3)]),
+                                 [generator(2, 3), generator(1, 3)])
 
 
 def test_standard_points_reject_nonpositive_lengths_before_dividing():

@@ -30,9 +30,9 @@ from cvn.graphs import (
     tighten,
     type_key,
 )
-from cvn.metric import stretch
+from cvn.metric import candidate_witnesses, stretch
 from cvn.sampling import random_automorphism, random_pair
-from cvn.words import apply_endomorphism, conjugacy_classes_up_to
+from cvn.words import apply_endomorphism, conj_class, conjugacy_classes_up_to
 
 LIMIT_S = 60
 
@@ -170,3 +170,23 @@ def test_rank3_resolutions_are_out_fn_equivariant():
         got = [type_key(t) for t in resolutions(twisted_rose)]
         assert len(got) == 105
         assert set(got) == {type_key(_twist(t, phi)) for t in charts}
+
+
+def test_witness_sets_follow_the_automorphism():
+    # lambda is Out(F_n)-invariant, and a witness g of (a, b) becomes the
+    # witness phi(g) of the twisted pair, in both directions
+    cases = 0
+    for rank, seed in ((2, 41), (3, 43)):
+        rng = random.Random(seed)
+        for _ in range(12):
+            a, b = random_pair(rank, rng)
+            phi = random_automorphism(rank, rng, 4)
+            fa = apply_outer_automorphism(a, phi)
+            fb = apply_outer_automorphism(b, phi)
+            for p, q, fp, fq in ((a, b, fa, fb), (b, a, fb, fa)):
+                assert stretch(fp, fq) == stretch(p, q)
+                assert candidate_witnesses(fp, fq) == {
+                    conj_class(apply_endomorphism(g.rep, phi).letters, rank)
+                    for g in candidate_witnesses(p, q)}
+                cases += 1
+    assert cases == 48

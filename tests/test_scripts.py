@@ -39,6 +39,27 @@ def test_ray_crossings_output_is_pinned():
     assert hashlib.sha256(res.stdout).hexdigest() == RAY_CROSSINGS_SHA256
 
 
+# the stdout of scripts/ray_crossings.py on seven figure-eight rays: they
+# take three IDEAL half steps between them, and the ray from 3/5 ends in
+# WalkStuck
+RAY_CROSSINGS_IDEAL_SHA256 = (
+    "0a5a3f03cf3155280143502615ad7dfa616c6bbe4c2bc667f1369ccdbf79e6b0")
+
+
+def test_ray_crossings_ideal_steps_output_is_pinned():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ray_crossings.py"),
+         "--a", "5/8", "7/12", "13/21", "3/5", "8/13", "21/34", "4/7",
+         "--steps", "4"],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert b"a = 3/5: stuck" in res.stdout
+    assert (hashlib.sha256(res.stdout).hexdigest()
+            == RAY_CROSSINGS_IDEAL_SHA256)
+
+
 # the stdout of scripts/walk_geodesic.py with its defaults: the two-phase
 # walk between two theta points, its witnesses, multiplicativity and the
 # verdict "fully rigid: False"

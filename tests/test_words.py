@@ -247,6 +247,33 @@ def test_rank_cap():
         extend_to_basis(generator(1, 4))
 
 
+def _basis_or_error(extend, w):
+    try:
+        return extend(w)
+    except NotPrimitive:
+        return NotPrimitive
+
+
+def test_extend_to_basis_matches_its_twin():
+    # every nonempty reduced word of rank 2 up to length 6 and of rank 3 up
+    # to length 4: one basis inversion gives the basis, or NotPrimitive,
+    # that n rewrites in the image basis gave
+    start = time.perf_counter()
+    outcomes = {True: 0, False: 0}
+    for rank, max_len in ((2, 6), (3, 4)):
+        alphabet = [s * m for m in range(1, rank + 1) for s in (1, -1)]
+        for n in range(1, max_len + 1):
+            for letters in itertools.product(alphabet, repeat=n):
+                if free_reduce(letters) != letters:
+                    continue
+                w = Word(letters, rank)
+                want = _basis_or_error(words_oracle.extend_to_basis, w)
+                assert _basis_or_error(extend_to_basis, w) == want, w
+                outcomes[want is not NotPrimitive] += 1
+    assert sum(outcomes.values()) == 2392 and min(outcomes.values()) > 1000
+    assert time.perf_counter() - start < 60
+
+
 def test_conjugacy_class_enumeration_counts():
     # rank 1: classes x^k, unoriented, k = 1..L
     assert sum(1 for _ in conjugacy_classes_up_to(1, 4)) == 4

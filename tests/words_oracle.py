@@ -11,7 +11,9 @@ did before it kept one coded path per generator letter.
 ``basis_inverse`` is the Nielsen reduction ``cvn.words`` used before it
 inverted bases by Stallings folding: a greedy descent in total length, then
 a breadth-first search at constant total length capped at ``_PLATEAU_CAP``
-tuples.
+tuples.  ``extend_to_basis`` inverts the composed Whitehead automorphism by
+one ``rewrite_in_basis`` call per generator, and checks its answer by n more,
+as ``cvn.words`` did before it made one basis inversion of each.
 """
 
 from __future__ import annotations
@@ -19,15 +21,20 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from cvn.errors import BudgetExceeded, NotABasis
+from cvn.errors import BudgetExceeded, NotABasis, NotPrimitive, Unsupported
 from cvn.graphs import tree_path
 from cvn.words import (
+    _WHITEHEAD_RANK_CAP,
     ConjClass,
     Letters,
     Word,
+    apply_endomorphism,
+    conj_normal_form,
     free_reduce,
+    generator,
     invert,
     rewrite_in_basis,
+    whitehead_automorphisms,
 )
 
 
@@ -218,3 +225,44 @@ def basis_inverse(basis_letters: tuple[Letters, ...], rank: int) -> tuple[Letter
         (a,) = cur[i]
         c[abs(a) - 1] = expr[i] if a > 0 else invert(expr[i])
     return tuple(c)
+
+
+def extend_to_basis(w: Word) -> list[Word]:
+    """Extend a primitive element to a basis whose first entry is conjugate to w.
+
+    Whitehead reduction: repeatedly apply the length-reducing type II
+    automorphism until the cyclic length is minimal.  Primitive iff the
+    minimum is 1.  Rank capped at 3 (exhaustive search only).
+    """
+    if w.rank > _WHITEHEAD_RANK_CAP:
+        raise Unsupported(f"rank {w.rank} > {_WHITEHEAD_RANK_CAP}")
+    if not w.letters:
+        raise NotPrimitive("trivial word")
+    rank = w.rank
+    autos = whitehead_automorphisms(rank)
+    psi = [generator(i, rank) for i in range(1, rank + 1)]  # composed images
+    cur = conj_normal_form(w).rep
+    improved = True
+    while improved and len(cur) > 1:
+        improved = False
+        for images in autos:
+            cand = conj_normal_form(apply_endomorphism(cur, list(images))).rep
+            if len(cand) < len(cur):
+                cur = cand
+                psi = [apply_endomorphism(p, list(images)) for p in psi]
+                improved = True
+                break
+    if len(cur) != 1:
+        raise NotPrimitive(f"{w} has minimal cyclic length {len(cur)}")
+    (a,) = cur.letters
+    m, s = abs(a), (1 if a > 0 else -1)
+    # invert the composed automorphism via rewriting in its image basis
+    inv_images = []
+    for i in range(1, rank + 1):
+        u = rewrite_in_basis(generator(i, rank), psi)
+        inv_images.append(Word(u.letters, rank))
+    first = inv_images[m - 1] if s > 0 else inv_images[m - 1].inverse()
+    basis = [first] + [inv_images[i - 1] for i in range(1, rank + 1) if i != m]
+    for i in range(1, rank + 1):  # sanity: result is a basis
+        rewrite_in_basis(generator(i, rank), basis)
+    return basis
