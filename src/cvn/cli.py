@@ -31,7 +31,10 @@ from .graphs import (
 from .words import ConjClass, class_order, conj_class
 
 # Each subcommand imports the layers it uses when it runs, so a process
-# compiles and loads only those: validate needs graphs and words alone.
+# compiles and loads only those: validate needs graphs and words alone,
+# candidates adds cvn.candidates, and neither loads polytope, envelopes,
+# geodesics or svg.  The value classes are plain classes on cvn.values,
+# so no subcommand imports dataclasses (nor inspect, ast and dis with it).
 
 _NAMES = "xyzuvw"
 

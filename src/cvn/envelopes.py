@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul, or_
@@ -38,6 +37,7 @@ from .graphs import (
 )
 from .metric import conj_length, length_numerator, stretch_report
 from .polytope import HalfSpace, Polytope, equality
+from .values import Value, setfield
 from .words import ConjClass, Word, class_order, extend_to_basis
 
 DEFAULT_BUDGET = 500
@@ -157,11 +157,25 @@ def reference_witness(a: SimplexPoint, b: SimplexPoint) -> ConjClass:
     return min(cw, key=class_order)
 
 
-@dataclass(frozen=True)
-class EnvelopeSlice:
+class EnvelopeSlice(Value):
     simplex: TopologicalType
     gamma: ConjClass
     polytope: Polytope
+
+    def __init__(self, simplex: TopologicalType, gamma: ConjClass,
+                 polytope: Polytope):
+        setfield(self, "simplex", simplex)
+        setfield(self, "gamma", gamma)
+        setfield(self, "polytope", polytope)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.simplex == other.simplex and self.gamma == other.gamma
+                    and self.polytope == other.polytope)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.simplex, self.gamma, self.polytope))
 
 
 # a slice keeps its polytope (and its vertices once asked) alive, so this
@@ -193,9 +207,19 @@ def envelope(a: SimplexPoint, b: SimplexPoint,
     return envelope_slice(a, b, delta).polytope
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(Value):
     simplices: tuple[TopologicalType, ...]
+
+    def __init__(self, simplices: tuple[TopologicalType, ...]):
+        setfield(self, "simplices", simplices)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.simplices == other.simplices
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.simplices,))
 
 
 def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:

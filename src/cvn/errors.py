@@ -17,6 +17,11 @@ class NotPrimitive(CvnError):
     pass
 
 
+class NotReduced(CvnError, ValueError):
+    """Letters that are not freely reduced.  Also a ValueError, so input
+    parsing that catches ValueError treats it as bad input."""
+
+
 class Unsupported(CvnError):
     pass
 

@@ -17,7 +17,6 @@ segments are not checked rigid, and some are not (ROADMAP item 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
@@ -54,6 +53,7 @@ from .graphs import (
 )
 from .metric import candidate_witnesses, is_witness, same_point, stretch
 from .polytope import Polytope
+from .values import Value, setfield
 from .words import ConjClass, _check_count, class_order
 
 
@@ -82,19 +82,37 @@ def check_gluing(a: SimplexPoint, c: SimplexPoint, b: SimplexPoint) -> frozenset
     )
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
+class GeodesicPath(Value):
     """A path of breakpoints.  target, when set, is the end point as the
     caller gave it: the same point of CV_n as the last breakpoint, which
     the walk builds in its own chart and which need not equal the
     caller's object, so memos keyed on the caller's point are read
-    through target.  It takes no part in equality or repr."""
+    through target.  It takes no part in equality, hash or repr, so it
+    is not among the annotated fields."""
 
     breakpoints: tuple[SimplexPoint, ...]
     segment_witnesses: tuple[frozenset, ...]
     rigid_segments: tuple[int, ...]
-    target: SimplexPoint | None = field(default=None, compare=False,
-                                        repr=False)
+
+    def __init__(self, breakpoints: tuple[SimplexPoint, ...],
+                 segment_witnesses: tuple[frozenset, ...],
+                 rigid_segments: tuple[int, ...],
+                 target: SimplexPoint | None = None):
+        setfield(self, "breakpoints", breakpoints)
+        setfield(self, "segment_witnesses", segment_witnesses)
+        setfield(self, "rigid_segments", rigid_segments)
+        setfield(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.breakpoints == other.breakpoints
+                    and self.segment_witnesses == other.segment_witnesses
+                    and self.rigid_segments == other.rigid_segments)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints, self.segment_witnesses,
+                     self.rigid_segments))
 
     @property
     def start(self) -> SimplexPoint:
@@ -393,10 +411,21 @@ def is_rigid(path: GeodesicPath, budget=None) -> bool:
     return all(d <= 1 for _, d in _pair_dims(pts, widest, budget, cap=2))
 
 
-@dataclass(frozen=True)
-class PositionCertificate:
+class PositionCertificate(Value):
     gamma: ConjClass
     strict: tuple
+
+    def __init__(self, gamma: ConjClass, strict: tuple):
+        setfield(self, "gamma", gamma)
+        setfield(self, "strict", strict)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gamma == other.gamma and self.strict == other.strict
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gamma, self.strict))
 
 
 def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
@@ -529,12 +558,30 @@ def _ray_slice(a: SimplexPoint, direction: tuple,
     return out_envelope(a, direction, delta)
 
 
-@dataclass(frozen=True)
-class RayAudit:
+class RayAudit(Value):
     points: tuple[SimplexPoint, ...]
     crossings: tuple[int, ...]
     dims: dict
     stable_from: int
+
+    def __init__(self, points: tuple[SimplexPoint, ...],
+                 crossings: tuple[int, ...], dims: dict, stable_from: int):
+        setfield(self, "points", points)
+        setfield(self, "crossings", crossings)
+        setfield(self, "dims", dims)
+        setfield(self, "stable_from", stable_from)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.points == other.points
+                    and self.crossings == other.crossings
+                    and self.dims == other.dims
+                    and self.stable_from == other.stable_from)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.crossings, self.dims,
+                     self.stable_from))
 
 
 def ray_dimension_audit(a: SimplexPoint, s, steps: int,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -46,24 +45,38 @@ from .words import (
     is_basis,
     reduce,
 )
+from .values import Value, setfield
 
 Path = tuple[tuple[str, int], ...]
 HalfEdge = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     id: str
     u: str
     v: str
     label: Word  # trivial word on tree edges
 
+    def __init__(self, id: str, u: str, v: str, label: Word):
+        setfield(self, "id", id)
+        setfield(self, "u", u)
+        setfield(self, "v", v)
+        setfield(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id == other.id and self.u == other.u
+                    and self.v == other.v and self.label == other.label)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.u, self.v, self.label))
+
     def is_loop(self) -> bool:
         return self.u == self.v
 
 
-@dataclass(frozen=True)
-class TopologicalType:
+class TopologicalType(Value):
     """A marked graph with lengths forgotten.
 
     The edge order is fixed at construction and defines the coordinates of
@@ -74,6 +87,20 @@ class TopologicalType:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     tree: frozenset[str]
+
+    def __init__(self, rank: int, vertices: tuple[str, ...],
+                 edges: tuple[Edge, ...], tree: frozenset[str]):
+        setfield(self, "rank", rank)
+        setfield(self, "vertices", vertices)
+        setfield(self, "edges", edges)
+        setfield(self, "tree", tree)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank == other.rank
+                    and self.vertices == other.vertices
+                    and self.edges == other.edges and self.tree == other.tree)
+        return NotImplemented
 
     @cached_property
     def _hash(self) -> int:
@@ -132,21 +159,27 @@ class TopologicalType:
         return self.vertices[0]
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
+class SimplexPoint(Value):
     """A point of CV_n: a topological type plus volume-1 edge lengths."""
 
     ttype: TopologicalType
     lengths: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.lengths) != len(self.ttype.edges):
+    def __init__(self, ttype: TopologicalType, lengths: tuple[Fraction, ...]):
+        if len(lengths) != len(ttype.edges):
             raise WrongRank("one length per edge required")
-        for q in self.lengths:
+        for q in lengths:
             if q <= 0:
                 raise NonpositiveLength(f"length {q}")
-        if sum(self.lengths) != 1:
+        if sum(lengths) != 1:
             raise NonpositiveLength("lengths must sum to 1")
+        setfield(self, "ttype", ttype)
+        setfield(self, "lengths", lengths)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ttype == other.ttype and self.lengths == other.lengths
+        return NotImplemented
 
     @cached_property
     def _hash(self) -> int:
@@ -180,14 +213,30 @@ class SimplexPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MarkedGraph:
-    """Raw user input, prior to validation."""
+class MarkedGraph(Value):
+    """Raw user input, prior to validation: mutable, so unhashable."""
 
     rank: int
     vertices: list[str]
     edges: list[tuple[str, str, str, Fraction, list[int]]]  # id,u,v,len,label
     tree: list[str]
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, rank: int, vertices: list[str], edges: list,
+                 tree: list[str]):
+        self.rank = rank
+        self.vertices = vertices
+        self.edges = edges
+        self.tree = tree
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank == other.rank
+                    and self.vertices == other.vertices
+                    and self.edges == other.edges and self.tree == other.tree)
+        return NotImplemented
 
 
 def is_connected(vertices, edges) -> bool:

@@ -9,7 +9,6 @@ quantity here a finite exact maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -30,6 +29,7 @@ from .graphs import (
     _marking_isomorphism,
     _tighten_cached,
 )
+from .values import Value, setfield
 from .words import ConjClass, _check_count, _classes_up_to, _walk_class
 
 
@@ -57,15 +57,28 @@ def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
     return Fraction(length_numerator(p, gamma), p.scaled_lengths[1])
 
 
-@dataclass(frozen=True)
-class StretchReport:
+class StretchReport(Value):
     lam: Fraction
     candidate_witnesses: frozenset
     per_candidate: MappingProxyType  # read-only: callers share one report
 
-    def __post_init__(self):
-        if self.lam != max(self.per_candidate.values()):
+    def __init__(self, lam: Fraction, candidate_witnesses: frozenset,
+                 per_candidate: MappingProxyType):
+        if lam != max(per_candidate.values()):
             raise SelfCheckFailed("lam is not the largest candidate stretch")
+        setfield(self, "lam", lam)
+        setfield(self, "candidate_witnesses", candidate_witnesses)
+        setfield(self, "per_candidate", per_candidate)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lam == other.lam
+                    and self.candidate_witnesses == other.candidate_witnesses
+                    and self.per_candidate == other.per_candidate)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.candidate_witnesses, self.per_candidate))
 
 
 @lru_cache(maxsize=256)
@@ -102,12 +115,23 @@ def stretch(a: SimplexPoint, b: SimplexPoint) -> Fraction:
     return stretch_report(a, b).lam
 
 
-@dataclass(frozen=True)
-class Distance:
+class Distance(Value):
     """A distance value stored as an exact stretch factor."""
 
     lam: Fraction
     mode: str
+
+    def __init__(self, lam: Fraction, mode: str):
+        setfield(self, "lam", lam)
+        setfield(self, "mode", mode)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lam == other.lam and self.mode == other.mode
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.mode))
 
     @property
     def log(self) -> float:

@@ -17,21 +17,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from numbers import Rational
 from operator import mul
 
 from .errors import DimensionMismatch, Infeasible, ParamOutOfRange
+from .values import Value, setfield
 
 Vector = tuple[Fraction, ...]
 
 SIMPLEX_BOUNDARY = "simplex-boundary"
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Value):
     """The constraint (row . x) / den >= 0, tagged with where it came from.
 
     The row is integers over one positive denominator, stored in lowest
@@ -45,13 +44,25 @@ class HalfSpace:
     den: int
     provenance: tuple
 
-    def __post_init__(self):
-        if self.den <= 0:
-            raise ParamOutOfRange(f"denominator {self.den} is not positive")
-        g = math.gcd(self.den, *self.row)
+    def __init__(self, row: tuple[int, ...], den: int, provenance: tuple):
+        if den <= 0:
+            raise ParamOutOfRange(f"denominator {den} is not positive")
+        g = math.gcd(den, *row)
         if g != 1:
-            object.__setattr__(self, "row", tuple(q // g for q in self.row))
-            object.__setattr__(self, "den", self.den // g)
+            row = tuple(q // g for q in row)
+            den //= g
+        setfield(self, "row", row)
+        setfield(self, "den", den)
+        setfield(self, "provenance", provenance)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.row == other.row and self.den == other.den
+                    and self.provenance == other.provenance)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.row, self.den, self.provenance))
 
     @staticmethod
     def make(coeffs, provenance, den: int = 1) -> "HalfSpace":

@@ -14,7 +14,6 @@ identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
@@ -27,6 +26,7 @@ from .graphs import (
     _marking_isomorphism,
     embed_point,
 )
+from .values import Value, setfield
 
 SCALE = 300
 MARGIN = 30
@@ -49,11 +49,21 @@ def _place(weights, corners) -> tuple[int, int]:
             sum(w * c[1] for w, c in zip(weights, corners)))
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(Value):
     """Placed triangles: one corner position per edge of each simplex."""
 
     placed: tuple[tuple[TopologicalType, tuple], ...]
+
+    def __init__(self, placed: tuple[tuple[TopologicalType, tuple], ...]):
+        setfield(self, "placed", placed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.placed == other.placed
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.placed,))
 
     @cached_property
     def scaled(self) -> tuple[tuple, int]:

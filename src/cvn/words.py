@@ -9,7 +9,6 @@ a metric graph do not see the orientation of a loop.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import neg
 
@@ -17,9 +16,11 @@ from .errors import (
     IndexOutOfRange,
     NotABasis,
     NotPrimitive,
+    NotReduced,
     ParamOutOfRange,
     Unsupported,
 )
+from .values import Value, setfield
 
 Letters = tuple[int, ...]
 
@@ -76,6 +77,14 @@ def _least_rotation(keys) -> int:
     return k
 
 
+def _oriented_cyclic(letters: Letters) -> Letters:
+    """Least rotation of the cyclic reduction, orientation kept: equal
+    exactly for conjugate words."""
+    core = cyclic_reduce(letters)[0]
+    k = _least_rotation([_letter_key(a) for a in core])
+    return core[k:] + core[:k]
+
+
 def _canonical_cyclic(letters: Letters) -> Letters:
     """Least rotation of the cyclic word or its inverse, letters ordered
     1 < -1 < 2 < -2 < ..."""
@@ -89,19 +98,25 @@ def _canonical_cyclic(letters: Letters) -> Letters:
     return min(rotations)[1]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A freely reduced word in F_rank."""
 
     letters: Letters
     rank: int
 
-    def __post_init__(self):
-        for a in self.letters:
-            if a == 0 or abs(a) > self.rank:
-                raise IndexOutOfRange(f"letter {a} invalid at rank {self.rank}")
-        if free_reduce(self.letters) != self.letters:
-            raise ValueError("letters not freely reduced; use reduce()")
+    def __init__(self, letters: Letters, rank: int):
+        for a in letters:
+            if a == 0 or abs(a) > rank:
+                raise IndexOutOfRange(f"letter {a} invalid at rank {rank}")
+        if free_reduce(letters) != letters:
+            raise NotReduced("letters not freely reduced; use reduce()")
+        setfield(self, "letters", letters)
+        setfield(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters and self.rank == other.rank
+        return NotImplemented
 
     def __len__(self):
         return len(self.letters)
@@ -153,12 +168,20 @@ def generator(i: int, rank: int) -> Word:
     return Word((i,), rank)
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(Value):
     """Canonical representative of an unoriented conjugacy class."""
 
     rep: Word
     rank: int
+
+    def __init__(self, rep: Word, rank: int):
+        setfield(self, "rep", rep)
+        setfield(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rep == other.rep and self.rank == other.rank
+        return NotImplemented
 
     def is_trivial(self) -> bool:
         return not self.rep.letters
@@ -381,13 +404,16 @@ def extend_to_basis(w: Word) -> list[Word]:
                 break
     if len(cur) != 1:
         raise NotPrimitive(f"{w} has minimal cyclic length {len(cur)}")
-    (a,) = cur.letters
-    m, s = abs(a), (1 if a > 0 else -1)
+    (m,) = cur.letters  # a class representative: one positive letter
     # invert the composed automorphism: x_i in its image basis, whose
     # folded words are freely reduced
     inv_images = [Word(c, rank) for c in
                   _basis_inverse(tuple(p.letters for p in psi), rank)]
-    first = inv_images[m - 1] if s > 0 else inv_images[m - 1].inverse()
+    # psi^-1(x_m) is conjugate to w or to w^-1: the classes above forget
+    # orientation, so read it off the cyclic words
+    first = inv_images[m - 1]
+    if _oriented_cyclic(first.letters) != _oriented_cyclic(w.letters):
+        first = first.inverse()
     basis = [first] + [inv_images[i - 1] for i in range(1, rank + 1) if i != m]
     _basis_inverse(tuple(b.letters for b in basis), rank)  # sanity: a basis
     return basis
@@ -428,10 +454,10 @@ def conjugacy_classes_up_to(rank: int, max_len: int):
 def _walk_class(letters: Letters, rank: int) -> ConjClass:
     """The class of letters from _classes_up_to, skipping Word's checks."""
     w, g = object.__new__(Word), object.__new__(ConjClass)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "rank", rank)
-    object.__setattr__(g, "rep", w)
-    object.__setattr__(g, "rank", rank)
+    setfield(w, "letters", letters)
+    setfield(w, "rank", rank)
+    setfield(g, "rep", w)
+    setfield(g, "rank", rank)
     return g
 
 

@@ -295,3 +295,53 @@ def test_svg_at_rank3_leaves_no_output(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("Unsupported: ")
     assert not svg.exists() and not out.exists()
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+from cvn.cli import main
+
+fx = sys.argv[1]
+runs = [
+    ["validate", f"{fx}/a.json"],
+    ["candidates", f"{fx}/a.json"],
+    ["distance", f"{fx}/a.json", f"{fx}/b.json"],
+    ["witnesses", f"{fx}/a.json", f"{fx}/b.json"],
+    ["envelope", f"{fx}/a.json", f"{fx}/b.json"],
+    ["support", f"{fx}/a.json", f"{fx}/b.json"],
+    ["geodesic", f"{fx}/a.json", f"{fx}/b.json"],
+    ["general-position", f"{fx}/a.json", f"{fx}/b.json"],
+    ["ray-audit", f"{fx}/rose.json", "--direction", "x", "y", "--steps", "2"],
+    ["verify-appendix", "A1"],
+]
+seen = {}
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[argv[0]] = [code, sorted(m for m in sys.modules
+                                  if m.startswith("cvn") or m in
+                                  ("dataclasses", "inspect"))]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_imports():
+    # every subcommand runs without dataclasses or inspect, and validate
+    # and candidates load none of the geometry layers
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("CVN_BUDGET", None)
+    res = subprocess.run(
+        [sys.executable, "-c", _COLD_START,
+         str(root / "perfbench" / "fixtures")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout)
+    assert len(seen) == 10
+    for command, (code, modules) in seen.items():
+        assert code == 0, command
+        assert "dataclasses" not in modules and "inspect" not in modules
+    geometry = {"cvn.polytope", "cvn.envelopes", "cvn.geodesics", "cvn.svg"}
+    for command in ("validate", "candidates"):
+        assert not geometry & set(seen[command][1]), command
+    assert geometry <= set(seen["geodesic"][1])

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from cvn.errors import CvnError, SelfCheckFailed
+from cvn.cli import _InputError, _parsing
+from cvn.errors import CvnError, NotReduced, SelfCheckFailed
 from cvn.metric import StretchReport
-from cvn.words import conj_class
+from cvn.words import Word, conj_class
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cvn"
 
@@ -26,3 +27,14 @@ def test_inconsistent_stretch_report_raises_typed_error():
     with pytest.raises(SelfCheckFailed):
         StretchReport(Fraction(2), frozenset(), per)
     assert issubclass(SelfCheckFailed, CvnError)
+
+
+def test_unreduced_letters_raise_a_typed_value_error():
+    with pytest.raises(NotReduced) as info:
+        Word((1, 2, -2), 2)
+    assert isinstance(info.value, CvnError)
+    assert isinstance(info.value, ValueError)
+    # the CLI's parse stage still reads it as bad input (exit code 1)
+    with pytest.raises(_InputError):
+        with _parsing():
+            Word((-1, 1), 2)
