@@ -15,7 +15,7 @@ from operator import xor
 
 from .errors import TrivialClass
 from .graphs import Path, TopologicalType, _loop_codes, _petals, loop_word
-from .values import Value, setfield
+from .values import Value
 from .words import ConjClass
 
 SIMPLE_LOOP = "simple-loop"
@@ -28,22 +28,6 @@ class Candidate(Value):
     path: Path
     word: ConjClass
     counts: tuple[int, ...]
-
-    def __init__(self, kind: str, path: Path, word: ConjClass,
-                 counts: tuple[int, ...]):
-        setfield(self, "kind", kind)
-        setfield(self, "path", path)
-        setfield(self, "word", word)
-        setfield(self, "counts", counts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind == other.kind and self.path == other.path
-                    and self.word == other.word and self.counts == other.counts)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.path, self.word, self.counts))
 
 
 def path_counts(t: TopologicalType, path) -> tuple[int, ...]:

@@ -37,8 +37,8 @@ from .graphs import (
 )
 from .metric import conj_length, length_numerator, stretch_report
 from .polytope import HalfSpace, Polytope, equality
-from .values import Value, setfield
-from .words import ConjClass, Word, class_order, extend_to_basis
+from .values import Value
+from .words import ConjClass, class_order, extend_to_basis
 
 DEFAULT_BUDGET = 500
 
@@ -162,21 +162,6 @@ class EnvelopeSlice(Value):
     gamma: ConjClass
     polytope: Polytope
 
-    def __init__(self, simplex: TopologicalType, gamma: ConjClass,
-                 polytope: Polytope):
-        setfield(self, "simplex", simplex)
-        setfield(self, "gamma", gamma)
-        setfield(self, "polytope", polytope)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.simplex == other.simplex and self.gamma == other.gamma
-                    and self.polytope == other.polytope)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.simplex, self.gamma, self.polytope))
-
 
 # a slice keeps its polytope (and its vertices once asked) alive, so this
 # cache stays small: enough for the support, walker and picture of a pair
@@ -209,17 +194,6 @@ def envelope(a: SimplexPoint, b: SimplexPoint,
 
 class Support(Value):
     simplices: tuple[TopologicalType, ...]
-
-    def __init__(self, simplices: tuple[TopologicalType, ...]):
-        setfield(self, "simplices", simplices)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.simplices == other.simplices
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.simplices,))
 
 
 def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:

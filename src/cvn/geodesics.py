@@ -98,21 +98,8 @@ class GeodesicPath(Value):
                  segment_witnesses: tuple[frozenset, ...],
                  rigid_segments: tuple[int, ...],
                  target: SimplexPoint | None = None):
-        setfield(self, "breakpoints", breakpoints)
-        setfield(self, "segment_witnesses", segment_witnesses)
-        setfield(self, "rigid_segments", rigid_segments)
+        Value.__init__(self, breakpoints, segment_witnesses, rigid_segments)
         setfield(self, "target", target)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.breakpoints == other.breakpoints
-                    and self.segment_witnesses == other.segment_witnesses
-                    and self.rigid_segments == other.rigid_segments)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.breakpoints, self.segment_witnesses,
-                     self.rigid_segments))
 
     @property
     def start(self) -> SimplexPoint:
@@ -415,18 +402,6 @@ class PositionCertificate(Value):
     gamma: ConjClass
     strict: tuple
 
-    def __init__(self, gamma: ConjClass, strict: tuple):
-        setfield(self, "gamma", gamma)
-        setfield(self, "strict", strict)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.gamma == other.gamma and self.strict == other.strict
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.gamma, self.strict))
-
 
 def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
     """Whether the candidate-witness set of (a, b) is locally constant.
@@ -563,25 +538,6 @@ class RayAudit(Value):
     crossings: tuple[int, ...]
     dims: dict
     stable_from: int
-
-    def __init__(self, points: tuple[SimplexPoint, ...],
-                 crossings: tuple[int, ...], dims: dict, stable_from: int):
-        setfield(self, "points", points)
-        setfield(self, "crossings", crossings)
-        setfield(self, "dims", dims)
-        setfield(self, "stable_from", stable_from)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.points == other.points
-                    and self.crossings == other.crossings
-                    and self.dims == other.dims
-                    and self.stable_from == other.stable_from)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.points, self.crossings, self.dims,
-                     self.stable_from))
 
 
 def ray_dimension_audit(a: SimplexPoint, s, steps: int,

@@ -31,7 +31,6 @@ from .errors import (
     NotAForest,
     NotAnAutomorphism,
     NotClosed,
-    NotPrimitive,
     RankMismatch,
     TrivialClass,
     WrongRank,
@@ -57,20 +56,13 @@ class Edge(Value):
     v: str
     label: Word  # trivial word on tree edges
 
-    def __init__(self, id: str, u: str, v: str, label: Word):
-        setfield(self, "id", id)
-        setfield(self, "u", u)
-        setfield(self, "v", v)
-        setfield(self, "label", label)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.id == other.id and self.u == other.u
                     and self.v == other.v and self.label == other.label)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.id, self.u, self.v, self.label))
+    __hash__ = Value.__hash__
 
     def is_loop(self) -> bool:
         return self.u == self.v
@@ -88,13 +80,6 @@ class TopologicalType(Value):
     edges: tuple[Edge, ...]
     tree: frozenset[str]
 
-    def __init__(self, rank: int, vertices: tuple[str, ...],
-                 edges: tuple[Edge, ...], tree: frozenset[str]):
-        setfield(self, "rank", rank)
-        setfield(self, "vertices", vertices)
-        setfield(self, "edges", edges)
-        setfield(self, "tree", tree)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.rank == other.rank
@@ -104,11 +89,10 @@ class TopologicalType(Value):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.rank, self.vertices, self.edges, self.tree))
+        return Value.__hash__(self)
 
     def __hash__(self) -> int:
-        # every lru_cache keyed on a type hashes it; hash the fields once
-        return self._hash
+        return self._hash  # every lru_cache keyed on a type hashes it
 
     @cached_property
     def _canonical(self) -> tuple:
@@ -183,11 +167,10 @@ class SimplexPoint(Value):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ttype, self.lengths))
+        return Value.__hash__(self)
 
     def __hash__(self) -> int:
-        # points key the embedding and pair caches; hash the fields once
-        return self._hash
+        return self._hash  # points key the embedding and pair caches
 
     def length_of(self, eid: str) -> Fraction:
         return self.lengths[self.ttype.index(eid)]
@@ -223,20 +206,7 @@ class MarkedGraph(Value):
 
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
-
-    def __init__(self, rank: int, vertices: list[str], edges: list,
-                 tree: list[str]):
-        self.rank = rank
-        self.vertices = vertices
-        self.edges = edges
-        self.tree = tree
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank == other.rank
-                    and self.vertices == other.vertices
-                    and self.edges == other.edges and self.tree == other.tree)
-        return NotImplemented
+    __hash__ = None
 
 
 def is_connected(vertices, edges) -> bool:

@@ -29,7 +29,7 @@ from .graphs import (
     _marking_isomorphism,
     _tighten_cached,
 )
-from .values import Value, setfield
+from .values import Value
 from .words import ConjClass, _check_count, _classes_up_to, _walk_class
 
 
@@ -66,19 +66,7 @@ class StretchReport(Value):
                  per_candidate: MappingProxyType):
         if lam != max(per_candidate.values()):
             raise SelfCheckFailed("lam is not the largest candidate stretch")
-        setfield(self, "lam", lam)
-        setfield(self, "candidate_witnesses", candidate_witnesses)
-        setfield(self, "per_candidate", per_candidate)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lam == other.lam
-                    and self.candidate_witnesses == other.candidate_witnesses
-                    and self.per_candidate == other.per_candidate)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lam, self.candidate_witnesses, self.per_candidate))
+        Value.__init__(self, lam, candidate_witnesses, per_candidate)
 
 
 @lru_cache(maxsize=256)
@@ -120,18 +108,6 @@ class Distance(Value):
 
     lam: Fraction
     mode: str
-
-    def __init__(self, lam: Fraction, mode: str):
-        setfield(self, "lam", lam)
-        setfield(self, "mode", mode)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.lam == other.lam and self.mode == other.mode
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lam, self.mode))
 
     @property
     def log(self) -> float:

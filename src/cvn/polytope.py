@@ -55,15 +55,6 @@ class HalfSpace(Value):
         setfield(self, "den", den)
         setfield(self, "provenance", provenance)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.row == other.row and self.den == other.den
-                    and self.provenance == other.provenance)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.row, self.den, self.provenance))
-
     @staticmethod
     def make(coeffs, provenance, den: int = 1) -> "HalfSpace":
         """The half-space (coeffs . x) / den >= 0 for rational coeffs."""

@@ -26,7 +26,7 @@ from .graphs import (
     _marking_isomorphism,
     embed_point,
 )
-from .values import Value, setfield
+from .values import Value
 
 SCALE = 300
 MARGIN = 30
@@ -53,17 +53,6 @@ class Layout(Value):
     """Placed triangles: one corner position per edge of each simplex."""
 
     placed: tuple[tuple[TopologicalType, tuple], ...]
-
-    def __init__(self, placed: tuple[tuple[TopologicalType, tuple], ...]):
-        setfield(self, "placed", placed)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.placed == other.placed
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.placed,))
 
     @cached_property
     def scaled(self) -> tuple[tuple, int]:

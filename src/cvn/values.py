@@ -1,20 +1,64 @@
 """The base of the package's value objects.
 
-A value class declares its fields as class annotations, in order, and
-writes out its own ``__init__``, ``__eq__`` and ``__hash__``: they are
-hot (types compare their edges, edges their words), and written out
-they cost no code generation at import, where ``dataclasses`` would.
-The base adds the cold parts: a repr of the annotated fields and
-immutability.  ``__init__`` stores each field with ``setfield``, since
-assignment raises; ``cached_property`` writes the instance dict and so
-still works.
+A value class declares its fields as class annotations, in order.  From
+them the base gives it ``__init__`` (fields bound in that order; too
+many, missing, unknown or repeated ones raise ``TypeError``), ``__eq__``
+(same class, equal field tuples), ``__hash__`` (of the field tuple), a
+``Name(field=value, ...)`` repr, and immutability: assignment and
+deletion raise ``AttributeError``, so an ``__init__`` of its own stores
+fields with ``setfield``.  Nothing is generated: the cost at import is
+one ``operator.attrgetter`` per class.  A class overrides the base only
+where it must, or where it was measured to matter:
+
+- ``__eq__``, field by field, on ``Word``, ``Edge``, ``TopologicalType``
+  and ``SimplexPoint``: types compare their edges, edges their words,
+  about 72k times in one geodesic-r2 run.  With the generic compare all
+  the way down, equal objects built apart compare (Python 3.11) in 4.8
+  against 1.8 us for a type, 5.9 against 1.7 us for a point, 0.70
+  against 0.28 us for an edge and 0.28 against 0.23 us for a word.
+  Defining ``__eq__`` clears ``__hash__``, so each sets it again.
+- ``__hash__`` cached in ``_hash`` on ``Word``, ``TopologicalType`` and
+  ``SimplexPoint``, which key the memos; ``ConjClass`` hashes as its
+  representative; ``MarkedGraph``, mutable raw input, is unhashable.  A
+  cache in the base costs a dict entry per hashed edge: 12% more RSS in
+  the rank-3 support fill (136.5 against 122.3 MB).
+- ``__init__`` on the classes that check or normalise fields or take a
+  non-field argument: ``Word``, ``SimplexPoint``, ``HalfSpace``,
+  ``StretchReport`` and ``GeodesicPath`` (``target``).
 """
+
+from operator import attrgetter
 
 setfield = object.__setattr__
 
 
 class Value:
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__annotations__)
+        get = attrgetter(*names)  # a 1-tuple too, as the hash reads it
+        cls._values = get if len(names) > 1 else staticmethod(
+            lambda x: (get(x),))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):]
+                          if name in kwargs)
+        if len(args) != len(names) or kwargs:  # missing, extra or unknown
+            raise TypeError(f"{type(self).__qualname__} takes the fields "
+                            f"{', '.join(names)} once each")
+        for name, value in zip(names, args):
+            setfield(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -23,6 +67,6 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in type(self).__annotations__)
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({fields})"

@@ -18,6 +18,7 @@ from .errors import (
     NotPrimitive,
     NotReduced,
     ParamOutOfRange,
+    RankMismatch,
     Unsupported,
 )
 from .values import Value, setfield
@@ -134,7 +135,7 @@ class Word(Value):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.letters, self.rank))
+        return Value.__hash__(self)
 
     def __hash__(self) -> int:
         return self._hash  # once: classes key the count and length memos
@@ -173,15 +174,6 @@ class ConjClass(Value):
 
     rep: Word
     rank: int
-
-    def __init__(self, rep: Word, rank: int):
-        setfield(self, "rep", rep)
-        setfield(self, "rank", rank)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rep == other.rep and self.rank == other.rank
-        return NotImplemented
 
     def is_trivial(self) -> bool:
         return not self.rep.letters
@@ -228,12 +220,16 @@ def _interned(g: ConjClass) -> ConjClass:
 
 
 def apply_endomorphism(w: Word, images: list[Word]) -> Word:
-    """Substitute images[i-1] for generator i and freely reduce."""
+    """Substitute images[i-1] for generator i and freely reduce: one
+    image per generator of w's rank, all of one rank, or RankMismatch."""
+    rank = images[0].rank if images else w.rank
+    if len(images) != w.rank or any(g.rank != rank for g in images):
+        raise RankMismatch(f"image ranks {[g.rank for g in images]}, "
+                           f"word rank {w.rank}")
     out: list[int] = []
     for a in w.letters:
         img = images[abs(a) - 1].letters
         out.extend(img if a > 0 else invert(img))
-    rank = images[0].rank if images else w.rank
     return reduce(out, rank)
 
 

@@ -22,6 +22,23 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_unused_imports_in_package():
+    # a module-level import whose name the module never reads
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_inconsistent_stretch_report_raises_typed_error():
     per = {conj_class([1], 2): Fraction(2), conj_class([2], 2): Fraction(3)}
     with pytest.raises(SelfCheckFailed):

@@ -1,19 +1,32 @@
 """Value semantics of the package's value classes: equality over every
-field, the hash, the exact repr, immutability and keyword construction."""
+field, the hash, the exact repr, immutability and keyword construction;
+and the base class as the twin of the overrides that the classes keep."""
 
+import random
+import re
 from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
 
+from cvn import values
 from cvn.candidates import Candidate
 from cvn.envelopes import EnvelopeSlice, Support
 from cvn.geodesics import GeodesicPath, PositionCertificate, RayAudit
-from cvn.graphs import Edge, MarkedGraph, SimplexPoint, TopologicalType
+from cvn.graphs import (
+    Edge,
+    MarkedGraph,
+    SimplexPoint,
+    TopologicalType,
+    resolutions,
+    rose_type,
+)
 from cvn.metric import Distance, StretchReport
 from cvn.polytope import HalfSpace
+from cvn.sampling import random_pair
 from cvn.svg import Layout
-from cvn.words import ConjClass, Word
+from cvn.values import Value
+from cvn.words import ConjClass, Word, conj_class
 
 W = Word((1, -2), 2)
 G, H = ConjClass(Word((1,), 2), 2), ConjClass(Word((2,), 2), 2)
@@ -136,3 +149,101 @@ def test_marked_graph_is_mutable_and_unhashable():
     del g.tree
     assert not hasattr(g, "tree")
 
+
+@pytest.mark.parametrize("cls, args, other, key, text", CASES,
+                         ids=[c[0].__name__ for c in CASES])
+def test_constructor_errors(cls, args, other, key, text):
+    first = next(iter(cls.__annotations__))
+    with pytest.raises(TypeError):  # too many positional arguments
+        cls(*args, *args)
+    with pytest.raises(TypeError):  # a missing field
+        cls(*args[:-1])
+    with pytest.raises(TypeError):  # an unknown keyword
+        cls(*args, anything=args[0])
+    with pytest.raises(TypeError):  # a field given both ways
+        cls(*args, **{first: args[0]})
+
+
+def _rebuilt(t):
+    """t again, edge by edge, from new words and containers: equal to t,
+    sharing no field object with it but strings and ints."""
+    return TopologicalType(
+        t.rank, tuple(list(t.vertices)),
+        tuple(Edge(e.id, e.u, e.v, Word(tuple(list(e.label.letters)), t.rank))
+              for e in t.edges),
+        frozenset(list(t.tree)))
+
+
+def _equal_pairs():
+    """Per class with overrides kept, equal objects built apart."""
+    types = [(t, _rebuilt(t)) for t in resolutions(rose_type(3))]
+    points = []
+    for seed in range(8):
+        for p in random_pair(2 + seed % 2, random.Random(seed)):
+            points.append((p, SimplexPoint(_rebuilt(p.ttype),
+                                           tuple(list(p.lengths)))))
+    types += [(p.ttype, q.ttype) for p, q in points]
+    edges = [ef for t, u in types for ef in zip(t.edges, u.edges)]
+    words = [(e.label, f.label) for e, f in edges]
+    classes = [conj_class(w.letters, w.rank) for w, _ in words if w.letters]
+    classes = [(g, ConjClass(Word(tuple(list(g.rep.letters)), g.rank), g.rank))
+               for g in classes]
+    return {Word: words, Edge: edges, TopologicalType: types,
+            SimplexPoint: points, ConjClass: classes}
+
+
+def _with_field(x, i, value):
+    """A copy of x with field i replaced, built past any checks."""
+    y = object.__new__(type(x))
+    fields = list(type(x)._values(x))
+    fields[i] = value
+    Value.__init__(y, *fields)
+    return y
+
+
+PAIRS = _equal_pairs()
+
+
+@pytest.mark.parametrize("cls", PAIRS, ids=[c.__name__ for c in PAIRS])
+def test_base_is_the_twin_of_the_overrides(cls):
+    pairs = PAIRS[cls]
+    assert len(pairs) >= 16
+    seen = dict.fromkeys(cls._fields, 0)
+    for x, y in pairs:
+        assert x is not y
+        assert (x == y) is Value.__eq__(x, y) is True
+        if cls is ConjClass:  # a class hashes as its representative
+            assert hash(x) == hash(y) == Value.__hash__(x.rep)
+        else:
+            assert hash(x) == hash(y) == Value.__hash__(x)
+        for i, name in enumerate(cls._fields):
+            # a field value of another object, differing from x's
+            for u, _ in pairs:
+                if getattr(u, name) != getattr(x, name):
+                    z = _with_field(y, i, getattr(u, name))
+                    assert (x == z) is Value.__eq__(x, z) is False, name
+                    assert (z == x) is Value.__eq__(z, x) is False, name
+                    seen[name] += 1
+                    break
+    assert min(seen.values()) > 0, seen
+
+
+def _documented_overrides():
+    """Per dunder, the classes that the cvn.values docstring lists as
+    overriding it: the names in its bullet for that dunder."""
+    found = {}
+    for item in values.__doc__.split("\n- ")[1:]:
+        dunder = re.match(r"``(__\w+__)``", item).group(1)
+        found[dunder] = set(re.findall(r"``([A-Z]\w*)``", item))
+    return found
+
+
+def test_overrides_are_the_documented_ones():
+    classes = Value.__subclasses__()
+    assert len(classes) == 16
+    documented = _documented_overrides()
+    assert set(documented) == {"__eq__", "__hash__", "__init__"}
+    for dunder, names in documented.items():
+        own = {c.__name__ for c in classes if dunder in vars(c)
+               and vars(c)[dunder] is not getattr(Value, dunder)}
+        assert own == names, dunder

@@ -15,6 +15,7 @@ from cvn.errors import (
     NotABasis,
     NotPrimitive,
     ParamOutOfRange,
+    RankMismatch,
     Unsupported,
 )
 from cvn.sampling import random_automorphism
@@ -138,6 +139,18 @@ def test_apply_endomorphism():
     images = [reduce((1, 2), 2), reduce((2,), 2)]
     w = reduce((1, -2), 2)
     assert apply_endomorphism(w, images).letters == (1,)
+
+
+def test_apply_endomorphism_rejects_mismatched_images():
+    # too few images, too many, and images of mixed ranks
+    x, y = Word((1,), 2), Word((2,), 2)
+    for w, images in [(Word((3,), 3), [x, y]), (Word((1,), 2), [x, y, y]),
+                      (Word((1, 2), 2), [x, Word((2,), 3)])]:
+        with pytest.raises(RankMismatch):
+            apply_endomorphism(w, images)
+    # a map F_2 -> F_3 is fine when its images share one rank
+    z = apply_endomorphism(Word((1, -2), 2), [Word((3,), 3), Word((1,), 3)])
+    assert z == Word((3, -1), 3)
 
 
 def test_rewrite_in_standard_basis_is_identity():
