@@ -10,7 +10,6 @@ simplex.  Out- and in-envelopes are the one-sided versions.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -44,15 +43,10 @@ DEFAULT_BUDGET = 500
 
 
 def _budget(budget):
-    """The work budget: the argument, else CVN_BUDGET, else DEFAULT_BUDGET.
-    A budget that is not a nonnegative integer raises ParamOutOfRange."""
+    """The work budget: the argument, else DEFAULT_BUDGET.  A budget that
+    is not a nonnegative integer raises ParamOutOfRange."""
     if budget is None:
-        raw = os.environ.get("CVN_BUDGET", str(DEFAULT_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ParamOutOfRange(
-                f"CVN_BUDGET={raw!r} is not an integer") from None
+        return DEFAULT_BUDGET
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise ParamOutOfRange(f"budget {budget!r} is not an integer")
     if budget < 0:
@@ -201,11 +195,11 @@ def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
 
     Each marked type is queued once, and only when its slice is known to
     be nonempty, so the budget bounds how many simplices the fill enters,
-    which is the number it finds.  Memoised per (a, b, budget) once
-    CVN_BUDGET has filled in a missing budget: repeated calls return one
-    shared, immutable Support, and each entered slice is left in the
-    slice cache, with its vertices, for the walker and the picture.
-    BudgetExceeded is raised again on every call."""
+    which is the number it finds.  Memoised per (a, b, budget), a missing
+    budget read as DEFAULT_BUDGET: repeated calls return one shared,
+    immutable Support, and each entered slice is left in the slice cache,
+    with its vertices, for the walker and the picture.  BudgetExceeded is
+    raised again on every call."""
     return _support(a, b, _budget(budget))
 
 

@@ -40,6 +40,10 @@ from .words import (
     Word,
     _basis_inverse,
     _class_of,
+    _signed,
+    _substitute,
+    apply_endomorphism,
+    cyclic_reduce,
     invert,
     is_basis,
     reduce,
@@ -273,6 +277,11 @@ def make_type(rank, vertices, edge_specs, tree) -> TopologicalType:
         raise WrongRank("duplicate edge ids")
     if not t.vertices:
         raise DisconnectedGraph("no vertices")
+    for e in t.edges:
+        for end in (e.u, e.v):
+            if end not in t.vertices:
+                raise DisconnectedGraph(f"edge {e.id} ends at {end!r}, "
+                                        "which is not a listed vertex")
     if not is_connected(t.vertices, t.edges):
         raise DisconnectedGraph("graph is not connected")
     for v in t.vertices:
@@ -432,61 +441,25 @@ def _petals(t: TopologicalType) -> tuple[Path, ...]:
 @lru_cache(maxsize=4096)
 def _letter_paths(t: TopologicalType) -> tuple[tuple[int, ...], ...]:
     """Per generator letter a of F_n, the reduced coded edge path from the
-    base vertex that realizes a, at index a: index 0 is empty and a
-    negative letter indexes from the end, so table[-m] is table[m]
-    reversed with every code negated.
+    base vertex that realizes a, at index a of a words._signed table:
+    table[-m] is table[m] reversed with every code negated.
 
     The step over edge t.edges[i] with sign s is coded as the int
     s * (i + 1), so a step's reverse is its negative.  Generator m is the
     word _basis_inverse gives it in the labels of the non-tree edges, and
     each of those letters is the coded petal of its edge."""
-    petals = [tuple(s * (t.index(eid) + 1) for eid, s in loop)
-              for loop in _petals(t)]
+    petals = _signed(tuple(s * (t.index(eid) + 1) for eid, s in loop)
+                     for loop in _petals(t))
     inverse = _basis_inverse(
         tuple(e.label.letters for e in t.non_tree_edges()), t.rank)
-    paths = []
-    for word in inverse:
-        steps: list[int] = []
-        for b in word:
-            petal = petals[abs(b) - 1]
-            _push_reduced(steps, petal if b > 0 else _reverse(petal))
-        paths.append(tuple(steps))
-    return ((),) + tuple(paths) + tuple(_reverse(p) for p in reversed(paths))
-
-
-def _reverse(codes) -> tuple[int, ...]:
-    return tuple(-k for k in reversed(codes))
-
-
-def _push_reduced(steps: list, path) -> None:
-    """Append the reduced coded path to the reduced path in steps, cancelling
-    at the junction only: neither has a backtrack of its own."""
-    k = 0
-    n = len(path)
-    while k < n and steps and steps[-1] == -path[k]:
-        steps.pop()
-        k += 1
-    steps.extend(path[k:])
+    return _signed(_substitute(word, petals) for word in inverse)
 
 
 @lru_cache(maxsize=65536)
 def _tighten_cached(t: TopologicalType, rep_letters) -> tuple[int, ...]:
     """The coded immersed loop of the class with these letters: the
-    letters' paths from _letter_paths, concatenated and reduced in one
-    stack pass, with the cancelling ends of the closed path stripped."""
-    table = _letter_paths(t)
-    steps: list[int] = []
-    for a in rep_letters:
-        path = table[a]
-        if steps and steps[-1] == -path[0]:  # most junctions do not cancel
-            _push_reduced(steps, path)
-        else:
-            steps.extend(path)
-    i, j = 0, len(steps) - 1
-    while i < j and steps[i] == -steps[j]:
-        i += 1
-        j -= 1
-    return tuple(steps[i:j + 1])
+    cyclic reduction of the letters substituted into _letter_paths."""
+    return cyclic_reduce(_substitute(rep_letters, _letter_paths(t)))[0]
 
 
 def _loop_codes(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
@@ -847,8 +820,6 @@ def apply_outer_automorphism(p: SimplexPoint, images: list[Word]) -> SimplexPoin
     # is_basis reads letters only, so the images' rank is checked apart
     if any(w.rank != t.rank for w in images) or not is_basis(images, t.rank):
         raise NotAnAutomorphism("images do not define an automorphism")
-    from .words import apply_endomorphism
-
     edges = tuple(
         Edge(e.id, e.u, e.v, apply_endomorphism(e.label, images))
         for e in t.edges

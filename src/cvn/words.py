@@ -42,13 +42,39 @@ def invert(letters) -> Letters:
 
 
 def cyclic_reduce(letters: Letters) -> tuple[Letters, Letters]:
-    """Return (core, u) with letters = u * core * u^-1 and core cyclically reduced."""
-    core = list(letters)
-    pre: list[int] = []
-    while len(core) >= 2 and core[0] == -core[-1]:
-        pre.append(core[0])
-        core = core[1:-1]
-    return tuple(core), tuple(pre)
+    """Return (core, u) with letters = u * core * u^-1 and core cyclically
+    reduced, in one inward pass.  The letters must be freely reduced, as
+    every caller's are: the pass cancels the two ends against each other."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return letters[i:j + 1], letters[:i]
+
+
+def _signed(images) -> tuple[Letters, ...]:
+    """The substitution table of images: entry a is images[a - 1] and
+    entry -a its inverse, indexing from the end; entry 0 is empty."""
+    images = tuple(images)
+    return ((),) + images + tuple(map(invert, reversed(images)))
+
+
+def _substitute(letters, table) -> Letters:
+    """The freely reduced concatenation of table[a] over the letters.
+    Every entry must be freely reduced: then only the junction of the
+    reduced prefix and the next entry cancels."""
+    out: list[int] = []
+    for a in letters:
+        piece = table[a]
+        if out and piece and out[-1] == -piece[0]:  # most junctions do not cancel
+            k, n = 0, len(piece)
+            while k < n and out and out[-1] == -piece[k]:
+                out.pop()
+                k += 1
+            out.extend(piece[k:])
+        else:
+            out.extend(piece)
+    return tuple(out)
 
 
 def _letter_key(a: int) -> int:
@@ -127,7 +153,7 @@ class Word(Value):
 
     def __mul__(self, other: "Word") -> "Word":
         if other.rank != self.rank:
-            raise IndexOutOfRange("rank mismatch")
+            raise RankMismatch(f"word ranks {self.rank} and {other.rank}")
         return Word(free_reduce(self.letters + other.letters), self.rank)
 
     def is_trivial(self) -> bool:
@@ -226,11 +252,7 @@ def apply_endomorphism(w: Word, images: list[Word]) -> Word:
     if len(images) != w.rank or any(g.rank != rank for g in images):
         raise RankMismatch(f"image ranks {[g.rank for g in images]}, "
                            f"word rank {w.rank}")
-    out: list[int] = []
-    for a in w.letters:
-        img = images[abs(a) - 1].letters
-        out.extend(img if a > 0 else invert(img))
-    return reduce(out, rank)
+    return Word(_substitute(w.letters, _signed(g.letters for g in images)), rank)
 
 
 def abelianize(w: Word) -> tuple[int, ...]:
@@ -325,19 +347,18 @@ def _rewrite_letters(letters: Letters, basis_letters: tuple[Letters, ...],
                      rank: int) -> Letters:
     """rewrite_in_basis on bare letters, which must already be valid at
     this rank: the freely reduced coordinates, without building a Word."""
-    c = _basis_inverse(basis_letters, rank)
-    out: list[int] = []
-    for a in letters:
-        img = c[abs(a) - 1]
-        out.extend(img if a > 0 else invert(img))
-    return free_reduce(out)
+    return _substitute(letters, _signed(_basis_inverse(basis_letters, rank)))
 
 
 def rewrite_in_basis(w: Word, basis: list[Word]) -> Word:
     """Express w in the given basis; letter i of the result stands for basis[i-1].
 
-    Raises NotABasis when the words do not form a basis of F_n.
+    Raises NotABasis when the words do not form a basis of F_n, and
+    RankMismatch when a basis word's rank is not w's.
     """
+    if any(b.rank != w.rank for b in basis):
+        raise RankMismatch(f"basis ranks {[b.rank for b in basis]}, "
+                           f"word rank {w.rank}")
     return Word(_rewrite_letters(w.letters, tuple(b.letters for b in basis),
                                  w.rank), w.rank)
 

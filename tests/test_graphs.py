@@ -113,6 +113,11 @@ def test_validate_rejects_disconnected():
         validate_and_normalize(g)
 
 
+def test_make_type_rejects_an_edge_to_an_unlisted_vertex():
+    with pytest.raises(DisconnectedGraph, match="edge a ends at 'p'"):
+        make_type(2, ["o"], [("a", "o", "p", [1]), ("b", "o", "o", [2])], [])
+
+
 def test_validate_rejects_bad_rank():
     g = MarkedGraph(
         3,
@@ -282,6 +287,21 @@ def test_letter_paths_realize_the_generators():
             loop_word(t, path)  # raises NotClosed unless the steps close up
             assert path_word(t, path) == generator(m, t.rank)
             assert path_word(t, _decode(t, back)) == generator(-m, t.rank)
+
+
+def test_tighten_and_letter_paths_match_their_push_twins():
+    # every chart around the rank-3 rose, and twisted rank-2 points, whose
+    # labels are long words, on every class up to length 5
+    rng = random.Random(5)
+    twisted = [p.ttype for _ in range(4)
+               for p in random_pair(2, rng, twist_steps=3)]
+    for charts, rank in ((resolutions(rose_type(3)), 3), (twisted, 2)):
+        classes = [g.rep.letters for g in conjugacy_classes_up_to(rank, 5)]
+        for t in charts:
+            assert _letter_paths(t) == words_oracle.letter_paths(t)
+            for letters in classes:
+                assert (_tighten_cached.__wrapped__(t, letters)
+                        == words_oracle.tighten_codes(t, letters))
 
 
 def test_collapse_theta_tree_edge_gives_rose():

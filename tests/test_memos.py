@@ -20,7 +20,12 @@ import cvn
 import marking_oracle
 from cvn import candidates, graphs
 from cvn.errors import BudgetExceeded, NotAForest
-from cvn.envelopes import reference_witness, slice_polytope, support
+from cvn.envelopes import (
+    DEFAULT_BUDGET,
+    reference_witness,
+    slice_polytope,
+    support,
+)
 from cvn.geodesics import _pair_dim
 from cvn.graphs import (
     SimplexPoint,
@@ -318,11 +323,10 @@ def test_support_and_slices_match_fresh():
             assert slice_polytope(a, b, gamma, t).vertices == verts[t]
 
 
-def test_support_memo_keeps_the_budget_apart(monkeypatch):
+def test_support_memo_keeps_the_budget_apart():
     a, b = _pairs()[0]
     full = support(a, b)
-    monkeypatch.setenv("CVN_BUDGET", str(len(full.simplices) + 50))
-    assert support(a, b) is support(a, b, len(full.simplices) + 50)
+    assert support(a, b) is support(a, b, DEFAULT_BUDGET)
     assert support(a, b) == full
     # an exceeded budget is raised again on every call, never cached
     for _ in range(2):

@@ -94,6 +94,41 @@ def test_cyclic_reduce():
     assert pre == ()
 
 
+def _reduced_words(rank, max_len):
+    """Every freely reduced word of the rank with at most max_len letters."""
+    alphabet = [s * m for m in range(1, rank + 1) for s in (1, -1)]
+    out = frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (a,) for w in frontier for a in alphabet
+                    if not w or w[-1] != -a]
+        out = out + frontier
+    return out
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 4)])
+def test_substitution_kernel_matches_its_loop_twins(rank, max_len):
+    rng = random.Random(rank)
+    maps = []
+    for k in range(12):
+        target = rng.choice((2, 3))
+        short = _reduced_words(target, 3)
+        images = [Word(rng.choice(short), target) for _ in range(rank)]
+        if k % 2:  # _substitute must skip the empty entries
+            images[rng.randrange(rank)] = Word((), target)
+        maps.append(images)
+    bases = [tuple(w.letters for w in random_automorphism(rank, rng, 6))
+             for _ in range(4)]
+    for letters in _reduced_words(rank, max_len):
+        assert cyclic_reduce(letters) == words_oracle.cyclic_reduce(letters)
+        w = Word(letters, rank)
+        for images in maps:
+            assert (apply_endomorphism(w, images)
+                    == words_oracle.apply_endomorphism_loop(w, images))
+        for basis in bases:
+            assert (words._rewrite_letters(letters, basis, rank)
+                    == words_oracle.rewrite_letters_loop(letters, basis, rank))
+
+
 def test_conj_normal_form_invariance():
     # x y x^-1 y and its conjugates / inverse land on one representative
     w = reduce((1, 2, -1, 2), 2)
@@ -182,6 +217,14 @@ def test_rewrite_rejects_non_basis():
         rewrite_in_basis(
             generator(1, 2), [reduce((1, 2), 2), reduce((2, -1), 2)]
         )
+
+
+def test_rank_mismatches_raise_rank_mismatch():
+    # the letters fit rank 2, but the basis and the factor are of rank 3
+    with pytest.raises(RankMismatch):
+        rewrite_in_basis(Word((1, 2), 2), [Word((1,), 3), Word((2,), 3)])
+    with pytest.raises(RankMismatch):
+        Word((1,), 2) * Word((1,), 3)
 
 
 def test_is_basis():

@@ -14,6 +14,10 @@ a breadth-first search at constant total length capped at ``_PLATEAU_CAP``
 tuples.  ``extend_to_basis`` inverts the composed Whitehead automorphism by
 one ``rewrite_in_basis`` call per generator, and checks its answer by n more,
 as ``cvn.words`` did before it made one basis inversion of each.
+``cyclic_reduce``, ``apply_endomorphism_loop``, ``rewrite_letters_loop``,
+``letter_paths`` and ``tighten_codes`` are the slicing reduction and the
+hand-written substitution loops that ``cvn.words`` and ``cvn.graphs`` used
+before they shared one substitution kernel (``words._substitute``).
 """
 
 from __future__ import annotations
@@ -21,10 +25,17 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from cvn.errors import BudgetExceeded, NotABasis, NotPrimitive, Unsupported
-from cvn.graphs import tree_path
+from cvn.errors import (
+    BudgetExceeded,
+    NotABasis,
+    NotPrimitive,
+    RankMismatch,
+    Unsupported,
+)
+from cvn.graphs import TopologicalType, _petals, tree_path
 from cvn.words import (
     _WHITEHEAD_RANK_CAP,
+    _basis_inverse,
     ConjClass,
     Letters,
     Word,
@@ -33,6 +44,7 @@ from cvn.words import (
     free_reduce,
     generator,
     invert,
+    reduce,
     rewrite_in_basis,
     whitehead_automorphisms,
 )
@@ -266,3 +278,97 @@ def extend_to_basis(w: Word) -> list[Word]:
     for i in range(1, rank + 1):  # sanity: result is a basis
         rewrite_in_basis(generator(i, rank), basis)
     return basis
+
+
+def cyclic_reduce(letters: Letters) -> tuple[Letters, Letters]:
+    """Return (core, u) with letters = u * core * u^-1 and core cyclically reduced."""
+    core = list(letters)
+    pre: list[int] = []
+    while len(core) >= 2 and core[0] == -core[-1]:
+        pre.append(core[0])
+        core = core[1:-1]
+    return tuple(core), tuple(pre)
+
+
+def apply_endomorphism_loop(w: Word, images: list[Word]) -> Word:
+    """Substitute images[i-1] for generator i and freely reduce: one
+    image per generator of w's rank, all of one rank, or RankMismatch."""
+    rank = images[0].rank if images else w.rank
+    if len(images) != w.rank or any(g.rank != rank for g in images):
+        raise RankMismatch(f"image ranks {[g.rank for g in images]}, "
+                           f"word rank {w.rank}")
+    out: list[int] = []
+    for a in w.letters:
+        img = images[abs(a) - 1].letters
+        out.extend(img if a > 0 else invert(img))
+    return reduce(out, rank)
+
+
+def rewrite_letters_loop(letters: Letters, basis_letters: tuple[Letters, ...],
+                         rank: int) -> Letters:
+    """rewrite_in_basis on bare letters, which must already be valid at
+    this rank: the freely reduced coordinates, without building a Word."""
+    c = _basis_inverse(basis_letters, rank)
+    out: list[int] = []
+    for a in letters:
+        img = c[abs(a) - 1]
+        out.extend(img if a > 0 else invert(img))
+    return free_reduce(out)
+
+
+def letter_paths(t: TopologicalType) -> tuple[tuple[int, ...], ...]:
+    """Per generator letter a of F_n, the reduced coded edge path from the
+    base vertex that realizes a, at index a: index 0 is empty and a
+    negative letter indexes from the end, so table[-m] is table[m]
+    reversed with every code negated.
+
+    The step over edge t.edges[i] with sign s is coded as the int
+    s * (i + 1), so a step's reverse is its negative.  Generator m is the
+    word _basis_inverse gives it in the labels of the non-tree edges, and
+    each of those letters is the coded petal of its edge."""
+    petals = [tuple(s * (t.index(eid) + 1) for eid, s in loop)
+              for loop in _petals(t)]
+    inverse = _basis_inverse(
+        tuple(e.label.letters for e in t.non_tree_edges()), t.rank)
+    paths = []
+    for word in inverse:
+        steps: list[int] = []
+        for b in word:
+            petal = petals[abs(b) - 1]
+            _push_reduced(steps, petal if b > 0 else _reverse(petal))
+        paths.append(tuple(steps))
+    return ((),) + tuple(paths) + tuple(_reverse(p) for p in reversed(paths))
+
+
+def _reverse(codes) -> tuple[int, ...]:
+    return tuple(-k for k in reversed(codes))
+
+
+def _push_reduced(steps: list, path) -> None:
+    """Append the reduced coded path to the reduced path in steps, cancelling
+    at the junction only: neither has a backtrack of its own."""
+    k = 0
+    n = len(path)
+    while k < n and steps and steps[-1] == -path[k]:
+        steps.pop()
+        k += 1
+    steps.extend(path[k:])
+
+
+def tighten_codes(t: TopologicalType, rep_letters) -> tuple[int, ...]:
+    """The coded immersed loop of the class with these letters: the
+    letters' paths from letter_paths, concatenated and reduced in one
+    stack pass, with the cancelling ends of the closed path stripped."""
+    table = letter_paths(t)
+    steps: list[int] = []
+    for a in rep_letters:
+        path = table[a]
+        if steps and steps[-1] == -path[0]:  # most junctions do not cancel
+            _push_reduced(steps, path)
+        else:
+            steps.extend(path)
+    i, j = 0, len(steps) - 1
+    while i < j and steps[i] == -steps[j]:
+        i += 1
+        j -= 1
+    return tuple(steps[i:j + 1])
