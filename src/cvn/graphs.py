@@ -18,8 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -60,23 +62,20 @@ class Edge(Value):
     v: str
     label: Word  # trivial word on tree edges
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id == other.id and self.u == other.u
-                    and self.v == other.v and self.label == other.label)
-        return NotImplemented
-
-    __hash__ = Value.__hash__
-
     def is_loop(self) -> bool:
         return self.u == self.v
+
+
+_types = weakref.WeakValueDictionary()  # every live type, held weakly
+_edge_key = attrgetter("id", "u", "v", "label.letters", "label.rank")
 
 
 class TopologicalType(Value):
     """A marked graph with lengths forgotten.
 
     The edge order is fixed at construction and defines the coordinates of
-    the corresponding open simplex of CV_n.
+    the corresponding open simplex of CV_n.  Types are interned: equal
+    fields give one object, so the facts cached below are computed once.
     """
 
     rank: int
@@ -84,12 +83,18 @@ class TopologicalType(Value):
     edges: tuple[Edge, ...]
     tree: frozenset[str]
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank == other.rank
-                    and self.vertices == other.vertices
-                    and self.edges == other.edges and self.tree == other.tree)
-        return NotImplemented
+    def __new__(cls, *args, **kwargs):
+        new = object.__new__(cls)
+        Value.__init__(new, *args, **kwargs)  # TypeError on bad fields
+        key = (new.rank, new.vertices, new.tree,  # then edges as str, int
+               *itertools.chain.from_iterable(map(_edge_key, new.edges)))
+        return _types.setdefault(key, new)
+
+    __init__ = object.__init__  # a no-op: __new__ binds the fields
+    __eq__ = object.__eq__
+
+    def __reduce__(self):  # copies and unpickled types are interned too
+        return TopologicalType, self._values(self)
 
     @cached_property
     def _hash(self) -> int:
@@ -163,11 +168,6 @@ class SimplexPoint(Value):
             raise NonpositiveLength("lengths must sum to 1")
         setfield(self, "ttype", ttype)
         setfield(self, "lengths", lengths)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ttype == other.ttype and self.lengths == other.lengths
-        return NotImplemented
 
     @cached_property
     def _hash(self) -> int:
@@ -699,7 +699,7 @@ def _canonical_labelling(t: TopologicalType):
 
 def type_key(t: TopologicalType) -> tuple:
     """The canonical key of the marked type: (rank, edge count, least
-    code).  Computed once per type object.
+    code).  Computed once per type.
 
     The generator loops of _letter_paths are based at a lift of the base
     vertex to the universal cover.  Moving the base point conjugates

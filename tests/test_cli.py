@@ -335,7 +335,6 @@ def test_cold_start_imports():
     # and candidates load none of the geometry layers
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("CVN_BUDGET", None)
     res = subprocess.run(
         [sys.executable, "-c", _COLD_START,
          str(root / "perfbench" / "fixtures")],

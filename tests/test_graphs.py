@@ -1,4 +1,8 @@
+import copy
+import gc
+import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -26,9 +30,12 @@ from cvn.graphs import (
     Edge,
     MarkedGraph,
     TopologicalType,
+    _collapse_cached,
     _letter_paths,
     _petals,
+    _retree,
     _tighten_cached,
+    _types,
     adjacent_simplices,
     apply_outer_automorphism,
     barbell_point,
@@ -468,16 +475,123 @@ def test_cached_results_cannot_be_mutated(fn, t):
 
 def test_equal_types_built_apart_hash_and_compare_equal():
     a, b = theta_type(), theta_type()
-    assert a is not b
-    assert a.index("e3") == 2  # fills a's cached id map, not b's
+    assert a is b  # interned: one object per value
+    assert a.index("e3") == 2  # fills the one cached id map of the value
     rebuilt = TopologicalType(b.rank, b.vertices,
                               tuple(Edge(e.id, e.u, e.v, e.label)
                                     for e in b.edges), b.tree)
+    assert rebuilt is a and "_positions" in vars(rebuilt)
     for x in (b, rebuilt):
         assert a == x and hash(a) == hash(x)
     assert {a: 1}[rebuilt] == 1
     other = TopologicalType(a.rank, a.vertices, a.edges, frozenset({"e1"}))
-    assert other != a
+    assert other != a and other is not a
+
+
+def _from_scratch(t):
+    """t again through make_type, from plain lists."""
+    return make_type(t.rank, list(t.vertices),
+                     [(e.id, e.u, e.v, list(e.label.letters))
+                      for e in t.edges], list(t.tree))
+
+
+def _seeded_blow_ups(rng, count):
+    """count types met on random blow-up chains from rank-3 and rank-4
+    roses down to trivalent types."""
+    out = []
+    while len(out) < count:
+        t = rose_type(rng.choice((3, 4)))
+        while len(out) < count:
+            fat = [v for v in t.vertices if t.valency(v) >= 4]
+            if not fat:
+                break
+            v = rng.choice(fat)
+            half = t.half_edges_at(v)
+            rng.shuffle(half)
+            k = rng.randrange(2, len(half) - 1)
+            t = blow_up_vertex(t, v, half[:k], half[k:])
+            out.append(t)
+    return out
+
+
+def _clear_cvn_memos():
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cvn."):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def test_types_are_interned_on_every_construction_path():
+    t = theta_type()
+    specs = [("e1", "p", "q", [1]), ("e2", "p", "q", []),
+             ("e3", "p", "q", [2])]
+    assert make_type(2, ["p", "q"], specs, ["e2"]) is t
+    p = theta_point(1, 2, 3)
+    text = json.dumps(point_to_json(p))
+    assert validate_and_normalize(graph_from_json(text)).ttype is t
+    # keyword construction, with edges built apart
+    edges = tuple(Edge(e.id, e.u, e.v, reduce(list(e.label.letters), 2))
+                  for e in t.edges)
+    assert TopologicalType(rank=2, vertices=("p", "q"), edges=edges,
+                           tree=frozenset({"e2"})) is t
+    assert TopologicalType(2, ("p", "q"), tree=t.tree, edges=edges) is t
+
+    s1, s2 = {("p1", 0), ("p2", 0)}, {("p1", 1), ("p2", 1)}
+    b = blow_up_vertex(rose_type(2), "o", s1, s2)
+    assert blow_up_vertex(_from_scratch(rose_type(2)), "o",
+                          frozenset(s1), frozenset(s2)) is b
+    c = collapse_forest(t, {"e2"})
+    _collapse_cached.cache_clear()
+    assert collapse_forest(t, ["e2"]) is c
+    r = _retree(t, frozenset({"e1"}))
+    assert _retree(t, frozenset({"e1"})) is r
+    assert _retree(r, frozenset({"e2"})) is t
+    for x in (b, c, r):
+        assert _from_scratch(x) is x
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    # every part of an edge tells types apart, the rank of its label too
+    e = t.edges[0]
+    for f in (Edge("x", e.u, e.v, e.label), Edge(e.id, e.v, e.v, e.label),
+              Edge(e.id, e.u, e.u, e.label),
+              Edge(e.id, e.u, e.v, generator(2, 2)),
+              Edge(e.id, e.u, e.v, generator(1, 3))):
+        u = TopologicalType(t.rank, t.vertices, (f,) + t.edges[1:], t.tree)
+        assert u is not t and u != t
+
+    ident = apply_outer_automorphism(p, [generator(1, 2), generator(2, 2)])
+    assert ident.ttype is t
+    q = apply_outer_automorphism(p, [reduce((1, 2), 2), generator(2, 2)])
+    assert q.ttype is not t
+    back = apply_outer_automorphism(q, [reduce((1, -2), 2), generator(2, 2)])
+    assert back.ttype is t and back == p
+
+    # make_type validates on every call, also when its type is interned
+    petal = TopologicalType(2, ("p",),
+                            (Edge("e", "p", "p", generator(1, 2)),),
+                            frozenset())
+    with pytest.raises(BadValency):
+        make_type(2, ["p"], [("e", "p", "p", [1])], [])
+    assert petal.vertices == ("p",)
+    for x in (t, b, c, r, q.ttype):  # the content hash, not an id
+        assert hash(x) == hash((x.rank, x.vertices, x.edges, x.tree))
+    with pytest.raises(TypeError):
+        TopologicalType(t.rank, t.vertices, t.edges)
+    with pytest.raises(TypeError):
+        TopologicalType(t.rank, t.vertices, t.edges, t.tree, rank=2)
+
+    # the table holds types weakly: what no memo or caller holds goes
+    gc.collect()
+    before = len(_types)
+    made = _seeded_blow_ups(random.Random(25), 1000)
+    for x in made[::10]:
+        faces(x)  # memos hold the type and its faces
+    assert len(made) == 1000 and len(_types) > before
+    del made, x
+    _clear_cvn_memos()
+    gc.collect()
+    assert len(_types) <= before
 
 
 def test_index_and_edge_raise_key_error_on_unknown_id():

@@ -107,7 +107,8 @@ def test_value_semantics(cls, args, other, key, text):
     names = list(cls.__annotations__)
     assert len(names) == len(args)
     y = cls(**dict(zip(names, args)))  # keyword construction
-    assert x == y and not x != y and x is not y
+    assert x == y and not x != y
+    assert (x is y) is (cls is TopologicalType)  # only types are interned
     assert x != object() and x != args
     for i, name in enumerate(names):  # each field takes part in equality
         if other[i] != args[i]:
@@ -164,18 +165,23 @@ def test_constructor_errors(cls, args, other, key, text):
         cls(*args, **{first: args[0]})
 
 
+def _rebuilt_edges(t):
+    """t's edges again, from new words: equal to them, sharing no field
+    object with them but strings."""
+    return tuple(Edge(e.id, e.u, e.v, Word(tuple(list(e.label.letters)),
+                                            t.rank)) for e in t.edges)
+
+
 def _rebuilt(t):
     """t again, edge by edge, from new words and containers: equal to t,
-    sharing no field object with it but strings and ints."""
-    return TopologicalType(
-        t.rank, tuple(list(t.vertices)),
-        tuple(Edge(e.id, e.u, e.v, Word(tuple(list(e.label.letters)), t.rank))
-              for e in t.edges),
-        frozenset(list(t.tree)))
+    and so t itself, since types are interned."""
+    return TopologicalType(t.rank, tuple(list(t.vertices)), _rebuilt_edges(t),
+                           frozenset(list(t.tree)))
 
 
 def _equal_pairs():
-    """Per class with overrides kept, equal objects built apart."""
+    """Per class with overrides kept, and for edges, which keep none:
+    equal objects built apart."""
     types = [(t, _rebuilt(t)) for t in resolutions(rose_type(3))]
     points = []
     for seed in range(8):
@@ -183,7 +189,7 @@ def _equal_pairs():
             points.append((p, SimplexPoint(_rebuilt(p.ttype),
                                            tuple(list(p.lengths)))))
     types += [(p.ttype, q.ttype) for p, q in points]
-    edges = [ef for t, u in types for ef in zip(t.edges, u.edges)]
+    edges = [ef for t, _ in types for ef in zip(t.edges, _rebuilt_edges(t))]
     words = [(e.label, f.label) for e, f in edges]
     classes = [conj_class(w.letters, w.rank) for w, _ in words if w.letters]
     classes = [(g, ConjClass(Word(tuple(list(g.rep.letters)), g.rank), g.rank))
@@ -210,7 +216,7 @@ def test_base_is_the_twin_of_the_overrides(cls):
     assert len(pairs) >= 16
     seen = dict.fromkeys(cls._fields, 0)
     for x, y in pairs:
-        assert x is not y
+        assert (x is y) is (cls is TopologicalType)  # only types are interned
         assert (x == y) is Value.__eq__(x, y) is True
         if cls is ConjClass:  # a class hashes as its representative
             assert hash(x) == hash(y) == Value.__hash__(x.rep)
@@ -242,7 +248,7 @@ def test_overrides_are_the_documented_ones():
     classes = Value.__subclasses__()
     assert len(classes) == 16
     documented = _documented_overrides()
-    assert set(documented) == {"__eq__", "__hash__", "__init__"}
+    assert set(documented) == {"__eq__", "__hash__", "__init__", "__new__"}
     for dunder, names in documented.items():
         own = {c.__name__ for c in classes if dunder in vars(c)
                and vars(c)[dunder] is not getattr(Value, dunder)}
