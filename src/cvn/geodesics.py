@@ -17,7 +17,6 @@ segments are not checked rigid, and some are not (ROADMAP item 1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 from math import prod
@@ -35,7 +34,6 @@ from .envelopes import (
 )
 from .errors import (
     BudgetExceeded,
-    NoFacetChain,
     NotAGeodesic,
     NotMaximalSimplex,
     ParamOutOfRange,
@@ -409,6 +407,9 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
     True when b sits in the relative interior of a single-direction
     out-envelope of a (or, via="in", a in the in-envelope of b); the
     certificate names the direction and the strictly satisfied constraints.
+    The point is its own feasibility certificate: a point in the closed
+    slice shows the slice is nonempty, and a point outside it is turned
+    away on its integer slacks before any vertex is computed.
     """
     if via not in ("out", "in"):
         raise ParamOutOfRange(f"unknown side {via!r}")
@@ -420,109 +421,11 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
     x = q.lengths
     for gamma in sorted(candidate_witnesses(a, b), key=class_order):
         poly = build(p, [gamma], q.ttype)
-        if poly.is_feasible() and poly.contains(x, "relative-interior"):
-            strict = tuple(
-                h.provenance for h in poly.constraints if h.value(x) > 0
-            )
+        if poly.contains(x, "relative-interior"):
+            strict = tuple(h.provenance for h, s
+                           in zip(poly.constraints, poly._slacks(x)) if s > 0)
             return True, PositionCertificate(gamma, strict)
     return False, None
-
-
-def _sym_excess(p: SimplexPoint, q: SimplexPoint) -> Fraction:
-    return stretch(p, q) * stretch(q, p) - 1
-
-
-def _facet_chain(u: SimplexPoint, start: ConjClass, goal: ConjClass):
-    """Candidates of u connecting start to goal so that consecutive
-    out-envelopes meet in a hyperplane of the simplex of u."""
-    cands = sorted(candidate_words(u.ttype), key=class_order)
-    dim = len(u.ttype.edges)
-    full = dim - 1
-
-    def touches(g, h):
-        poly = out_envelope(u, [g, h], u.ttype)
-        return poly.is_feasible() and poly.dim == full - 1
-
-    frontier = [[start]]
-    seen = {start}
-    while frontier:
-        path = frontier.pop(0)
-        if path[-1] == goal:
-            return path
-        for g in cands:
-            if g not in seen and touches(path[-1], g):
-                seen.add(g)
-                frontier.append(path + [g])
-    raise NoFacetChain("no chain of adjacent out-envelope facets")
-
-
-def _nudge(u: SimplexPoint, g1: ConjClass, g2: ConjClass, eps: Fraction):
-    """A point near u inside both out-envelopes of g1 and g2."""
-    poly = out_envelope(u, [g1, g2], u.ttype)
-    bary = poly.barycenter()
-    t = Fraction(1, 2)
-    while True:
-        coords = tuple(
-            (1 - t) * a + t * c for a, c in zip(u.lengths, bary)
-        )
-        cand = point_from_coords(u.ttype, coords)
-        if _sym_excess(u, cand) <= eps:
-            return cand
-        t /= 2
-
-
-def local_geodesic_approximation(waypoints, eps) -> GeodesicPath:
-    """A locally minimizing path tracking the waypoint polyline.
-
-    Direction changes at the interior waypoints are realized by tiny
-    detours through chains of adjacent out-envelope facets, so that every
-    consecutive triple of recorded points glues.
-    """
-    eps = Fraction(eps)
-    pts = list(waypoints)
-    if len(pts) < 2:
-        raise ParamOutOfRange("need at least two waypoints")
-    _check_ranks(*pts)
-    if pts[0].ttype.rank != 2:
-        raise Unsupported("local approximation is implemented for rank 2")
-    if eps <= 0:
-        raise ParamOutOfRange("eps must be positive")
-    for p, q in zip(pts, pts[1:]):
-        if _sym_excess(p, q) > eps:
-            raise ParamOutOfRange("consecutive waypoints too far apart")
-
-    scale = eps
-    for _ in range(8):
-        out = _approx_once(pts, scale)
-        if all(
-            check_gluing(p, q, r)
-            for p, q, r in zip(out, out[1:], out[2:])
-        ):
-            witnesses = tuple(
-                candidate_witnesses(p, q)
-                for p, q in zip(out, out[1:])
-            )
-            return GeodesicPath(tuple(out), witnesses, tuple(range(len(out))))
-        scale /= 8
-    raise NoFacetChain("detours do not glue at any tested scale")
-
-
-def _approx_once(pts, scale):
-    out = [pts[0]]
-    for idx in range(1, len(pts)):
-        nxt = pts[idx]
-        prev = out[-2] if len(out) >= 2 else None
-        if prev is not None and not check_gluing(prev, out[-1], nxt):
-            u = out[-1]
-            gamma0 = reference_witness(prev, u)
-            gamma1 = reference_witness(u, nxt)
-            chain = _facet_chain(u, gamma0, gamma1)
-            cur = u
-            for g1, g2 in zip(chain, chain[1:]):
-                cur = _nudge(cur, g1, g2, scale / (2 * len(chain)))
-                out.append(cur)
-        out.append(nxt)
-    return out
 
 
 # the in-chart step and the crossing sweeps revisit the same slices; each

@@ -153,7 +153,13 @@ class TopologicalType(Value):
 
 
 class SimplexPoint(Value):
-    """A point of CV_n: a topological type plus volume-1 edge lengths."""
+    """A point of CV_n: a topological type plus volume-1 edge lengths.
+
+    The lengths (ints or Fractions) are checked on their integer
+    numerators over their least common denominator d, which are kept as
+    scaled_lengths == (numerators, d), so lengths[i] ==
+    Fraction(numerators[i], d).  scaled_lengths is derived from lengths,
+    so it takes no part in equality, hash or repr."""
 
     ttype: TopologicalType
     lengths: tuple[Fraction, ...]
@@ -161,13 +167,15 @@ class SimplexPoint(Value):
     def __init__(self, ttype: TopologicalType, lengths: tuple[Fraction, ...]):
         if len(lengths) != len(ttype.edges):
             raise WrongRank("one length per edge required")
-        for q in lengths:
-            if q <= 0:
+        nums, d = _scaled(lengths)
+        for q, n in zip(lengths, nums):
+            if n <= 0:
                 raise NonpositiveLength(f"length {q}")
-        if sum(lengths) != 1:
+        if sum(nums) != d:
             raise NonpositiveLength("lengths must sum to 1")
         setfield(self, "ttype", ttype)
         setfield(self, "lengths", lengths)
+        setfield(self, "scaled_lengths", (nums, d))
 
     @cached_property
     def _hash(self) -> int:
@@ -178,14 +186,6 @@ class SimplexPoint(Value):
 
     def length_of(self, eid: str) -> Fraction:
         return self.lengths[self.ttype.index(eid)]
-
-    @cached_property
-    def scaled_lengths(self) -> tuple[tuple[int, ...], int]:
-        """(numerators, d): the lengths as integers over their least common
-        denominator d, so lengths[i] == Fraction(numerators[i], d)."""
-        d = math.lcm(*(q.denominator for q in self.lengths))
-        return tuple(q.numerator * (d // q.denominator)
-                     for q in self.lengths), d
 
     @cached_property
     def code_weights(self) -> tuple[int, ...]:
@@ -308,15 +308,24 @@ def validate_and_normalize(g: MarkedGraph) -> SimplexPoint:
     return SimplexPoint(t, _normalized(e[3] for e in g.edges))
 
 
+def _scaled(lengths) -> tuple[tuple[int, ...], int]:
+    """(numerators, d): rationals as integers over their least common
+    denominator d."""
+    d = math.lcm(*(q.denominator for q in lengths))
+    return tuple(q.numerator * (d // q.denominator) for q in lengths), d
+
+
 def _normalized(lengths) -> tuple[Fraction, ...]:
     """Lengths as Fractions rescaled to total 1, each checked positive
-    before any division."""
+    before any division: with the lengths as integer numerators over
+    their least common denominator, each numerator over their sum."""
     lengths = [Fraction(q) for q in lengths]
-    for q in lengths:
-        if q <= 0:
+    nums = _scaled(lengths)[0]
+    for q, n in zip(lengths, nums):
+        if n <= 0:
             raise NonpositiveLength(f"length {q}")
-    total = sum(lengths)
-    return tuple(q / total for q in lengths)
+    total = sum(nums)
+    return tuple(Fraction(n, total) for n in nums)
 
 
 def graph_from_json(text) -> MarkedGraph:

@@ -11,6 +11,11 @@ dimension with no Fraction at all.  Feasibility stops at
 a certificate: the first ray that already satisfies every row still to be
 added is a point of the cone, and only a run that ends with no ray left
 says the polytope is empty.
+
+Membership is decided on integers too: a point x = nums / d gives each
+constraint the integer slack row . nums, which has the sign of the
+constraint's value at x, and x is in the relative interior exactly when
+every constraint with slack 0 also vanishes on every vertex ray.
 """
 
 from __future__ import annotations
@@ -306,25 +311,35 @@ class Polytope:
                      for i, j in itertools.combinations(range(len(vs)), 2)
                      if _adjacent(zs[i] & zs[j], zs))
 
-    def contains(self, x, mode: str = "closed") -> bool:
-        """Membership of x in the polytope ("closed") or in its relative
-        interior ("relative-interior")."""
-        if mode not in ("closed", "relative-interior"):
-            raise ParamOutOfRange(f"unknown mode {mode!r}")
-        x = tuple(Fraction(q) for q in x)
+    def _slacks(self, x) -> list[int] | None:
+        """Per constraint, the integer row . nums for x = nums / d over the
+        least common denominator d of x's entries; None when x does not
+        sum to 1.  Since den > 0 and d > 0, each slack has the sign of
+        the constraint's value at x."""
+        x = [q if isinstance(q, Rational) else Fraction(q) for q in x]
         if len(x) != self.ambient_dim:
             raise DimensionMismatch(f"point in dim {len(x)}")
-        if sum(x) != 1:
-            return False
-        if any(h.value(x) < 0 for h in self.constraints):
+        d = math.lcm(*(q.denominator for q in x))
+        nums = [q.numerator * (d // q.denominator) for q in x]
+        if sum(nums) != d:
+            return None
+        return [sum(map(mul, h.row, nums)) for h in self.constraints]
+
+    def contains(self, x, mode: str = "closed") -> bool:
+        """Membership of x in the polytope ("closed") or in its relative
+        interior ("relative-interior"): in the closed polytope when no
+        slack is negative, and in its relative interior when, besides,
+        every constraint tight at x is tight at every vertex ray."""
+        if mode not in ("closed", "relative-interior"):
+            raise ParamOutOfRange(f"unknown mode {mode!r}")
+        slacks = self._slacks(x)
+        if slacks is None or min(slacks) < 0:
             return False
         if mode == "closed":
             return True
-        vs = self.vertices
-        if not vs:
-            return False
-        for h in self.constraints:
-            if h.value(x) == 0 and any(h.value(v) != 0 for v in vs):
+        rays = self.rays
+        for h, s in zip(self.constraints, slacks):
+            if s == 0 and any(sum(map(mul, h.row, r)) for r, _ in rays):
                 return False
         return True
 

@@ -23,8 +23,9 @@ where it must, or where it was measured to matter:
   cache in the base costs a dict entry per hashed edge: 12% more RSS in
   the rank-3 support fill (136.5 against 122.3 MB).
 - ``__init__`` where fields are checked, normalised or joined by another
-  argument: ``Word``, ``SimplexPoint``, ``HalfSpace``, ``StretchReport``
-  and ``GeodesicPath`` (``target``); ``TopologicalType``'s does nothing.
+  value: ``Word``, ``SimplexPoint`` (its integer ``scaled_lengths``),
+  ``HalfSpace``, ``StretchReport`` and ``GeodesicPath`` (``target``);
+  ``TopologicalType``'s does nothing.
 """
 
 from operator import attrgetter

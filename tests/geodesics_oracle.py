@@ -14,15 +14,23 @@ least clean vertex; without, the least vertex by (not clean, coords)),
 `_ideal_half_step` (the midpoint toward the least improving ideal corner)
 and a `_first_step` that sweeps with step functions.  `eager_advance`
 uses them, so it shares no step code with the walker it checks.
+
+`cvn.geodesics.general_position` lets the point certify its slice
+nonempty and reads membership and the strict constraints off integer
+slacks.  `general_position` here runs a feasibility check on each slice
+first, then the Fraction `polytope_oracle.contains`, and reads the strict
+constraints from `HalfSpace.value`.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
+import polytope_oracle
 from cvn.candidates import edge_counts
-from cvn.envelopes import slice_polytope
+from cvn.envelopes import in_envelope, out_envelope, slice_polytope
 from cvn.geodesics import (
+    PositionCertificate,
     _beats,
     _chart_order,
     _charts_at,
@@ -32,7 +40,9 @@ from cvn.geodesics import (
     _vertex_scores,
 )
 from cvn.graphs import embed_point, point_from_coords
+from cvn.metric import candidate_witnesses
 from cvn.polytope import Polytope
+from cvn.words import class_order
 
 
 def _adjacency(poly: Polytope) -> dict:
@@ -172,3 +182,20 @@ def eager_advance(base, b, gamma, delta, coords, here=None):
         [(delta, coords)] + near, partial(slice_polytope, base, b, gamma),
         gamma, (partial(_forward_vertex, require_clean=True),
                 _forward_vertex))
+
+
+def general_position(a, b, via: str = "out"):
+    """(ok, PositionCertificate or None) as general_position gives them,
+    for trivalent points of one rank and via "out" or "in"."""
+    build, p, q = ((out_envelope, a, b) if via == "out"
+                   else (in_envelope, b, a))
+    x = q.lengths
+    for gamma in sorted(candidate_witnesses(a, b), key=class_order):
+        poly = build(p, [gamma], q.ttype)
+        if poly.is_feasible() and polytope_oracle.contains(
+                poly, x, "relative-interior"):
+            strict = tuple(
+                h.provenance for h in poly.constraints if h.value(x) > 0
+            )
+            return True, PositionCertificate(gamma, strict)
+    return False, None

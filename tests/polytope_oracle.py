@@ -6,7 +6,10 @@ the same answers independently: a phase-1 simplex method over `Fraction`
 with Bland's rule for feasibility, and exhaustive tight-set enumeration for
 vertices (every nonsingular choice of d - 1 tight constraints plus sum = 1,
 solved exactly over the integers).  Polytope.dim, the integer rank of the
-vertex rays, has the affine rank of the vertices over Fraction as its twin.
+vertex rays, has the affine rank of the vertices over Fraction as its twin,
+and Polytope.contains, which reads integer slacks and vertex rays, has
+`contains`, which evaluates every constraint as a Fraction at the point
+and at every vertex.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
+
+from cvn.errors import DimensionMismatch, ParamOutOfRange
 
 
 def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -189,3 +194,26 @@ def affine_rank(points) -> int:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def contains(poly, x, mode: str = "closed") -> bool:
+    """Membership of x in poly ("closed") or in its relative interior
+    ("relative-interior") over Fraction: the twin of Polytope.contains."""
+    if mode not in ("closed", "relative-interior"):
+        raise ParamOutOfRange(f"unknown mode {mode!r}")
+    x = tuple(Fraction(q) for q in x)
+    if len(x) != poly.ambient_dim:
+        raise DimensionMismatch(f"point in dim {len(x)}")
+    if sum(x) != 1:
+        return False
+    if any(h.value(x) < 0 for h in poly.constraints):
+        return False
+    if mode == "closed":
+        return True
+    vs = poly.vertices
+    if not vs:
+        return False
+    for h in poly.constraints:
+        if h.value(x) == 0 and any(h.value(v) != 0 for v in vs):
+            return False
+    return True

@@ -9,6 +9,7 @@ import pytest
 import geodesics_oracle
 import marking_oracle
 from geodesics_oracle import eager_advance
+from local_approximation import local_geodesic_approximation
 from cvn import envelopes, geodesics
 from cvn.candidates import candidate_words, edge_counts
 from cvn.envelopes import _fill, reference_witness, slice_polytope, support
@@ -35,7 +36,6 @@ from cvn.geodesics import (
     check_gluing,
     general_position,
     is_rigid,
-    local_geodesic_approximation,
     on_geodesic,
     piecewise_rigid_geodesic,
     ray_dimension_audit,
@@ -483,6 +483,29 @@ def test_general_position_unknown_side_is_typed():
 def test_general_position_needs_maximal_simplex():
     with pytest.raises(NotMaximalSimplex):
         general_position(rose_point([1, 1]), theta_point(1, 2, 4))
+
+
+def test_general_position_matches_fraction_twin():
+    # the certificate read off integer slacks against a feasibility check,
+    # the Fraction membership and HalfSpace.value, on both sides: general
+    # pairs at rank 2, rank-3 draws, and pairs not in general position
+    pairs = list(_general_position_pairs(2, 3, 20))
+    rng = random.Random(17)
+    while len(pairs) < 28:
+        a, b = random_pair(3, rng)
+        if a.ttype.is_trivalent() and b.ttype.is_trivalent():
+            pairs.append((a, b))
+    a = theta_point(1, 2, 4)
+    pairs += [(a, a),
+              (theta_point(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+               theta_point(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))]
+    outcomes = set()
+    for a, b in pairs:
+        for via in ("out", "in"):
+            got = general_position(a, b, via)
+            assert got == geodesics_oracle.general_position(a, b, via)
+            outcomes.add((a.ttype.rank, got[0]))
+    assert {(2, True), (2, False), (3, True)} <= outcomes
 
 
 def test_general_position_stable_under_perturbation():

@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import math
 import os
 import pickle
 import random
@@ -29,9 +30,11 @@ from cvn.errors import (
 from cvn.graphs import (
     Edge,
     MarkedGraph,
+    SimplexPoint,
     TopologicalType,
     _collapse_cached,
     _letter_paths,
+    _normalized,
     _petals,
     _retree,
     _tighten_cached,
@@ -686,6 +689,69 @@ def test_standard_points_reject_nonpositive_lengths_before_dividing():
                       [e[:3] + (0,) + e[4:] for e in g.edges], g.tree)
     with pytest.raises(NonpositiveLength):
         validate_and_normalize(bad)
+
+
+def test_point_construction_errors_in_order():
+    # a nonpositive length is reported first, the first in edge order,
+    # then a sum off 1, however small the gap
+    t = theta_type()
+    F = Fraction
+    gap = F(1, 10**30)
+    for lengths, message in [
+            ((F(0), F(1, 2), F(1, 2)), "length 0"),
+            ((F(-1, 2), F(3, 4), F(3, 4)), "length -1/2"),
+            ((F(1, 2), F(-1, 4), F(0)), "length -1/4"),
+            ((2, -1, 0), "length -1"),
+            ((1, 1, 1), "lengths must sum to 1"),
+            ((F(1, 3), F(1, 3), F(1, 3) + gap), "lengths must sum to 1"),
+            ((F(1, 3), F(1, 3) - gap, F(1, 3)), "lengths must sum to 1")]:
+        with pytest.raises(NonpositiveLength) as info:
+            SimplexPoint(t, lengths)
+        assert str(info.value) == message
+    with pytest.raises(WrongRank, match="one length per edge required"):
+        SimplexPoint(t, (F(1, 2), F(-1, 2)))
+    # _normalized reports the first nonpositive length as a Fraction and
+    # rescales anything else to sum 1
+    for lengths, message in [((1, 0, -1), "length 0"),
+                             ((F(1, 2), F(-1, 3), 0), "length -1/3"),
+                             ((2.5, -0.5, 1), "length -1/2"),
+                             (("1/3", "-2/7"), "length -2/7")]:
+        with pytest.raises(NonpositiveLength) as info:
+            _normalized(lengths)
+        assert str(info.value) == message
+    lengths = (F(1, 3), F(1, 3), F(1, 3) + gap)
+    assert _normalized(lengths) == tuple(q / sum(lengths) for q in lengths)
+    assert sum(SimplexPoint(t, _normalized(lengths)).lengths) == 1
+
+
+def test_point_scaled_lengths_and_copies():
+    rng = random.Random(26)
+    for rank in (2, 3):
+        for _ in range(20):
+            p = random_pair(rank, rng)[0]
+            nums = [rng.randint(1, 10**rng.randint(1, 12)) for _ in p.lengths]
+            lengths = _normalized(nums)
+            assert lengths == tuple(Fraction(k, sum(nums)) for k in nums)
+            for q in (p, SimplexPoint(p.ttype, lengths)):
+                d = math.lcm(*(x.denominator for x in q.lengths))
+                assert q.scaled_lengths == (
+                    tuple(x.numerator * (d // x.denominator)
+                          for x in q.lengths), d)
+    # int lengths: a one-edge type, built without the valency checks
+    loop = TopologicalType(1, ("o",), (Edge("p1", "o", "o",
+                                            generator(1, 1)),), frozenset())
+    one = SimplexPoint(loop, (1,))
+    assert one.scaled_lengths == ((1,), 1)
+    p = theta_point(3, 5, 7)
+    assert p.scaled_lengths == ((3, 5, 7), 15)
+    fifth, two_sevenths = Fraction(1, 5), Fraction(2, 7)
+    q = SimplexPoint(p.ttype, (fifth, 1 - fifth - two_sevenths, two_sevenths))
+    assert q.scaled_lengths == ((7, 18, 10), 35)
+    for x in (p, q, one):
+        for y in (copy.copy(x), pickle.loads(pickle.dumps(x)),
+                  copy.deepcopy(x)):
+            assert y == x and hash(y) == hash(x)
+            assert y.scaled_lengths == x.scaled_lengths
 
 
 def test_embed_point_in_own_simplex():

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import polytope_oracle
 import pytest
 from polytope_oracle import (
     _solve_square,
@@ -449,3 +450,59 @@ def test_is_feasible_reads_cached_vertices(monkeypatch):
     assert cut.vertices and not empty.vertices
     assert cut.is_feasible() and not empty.is_feasible()
     assert calls == [3, 3]
+
+
+def _membership_probes(p, rng):
+    """Points to test p against, as Fractions, ints or both: its vertices,
+    points on its skeleton edges, its barycenter, random points of the
+    simplex (mostly outside a cut polytope), points off the simplex, and
+    points whose sum is not 1."""
+    d = p.ambient_dim
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    probes = list(units)
+    probes += [(2, -1) + (0,) * (d - 2), (1, 1) + (0,) * (d - 2), (0,) * d]
+    vs = p.vertices
+    probes += vs
+    # a vertex with its zero coordinates as ints
+    probes += [tuple(int(q) if q == 0 else q for q in v) for v in vs]
+    if vs:
+        probes += [tuple(Fraction(a + b, 2) for a, b in zip(vs[i], vs[j]))
+                   for i, j in p.skeleton_edges]
+        probes += [tuple((a + 2 * b) / 3 for a, b in zip(vs[i], vs[j]))
+                   for i, j in p.skeleton_edges[:3]]
+        bary = p.barycenter()
+        probes.append(bary)
+        probes.append(tuple(2 * q for q in bary))  # sums to 2
+        probes.append(bary[:-1] + (bary[-1] + Fraction(1, 10**30),))
+    for _ in range(6):
+        nums = [rng.randint(0, 4) for _ in range(d)]
+        if sum(nums):
+            probes.append(tuple(Fraction(k, sum(nums)) for k in nums))
+    probes.append((Fraction(3, 2), Fraction(-1, 2)) + (Fraction(0),) * (d - 2))
+    return probes
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_contains_matches_fraction_twin(d):
+    # Polytope.contains against the Fraction twin on random systems with
+    # equalities, duplicate rows and zero rows; every outcome occurs, and
+    # boundary points of polytopes of positive dimension (in the closed
+    # polytope, not in its relative interior) among them
+    rng = random.Random(2600 + d)
+    seen = set()
+    for _ in range({5: 25, 6: 12}.get(d, 40)):
+        p = Polytope(d, _random_system(rng, d))
+        for x in _membership_probes(p, rng):
+            closed = p.contains(x, "closed")
+            interior = p.contains(x, "relative-interior")
+            assert closed == polytope_oracle.contains(p, x, "closed")
+            assert interior == polytope_oracle.contains(
+                p, x, "relative-interior")
+            seen.add((closed, interior))
+    assert seen == {(False, False), (True, False), (True, True)}
+    p = Polytope(d, [])
+    for mode in ("closed", "relative-interior"):
+        with pytest.raises(DimensionMismatch, match="point in dim"):
+            p.contains((1,) + (0,) * d, mode)
+        with pytest.raises(DimensionMismatch, match="point in dim"):
+            polytope_oracle.contains(p, (1,) + (0,) * d, mode)
