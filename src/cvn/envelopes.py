@@ -11,7 +11,6 @@ simplex.  Out- and in-envelopes are the one-sided versions.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul, or_
 
@@ -19,7 +18,6 @@ from .candidates import edge_counts, enumerate_candidates
 from .errors import (
     BudgetExceeded,
     EmptyDirection,
-    EmptySlice,
     ParamOutOfRange,
     RankMismatch,
     SelfCheckFailed,
@@ -29,15 +27,13 @@ from .graphs import (
     SimplexPoint,
     TopologicalType,
     face_edges,
-    make_type,
-    point_from_coords,
     record_type,
     resolutions,
 )
-from .metric import conj_length, length_numerator, stretch_report
+from .metric import length_numerator, stretch_report
 from .polytope import HalfSpace, Polytope, equality
 from .values import Value
-from .words import ConjClass, class_order, extend_to_basis
+from .words import ConjClass, class_order
 
 DEFAULT_BUDGET = 500
 
@@ -242,77 +238,3 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
         queue.extend(f for i, f in face_edges(t)
                      if zero >> i & 1 and record_type(queued, f))
         queue.extend(r for r in resolutions(t) if record_type(queued, r))
-
-
-def direction_reduction(a: SimplexPoint, m, delta: TopologicalType) -> frozenset:
-    """Replace an arbitrary direction set by candidates of a with the same
-    out-envelope slice in delta."""
-    sl = out_envelope(a, m, delta)
-    if not sl.vertices:
-        raise EmptySlice("out-envelope slice is empty in this simplex")
-    b0 = point_from_coords(delta, sl.barycenter())
-    s = stretch_report(a, b0).candidate_witnesses
-    reduced = out_envelope(a, s, delta)
-    if reduced.vertices != sl.vertices:
-        raise SelfCheckFailed("direction reduction changed the slice")
-    return s
-
-
-def rainbow_graph(gamma: ConjClass, eps) -> SimplexPoint:
-    """A point whose immersed gamma-loop is tiny: two short edges of length
-    eps/2 each, every other candidate at least two unit edges long.
-
-    The graph is a chain of nested arcs over a baseline: arcs are labelled
-    by a basis extending gamma, the innermost arc together with the middle
-    baseline edge carries gamma.  Rank 2 gives a theta.
-    """
-    eps = Fraction(eps)
-    n = gamma.rank
-    if not 0 < eps < Fraction(1, 4 * n):
-        raise ParamOutOfRange(f"need 0 < eps < 1/{4 * n}")
-    basis = extend_to_basis(gamma.rep)  # NotPrimitive / Unsupported
-    if n == 1:
-        raise ParamOutOfRange("rank 1 has a unique simplex; no rainbow needed")
-    verts = [f"q{i}" for i in range(2, 2 * n)]  # q2 .. q_{2n-1}
-    edges = []
-    tree = []
-    for i in range(len(verts) - 1):
-        eid = f"t{i + 1}"
-        edges.append((eid, verts[i], verts[i + 1], []))
-        tree.append(eid)
-    # innermost arc: gamma over the middle baseline edge
-    mid_l = verts[n - 2]
-    mid_r = verts[n - 1]
-    edges.append(("a1", mid_l, mid_r, list(basis[0].letters)))
-    # nested arcs for the remaining basis elements
-    for k in range(2, n):
-        u = verts[n - 2 - (k - 1)]
-        v = verts[n - 1 + (k - 1)]
-        edges.append((f"a{k}", u, v, list(basis[k - 1].letters)))
-    edges.append(("big", verts[0], verts[-1], list(basis[n - 1].letters)))
-    t = make_type(n, verts, edges, tree)
-    unit = Fraction(1)
-    tiny = eps / 2
-    lengths = []
-    mid_edge = f"t{n - 1}"
-    for eid, *_ in edges:
-        if eid in ("a1", mid_edge):
-            lengths.append(tiny)
-        elif eid == "big":
-            # the outermost loop must not be shorter than two units
-            lengths.append(2 * unit)
-        else:
-            lengths.append(unit)
-    total = sum(lengths)
-    p = SimplexPoint(t, tuple(q / total for q in lengths))
-    # verify the length claims instead of trusting the construction
-    cands = enumerate_candidates(t)
-    words = {c.word for c in cands}
-    if gamma not in words:
-        raise SelfCheckFailed("gamma is not a candidate of the rainbow graph")
-    for c in cands:
-        ln = conj_length(p, c.word) * total
-        ok = ln <= 2 * tiny if c.word == gamma else ln >= 2 * unit
-        if not ok:
-            raise SelfCheckFailed(f"rainbow candidate {c.word} has length {ln}")
-    return p

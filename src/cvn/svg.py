@@ -22,9 +22,9 @@ from .errors import Unsupported
 from .graphs import (
     SimplexPoint,
     TopologicalType,
-    _edge_collapses,
     _marking_isomorphism,
     embed_point,
+    face_edges,
 )
 from .values import Value
 
@@ -94,12 +94,13 @@ def _maximal(simplices):
 
 def _face_matches(t1: TopologicalType, t2: TopologicalType):
     """Shared two-edge faces: (collapsed id in t1, collapsed id in t2, map)."""
-    faces2 = _edge_collapses(t2)
-    for id1, c1 in _edge_collapses(t1):
-        for id2, c2 in faces2:
+    faces2 = face_edges(t2)
+    for i1, c1 in face_edges(t1):
+        for i2, c2 in faces2:
             emap = _marking_isomorphism(c1, c2)
             if emap is not None:
-                yield id1, id2, {k: v[0] for k, v in emap.items()}
+                yield (t1.edges[i1].id, t2.edges[i2].id,
+                       {k: v[0] for k, v in emap.items()})
 
 
 def _reflect(p, a, b):

@@ -26,6 +26,10 @@ where it must, or where it was measured to matter:
   value: ``Word``, ``SimplexPoint`` (its integer ``scaled_lengths``),
   ``HalfSpace``, ``StretchReport`` and ``GeodesicPath`` (``target``);
   ``TopologicalType``'s does nothing.
+- ``__reduce__`` on ``TopologicalType`` and ``SimplexPoint``: a copy or
+  an unpickled object is built by the constructor, so a type is the
+  interned one and neither carries the cached hash of the process that
+  pickled it (a string's hash depends on the process's hash seed).
 """
 
 from operator import attrgetter

@@ -15,11 +15,9 @@ from operator import neg
 from .errors import (
     IndexOutOfRange,
     NotABasis,
-    NotPrimitive,
     NotReduced,
     ParamOutOfRange,
     RankMismatch,
-    Unsupported,
 )
 from .values import Value, setfield
 
@@ -102,14 +100,6 @@ def _least_rotation(keys) -> int:
         else:
             f[j - k] = i + 1
     return k
-
-
-def _oriented_cyclic(letters: Letters) -> Letters:
-    """Least rotation of the cyclic reduction, orientation kept: equal
-    exactly for conjugate words."""
-    core = cyclic_reduce(letters)[0]
-    k = _least_rotation([_letter_key(a) for a in core])
-    return core[k:] + core[:k]
 
 
 def _canonical_cyclic(letters: Letters) -> Letters:
@@ -361,87 +351,6 @@ def rewrite_in_basis(w: Word, basis: list[Word]) -> Word:
                            f"word rank {w.rank}")
     return Word(_rewrite_letters(w.letters, tuple(b.letters for b in basis),
                                  w.rank), w.rank)
-
-
-# ---------------------------------------------------------------------------
-# Whitehead machinery: primitivity and basis extension.
-# ---------------------------------------------------------------------------
-
-_WHITEHEAD_RANK_CAP = 3
-
-
-@lru_cache(maxsize=8)
-def whitehead_automorphisms(rank: int) -> tuple[tuple[Word, ...], ...]:
-    """All Whitehead automorphisms of type II as image tuples."""
-    autos = set()
-    for a in [s * m for m in range(1, rank + 1) for s in (1, -1)]:
-        others = [g for g in range(1, rank + 1) if g != abs(a)]
-        for forms in itertools.product(range(4), repeat=len(others)):
-            images: list[Letters] = [()] * rank
-            images[abs(a) - 1] = (abs(a),)
-            for g, f in zip(others, forms):
-                if f == 0:
-                    images[g - 1] = (g,)
-                elif f == 1:
-                    images[g - 1] = (g, a)
-                elif f == 2:
-                    images[g - 1] = (-a, g)
-                else:
-                    images[g - 1] = (-a, g, a)
-            autos.add(tuple(images))
-    return tuple(
-        tuple(Word(img, rank) for img in images) for images in sorted(autos)
-    )
-
-
-def extend_to_basis(w: Word) -> list[Word]:
-    """Extend a primitive element to a basis whose first entry is conjugate to w.
-
-    Whitehead reduction: repeatedly apply the length-reducing type II
-    automorphism until the cyclic length is minimal.  Primitive iff the
-    minimum is 1.  Rank capped at 3 (exhaustive search only).
-    """
-    if w.rank > _WHITEHEAD_RANK_CAP:
-        raise Unsupported(f"rank {w.rank} > {_WHITEHEAD_RANK_CAP}")
-    if not w.letters:
-        raise NotPrimitive("trivial word")
-    rank = w.rank
-    autos = whitehead_automorphisms(rank)
-    psi = [generator(i, rank) for i in range(1, rank + 1)]  # composed images
-    cur = conj_normal_form(w).rep
-    improved = True
-    while improved and len(cur) > 1:
-        improved = False
-        for images in autos:
-            cand = conj_normal_form(apply_endomorphism(cur, list(images))).rep
-            if len(cand) < len(cur):
-                cur = cand
-                psi = [apply_endomorphism(p, list(images)) for p in psi]
-                improved = True
-                break
-    if len(cur) != 1:
-        raise NotPrimitive(f"{w} has minimal cyclic length {len(cur)}")
-    (m,) = cur.letters  # a class representative: one positive letter
-    # invert the composed automorphism: x_i in its image basis, whose
-    # folded words are freely reduced
-    inv_images = [Word(c, rank) for c in
-                  _basis_inverse(tuple(p.letters for p in psi), rank)]
-    # psi^-1(x_m) is conjugate to w or to w^-1: the classes above forget
-    # orientation, so read it off the cyclic words
-    first = inv_images[m - 1]
-    if _oriented_cyclic(first.letters) != _oriented_cyclic(w.letters):
-        first = first.inverse()
-    basis = [first] + [inv_images[i - 1] for i in range(1, rank + 1) if i != m]
-    _basis_inverse(tuple(b.letters for b in basis), rank)  # sanity: a basis
-    return basis
-
-
-def is_primitive(w: Word) -> bool:
-    try:
-        extend_to_basis(w)
-    except NotPrimitive:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

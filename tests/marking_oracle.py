@@ -12,7 +12,12 @@ type with that search, `resolutions` treats two trivalent types as the
 same when their uniform points are at stretch 1 in both directions, and
 `support` scans its list of examined simplices.  They must keep the same
 types in the same order.  `blow_up_leaves` lists every trivalent type the
-blow-ups reach, before any dedupe.
+blow-ups reach, before any dedupe, by the depth-first loop over built types
+that `resolutions` ran before it keyed each child on the loops it inherits.
+`labelling` keys a built type from scratch, on its own generator loops;
+`keyed_resolutions` and `face_edges` dedupe the built leaves and the built
+single-edge collapses with it, and must give the package's results object
+for object.
 
 `cvn.graphs` also builds each forest collapse once and keeps each type's
 forests as a tuple found by a union-find over edge positions.  Here
@@ -39,7 +44,9 @@ from cvn.graphs import (
     Edge,
     SimplexPoint,
     TopologicalType,
+    _canonical_labelling,
     _fundamental_cycle_tree_edges,
+    _letter_paths,
     _petals,
     _retree,
     adjacent_simplices,
@@ -268,6 +275,32 @@ def blow_up_leaves(t: TopologicalType) -> list[TopologicalType]:
                 side2 = frozenset(h for h in half if h not in side1)
                 stack.append(blow_up_vertex(cur, v, side1, side2))
     return leaves
+
+
+def labelling(t: TopologicalType):
+    """(type_key(t), canonical labelling) from t's own generator loops,
+    never from a key stored on t."""
+    return _canonical_labelling(t._edge_ends, len(t.vertices),
+                                _letter_paths(t)[1:t.rank + 1])
+
+
+def keyed_resolutions(t: TopologicalType) -> tuple[TopologicalType, ...]:
+    """The first blow-up leaf of each key, in blow-up order."""
+    seen: dict = {}
+    for leaf in blow_up_leaves(t):
+        seen.setdefault(labelling(leaf)[0], leaf)
+    return tuple(seen.values())
+
+
+def face_edges(t: TopologicalType) -> tuple:
+    """(edge position, collapse) for the first non-loop edge of each key
+    among the single-edge collapses, in edge order."""
+    seen: dict = {}
+    for i, e in enumerate(t.edges):
+        if not e.is_loop():
+            face = collapse_forest(t, {e.id})
+            seen.setdefault(labelling(face)[0], (i, face))
+    return tuple(seen.values())
 
 
 def resolutions(t: TopologicalType) -> list[TopologicalType]:

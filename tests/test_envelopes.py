@@ -6,14 +6,13 @@ import pytest
 
 import envelopes_oracle
 import marking_oracle
+from constructions import direction_reduction, rainbow_graph
 from cvn.candidates import enumerate_candidates
 from cvn.envelopes import (
-    direction_reduction,
     envelope,
     envelope_slice,
     in_envelope,
     out_envelope,
-    rainbow_graph,
     reference_witness,
     slice_polytope,
     star_system,

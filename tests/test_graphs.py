@@ -14,6 +14,7 @@ import pytest
 
 import marking_oracle
 import words_oracle
+from cvn import graphs
 from cvn.candidates import edge_counts, enumerate_candidates, path_counts
 from cvn.errors import (
     BadPartition,
@@ -69,7 +70,13 @@ from cvn.graphs import (
     validate_and_normalize,
 )
 from cvn.sampling import random_pair
-from cvn.words import conj_class, conjugacy_classes_up_to, reduce, generator
+from cvn.words import (
+    Word,
+    conj_class,
+    conjugacy_classes_up_to,
+    generator,
+    reduce,
+)
 
 
 def test_validate_and_normalize_rose():
@@ -489,6 +496,36 @@ def test_equal_types_built_apart_hash_and_compare_equal():
     assert {a: 1}[rebuilt] == 1
     other = TopologicalType(a.rank, a.vertices, a.edges, frozenset({"e1"}))
     assert other != a and other is not a
+
+
+def test_constant_types_are_built_once(monkeypatch):
+    builders = (theta_point, twisted_theta_point, barbell_point)
+    types = [b(1, 2, 3).ttype for b in builders]
+    assert types == [theta_type(), twisted_theta_type(), barbell_type()]
+    roses = [rose_type(n) for n in (2, 3, 4)]
+
+    def fail(*args):
+        raise AssertionError("make_type called again")
+
+    monkeypatch.setattr(graphs, "make_type", fail)
+    for build, t in zip(builders, types):
+        assert build(3, 1, 2).ttype is t
+    for n, t in zip((2, 3, 4), roses):
+        assert rose_type(n) is t
+        assert rose_point([1] * n).ttype is t
+
+
+def test_make_type_checks_an_interned_invalid_type():
+    # q has valency 2; the type is interned, yet make_type still refuses it
+    t = TopologicalType(2, ("p", "q"), (
+        Edge("e1", "p", "q", Word((1,), 2)), Edge("e2", "p", "q", Word((), 2)),
+        Edge("e3", "p", "p", Word((2,), 2))), frozenset({"e2"}))
+    specs = [("e1", "p", "q", [1]), ("e2", "p", "q", []),
+             ("e3", "p", "p", [2])]
+    for _ in range(2):
+        with pytest.raises(BadValency):
+            make_type(2, ["p", "q"], specs, ["e2"])
+    assert t in _types.values()  # still the interned object
 
 
 def _from_scratch(t):

@@ -5,6 +5,12 @@ Out(F_n)-equivariance of what the package computes.
 `_marking_isomorphism` composes two canonical labellings.  Their slow twin
 is `marking_oracle.marking_isomorphisms`, which searches every graph
 isomorphism for one that induces an inner automorphism.
+
+`resolutions` and `face_edges` key each child on the generator loops it
+inherits from its parent before they build it.  The inherited loops must
+be the child's own, and the results those of the twins that build every
+child and key it from scratch (`marking_oracle.keyed_resolutions` and
+`marking_oracle.face_edges`).
 """
 
 import itertools
@@ -20,19 +26,34 @@ from cvn.graphs import (
     Edge,
     SimplexPoint,
     TopologicalType,
-    _edge_collapses,
+    _blow_up_forms,
+    _canonical_labelling,
+    _contract,
+    _form_type,
+    _letter_paths,
     _marking_isomorphism,
     _retree,
     apply_outer_automorphism,
+    blow_up_vertex,
+    collapse_forest,
+    face_edges,
+    forests,
     marking_equivalent,
     resolutions,
     rose_type,
     tighten,
+    tree_path,
     type_key,
 )
 from cvn.metric import candidate_witnesses, stretch
 from cvn.sampling import random_automorphism, random_pair
-from cvn.words import apply_endomorphism, conj_class, conjugacy_classes_up_to
+from cvn.words import (
+    apply_endomorphism,
+    conj_class,
+    conjugacy_classes_up_to,
+    free_reduce,
+    invert,
+)
 
 LIMIT_S = 60
 
@@ -94,7 +115,8 @@ def _relabelled(t, rng):
 
 def _inputs():
     leaves = marking_oracle.blow_up_leaves(rose_type(3))
-    collapses = [c for t in leaves for _, c in _edge_collapses(t)]
+    collapses = [collapse_forest(t, {e.id}) for t in leaves for e in t.edges
+                 if not e.is_loop()]
     rng = random.Random(29)
     twisted = [_twist(t, random_automorphism(3, rng, 3))
                for t in resolutions(rose_type(3))]
@@ -190,3 +212,96 @@ def test_witness_sets_follow_the_automorphism():
                     for g in candidate_witnesses(p, q)}
                 cases += 1
     assert cases == 48
+
+
+def _random_trivalent_type(rank, rng):
+    """Blow the rose up at random until every vertex is trivalent."""
+    t = rose_type(rank)
+    while True:
+        fat = [v for v in t.vertices if t.valency(v) >= 4]
+        if not fat:
+            return t
+        v = rng.choice(fat)
+        half = t.half_edges_at(v)
+        rng.shuffle(half)
+        k = rng.randint(2, len(half) - 2)
+        t = blow_up_vertex(t, v, half[:k], half[k:])
+
+
+def _fat_types():
+    """Types with a vertex of valency at least 4: the roses of ranks 2 and
+    3, every face of 20 seeded trivalent rank-3 types, and 1 or 2 edges
+    collapsed from seeded trivalent rank-4 types (one or two fat
+    vertices)."""
+    rng = random.Random(47)
+    trivalent = [_random_trivalent_type(3, rng) for _ in range(20)]
+    out = [rose_type(2), rose_type(3)]
+    out += [collapse_forest(t, {e.id}) for t in trivalent for e in t.edges
+            if not e.is_loop()]
+    for _ in range(6):
+        t = _random_trivalent_type(4, rng)
+        for size in (1, 2):
+            out.append(collapse_forest(t, rng.choice(
+                [f for f in forests(t) if len(f) == size])))
+    return out
+
+
+def _own_loops(t):
+    return _letter_paths(t)[1:t.rank + 1]
+
+
+def test_blow_ups_inherit_the_leaves_own_loops():
+    leaves = 0
+    for t in _fat_types():
+        forms = list(_blow_up_forms(t))
+        built = marking_oracle.blow_up_leaves(t)
+        assert len(forms) == len(built)
+        for form, leaf in zip(forms, built):
+            assert _form_type(t, form) is leaf
+            assert form[3] == _own_loops(leaf)
+            assert _canonical_labelling(form[2], len(form[0]), form[3]) \
+                == marking_oracle.labelling(leaf)
+            leaves += 1
+    assert leaves > 1000
+
+
+def test_collapses_inherit_the_faces_own_loops():
+    faces = 0
+    for t in _fat_types() + list(resolutions(rose_type(3))[::5]):
+        ends, count = t._edge_ends, len(t.vertices)
+        for i, e in enumerate(t.edges):
+            if e.is_loop():
+                continue
+            face = marking_oracle.collapse_forest(t, {e.id})
+            form = _contract(ends, count, _own_loops(t), i)
+            assert form[:2] == (face._edge_ends, len(face.vertices))
+            assert _canonical_labelling(*form) == \
+                marking_oracle.labelling(face)
+            # the loops start where the collapsed edge merged: move them
+            # along the tree to the face's base vertex
+            k = form[2][0][0]
+            start = face.vertices[form[0][k - 1][0] if k > 0
+                                  else form[0][-k - 1][1]]
+            path = tuple(s * (face.index(eid) + 1) for eid, s
+                         in tree_path(face, face.base(), start))
+            assert tuple(free_reduce(path + loop + invert(path))
+                         for loop in form[2]) == _own_loops(face)
+            faces += 1
+    assert faces > 300
+
+
+def test_resolutions_and_face_edges_are_the_keyed_twins():
+    types = _fat_types()
+    for t in types + [s for t in types[:2] for s in resolutions(t)]:
+        want = marking_oracle.keyed_resolutions(t)
+        got = resolutions(t)
+        assert len(got) == len(want)
+        assert all(x is y for x, y in zip(got, want))
+        for x in got:
+            assert x._canonical == marking_oracle.labelling(x)
+        want = marking_oracle.face_edges(t)
+        got = face_edges(t)
+        assert [i for i, _ in got] == [i for i, _ in want]
+        assert all(x is y for (_, x), (_, y) in zip(got, want))
+        for x in got:
+            assert x[1]._canonical == marking_oracle.labelling(x[1])

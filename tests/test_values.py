@@ -2,9 +2,13 @@
 field, the hash, the exact repr, immutability and keyword construction;
 and the base class as the twin of the overrides that the classes keep."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -248,8 +252,41 @@ def test_overrides_are_the_documented_ones():
     classes = Value.__subclasses__()
     assert len(classes) == 16
     documented = _documented_overrides()
-    assert set(documented) == {"__eq__", "__hash__", "__init__", "__new__"}
+    assert set(documented) == {"__eq__", "__hash__", "__init__", "__new__",
+                               "__reduce__"}
     for dunder, names in documented.items():
         own = {c.__name__ for c in classes if dunder in vars(c)
                and vars(c)[dunder] is not getattr(Value, dunder)}
         assert own == names, dunder
+
+
+_PICKLE_POINT = """
+import pickle, sys
+from cvn.graphs import theta_point
+if sys.argv[1] == "dump":
+    p = theta_point(1, 2, 3)
+    hash(p)  # fills the cached hash before pickling
+    sys.stdout.write(pickle.dumps(p).hex())
+else:
+    p = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    q = theta_point(1, 2, 3)
+    print(p == q, hash(p) == hash(q), q in {p}, p in {q}, p.ttype is q.ttype)
+"""
+
+
+def test_pickled_point_hashes_in_the_loading_process():
+    # string hashes differ between hash seeds, so a point may not carry
+    # the hash of the process that pickled it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(seed, arg, stdin=None):
+        res = subprocess.run(
+            [sys.executable, "-c", _PICKLE_POINT, arg], input=stdin,
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+            text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        return res.stdout
+
+    dumped = run("1", "dump")
+    assert run("2", "load", dumped).split() == ["True"] * 5

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import words_oracle
+from constructions import extend_to_basis, is_primitive
 from cvn import words
 from cvn.errors import (
     IndexOutOfRange,
@@ -28,12 +29,10 @@ from cvn.words import (
     conj_normal_form,
     conjugacy_classes_up_to,
     cyclic_reduce,
-    extend_to_basis,
     free_reduce,
     generator,
     invert,
     is_basis,
-    is_primitive,
     reduce,
     rewrite_in_basis,
 )

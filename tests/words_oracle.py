@@ -32,9 +32,9 @@ from cvn.errors import (
     RankMismatch,
     Unsupported,
 )
+from constructions import _WHITEHEAD_RANK_CAP, whitehead_automorphisms
 from cvn.graphs import TopologicalType, _petals, tree_path
 from cvn.words import (
-    _WHITEHEAD_RANK_CAP,
     _basis_inverse,
     ConjClass,
     Letters,
@@ -46,7 +46,6 @@ from cvn.words import (
     invert,
     reduce,
     rewrite_in_basis,
-    whitehead_automorphisms,
 )
 
 
