@@ -73,16 +73,25 @@ def star_system(a: SimplexPoint, gamma: ConjClass,
     Over the integers: with L the length numerators of a (denominator d)
     and n the edge counts in delta, candidate w gives the row
     L(w) n(gamma) - L(gamma) n(w) over d.  L(w) sums a's numerators over
-    the candidate's own edge counts in a, so it needs no tightening."""
+    the candidate's own edge counts in a, so it needs no tightening, and
+    the counts n(w) in delta are read from one memo per (type of a,
+    delta)."""
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
     nums, d = a.scaled_lengths
-    terms = ((c.word, sum(map(mul, nums, c.counts)),
-              edge_counts(delta, c.word))
-             for c in enumerate_candidates(a.ttype))
+    terms = ((c.word, sum(map(mul, nums, c.counts)), n)
+             for c, n in zip(enumerate_candidates(a.ttype),
+                             _star_counts(a.ttype, delta)))
     rows = _rows(length_numerator(a, gamma), edge_counts(delta, gamma),
                  terms, 1)
     return [HalfSpace(row, d, ("star", str(w))) for w, row in rows]
+
+
+@lru_cache(maxsize=1024)
+def _star_counts(t: TopologicalType,
+                 delta: TopologicalType) -> tuple[tuple[int, ...], ...]:
+    """Per candidate of t, in order, its edge counts in delta."""
+    return tuple(edge_counts(delta, c.word) for c in enumerate_candidates(t))
 
 
 def starstar_system(b: SimplexPoint, gamma: ConjClass,
@@ -193,48 +202,66 @@ def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
     be nonempty, so the budget bounds how many simplices the fill enters,
     which is the number it finds.  Memoised per (a, b, budget), a missing
     budget read as DEFAULT_BUDGET: repeated calls return one shared,
-    immutable Support, and each entered slice is left in the slice cache,
-    with its vertices, for the walker and the picture.  BudgetExceeded is
-    raised again on every call."""
+    immutable Support.  The fill builds the slices of T(a) and of the
+    trivalent simplices only, and leaves them in the slice cache, with
+    their vertices, for the walker and the picture; a face's slice is
+    built when one of them asks for it.  BudgetExceeded is raised again
+    on every call."""
     return _support(a, b, _budget(budget))
 
 
 @lru_cache(maxsize=64)
 def _support(a: SimplexPoint, b: SimplexPoint, budget: int) -> Support:
-    return Support(tuple(_fill(a, b, reference_witness(a, b), budget)))
+    return Support(tuple(t for t, _ in _fill(a, b, reference_witness(a, b),
+                                             budget)))
+
+
+def _squeeze(z: int, i: int) -> int:
+    """The bitmask z with bit i removed: higher bits move down by one."""
+    low = (1 << i) - 1
+    return z & low | z >> 1 & ~low
 
 
 def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
-    """The flood fill behind support, lazily: yields each simplex it
-    enters, in fill order, once the simplex's slice vertices are known
-    and before its neighbours are queued, so a caller that stops early
-    queues and keys nothing further.
+    """The flood fill behind support, lazily: yields (t, zero) for each
+    simplex t it enters, in fill order, with zero the bitmask of t's
+    edges that are 0 at some vertex of t's slice, before t's neighbours
+    are queued, so a caller that stops early queues and keys nothing
+    further.
 
     Only T(a) is tested for feasibility, by its polytope: a fresh slice
     calls feasible() once, a memoised one reads its known vertices.
-    Every other simplex is queued from an entered simplex t whose slice
-    vertices are known: the slice of the face collapsing edge e is
-    slice(t) with x_e = 0, so the face is queued when some vertex of t
-    has x_e = 0, and t's slice is a face of each resolution's slice, so
-    every resolution is queued."""
+    Every other simplex is queued from an entered simplex t whose vertex
+    zero masks are known: t's slice is a face of each resolution's
+    slice, so every resolution is queued; and the slice of the face
+    collapsing edge i is slice(t) on x_i = 0, so the face is queued when
+    some vertex of t has x_i = 0, and its vertices are exactly those, in
+    the face's coordinates.  It is queued with their masks, bit i
+    squeezed out, so only T(a) and the resolutions build a slice: a
+    face's zero masks are read off its parent's."""
     start = _slice(a, b, gamma, a.ttype)
     if not start.polytope.is_feasible():
         return
     entered = 0
     queued: dict = {}
     record_type(queued, a.ttype)
-    queue = deque([a.ttype])
+    queue = deque([(a.ttype, None)])
     while queue:
-        t = queue.popleft()
+        t, masks = queue.popleft()
         if entered == budget:
             raise BudgetExceeded(f"support search entered > {budget} simplices")
-        zs = [v[1] for v in slice_polytope(a, b, gamma, t)._vertex_rays]
-        if not zs:
-            raise SelfCheckFailed(
-                f"support entered an empty slice in {[e.id for e in t.edges]}")
-        zero = reduce(or_, zs)
+        if masks is None:
+            full = (1 << len(t.edges)) - 1
+            masks = [v[1] & full
+                     for v in slice_polytope(a, b, gamma, t)._vertex_rays]
+            if not masks:
+                raise SelfCheckFailed("support entered an empty slice in "
+                                      f"{[e.id for e in t.edges]}")
+        zero = reduce(or_, masks)
         entered += 1
-        yield t
-        queue.extend(f for i, f in face_edges(t)
+        yield t, zero
+        queue.extend((f, [_squeeze(z, i) for z in masks if z >> i & 1])
+                     for i, f in face_edges(t)
                      if zero >> i & 1 and record_type(queued, f))
-        queue.extend(r for r in resolutions(t) if record_type(queued, r))
+        queue.extend((r, None) for r in resolutions(t)
+                     if record_type(queued, r))

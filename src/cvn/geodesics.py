@@ -347,12 +347,20 @@ def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None,
     """Largest envelope-slice dimension of the pair over its support, or
     the first slice dimension of the fill that reaches cap, where the fill
     stops.  The default cap 3n-4 is exact: a trivalent chart has 3n-3
-    edges, so no slice is larger."""
+    edges, so no slice is larger.
+
+    Only T(p) and the trivalent simplices are measured.  Every other
+    simplex the fill enters is a face, whose slice is a face of its
+    parent's slice, and the parent was entered before it; so the largest
+    dimension so far, and where the fill stops, are those of the full
+    scan, and no face's slice is built."""
     if cap is None:
         cap = 3 * p.ttype.rank - 4
     gamma = reference_witness(p, q)
     best = -1
-    for delta in _fill(p, q, gamma, _budget(budget)):
+    for k, (delta, _) in enumerate(_fill(p, q, gamma, _budget(budget))):
+        if k and not delta.is_trivalent():
+            continue
         best = max(best, slice_polytope(p, q, gamma, delta).dim)
         if best >= cap:
             break

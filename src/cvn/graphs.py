@@ -694,10 +694,13 @@ def _move_base(loops, c):
     return tuple(out)
 
 
-def _length_change(loops, c) -> int:
-    """How much crossing step c changes the total length of the loops."""
-    return sum((-1 if loop[0] == c else 1) + (-1 if loop[-1] == -c else 1)
-               for loop in loops)
+def _shortening_steps(loops) -> list[int]:
+    """The steps leaving the base point that some loop starts with, or
+    ends with the reverse of, once per loop end.  Crossing a step c
+    adds a step at each end of each of the n loops, less one at every
+    end where c is listed, so it changes the total length by
+    2n - 2 (the number of times c is listed)."""
+    return [loop[0] for loop in loops] + [-loop[-1] for loop in loops]
 
 
 def _relabel(loops):
@@ -733,8 +736,10 @@ def _canonical_labelling(ends, count: int, loops):
     at = head(-loops[0][0])  # the loops' base: where their first step leaves
     # descent: the total length is convex on the universal cover, so a
     # base point no single step shortens is a least one
+    n = len(loops)
     while True:
-        c = next((c for c in leaving[at] if _length_change(loops, c) < 0), None)
+        short = _shortening_steps(loops)
+        c = next((c for c in leaving[at] if short.count(c) > n), None)
         if c is None:
             break
         loops, at = _move_base(loops, c), head(c)
@@ -747,8 +752,9 @@ def _canonical_labelling(ends, count: int, loops):
         code, new = _relabel(loops)
         if best is None or code < best[0]:
             best = code, new
+        short = _shortening_steps(loops)
         for c in leaving[at]:
-            if _length_change(loops, c) == 0:
+            if short.count(c) == n:
                 moved = _move_base(loops, c)
                 if moved not in seen:
                     seen.add(moved)

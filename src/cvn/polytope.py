@@ -15,7 +15,8 @@ says the polytope is empty.
 Membership is decided on integers too: a point x = nums / d gives each
 constraint the integer slack row . nums, which has the sign of the
 constraint's value at x, and x is in the relative interior exactly when
-every constraint with slack 0 also vanishes on every vertex ray.
+every constraint with slack 0 also vanishes on every vertex ray, so
+the vertices are needed only when some slack is 0.
 """
 
 from __future__ import annotations
@@ -269,11 +270,19 @@ class Polytope:
     def _vertex_rays(self) -> list[tuple[Vector, int, tuple, int]]:
         """Vertices in sorted order, each with the zero set of its ray, the
         coprime integer ray r and its sum s: the vertex is r / s."""
-        out = []
-        for r, z in _extreme_rays(self.halfspaces, self.ambient_dim):
-            s = sum(r)
-            out.append((tuple(Fraction(q, s) for q in r), z, r, s))
-        return sorted(out)
+        rays = [(r, z, sum(r))
+                for r, z in _extreme_rays(self.halfspaces, self.ambient_dim)]
+        # the vertices r / s in lexicographic order are the integer
+        # vectors r (m / s) in lexicographic order, m the lcm of the sums
+        m = math.lcm(*(s for _, _, s in rays))
+
+        def scaled(ray):
+            k = m // ray[2]
+            return [q * k for q in ray[0]]
+
+        rays.sort(key=scaled)
+        return [(tuple(Fraction(q, s) for q in r), z, r, s)
+                for r, z, s in rays]
 
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
@@ -329,7 +338,8 @@ class Polytope:
         """Membership of x in the polytope ("closed") or in its relative
         interior ("relative-interior"): in the closed polytope when no
         slack is negative, and in its relative interior when, besides,
-        every constraint tight at x is tight at every vertex ray."""
+        every constraint tight at x is tight at every vertex ray.  The
+        vertex rays are enumerated only when some slack is 0."""
         if mode not in ("closed", "relative-interior"):
             raise ParamOutOfRange(f"unknown mode {mode!r}")
         slacks = self._slacks(x)
@@ -337,11 +347,9 @@ class Polytope:
             return False
         if mode == "closed":
             return True
-        rays = self.rays
-        for h, s in zip(self.constraints, slacks):
-            if s == 0 and any(sum(map(mul, h.row, r)) for r, _ in rays):
-                return False
-        return True
+        tight = [h.row for h, s in zip(self.constraints, slacks) if s == 0]
+        return not tight or not any(sum(map(mul, row, r))
+                                    for row in tight for r, _ in self.rays)
 
     def barycenter(self) -> Vector:
         vs = self.vertices

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, lru_cache
 
 from .envelopes import reference_witness, slice_polytope, support
 from .errors import Unsupported
@@ -63,6 +63,44 @@ class Layout(Value):
         return tuple(tuple(tuple(q.numerator * (den // q.denominator)
                                  for q in c) for c in cs)
                      for _, cs in self.placed), den
+
+    @cached_property
+    def origin(self) -> tuple[int, int]:
+        """The least x and the least y numerator over den of any corner:
+        the top left of the picture."""
+        corners, _ = self.scaled
+        return (min(c[0] for cs in corners for c in cs),
+                min(c[1] for cs in corners for c in cs))
+
+    def screen(self, x: int, y: int, q: int) -> tuple[str, str]:
+        """Screen coordinates of the layout point (x, y) / q, where den
+        divides q."""
+        den = self.scaled[1]
+        minx, miny = self.origin
+        k = q // den
+        return (fmt((x - minx * k) * SCALE + MARGIN * q, q),
+                fmt((y - miny * k) * SCALE + MARGIN * q, q))
+
+    @cached_property
+    def frame(self) -> tuple[str, ...]:
+        """The lines every picture of this layout starts with: the SVG
+        header, sized to the triangles, and each triangle's outline."""
+        corners, den = self.scaled
+        minx, miny = self.origin
+        w = fmt((max(c[0] for cs in corners for c in cs) - minx) * SCALE
+                + 2 * MARGIN * den, den)
+        h = fmt((max(c[1] for cs in corners for c in cs) - miny) * SCALE
+                + 2 * MARGIN * den, den)
+        out = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+            f'height="{h}" viewBox="0 0 {w} {h}">',
+        ]
+        for cs in corners:
+            pts = " ".join(",".join(self.screen(x, y, den)) for x, y in cs)
+            out.append(f'<polygon points="{pts}" fill="none" '
+                       'stroke="#444444" stroke-width="1"/>')
+        return tuple(out)
 
     def locate(self, p: SimplexPoint):
         """Position of a point as integer numerators (x, y) over a
@@ -113,8 +151,13 @@ def _reflect(p, a, b):
     return (a[0] + 2 * fx - px, a[1] + 2 * fy - py)
 
 
-def layout_support(simplices) -> Layout:
-    """Unfold the maximal simplices of a support into the plane."""
+# a layout keeps its placed types and its frame; one per support, and a
+# picture of a pair draws the support of the pair
+@lru_cache(maxsize=64)
+def layout_support(simplices: tuple[TopologicalType, ...]) -> Layout:
+    """Unfold the maximal simplices of a support into the plane.
+    Memoised on the tuple of simplices, so equal supports share one
+    Layout, with its frame."""
     maximal = _maximal(simplices)
     if not maximal:
         raise Unsupported("no maximal rank 2 simplex to draw")
@@ -204,28 +247,8 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
     layout = layout_support(sup.simplices)
     gamma = reference_witness(a, b)
     corners, den = layout.scaled
-    xs = [c[0] for cs in corners for c in cs]
-    ys = [c[1] for cs in corners for c in cs]
-    minx, miny = min(xs), min(ys)
-
-    def screen(x, y, q):
-        """Screen coordinates of the layout point (x, y) / q, where den
-        divides q."""
-        k = q // den
-        return (fmt((x - minx * k) * SCALE + MARGIN * q, q),
-                fmt((y - miny * k) * SCALE + MARGIN * q, q))
-
-    w = fmt((max(xs) - minx) * SCALE + 2 * MARGIN * den, den)
-    h = fmt((max(ys) - miny) * SCALE + 2 * MARGIN * den, den)
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-    ]
-    for cs in corners:
-        pts = " ".join(",".join(screen(x, y, den)) for x, y in cs)
-        out.append(f'<polygon points="{pts}" fill="none" stroke="#444444" '
-                   'stroke-width="1"/>')
+    screen = layout.screen
+    out = list(layout.frame)
     for (t, _), cs in zip(layout.placed, corners):
         rays = slice_polytope(a, b, gamma, t).rays
         if not rays:

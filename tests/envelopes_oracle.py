@@ -7,16 +7,30 @@ the inequalities, one `Fraction` coefficient at a time from `conj_length`,
 kept verbatim so the integer rows can be checked against them.  Their
 `conj_length` is local too: it adds the point's `Fraction` edge lengths
 along the loop, so it shares no arithmetic with `metric.length_numerator`.
+
+`fill` is the support flood fill as it was before faces read their
+vertex zero masks off their parents: it builds every entered simplex's
+own slice, faces included, and reads each zero set from that slice.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from cvn.candidates import edge_counts, enumerate_candidates
-from cvn.envelopes import _direction
-from cvn.errors import TrivialClass
-from cvn.graphs import SimplexPoint, TopologicalType, tighten
+from cvn.envelopes import _direction, _slice, slice_polytope
+from cvn.errors import BudgetExceeded, SelfCheckFailed, TrivialClass
+from cvn.graphs import (
+    SimplexPoint,
+    TopologicalType,
+    face_edges,
+    record_type,
+    resolutions,
+    tighten,
+)
 from cvn.polytope import HalfSpace, Polytope, equality
 from cvn.words import ConjClass
 
@@ -96,3 +110,30 @@ def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
         coeffs = [lg * x - lw * y for x, y in zip(nw, ng)]
         hs.extend(equality(coeffs, ("equal-stretch-in", str(first), str(g))))
     return Polytope(len(delta.edges), hs)
+
+
+def fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
+    """The flood fill from T(a), yielding (t, zero) per entered simplex in
+    fill order, with zero the bitmask of t's edges that are 0 at some
+    vertex of t's own slice, which is built for every t."""
+    start = _slice(a, b, gamma, a.ttype)
+    if not start.polytope.is_feasible():
+        return
+    entered = 0
+    queued: dict = {}
+    record_type(queued, a.ttype)
+    queue = deque([a.ttype])
+    while queue:
+        t = queue.popleft()
+        if entered == budget:
+            raise BudgetExceeded(f"support search entered > {budget} simplices")
+        zs = [v[1] for v in slice_polytope(a, b, gamma, t)._vertex_rays]
+        if not zs:
+            raise SelfCheckFailed(
+                f"support entered an empty slice in {[e.id for e in t.edges]}")
+        zero = reduce(or_, zs) & (1 << len(t.edges)) - 1
+        entered += 1
+        yield t, zero
+        queue.extend(f for i, f in face_edges(t)
+                     if zero >> i & 1 and record_type(queued, f))
+        queue.extend(r for r in resolutions(t) if record_type(queued, r))

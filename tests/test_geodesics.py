@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
 
+import envelopes_oracle
 import geodesics_oracle
 import marking_oracle
 from geodesics_oracle import eager_advance
@@ -310,7 +312,7 @@ def test_drained_fill_is_the_support(fill_pairs):
     for a, b in fill_pairs:
         gamma = reference_witness(a, b)
         want = support(a, b).simplices
-        assert tuple(_fill(a, b, gamma, len(want))) == want
+        assert tuple(t for t, _ in _fill(a, b, gamma, len(want))) == want
         if a.ttype.rank == 2:
             assert marking_oracle.support(a, b)[0].simplices == want
         if want:
@@ -318,9 +320,102 @@ def test_drained_fill_is_the_support(fill_pairs):
             got = []
             with pytest.raises(BudgetExceeded):
                 got.extend(_fill(a, b, gamma, len(want) - 1))
-            assert tuple(got) == want[:-1]
+            assert tuple(t for t, _ in got) == want[:-1]
         sizes.add(len(want))
     assert max(sizes) > 4
+
+
+def _drain(fill):
+    """What a fill yields, and whether it stopped at its budget."""
+    got = []
+    try:
+        got.extend(fill)
+    except BudgetExceeded:
+        return got, True
+    return got, False
+
+
+def test_faces_read_off_their_parents_match_the_slice_per_face_twin():
+    # the twin builds every entered simplex's own slice and ORs its vertex
+    # zero masks; the fill reads a face's masks off its parent's slice
+    # with the collapsed coordinate squeezed out, and must yield the same
+    # simplices in the same order with the same zero sets
+    t0 = time.monotonic()
+    runs = [(a, b, 500) for a, b in _general_position_pairs(2, 3, 20)]
+    runs.append((_fixture("r3a"), _fixture("r3b"), 800))
+    faces = set()
+    for a, b, budget in runs:
+        gamma = reference_witness(a, b)
+        got = _drain(_fill(a, b, gamma, budget))
+        assert got == _drain(envelopes_oracle.fill(a, b, gamma, budget))
+        entered, stopped = got
+        assert stopped == (a.ttype.rank == 3)
+        faces.update((a.ttype.rank, len(t.edges)) for t, _ in entered[1:]
+                     if not t.is_trivalent())
+    assert faces == {(2, 2), (3, 5), (3, 4), (3, 3)}
+    assert time.monotonic() - t0 < 60
+
+
+def test_rank3_fixture_fill_builds_one_slice_per_trivalent_chart(monkeypatch):
+    from cvn import polytope
+
+    runs = []
+    extreme_rays = polytope._extreme_rays
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return extreme_rays(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_extreme_rays", counted)
+    envelopes._support.cache_clear()
+    envelopes._slice.cache_clear()
+    t0 = time.monotonic()
+    sup = support(_fixture("r3a"), _fixture("r3b"), 2676)
+    assert len(sup.simplices) == 2676
+    assert sum(t.is_trivalent() for t in sup.simplices) == 1147
+    # one slice per trivalent chart, and one more double description:
+    # the feasibility run of T(a) before its full run
+    assert envelopes._slice.cache_info().misses == 1147
+    assert len(runs) == 1148 and set(runs) == {6}
+    assert time.monotonic() - t0 < 60
+
+
+def _capped_by_scan(p, q, cap):
+    """_pair_dim by its definition: the running maximum of the slice
+    dimensions of every support simplex, faces included, in fill order,
+    stopped at the first that reaches cap."""
+    gamma = reference_witness(p, q)
+    best = -1
+    for t in support(p, q).simplices:
+        best = max(best, slice_polytope(p, q, gamma, t).dim)
+        if best >= cap:
+            break
+    return best
+
+
+def test_pair_dim_is_the_running_maximum_over_every_simplex(fill_pairs):
+    # _pair_dim measures only T(p) and the trivalent slices; ray audits
+    # start on rose faces and in theta charts, so their pairs' fills
+    # start in faces as well as in trivalent charts
+    pairs = list(fill_pairs)
+    for a, direction, steps in [
+            (rose_point([Fraction(5, 8), Fraction(3, 8)]),
+             [CC([1]), CC([2])], 4),
+            (theta_point(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+             [CC([1])], 3),
+            (theta_point(1, 2, 4), [CC([1])], 3)]:
+        audit = ray_dimension_audit(a, direction, steps)
+        pts = audit.points
+        for (i, j), d in audit.dims.items():
+            assert d == _full_dim(pts[i], pts[j])
+            pairs.append((pts[i], pts[j]))
+    seen = set()
+    for p, q in pairs:
+        for cap in range(4):
+            capped = _pair_dim(p, q, cap=cap)
+            assert capped == _capped_by_scan(p, q, cap)
+            seen.add((len(p.ttype.edges), capped))
+    assert {(2, 1), (3, 2), (4, 0), (5, 1), (6, 1)} <= seen
 
 
 def test_capped_pair_dim_matches_the_full_maximum(fill_pairs):

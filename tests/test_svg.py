@@ -198,3 +198,25 @@ def test_svg_numbers_are_all_fixed_point():
     for m in re.finditer(r'points="([^"]+)"', text):
         for token in m.group(1).replace(",", " ").split():
             assert re.fullmatch(r"-?\d+\.\d{9}", token)
+
+
+def test_equal_supports_share_one_layout_and_draw_the_same_bytes():
+    # theta -> twisted theta pairs drawn from these ranges share one
+    # support; the layout and its frame come from whichever pair is drawn
+    # first, and every picture must be the one a cold memo draws
+    rng = random.Random(5)
+    pairs = [(theta_point(*(rng.randint(4, 8) for _ in range(3))),
+              twisted_theta_point(*(rng.randint(4, 8) for _ in range(3))))
+             for _ in range(4)]
+    sups = [support(a, b).simplices for a, b in pairs]
+    assert len(set(sups)) == 1 and len(set(pairs)) == 4
+    cold = []
+    for a, b in pairs:
+        layout_support.cache_clear()
+        cold.append(render_envelope_svg(a, b))
+    layout_support.cache_clear()
+    layout = layout_support(sups[0])
+    assert all(layout_support(tuple(s)) is layout for s in sups)
+    assert [render_envelope_svg(a, b) for a, b in pairs] == cold
+    assert layout_support.cache_info().misses == 1
+    assert len(set(cold)) == 4
