@@ -9,9 +9,10 @@ quantity here a finite exact maximum.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 
 from .candidates import enumerate_candidates
@@ -164,98 +165,96 @@ def _cancel(left, right) -> int:
 
 @lru_cache(maxsize=4096)
 def _junction_middles(t: TopologicalType) -> tuple:
-    """Per letter triple (p, x, n) with x != p^-1 and n != x^-1, paired
-    with its junction index (p * m + x) * m + n, where m = 2 * rank + 1
-    and each letter is taken mod m, its index in _letter_paths: the codes
-    of path(x) that survive cancellation with path(p) on the left and
-    path(n) on the right.  Triples where the two cancellations together
-    reach the length of path(x) are left out: there cancellation can
-    cascade."""
+    """Per letter triple (p, x, n), its junction index (p * m + x) * m + n,
+    with m = 2 * rank + 1 and letters mod m (their _letter_paths indices),
+    and the codes of path(x) that survive cancellation with path(p) and
+    path(n).  Triples whose two cancellations reach all of path(x), as at
+    p = x^-1 or n = x^-1, are left out: there cancellation can cascade."""
     paths = _letter_paths(t)
-    m = len(paths)
+    m, out = len(paths), []
     letters = range(1, m)
-    out = []
-    for x in letters:
-        px = paths[x]
+    for x, px in enumerate(paths[1:], 1):
+        his = [len(px) - _cancel(px, paths[n]) for n in letters]
         for p in letters:
-            if p + x == m:  # p is x^-1
-                continue
             lo = _cancel(paths[p], px)
-            for n in letters:
-                if x + n == m:
-                    continue
-                hi = len(px) - _cancel(px, paths[n])
-                if lo < hi:
-                    out.append(((p * m + x) * m + n, px[lo:hi]))
+            out += [((p * m + x) * m + n, px[lo:hi])
+                    for n, hi in enumerate(his, 1) if lo < hi]
     return tuple(out)
 
 
 @lru_cache(maxsize=32)
-def _class_junctions(rank: int, max_len: int) -> tuple:
-    """Per class of conjugacy_classes_up_to(rank, max_len), in its order,
-    the junction index of each cyclic letter triple of the representative:
-    (x[i-1], x[i], x[i+1]) with indices mod the length, and every letter
-    a taken as a mod 2 * rank + 1, its index in _letter_paths."""
-    m, out = 2 * rank + 1, []
-    for letters in _classes_up_to(rank, max_len):
-        xs = [a % m for a in letters]
-        k = len(xs)
-        out.append(tuple((xs[i - 1] * m + xs[i]) * m + xs[(i + 1) % k]
-                         for i in range(k)))
+def _class_prefixes(rank: int, max_len: int) -> tuple:
+    """Per depth d >= 1 of the prefix trie of _classes_up_to(rank, max_len),
+    as itemgetters, so that a point reads each in one C call: its nodes'
+    parent positions at depth d - 1, its classes' nodes, and the junction
+    indices of its nodes' last three letters (the zero slot m^3 for fewer)
+    and of its classes' wraps (x[-1], x[0], x[1]) and (x[-2], x[-1], x[0]),
+    or (x, x, x) and the zero slot: a class of length k reads k.  From rank
+    2 on, every depth has two classes or more, so each getter gives a tuple."""
+    m, r = 2 * rank + 1, range(-rank, rank + 1)
+    junction = dict.fromkeys(zip(r), m ** 3) | {
+        (p, x, n): ((p % m) * m + x % m) * m + n % m
+        for p in r for x in r for n in r}
+    table, out, pos, lo = _classes_up_to(rank, max_len), [], {(): 0}, 0
+    for d in range(1, max_len + 1):
+        nodes = tuple(dict.fromkeys(map(itemgetter(slice(d)), table[lo:])))
+        parents = map(itemgetter(slice(d - 1)), nodes)
+        up = itemgetter(*map(pos.__getitem__, parents))
+        pos = dict(zip(nodes, range(len(nodes))))
+        own = table[lo:bisect_left(table, d + 1, lo, key=len)]
+        lo += len(own)
+        last = itemgetter(-2, -1, 0) if d > 1 else itemgetter(slice(1))
+        reads = (map(itemgetter(slice(d - 3, d)), nodes),
+                 map(itemgetter(-1, 0, 1 % d), own), map(last, own))
+        out.append((up, itemgetter(*map(pos.__getitem__, own)), *(
+            itemgetter(*map(junction.__getitem__, js)) for js in reads)))
     return tuple(out)
 
 
 def _junction_table(p: SimplexPoint, max_len: int) -> list[int]:
-    """The weight of every junction middle of p's type, by junction index.
-
-    Every other entry holds a negative sentinel below any sum of at most
-    max_len entries, so a class of length <= max_len sums to its length
-    numerator when all its triples have middles, and below zero when one
-    does not."""
+    """p's junction table: the weight of each junction middle of p's type
+    by junction index, then the zero slot 0, and elsewhere a negative
+    sentinel below any sum of max_len entries.  By bounded cancellation
+    (Cooper 1987), when every triple around a cyclically reduced class
+    has a middle, the middles do not cancel (each cancellation is maximal)
+    and form the immersed loop: a class sums to its length numerator."""
     w = p.code_weights.__getitem__
     middles = [(i, sum(map(w, mid))) for i, mid in _junction_middles(p.ttype)]
     sentinel = -1 - max_len * max((v for _, v in middles), default=0)
-    table = [sentinel] * (2 * p.ttype.rank + 1) ** 3
+    table = [sentinel] * (2 * p.ttype.rank + 1) ** 3 + [0]
     for i, v in middles:
         table[i] = v
     return table
 
 
+def _class_lengths(p: SimplexPoint, max_len: int) -> list[int]:
+    """Per class of _classes_up_to, its sum in p's junction table."""
+    table = _junction_table(p, max_len)
+    sums, out = [0], []
+    for up, nodes, mids, first, last in _class_prefixes(p.ttype.rank, max_len):
+        sums = list(map(add, up(sums), mids(table)))
+        out += map(add, nodes(sums), map(add, first(table), last(table)))
+    return out
+
+
 def brute_force_lambda(a: SimplexPoint, b: SimplexPoint, max_len: int):
-    """Max ratio over all conjugacy classes of word length <= max_len.
-
-    Independent of the candidate machinery; used as an oracle for the
-    finiteness theorem.  Returns (ratio, argmax classes), the classes in
-    enumeration order.
-
-    The ratio of a class is its length numerator in b over that in a,
-    times the constant d_a / d_b of the two denominators, so classes are
-    compared by integer cross-multiplication of numerators and the one
-    Fraction is made for the winner.  max_len must be an int >= 1.
-
-    Lengths come from a junction table per point (bounded cancellation,
-    Cooper 1987): for a cyclically reduced class x_1 ... x_k, let c(p, x)
-    be how far path(p) and path(x) cancel where they meet.  When, for
-    every i, c(x[i-1], x[i]) + c(x[i], x[i+1]) stays below the length of
-    path(x[i]), every letter keeps a nonempty middle, consecutive middles
-    do not cancel because each c is maximal, and the middles in a cycle
-    are the immersed loop: its length numerator is the sum of the middle
-    weights.  A class with a triple where cancellation can cascade reads
-    the sentinel and is tightened instead."""
+    """Max ratio over all conjugacy classes of word length <= max_len, and
+    its argmax classes in enumeration order: an oracle for the finiteness
+    theorem, independent of the candidates; max_len is an int >= 1.  Classes
+    are compared by integer cross-multiplication of their _class_lengths,
+    tightened where below zero, and one Fraction is made for the winner."""
     _check_count("max_len", max_len)
     ta, tb = a.ttype, b.ttype
     if ta.rank != tb.rank:
         raise RankMismatch("points live in different Outer Spaces")
     wa, wb = a.code_weights.__getitem__, b.code_weights.__getitem__
-    ja, jb = (_junction_table(p, max_len).__getitem__ for p in (a, b))
     best_b, best_a = 0, 1  # every ratio is positive
     argmax: list = []
-    for letters, idx in zip(_classes_up_to(ta.rank, max_len),
-                            _class_junctions(ta.rank, max_len)):
-        lb = sum(map(jb, idx))
+    for letters, lb, la in zip(_classes_up_to(ta.rank, max_len),
+                               _class_lengths(b, max_len),
+                               _class_lengths(a, max_len)):
         if lb < 0:
             lb = sum(map(wb, _tighten_cached(tb, letters)))
-        la = sum(map(ja, idx))
         if la < 0:
             la = sum(map(wa, _tighten_cached(ta, letters)))
         lhs, rhs = lb * best_a, best_b * la

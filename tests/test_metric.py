@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,7 +126,7 @@ def _junction_fallbacks(p, max_len):
     against its tightened loop; return how many classes fall back."""
     table = metric._junction_table(p, max_len)
     classes = list(conjugacy_classes_up_to(p.ttype.rank, max_len))
-    junctions = metric._class_junctions(p.ttype.rank, max_len)
+    junctions = words_oracle.class_junctions(p.ttype.rank, max_len)
     assert len(junctions) == len(classes)
     fallbacks = 0
     for g, idx in zip(classes, junctions):
@@ -159,7 +160,7 @@ def test_junction_indices_wrap_around_short_classes():
     # the triples (y, x, y) and (x, y, x)
     m = 5
     by_letters = {g.rep.letters: idx for g, idx in zip(
-        conjugacy_classes_up_to(2, 2), metric._class_junctions(2, 2))}
+        conjugacy_classes_up_to(2, 2), words_oracle.class_junctions(2, 2))}
     x, y, Y = 1, 2, m - 2
     assert by_letters[(x,)] == ((x * m + x) * m + x,)
     assert by_letters[(x, y)] == ((y * m + x) * m + y, (x * m + y) * m + x)
@@ -169,6 +170,95 @@ def test_junction_indices_wrap_around_short_classes():
     for letters, idx in by_letters.items():
         got = sum(map(table.__getitem__, idx))
         assert got == length_numerator(p, conj_class(list(letters), 2))
+    # the prefix memo reads the same triples: a class of 1 or 2 letters
+    # reads the zero slot m^3 along its prefix and its triples at the wrap
+    zero = m ** 3
+    assert table[zero] == 0
+    for d, getters in enumerate(metric._class_prefixes(2, 2), 1):
+        _, nodes, mids, first, last = map(_indices, getters)
+        assert set(mids) == {zero}
+        own = [g.rep.letters for g in conjugacy_classes_up_to(2, 2)
+               if len(g) == d]
+        assert len(nodes) == len(own)
+        assert list(zip(first, last)) == [
+            (by_letters[g][0], zero) if d == 1 else by_letters[g]
+            for g in own]
+    assert metric._class_lengths(p, 2) == [
+        length_numerator(p, g) for g in conjugacy_classes_up_to(2, 2)]
+
+
+def _indices(getter):
+    """The indices an itemgetter of the prefix memo reads, as a tuple (a
+    getter of one index, as at rank 1, gives that index alone)."""
+    got = getter(range(10 ** 9))
+    return got if isinstance(got, tuple) else (got,)
+
+
+def _prefix_reads(rank, max_len):
+    """Per class, in order, the junction indices the prefix memo reads for
+    it, zero slots left out: its prefix's, found by walking up the trie,
+    and its two wraps."""
+    depths = [tuple(map(_indices, getters))
+              for getters in metric._class_prefixes(rank, max_len)]
+    zero = (2 * rank + 1) ** 3
+    out = []
+    for d, (_, nodes, _, first, last) in enumerate(depths, 1):
+        for node, f, l in zip(nodes, first, last):
+            reads = [f, l]
+            for up, _, mids, _, _ in reversed(depths[:d]):
+                reads.append(mids[node])
+                node = up[node]
+            out.append(sorted(j for j in reads if j != zero))
+    return out
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 8), (3, 6), (4, 5)])
+def test_class_prefixes_read_each_cyclic_triple_once(rank, max_len):
+    # the memo's trie and wraps read exactly the class's k cyclic triples
+    # (the slow twin's per-class junction indices), so a class of length
+    # k reads k table entries and the sentinel argument holds
+    twin = words_oracle.class_junctions(rank, max_len)
+    assert _prefix_reads(rank, max_len) == [sorted(idx) for idx in twin]
+    # from rank 2 on every getter reads two indices or more, so it gives
+    # a tuple, which _class_lengths maps over
+    assert all(isinstance(g(range(10 ** 9)), tuple) == (rank > 1)
+               for getters in metric._class_prefixes(rank, max_len)
+               for g in getters)
+
+
+def _prefix_points(rank, rng):
+    """Untwisted points of the rank (standard rank-2 types, random
+    trivalent blow-ups of the rose above), then a twisted pair."""
+    if rank == 2:
+        untwisted = [theta_point(1, 2, 3), twisted_theta_point(3, 1, 2),
+                     barbell_point(2, 3, 5)]
+    else:
+        untwisted = [_random_lengths_point(_random_trivalent_type(rank, rng),
+                                           rng) for _ in range(3)]
+    return untwisted, list(random_pair(rank, rng, twist_steps=3))
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 6), (4, 5)])
+def test_class_lengths_and_lambda_match_per_class_twin(rank, max_len):
+    # every class length from the shared prefix sums equals the twin's
+    # per-class junction sum, negative exactly where the twin's is; and
+    # brute_force_lambda equals the twin's per-class scan
+    rng = random.Random(300 + rank)
+    untwisted, twisted = _prefix_points(rank, rng)
+    junctions = words_oracle.class_junctions(rank, max_len)
+    negative = {}
+    for twist, points in (("untwisted", untwisted), ("twisted", twisted)):
+        negative[twist] = 0
+        for p in points:
+            table = metric._junction_table(p, max_len)
+            want = [sum(map(table.__getitem__, idx)) for idx in junctions]
+            assert metric._class_lengths(p, max_len) == want
+            negative[twist] += sum(v < 0 for v in want)
+        for a, b in zip(points, points[1:] + points[:1]):
+            assert (brute_force_lambda(a, b, max_len)
+                    == words_oracle.brute_force_lambda(a, b, max_len))
+    assert negative["untwisted"] == 0
+    assert negative["twisted"] > 0
 
 
 def test_stretch_closed_triangle():
@@ -303,6 +393,32 @@ def test_rank3_stretch_against_oracle():
         a, b = random_pair(3, rng, twist_steps=2)
         lam, _ = brute_force_lambda(a, b, 4)
         assert lam <= stretch(a, b)
+
+
+def test_rank4_brute_force_is_a_lower_bound():
+    # random trivalent blow-ups of the rank-4 rose, every other source
+    # point twisted so that some witnesses are longer: classes up to
+    # length 6 give a lower bound of lambda, reached whenever a candidate
+    # witness has a representative that short
+    rng = random.Random(41)
+    start = time.perf_counter()
+    reached = below = 0
+    for i in range(8):
+        a = _random_lengths_point(_random_trivalent_type(4, rng), rng)
+        b = _random_lengths_point(_random_trivalent_type(4, rng), rng)
+        if i % 2:
+            a = apply_outer_automorphism(a, random_automorphism(4, rng, 4))
+        lam, argmax = brute_force_lambda(a, b, 6)
+        short = {g for g in candidate_witnesses(a, b) if len(g) <= 6}
+        if short:
+            assert lam == stretch(a, b)
+            assert set(argmax) >= short
+            reached += 1
+        else:
+            assert lam <= stretch(a, b)
+            below += lam < stretch(a, b)
+    assert reached and below
+    assert time.perf_counter() - start < 60
 
 
 def _ratio_report(a, b):

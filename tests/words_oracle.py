@@ -18,12 +18,17 @@ as ``cvn.words`` did before it made one basis inversion of each.
 ``letter_paths`` and ``tighten_codes`` are the slicing reduction and the
 hand-written substitution loops that ``cvn.words`` and ``cvn.graphs`` used
 before they shared one substitution kernel (``words._substitute``).
+``class_junctions`` and ``brute_force_lambda`` are the per-class junction
+indices and scan that ``cvn.metric`` used before classes that share a prefix
+shared its junction sum (``metric._class_prefixes``): each class sums its
+own k cyclic triples in the point's junction table.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 from cvn.errors import (
     BudgetExceeded,
@@ -33,9 +38,12 @@ from cvn.errors import (
     Unsupported,
 )
 from constructions import _WHITEHEAD_RANK_CAP, whitehead_automorphisms
-from cvn.graphs import TopologicalType, _petals, tree_path
+from cvn.graphs import TopologicalType, _petals, _tighten_cached, tree_path
+from cvn.metric import _junction_table
 from cvn.words import (
     _basis_inverse,
+    _classes_up_to,
+    _walk_class,
     ConjClass,
     Letters,
     Word,
@@ -371,3 +379,43 @@ def tighten_codes(t: TopologicalType, rep_letters) -> tuple[int, ...]:
         i += 1
         j -= 1
     return tuple(steps[i:j + 1])
+
+
+def class_junctions(rank: int, max_len: int) -> tuple:
+    """Per class of cvn.words._classes_up_to(rank, max_len), in its order,
+    the junction index of each cyclic letter triple of the representative:
+    (x[i-1], x[i], x[i+1]) with indices mod the length, and every letter
+    a taken as a mod 2 * rank + 1, its index in _letter_paths."""
+    m, out = 2 * rank + 1, []
+    for letters in _classes_up_to(rank, max_len):
+        xs = [a % m for a in letters]
+        k = len(xs)
+        out.append(tuple((xs[i - 1] * m + xs[i]) * m + xs[(i + 1) % k]
+                         for i in range(k)))
+    return tuple(out)
+
+
+def brute_force_lambda(a, b, max_len: int):
+    """metric.brute_force_lambda summing each class's junction entries
+    on its own, with no shared prefix sums."""
+    ta, tb = a.ttype, b.ttype
+    wa, wb = a.code_weights.__getitem__, b.code_weights.__getitem__
+    ja, jb = (_junction_table(p, max_len).__getitem__ for p in (a, b))
+    best_b, best_a = 0, 1  # every ratio is positive
+    argmax: list = []
+    for letters, idx in zip(_classes_up_to(ta.rank, max_len),
+                            class_junctions(ta.rank, max_len)):
+        lb = sum(map(jb, idx))
+        if lb < 0:
+            lb = sum(map(wb, _tighten_cached(tb, letters)))
+        la = sum(map(ja, idx))
+        if la < 0:
+            la = sum(map(wa, _tighten_cached(ta, letters)))
+        lhs, rhs = lb * best_a, best_b * la
+        if lhs > rhs:
+            best_b, best_a = lb, la
+            argmax = [letters]
+        elif lhs == rhs:
+            argmax.append(letters)
+    lam = Fraction(best_b * a.scaled_lengths[1], best_a * b.scaled_lengths[1])
+    return lam, [_walk_class(g, ta.rank) for g in argmax]
