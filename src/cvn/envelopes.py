@@ -26,7 +26,8 @@ from .errors import (
 from .graphs import (
     SimplexPoint,
     TopologicalType,
-    face_edges,
+    _collapse_keys,
+    _face,
     record_type,
     resolutions,
 )
@@ -238,7 +239,8 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
     some vertex of t has x_i = 0, and its vertices are exactly those, in
     the face's coordinates.  It is queued with their masks, bit i
     squeezed out, so only T(a) and the resolutions build a slice: a
-    face's zero masks are read off its parent's."""
+    face's zero masks are read off its parent's.  Faces are keyed unbuilt
+    (_collapse_keys), and a face is built only when it is queued."""
     start = _slice(a, b, gamma, a.ttype)
     if not start.polytope.is_feasible():
         return
@@ -260,8 +262,11 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
         zero = reduce(or_, masks)
         entered += 1
         yield t, zero
-        queue.extend((f, [_squeeze(z, i) for z in masks if z >> i & 1])
-                     for i, f in face_edges(t)
-                     if zero >> i & 1 and record_type(queued, f))
+        for key, entry in _collapse_keys(t, 1).items():
+            i = entry[0][0]
+            if zero >> i & 1 and key not in queued:
+                queued[key] = f = _face(t, key, entry)
+                queue.append((f, [_squeeze(z, i) for z in masks
+                                  if z >> i & 1]))
         queue.extend((r, None) for r in resolutions(t)
                      if record_type(queued, r))

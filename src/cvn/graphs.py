@@ -106,7 +106,7 @@ class TopologicalType(Value):
     @cached_property
     def _canonical(self) -> tuple:
         # record_type keys every type it sees; compute its key once, unless
-        # a parent keyed it first (resolutions, face_edges)
+        # a parent keyed it first (resolutions, _face)
         return _canonical_labelling(self._edge_ends, len(self.vertices),
                                     _letter_paths(self)[1:self.rank + 1])
 
@@ -568,14 +568,6 @@ def _collapse_cached(t: TopologicalType, forest: frozenset) -> TopologicalType:
         t.tree - forest)
 
 
-def collapse_point(p: SimplexPoint, forest) -> SimplexPoint:
-    """Collapse a forest and renormalize the surviving lengths."""
-    forest = frozenset(forest)
-    t2 = collapse_forest(p.ttype, forest)
-    return SimplexPoint(t2, _normalized(
-        q for e, q in zip(p.ttype.edges, p.lengths) if e.id not in forest))
-
-
 # ---------------------------------------------------------------------------
 # Blow-ups.
 # ---------------------------------------------------------------------------
@@ -785,30 +777,19 @@ def type_key(t: TopologicalType) -> tuple:
     crossings.
 
     The key needs only the edge ends and the loops, so resolutions and
-    face_edges key each child on the loops it inherits from t, before
+    _collapse_keys key each child on the loops it inherits from t, before
     any child is built: from the rank-3 rose, 540 blow-up leaves are
     keyed and 105 types built, where 745 were built and 540 keyed
-    from scratch."""
+    from scratch.  Types of one key are matched by their labellings (see
+    _matching), so no collapse is built to be compared."""
     return t._canonical[0]
 
 
-@lru_cache(maxsize=4096)
-def _marking_isomorphism(a: TopologicalType, b: TopologicalType):
-    """The edge map {a_edge_id: (b_edge_id, sign)} of the marking
-    equivalence of a onto b, read-only, or None when the markings differ.
-
-    It composes a's canonical labelling with the inverse of b's.  Every
-    vertex has valency at least 3, so a graph automorphism that fixes the
-    marking is the identity and the map is unique."""
-    if type_key(a) != type_key(b):
-        return None
-    back = {abs(s): (f.id, 1 if s > 0 else -1)
-            for f, s in zip(b.edges, b._canonical[1])}
-    emap = {}
-    for e, s in zip(a.edges, a._canonical[1]):
-        fid, sign = back[abs(s)]
-        emap[e.id] = (fid, sign if s > 0 else -sign)
-    return MappingProxyType(emap)
+def _matching(a, b) -> list[int]:
+    """Per position of labelling a, the position where labelling b has the
+    same edge number: the edge map of two types of one key."""
+    at = {abs(s): j for j, s in enumerate(b)}
+    return [at[abs(s)] for s in a]
 
 
 @lru_cache(maxsize=65536)
@@ -848,24 +829,37 @@ def _contract(ends, count: int, loops, i: int):
 
 
 @lru_cache(maxsize=4096)
+def _collapse_keys(t: TopologicalType, size: int) -> MappingProxyType:
+    """{key: (forest positions, canonical labelling)} for the first forest
+    of each key among t's forests of size non-loop edges, in forests
+    order, read-only: each keyed on t's loops with its codes deleted
+    (_contract from the highest position down), so no type is built.
+    The labelling numbers t's edges outside the forest, in edge order."""
+    idx = [i for i, e in enumerate(t.edges) if not e.is_loop()]
+    loops = _letter_paths(t)[1:t.rank + 1]
+    out: dict = {}
+    for sub in itertools.combinations(idx, size):
+        if _union_find(t, sub)[1] is None:
+            form = t._edge_ends, len(t.vertices), loops
+            for i in reversed(sub):
+                form = _contract(*form, i)
+            key, lab = _canonical_labelling(*form) if sub else t._canonical
+            out.setdefault(key, (sub, lab))
+    return MappingProxyType(out)  # one table shared by every caller
+
+
+def _face(t: TopologicalType, key: tuple, entry) -> TopologicalType:
+    """The face of a _collapse_keys(t, 1) entry, with its key's labelling."""
+    face = _collapse_cached(t, frozenset((t.edges[entry[0][0]].id,)))
+    vars(face).setdefault("_canonical", (key, entry[1]))
+    return face
+
+
 def face_edges(t: TopologicalType) -> tuple[tuple[int, TopologicalType], ...]:
     """Codimension-1 faces up to equivalence, each with the position in
-    t.edges of the first edge whose collapse gives it.
-
-    Each collapse is keyed on t's loops with the edge's code deleted
-    (see _contract; the loops follow the marking, so no tree exchange),
-    and only a face of a new key is built."""
-    loops = _letter_paths(t)[1:t.rank + 1]
-    seen: dict = {}
-    for i, e in enumerate(t.edges):
-        if not e.is_loop():
-            canonical = _canonical_labelling(
-                *_contract(t._edge_ends, len(t.vertices), loops, i))
-            if canonical[0] not in seen:
-                face = _collapse_cached(t, frozenset((e.id,)))
-                vars(face).setdefault("_canonical", canonical)
-                seen[canonical[0]] = i, face
-    return tuple(seen.values())
+    t.edges of the first edge whose collapse gives it (_collapse_keys)."""
+    return tuple((entry[0][0], _face(t, key, entry))
+                 for key, entry in _collapse_keys(t, 1).items())
 
 
 def faces(t: TopologicalType) -> tuple[TopologicalType, ...]:
@@ -932,28 +926,20 @@ def forests(t: TopologicalType) -> tuple[frozenset, ...]:
                  if _union_find(t, sub)[1] is None)
 
 
-@lru_cache(maxsize=4096)
 def embed_point(p: SimplexPoint, delta: TopologicalType):
-    """Coordinates of p in the closed simplex of delta, or None.
-
-    Searches the faces of delta for one equivalent to the type of p; the
-    forest that was collapsed gets coordinate 0.  Memoised per (p, delta).
-    """
+    """Coordinates of p in the closed simplex of delta, or None: the first
+    forest of delta whose collapse has p's key (see _collapse_keys) gets
+    coordinate 0, every other edge the length of p's edge of its number
+    (see _matching)."""
     size = len(delta.edges) - len(p.ttype.edges)
-    for forest in forests(delta):
-        if len(forest) != size:
-            continue
-        emap = _marking_isomorphism(_collapse_cached(delta, forest), p.ttype)
-        if emap is None:
-            continue
-        coords = []
-        for e in delta.edges:
-            if e.id in forest:
-                coords.append(Fraction(0))
-            else:
-                coords.append(p.length_of(emap[e.id][0]))
-        return tuple(coords)
-    return None
+    entry = size >= 0 and _collapse_keys(delta, size).get(type_key(p.ttype))
+    if not entry:
+        return None
+    forest, labelling = entry
+    lengths = map(p.lengths.__getitem__,
+                  _matching(labelling, p.ttype._canonical[1]))
+    return tuple(Fraction(0) if i in forest else next(lengths)
+                 for i in range(len(delta.edges)))
 
 
 def point_from_coords(delta: TopologicalType, coords) -> SimplexPoint:

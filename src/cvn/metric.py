@@ -27,8 +27,8 @@ from .graphs import (
     TopologicalType,
     _letter_paths,
     _loop_codes,
-    _marking_isomorphism,
     _tighten_cached,
+    embed_point,
 )
 from .values import Value
 from .words import ConjClass, _check_count, _classes_up_to, _walk_class
@@ -144,14 +144,11 @@ def candidate_witnesses(a: SimplexPoint, b: SimplexPoint) -> frozenset:
 
 
 def same_point(a: SimplexPoint, b: SimplexPoint) -> bool:
-    """Equality as points of Outer Space (zero symmetric distance): the
-    edge map of a marking equivalence of the two types carries every
-    length of a to an equal length of b.  Every vertex has valency at
-    least 3, so a graph automorphism that fixes the marking is the
-    identity and the edge map is unique."""
-    emap = _marking_isomorphism(a.ttype, b.ttype)
-    return emap is not None and all(
-        a.length_of(e) == b.length_of(f) for e, (f, _) in emap.items())
+    """Equality as points of Outer Space (zero symmetric distance): a
+    embeds in b's open simplex at b's lengths.  Every vertex has valency
+    at least 3, so a graph automorphism that fixes the marking is the
+    identity, and the edge map of the two types is unique."""
+    return embed_point(a, b.ttype) == b.lengths
 
 
 def _cancel(left, right) -> int:

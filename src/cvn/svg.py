@@ -22,9 +22,9 @@ from .errors import Unsupported
 from .graphs import (
     SimplexPoint,
     TopologicalType,
-    _marking_isomorphism,
+    _collapse_keys,
+    _matching,
     embed_point,
-    face_edges,
 )
 from .values import Value
 
@@ -132,13 +132,14 @@ def _maximal(simplices):
 
 def _face_matches(t1: TopologicalType, t2: TopologicalType):
     """Shared two-edge faces: (collapsed id in t1, collapsed id in t2, map)."""
-    faces2 = face_edges(t2)
-    for i1, c1 in face_edges(t1):
-        for i2, c2 in faces2:
-            emap = _marking_isomorphism(c1, c2)
-            if emap is not None:
-                yield (t1.edges[i1].id, t2.edges[i2].id,
-                       {k: v[0] for k, v in emap.items()})
+    faces2 = _collapse_keys(t2, 1)
+    for key, ((i1,), lab1) in _collapse_keys(t1, 1).items():
+        if key in faces2:
+            (i2,), lab2 = faces2[key]
+            ids1 = [e.id for e in t1.edges[:i1] + t1.edges[i1 + 1:]]
+            ids2 = [e.id for e in t2.edges[:i2] + t2.edges[i2 + 1:]]
+            yield (t1.edges[i1].id, t2.edges[i2].id,
+                   {x: ids2[j] for x, j in zip(ids1, _matching(lab1, lab2))})
 
 
 def _reflect(p, a, b):

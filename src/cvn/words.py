@@ -245,14 +245,6 @@ def apply_endomorphism(w: Word, images: list[Word]) -> Word:
     return Word(_substitute(w.letters, _signed(g.letters for g in images)), rank)
 
 
-def abelianize(w: Word) -> tuple[int, ...]:
-    """Signed letter counts, one entry per generator."""
-    v = [0] * w.rank
-    for a in w.letters:
-        v[abs(a) - 1] += 1 if a > 0 else -1
-    return tuple(v)
-
-
 # ---------------------------------------------------------------------------
 # Rewriting in a basis (Stallings folding with recorded coordinates).
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from cvn.graphs import (
     barbell_type,
     blow_up_vertex,
     collapse_forest,
-    collapse_point,
     embed_point,
     faces,
     forests,
@@ -807,10 +806,7 @@ def test_embed_rose_point_in_theta_boundary():
 
 def test_embed_point_fails_for_unrelated_marking():
     b = make_type(2, ["o"], [("p1", "o", "o", [1]), ("p2", "o", "o", [1, 2])], [])
-    from fractions import Fraction as F
-
-    p = collapse_point(theta_point(1, 1, 1), set())  # theta point unchanged
-    assert embed_point(p, b) is None
+    assert embed_point(theta_point(1, 1, 1), b) is None
 
 
 def test_point_from_coords_interior_and_face():
@@ -846,9 +842,3 @@ def test_point_from_coords_needs_one_coordinate_per_edge():
         with pytest.raises(WrongRank):
             point_from_coords(t, coords)
 
-
-def test_collapse_point_renormalizes():
-    p = theta_point(1, 1, 2)
-    q = collapse_point(p, {"e2"})
-    assert sum(q.lengths) == 1
-    assert q.lengths == (Fraction(1, 3), Fraction(2, 3))

@@ -1,14 +1,16 @@
 """The module-level memos: bounded, clearable, and invisible in results.
 
 Each memoised answer is compared with the answer computed again after every
-cache of the package has been emptied, and embeddings with the first edge
-map of marking_oracle.marking_isomorphisms over the uncached forests and
-collapses of marking_oracle, which is how embed_point found them before it
-was memoised and keyed.
+cache of the package has been emptied, and embeddings, at ranks 2 and 3,
+with the first edge map of marking_oracle.marking_isomorphisms over the
+uncached forests and collapses of marking_oracle, which is how embed_point
+found them before it read the keyed collapse table.  The support fill
+builds a face only when it queues it: its collapse builds are counted.
 """
 
 import importlib
 import importlib.util
+import itertools
 import pkgutil
 import random
 from fractions import Fraction
@@ -18,10 +20,11 @@ import pytest
 
 import cvn
 import marking_oracle
-from cvn import candidates, graphs
+from cvn import candidates, envelopes, graphs
 from cvn.errors import BudgetExceeded, NotAForest
 from cvn.envelopes import (
     DEFAULT_BUDGET,
+    _fill,
     reference_witness,
     slice_polytope,
     support,
@@ -34,16 +37,21 @@ from cvn.graphs import (
     collapse_forest,
     embed_point,
     forests,
+    graph_from_json,
+    point_from_coords,
     resolutions,
+    rose_point,
     rose_type,
     theta_point,
     theta_type,
     tighten,
     twisted_theta_point,
+    validate_and_normalize,
 )
 from cvn.metric import brute_force_lambda, length_numerator, stretch_report
 from cvn.sampling import random_pair
 from cvn.words import Word, conj_class, conjugacy_classes_up_to, invert
+from test_marking_key import _edge_map
 
 
 def _cvn_modules():
@@ -83,8 +91,8 @@ CLASS_MEMOS = ("cvn.words._class_of", "cvn.words._interned",
 def test_every_cache_is_bounded():
     caches = _caches()
     for name in ("cvn.metric.stretch_report", "cvn.envelopes._slice",
-                 "cvn.envelopes._support", "cvn.graphs.embed_point",
-                 "cvn.graphs._marking_isomorphism", "cvn.graphs.forests",
+                 "cvn.envelopes._support", "cvn.graphs._collapse_keys",
+                 "cvn.graphs.forests",
                  "cvn.graphs._collapse_cached") + CLASS_MEMOS:
         assert name in caches
     for name, fn in caches.items():
@@ -360,7 +368,40 @@ def test_embed_point_matches_first_marking_isomorphism():
     assert seen > 0
 
 
-def test_marking_isomorphism_is_the_first_map_and_read_only():
+def _rank3_face_points():
+    """(chart, point): three seeded points per chart of every ninth
+    rank-3 resolution of the rose, each on the face of a forest of one or
+    two edges."""
+    rng = random.Random(53)
+    for t in resolutions(rose_type(3))[::9]:
+        for _ in range(3):
+            forest = rng.choice([f for f in forests(t) if 1 <= len(f) <= 2])
+            coords = [0 if e.id in forest else rng.randint(1, 9)
+                      for e in t.edges]
+            yield t, point_from_coords(t, [Fraction(c, sum(coords))
+                                           for c in coords])
+
+
+def test_embed_point_matches_first_marking_isomorphism_at_rank3():
+    checks = embedded = 0
+    for t, p in _rank3_face_points():
+        for delta in (t,) + adjacent_simplices(p.ttype)[:6]:
+            want = _first_map_embedding(p, delta)
+            assert embed_point(p, delta) == want
+            checks += 1
+            embedded += want is not None
+    assert checks == 252 and 0 < embedded < checks
+    # a chart with fewer edges than the type, and a chart of another rank
+    chart = resolutions(rose_type(3))[0]
+    p = SimplexPoint(chart, tuple(Fraction(k, 21) for k in range(1, 7)))
+    assert embed_point(p, graphs.faces(chart)[0]) is None
+    assert embed_point(p, rose_type(3)) is None
+    assert embed_point(rose_point([1, 2, 3]), theta_point(1, 1, 1).ttype) \
+        is None
+    assert embed_point(theta_point(1, 2, 3), chart) is None
+
+
+def test_matching_is_the_first_marking_isomorphism():
     theta = theta_point(1, 2, 3).ttype
     types = (theta,) + graphs.faces(theta) + graphs.faces(
         twisted_theta_point(1, 2, 3).ttype)
@@ -368,13 +409,38 @@ def test_marking_isomorphism_is_the_first_map_and_read_only():
     for s in types:
         for t in types:
             want = next(marking_oracle.marking_isomorphisms(s, t), None)
-            got = graphs._marking_isomorphism(s, t)
             assert graphs.marking_equivalent(s, t) == (want is not None)
             if want is None:
-                assert got is None
                 continue
             matched += 1
-            assert dict(got) == want
-            with pytest.raises(TypeError):
-                got[next(iter(want))] = ("e1", 1)
+            assert _edge_map(s, t) == {x: y for x, (y, _) in want.items()}
     assert matched > len(types)
+
+
+def _fixture(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+    return validate_and_normalize(
+        graph_from_json((path / f"{name}.json").read_text()))
+
+
+def test_support_builds_a_face_only_when_it_queues_it(monkeypatch):
+    # every face the fill queues is entered, so from cold caches the
+    # collapse builds of a whole support are its entered faces
+    built = []
+    for a, b in _pairs():
+        _clear_all()
+        faces = [t for t in support(a, b).simplices
+                 if t is not a.ttype and not t.is_trivalent()]
+        built.append(graphs._collapse_cached.cache_info().misses)
+        assert built[-1] == len(faces)
+    assert built == [1, 2, 2, 2, 0, 2]
+    # and part of the rank-3 fixture fill: one build per face queued
+    queued = []
+    face = envelopes._face
+    monkeypatch.setattr(envelopes, "_face",
+                        lambda *args: queued.append(args) or face(*args))
+    a, b = _fixture("r3a"), _fixture("r3b")
+    _clear_all()
+    fill = _fill(a, b, reference_witness(a, b), 2676)
+    assert len(list(itertools.islice(fill, 300))) == 300
+    assert graphs._collapse_cached.cache_info().misses == len(queued) == 409

@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+import marking_oracle
 import words_oracle
 from cvn import graphs, metric
 from cvn.errors import ParamOutOfRange, RankMismatch, TrivialClass
 from cvn.graphs import (
     SimplexPoint,
+    adjacent_simplices,
     apply_outer_automorphism,
     barbell_point,
     barbell_type,
     blow_up_vertex,
+    embed_point,
+    point_from_coords,
     rose_point,
     rose_type,
     theta_point,
@@ -34,6 +38,7 @@ from cvn.metric import (
 )
 from cvn.sampling import random_automorphism, random_pair, random_point
 from cvn.words import conj_class, conjugacy_classes_up_to, generator
+from test_marking_key import _relabelled
 
 
 def CC(letters):
@@ -299,6 +304,47 @@ def test_symmetric_zero_iff_same_point():
     q = theta_point(1, 2, 4)
     assert not same_point(p, q)
     assert distance(p, q, "symmetric").lam > 1
+
+
+def _same_point_cases(rank, rng):
+    """(p, q) around a seeded point p: p and the same point on a
+    relabelled type (lengths carried by the oracle's first edge map), a
+    twisted copy, p's lengths permuted; and a face point f of p's chart,
+    against p and against itself read in the charts next to its face,
+    unless p is a rose."""
+    p = random_point(rank, rng, twist_steps=2)
+    t = _relabelled(p.ttype, rng)
+    emap = next(marking_oracle.marking_isomorphisms(p.ttype, t))
+    back = {f: e for e, (f, _) in emap.items()}
+    yield p, SimplexPoint(t, tuple(p.length_of(back[e.id]) for e in t.edges))
+    yield p, apply_outer_automorphism(p, random_automorphism(rank, rng, 3))
+    n = len(p.lengths)
+    yield p, SimplexPoint(p.ttype, tuple(rng.sample(p.lengths, n)))
+    i = next((i for i, e in enumerate(p.ttype.edges) if not e.is_loop()), None)
+    if i is None:  # a rose has no face
+        return
+    rest = 1 - p.lengths[i]
+    f = point_from_coords(p.ttype, [0 if j == i else x / rest
+                                    for j, x in enumerate(p.lengths)])
+    yield f, p
+    for delta in adjacent_simplices(f.ttype):
+        coords = embed_point(f, delta)
+        if coords is not None:
+            yield f, point_from_coords(delta, coords)
+
+
+def test_same_point_is_symmetric_distance_zero():
+    kinds = set()
+    for rank, seed in ((2, 61), (3, 67)):
+        rng = random.Random(seed)
+        for _ in range(6 if rank == 2 else 3):
+            for p, q in _same_point_cases(rank, rng):
+                for x, y in ((p, q), (q, p)):
+                    want = stretch(x, y) * stretch(y, x) == 1
+                    assert same_point(x, y) == want
+                    kinds.add((want, x.ttype is y.ttype))
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
 
 
 def test_triangle_inequality_exact():

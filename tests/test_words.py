@@ -23,7 +23,6 @@ from cvn.sampling import random_automorphism
 from cvn.words import (
     ConjClass,
     Word,
-    abelianize,
     apply_endomorphism,
     conj_class,
     conj_normal_form,
@@ -161,11 +160,6 @@ def test_conj_normal_form_conjugation_invariant(letters, conj):
     w = reduce(letters, 2)
     g = reduce(conj, 2)
     assert conj_normal_form(w) == conj_normal_form(g * w * g.inverse())
-
-
-def test_abelianize():
-    assert abelianize(reduce((1, 2, 1, -2), 2)) == (2, 0)
-    assert abelianize(reduce((), 2)) == (0, 0)
 
 
 def test_apply_endomorphism():
