@@ -63,7 +63,7 @@ def _simple_cycles(t: TopologicalType) -> list[Path]:
     one cycle when it touches as many vertices as it has edges and one
     trace covers it."""
     ends = t._edge_ends
-    basis = [reduce(xor, (1 << t.index(eid) for eid, _ in petal))
+    basis = [reduce(xor, (1 << (abs(k) - 1) for k in petal))
              for petal in _petals(t)]
     found, mask = [], 0
     for k in range(1, 1 << len(basis)):
@@ -125,6 +125,7 @@ def _arcs_between(t, verts1: set[str], verts2: set[str], banned: set[str]):
     return arcs
 
 
+# keep the lru_cache: perfbench/tracer.py (CACHES) reads its cache_info()
 @lru_cache(maxsize=4096)
 def enumerate_candidates(t: TopologicalType) -> tuple[Candidate, ...]:
     """All candidates of the type, one per unoriented conjugacy class."""

@@ -44,9 +44,9 @@ from .errors import (
 from .graphs import (
     SimplexPoint,
     TopologicalType,
+    _union_find,
     adjacent_simplices,
     embed_point,
-    forests,
     point_from_coords,
 )
 from .metric import candidate_witnesses, is_witness, same_point, stretch
@@ -138,9 +138,10 @@ def _beats(p, q) -> bool:
 
 def _collapsible(delta: TopologicalType, coords) -> bool:
     """Whether the zero set of coords is a collapsible forest, so the
-    vertex is an actual point of the space rather than an ideal corner."""
-    zero = frozenset(e.id for e, c in zip(delta.edges, coords) if c == 0)
-    return not zero or zero in forests(delta)
+    vertex is an actual point of the space rather than an ideal corner:
+    the union-find of collapse_forest, which rejects loops and cycles."""
+    zero = [i for i, c in enumerate(coords) if c == 0]
+    return _union_find(delta, zero)[1] is None
 
 
 CLEAN, VERTEX, IDEAL = "clean", "vertex", "ideal"

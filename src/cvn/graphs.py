@@ -46,6 +46,7 @@ from .words import (
     _substitute,
     apply_endomorphism,
     cyclic_reduce,
+    free_reduce,
     invert,
     is_basis,
     reduce,
@@ -366,15 +367,6 @@ def point_to_json(p: SimplexPoint) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def path_word(t: TopologicalType, path) -> Word:
-    """Image of an edge path under the marking (concatenate labels)."""
-    out: list[int] = []
-    for eid, s in path:
-        lab = t.edge(eid).label.letters
-        out.extend(lab if s > 0 else invert(lab))
-    return reduce(out, t.rank)
-
-
 def loop_word(t: TopologicalType, path) -> ConjClass:
     """Conjugacy class of a closed edge path, through words._class_of."""
     ends = t._edge_ends
@@ -396,57 +388,32 @@ def loop_word(t: TopologicalType, path) -> ConjClass:
     return _class_of(tuple(out), t.rank)
 
 
-@lru_cache(maxsize=4096)
-def _tree_parents(t: TopologicalType) -> dict:
-    """BFS tree of the spanning tree rooted at the base vertex."""
-    adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in t.vertices}
-    for e in t.edges:
-        if e.id in t.tree:
-            adj[e.u].append((e.v, e.id, 1))
-            adj[e.v].append((e.u, e.id, -1))
-    parent = {t.base(): None}
-    order = [t.base()]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w, eid, s in adj[v]:
-            if w not in parent:
-                parent[w] = (v, eid, s)
-                order.append(w)
-    return parent
+def _tree_routes(ends, count: int, tree) -> list:
+    """Per vertex position, the coded path to it from vertex 0 through the
+    edges at positions tree, a spanning tree: a breadth-first walk."""
+    routes = [None] * count
+    routes[0] = ()
+    todo = [0]
+    for v in todo:  # todo grows as the walk reaches vertices
+        for i in tree:
+            u, w = ends[i]
+            if v in (u, w):
+                far, c = (w, i + 1) if u == v else (u, -i - 1)
+                if routes[far] is None:
+                    routes[far] = routes[v] + (c,)
+                    todo.append(far)
+    return routes
 
 
-def tree_path(t: TopologicalType, u: str, v: str) -> Path:
-    """The geodesic in the spanning tree from u to v as an oriented path."""
-    parent = _tree_parents(t)
-
-    def to_root(x):
-        out = []
-        while parent[x] is not None:
-            p, eid, s = parent[x]
-            out.append((eid, -s))  # step from x toward the root
-            x = p
-        return out
-
-    up_u = to_root(u)
-    up_v = to_root(v)
-    while up_u and up_v and up_u[-1] == up_v[-1]:
-        up_u.pop()
-        up_v.pop()
-    down_v = [(eid, -s) for eid, s in reversed(up_v)]
-    return tuple(up_u + down_v)
-
-
-@lru_cache(maxsize=4096)
-def _petals(t: TopologicalType) -> tuple[Path, ...]:
-    """Per non-tree edge, in edge order, the petal: the loop from the base
-    vertex through the tree to the edge, across it and back to the base
-    vertex."""
-    base = t.base()
-    return tuple(
-        tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
-        for e in t.non_tree_edges())
+def _petals(t: TopologicalType) -> tuple[tuple[int, ...], ...]:
+    """Per non-tree edge, in edge order, the coded petal (see
+    _letter_paths): the loop from the base vertex through the tree to the
+    edge, across it and back to the base vertex."""
+    ends = t._edge_ends
+    tree = [i for i, e in enumerate(t.edges) if e.id in t.tree]
+    routes = _tree_routes(ends, len(t.vertices), tree)
+    return tuple(routes[u] + (i + 1,) + invert(routes[w])
+                 for i, (u, w) in enumerate(ends) if t.edges[i].id not in t.tree)
 
 
 @lru_cache(maxsize=4096)
@@ -459,13 +426,13 @@ def _letter_paths(t: TopologicalType) -> tuple[tuple[int, ...], ...]:
     s * (i + 1), so a step's reverse is its negative.  Generator m is the
     word _basis_inverse gives it in the labels of the non-tree edges, and
     each of those letters is the coded petal of its edge."""
-    petals = _signed(tuple(s * (t.index(eid) + 1) for eid, s in loop)
-                     for loop in _petals(t))
+    petals = _signed(_petals(t))
     inverse = _basis_inverse(
         tuple(e.label.letters for e in t.non_tree_edges()), t.rank)
     return _signed(_substitute(word, petals) for word in inverse)
 
 
+# keep the lru_cache: perfbench/tracer.py (CACHES) reads its cache_info()
 @lru_cache(maxsize=65536)
 def _tighten_cached(t: TopologicalType, rep_letters) -> tuple[int, ...]:
     """The coded immersed loop of the class with these letters: the
@@ -494,34 +461,32 @@ def tighten(t: TopologicalType, gamma: ConjClass) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Forest collapse and tree exchange.
+# Forest collapse.
 # ---------------------------------------------------------------------------
 
 
-def _retree(t: TopologicalType, new_tree: frozenset) -> TopologicalType:
-    """Same graph, different spanning tree; labels recomputed through the
-    old marking so the point of CV_n is unchanged (up to global conjugation)."""
-    edges = []
-    base = t.base()
-    probe = TopologicalType(t.rank, t.vertices,
-                            tuple(Edge(e.id, e.u, e.v,
-                                       Word((), t.rank)) for e in t.edges),
-                            new_tree)
-    _check_spanning_tree(probe)
-    for e in t.edges:
-        if e.id in new_tree:
-            edges.append(Edge(e.id, e.u, e.v, Word((), t.rank)))
-        else:
-            loop = list(tree_path(probe, base, e.u)) + [(e.id, 1)] + list(
-                tree_path(probe, e.v, base)
-            )
-            edges.append(Edge(e.id, e.u, e.v, path_word(t, loop)))
-    return TopologicalType(t.rank, t.vertices, tuple(edges), new_tree)
+def _contract(ends, count: int, loops, i: int):
+    """(ends, vertex count, loops) after the non-loop edge at position i
+    collapses: its first end merges into its second, later positions and
+    codes move down by one, and the loops, now based at the image of
+    their base point, drop its code."""
+    c = i + 1
+    u, w = ends[i]
+    at = [j - (j > u) for j in range(count)]
+    at[u] = at[w]
+    return (tuple((at[a], at[b]) for a, b in ends[:i] + ends[c:]), count - 1,
+            tuple(tuple(k - (k > c) + (k < -c) for k in loop if abs(k) != c)
+                  for loop in loops))
 
 
-def _fundamental_cycle_tree_edges(t: TopologicalType, eid: str) -> list[str]:
-    e = t.edge(eid)
-    return [x for x, _ in tree_path(t, e.v, e.u)]
+def _contracted(t: TopologicalType, idx):
+    """(ends, vertex count, loops) of t and its generator loops after the
+    forest at edge positions idx, ascending, collapses: _contract from the
+    highest position down."""
+    form = t._edge_ends, len(t.vertices), _letter_paths(t)[1:t.rank + 1]
+    for i in reversed(idx):
+        form = _contract(*form, i)
+    return form
 
 
 def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
@@ -531,41 +496,57 @@ def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
     every call; the quotient of each (type, forest) is built once and
     shared (see _collapse_cached).
     """
-    forest = frozenset(forest)
-    idx = sorted(t.index(eid) for eid in forest)  # KeyError on unknown ids
+    idx = sorted(t.index(eid) for eid in frozenset(forest))  # KeyError
     for i in idx:
         if t.edges[i].is_loop():
             raise NotAForest(f"{t.edges[i].id} is a loop edge")
     if _union_find(t, idx)[1] is not None:
         raise NotAForest("selected edges contain a cycle")
-    return _collapse_cached(t, forest)
+    return _collapse_cached(t, tuple(idx))
 
 
 @lru_cache(maxsize=1024)
-def _collapse_cached(t: TopologicalType, forest: frozenset) -> TopologicalType:
-    """The quotient of t by a forest of its edge ids (not checked here).
+def _collapse_cached(t: TopologicalType, idx: tuple) -> TopologicalType:
+    """The quotient of t by the forest at edge positions idx, ascending
+    (not checked here).
 
-    Non-tree members are first swapped into the spanning tree (tree
-    exchange), so the actual collapse only ever kills tree edges.  A
-    vertex is named after the root the union-find gives its component, in
-    edge order, so names do not depend on the hash seed.
+    Its spanning tree is t's after a tree exchange: each non-tree member,
+    in edge order, replaces the first edge outside the forest on the tree
+    path from its second end to its first.  So the tree holds the forest,
+    and each non-tree edge of the quotient is labelled by the marking of
+    its petal: the generator loops, contracted (_contracted) and written
+    in the non-tree edges, form a basis whose inverse gives the labels.
+    A vertex is named after the root the union-find gives its component,
+    in edge order, so names do not depend on the hash seed.
     """
-    roots, _ = _union_find(
-        t, [i for i, e in enumerate(t.edges) if e.id in forest])
-    # the fundamental cycle of a non-tree member leaves the forest, since
-    # the forest has no cycle: one swap per member, in edge order
-    for f in [e.id for e in t.edges if e.id in forest and e.id not in t.tree]:
-        swap = next(x for x in _fundamental_cycle_tree_edges(t, f)
-                    if x not in forest)
-        t = _retree(t, (t.tree - {swap}) | {f})
-    names = t.vertices
+    ends, count = t._edge_ends, len(t.vertices)
+    tree = {i for i, e in enumerate(t.edges) if e.id in t.tree}
+    for f in idx:
+        if f not in tree:
+            routes = _tree_routes(ends, count, tree)
+            u, w = ends[f]
+            tree.remove(next(abs(c) - 1 for c in
+                             free_reduce(invert(routes[w]) + routes[u])
+                             if abs(c) - 1 not in idx))
+            tree.add(f)
+    kept = [i for i in range(len(ends)) if i not in idx]
+    letter = {}  # quotient code of each non-tree edge -> its letter
+    for q, i in enumerate(kept, 1):
+        if i not in tree:
+            letter[q] = len(letter) + 1
+    words = tuple(tuple(letter[k] if k > 0 else -letter[-k]
+                        for k in loop if abs(k) in letter)
+                  for loop in _contracted(t, idx)[2])
+    labels = iter(_basis_inverse(words, t.rank))
+    roots, names, trivial = _union_find(t, idx)[0], t.vertices, Word((), t.rank)
     return TopologicalType(
         t.rank,
         tuple(v for j, v in enumerate(names) if roots[j] == j),
-        tuple(Edge(e.id, names[roots[u]], names[roots[v]], e.label)
-              for e, (u, v) in zip(t.edges, t._edge_ends)
-              if e.id not in forest),
-        t.tree - forest)
+        tuple(Edge(t.edges[i].id, names[roots[ends[i][0]]],
+                   names[roots[ends[i][1]]],
+                   trivial if i in tree else Word(next(labels), t.rank))
+              for i in kept),
+        frozenset(t.edges[i].id for i in tree.difference(idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +773,7 @@ def _matching(a, b) -> list[int]:
     return [at[abs(s)] for s in a]
 
 
+# keep the lru_cache: perfbench/tracer.py (CACHES) reads its cache_info()
 @lru_cache(maxsize=65536)
 def marking_equivalent(a: TopologicalType, b: TopologicalType) -> bool:
     """True when some graph isomorphism matches the two markings: the two
@@ -814,43 +796,26 @@ def record_type(seen: dict, t: TopologicalType) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _contract(ends, count: int, loops, i: int):
-    """(ends, vertex count, loops) after the non-loop edge at position i
-    collapses: its first end merges into its second, later positions and
-    codes move down by one, and the loops, now based at the image of
-    their base point, drop its code."""
-    c = i + 1
-    u, w = ends[i]
-    at = [j - (j > u) for j in range(count)]
-    at[u] = at[w]
-    return (tuple((at[a], at[b]) for a, b in ends[:i] + ends[c:]), count - 1,
-            tuple(tuple(k - (k > c) + (k < -c) for k in loop if abs(k) != c)
-                  for loop in loops))
-
-
 @lru_cache(maxsize=4096)
 def _collapse_keys(t: TopologicalType, size: int) -> MappingProxyType:
     """{key: (forest positions, canonical labelling)} for the first forest
-    of each key among t's forests of size non-loop edges, in forests
-    order, read-only: each keyed on t's loops with its codes deleted
-    (_contract from the highest position down), so no type is built.
-    The labelling numbers t's edges outside the forest, in edge order."""
+    of each key among t's forests of size non-loop edges, in
+    itertools.combinations order, read-only: each keyed on t's loops with
+    its codes deleted (_contracted), so no type is built.  The labelling
+    numbers t's edges outside the forest, in edge order."""
     idx = [i for i, e in enumerate(t.edges) if not e.is_loop()]
-    loops = _letter_paths(t)[1:t.rank + 1]
     out: dict = {}
     for sub in itertools.combinations(idx, size):
         if _union_find(t, sub)[1] is None:
-            form = t._edge_ends, len(t.vertices), loops
-            for i in reversed(sub):
-                form = _contract(*form, i)
-            key, lab = _canonical_labelling(*form) if sub else t._canonical
+            key, lab = (_canonical_labelling(*_contracted(t, sub)) if sub
+                        else t._canonical)
             out.setdefault(key, (sub, lab))
     return MappingProxyType(out)  # one table shared by every caller
 
 
 def _face(t: TopologicalType, key: tuple, entry) -> TopologicalType:
     """The face of a _collapse_keys(t, 1) entry, with its key's labelling."""
-    face = _collapse_cached(t, frozenset((t.edges[entry[0][0]].id,)))
+    face = _collapse_cached(t, entry[0])
     vars(face).setdefault("_canonical", (key, entry[1]))
     return face
 
@@ -912,18 +877,6 @@ def apply_outer_automorphism(p: SimplexPoint, images: list[Word]) -> SimplexPoin
     return SimplexPoint(
         TopologicalType(t.rank, t.vertices, edges, t.tree), p.lengths
     )
-
-
-@lru_cache(maxsize=256)
-def forests(t: TopologicalType) -> tuple[frozenset, ...]:
-    """All forests of non-loop edges, smallest first, including the empty
-    one: the subsets in itertools.combinations order that the union-find
-    finds acyclic."""
-    idx = [i for i, e in enumerate(t.edges) if not e.is_loop()]
-    return tuple(frozenset(t.edges[i].id for i in sub)
-                 for r in range(len(idx) + 1)
-                 for sub in itertools.combinations(idx, r)
-                 if _union_find(t, sub)[1] is None)
 
 
 def embed_point(p: SimplexPoint, delta: TopologicalType):

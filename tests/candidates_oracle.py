@@ -21,8 +21,9 @@ from cvn.candidates import (
     path_counts,
 )
 from cvn.errors import NotClosed
-from cvn.graphs import is_connected, path_word
+from cvn.graphs import is_connected
 from cvn.words import conj_normal_form
+from marking_oracle import path_word
 
 
 def _ends(t, step):

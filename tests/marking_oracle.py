@@ -19,11 +19,14 @@ that `resolutions` ran before it keyed each child on the loops it inherits.
 single-edge collapses with it, and must give the package's results object
 for object.
 
-`cvn.graphs` also builds each forest collapse once and keeps each type's
-forests as a tuple found by a union-find over edge positions.  Here
-`collapse_forest` builds the quotient afresh on every call, swapping one
-non-tree member into the tree per pass, and `forests` keeps the subsets
-that it collapses without NotAForest.
+`cvn.graphs` also builds each forest collapse once, reading its labels
+off the contracted generator loops, and tests a forest by a union-find
+over edge positions.  Here `collapse_forest` builds the quotient afresh on
+every call, swapping one non-tree member into the tree per pass: `_retree`
+builds the same graph with the new tree and reads each label through the
+old marking (`path_word` of the petal that `tree_path` gives), as
+`cvn.graphs` did before it read labels off the contracted loops.
+`forests` keeps the subsets that `collapse_forest` accepts.
 """
 
 from __future__ import annotations
@@ -45,13 +48,10 @@ from cvn.graphs import (
     SimplexPoint,
     TopologicalType,
     _canonical_labelling,
-    _fundamental_cycle_tree_edges,
+    _check_spanning_tree,
     _letter_paths,
-    _petals,
-    _retree,
     adjacent_simplices,
     blow_up_vertex,
-    path_word,
 )
 from cvn.metric import stretch
 from cvn.polytope import feasible
@@ -64,6 +64,84 @@ from cvn.words import (
     reduce,
     rewrite_in_basis,
 )
+
+
+@lru_cache(maxsize=4096)
+def _tree_parents(t: TopologicalType) -> dict:
+    """BFS tree of the spanning tree rooted at the base vertex."""
+    adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in t.vertices}
+    for e in t.edges:
+        if e.id in t.tree:
+            adj[e.u].append((e.v, e.id, 1))
+            adj[e.v].append((e.u, e.id, -1))
+    parent = {t.base(): None}
+    order = [t.base()]
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w, eid, s in adj[v]:
+            if w not in parent:
+                parent[w] = (v, eid, s)
+                order.append(w)
+    return parent
+
+
+def tree_path(t: TopologicalType, u: str, v: str):
+    """The geodesic in the spanning tree from u to v as an oriented path."""
+    parent = _tree_parents(t)
+
+    def to_root(x):
+        out = []
+        while parent[x] is not None:
+            p, eid, s = parent[x]
+            out.append((eid, -s))  # step from x toward the root
+            x = p
+        return out
+
+    up_u = to_root(u)
+    up_v = to_root(v)
+    while up_u and up_v and up_u[-1] == up_v[-1]:
+        up_u.pop()
+        up_v.pop()
+    down_v = [(eid, -s) for eid, s in reversed(up_v)]
+    return tuple(up_u + down_v)
+
+
+@lru_cache(maxsize=65536)
+def petal(t: TopologicalType, e: Edge):
+    """The loop from the base vertex through the tree to the non-tree edge
+    e, across it and back to the base vertex."""
+    base = t.base()
+    return tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
+
+
+def path_word(t: TopologicalType, path) -> Word:
+    """Image of an edge path under the marking (concatenate labels)."""
+    out: list[int] = []
+    for eid, s in path:
+        lab = t.edge(eid).label.letters
+        out.extend(lab if s > 0 else invert(lab))
+    return reduce(out, t.rank)
+
+
+def _retree(t: TopologicalType, new_tree: frozenset) -> TopologicalType:
+    """Same graph, different spanning tree; labels recomputed through the
+    old marking so the point of CV_n is unchanged."""
+    trivial = Word((), t.rank)
+    probe = TopologicalType(t.rank, t.vertices,
+                            tuple(Edge(e.id, e.u, e.v, trivial)
+                                  for e in t.edges), new_tree)
+    _check_spanning_tree(probe)
+    return TopologicalType(t.rank, t.vertices, tuple(
+        Edge(e.id, e.u, e.v, trivial) if e.id in new_tree
+        else Edge(e.id, e.u, e.v, path_word(t, petal(probe, e)))
+        for e in t.edges), new_tree)
+
+
+def _fundamental_cycle_tree_edges(t: TopologicalType, eid: str) -> list[str]:
+    e = t.edge(eid)
+    return [x for x, _ in tree_path(t, e.v, e.u)]
 
 
 def _graph_isomorphisms(a: TopologicalType, b: TopologicalType):
@@ -119,8 +197,8 @@ def _induced_automorphism(a: TopologicalType, b: TopologicalType, emap):
     """Automorphism of F_n induced by the edge map, or None if not one."""
     w_list = []
     c_list = []
-    for e, loop in zip(a.non_tree_edges(), _petals(a)):
-        image = [(emap[eid][0], s * emap[eid][1]) for eid, s in loop]
+    for e in a.non_tree_edges():
+        image = [(emap[eid][0], s * emap[eid][1]) for eid, s in petal(a, e)]
         w_list.append(e.label)
         c_list.append(path_word(b, image))
     images = []

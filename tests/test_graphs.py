@@ -14,6 +14,7 @@ import pytest
 
 import marking_oracle
 import words_oracle
+from marking_oracle import path_word, tree_path
 from cvn import graphs
 from cvn.candidates import edge_counts, enumerate_candidates, path_counts
 from cvn.errors import (
@@ -36,8 +37,6 @@ from cvn.graphs import (
     _collapse_cached,
     _letter_paths,
     _normalized,
-    _petals,
-    _retree,
     _tighten_cached,
     _types,
     adjacent_simplices,
@@ -48,12 +47,10 @@ from cvn.graphs import (
     collapse_forest,
     embed_point,
     faces,
-    forests,
     graph_from_json,
     loop_word,
     make_type,
     marking_equivalent,
-    path_word,
     point_from_coords,
     point_to_json,
     resolutions,
@@ -62,7 +59,6 @@ from cvn.graphs import (
     theta_point,
     theta_type,
     tighten,
-    tree_path,
     twisted_theta_point,
     twisted_theta_type,
     type_key,
@@ -232,10 +228,8 @@ def test_tighten_reproduces_embedded_cycles():
 def test_petals_and_tighten_match_tree_path_loops_rank3():
     classes = list(conjugacy_classes_up_to(3, 3))
     for t in resolutions(rose_type(3)):
-        base = t.base()
-        want = [tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
-                for e in t.non_tree_edges()]
-        assert list(_petals(t)) == want
+        want = [marking_oracle.petal(t, e) for e in t.non_tree_edges()]
+        assert [_decode(t, p) for p in graphs._petals(t)] == want
         for g in classes:
             assert tighten(t, g) == words_oracle.tighten(t, g)
 
@@ -353,13 +347,15 @@ def test_collapse_cycle_rejected():
 
 _COLLAPSE_DIGEST = """
 import hashlib
-from cvn.graphs import collapse_forest, forests, resolutions, rose_type
+import itertools
+from cvn.graphs import _union_find, collapse_forest, resolutions, rose_type
 h = hashlib.sha256()
 for t in resolutions(rose_type(3))[:20]:
-    for f in forests(t):
-        if len(f) >= 2:
-            c = collapse_forest(t, f)
-            h.update(repr((c.vertices, c.edges, sorted(c.tree))).encode())
+    for size in range(2, len(t.vertices)):  # every forest of 2 or more edges
+        for sub in itertools.combinations(range(len(t.edges)), size):
+            if _union_find(t, sub)[1] is None:
+                c = collapse_forest(t, [t.edges[i].id for i in sub])
+                h.update(repr((c.vertices, c.edges, sorted(c.tree))).encode())
 print(h.hexdigest())
 """
 
@@ -458,16 +454,15 @@ def _face_table_types():
 
 
 def test_face_table_matches_trial_collapse_oracle():
-    # the same forests in the same order, and equal quotients of each
-    seen = 0
+    # equal quotients of every forest, among them forests with two or more
+    # non-tree members, whose tree exchanges must run in edge order
+    exchanges = 0
     for t in _face_table_types():
-        table = forests(t)
-        assert list(table) == list(marking_oracle.forests(t))
-        for forest in table:
-            assert collapse_forest(t, forest) == \
+        for forest in marking_oracle.forests(t):
+            assert collapse_forest(t, forest) is \
                 marking_oracle.collapse_forest(t, forest)
-            seen += len(forest) >= 2
-    assert seen > 0
+            exchanges += len(forest - t.tree) >= 2
+    assert exchanges > 0
 
 
 @pytest.mark.parametrize("fn, t", [
@@ -583,9 +578,9 @@ def test_types_are_interned_on_every_construction_path():
     c = collapse_forest(t, {"e2"})
     _collapse_cached.cache_clear()
     assert collapse_forest(t, ["e2"]) is c
-    r = _retree(t, frozenset({"e1"}))
-    assert _retree(t, frozenset({"e1"})) is r
-    assert _retree(r, frozenset({"e2"})) is t
+    r = collapse_forest(t, {"e1"})  # a non-tree edge: a tree exchange
+    _collapse_cached.cache_clear()
+    assert collapse_forest(t, ("e1",)) is r and not r.tree
     for x in (b, c, r):
         assert _from_scratch(x) is x
         assert copy.copy(x) is x and copy.deepcopy(x) is x

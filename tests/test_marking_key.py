@@ -21,6 +21,7 @@ from collections import Counter
 from fractions import Fraction
 
 import marking_oracle
+from marking_oracle import _retree, tree_path
 from cvn.envelopes import reference_witness, slice_polytope, support
 from cvn.geodesics import _pair_dim, general_position
 from cvn.graphs import (
@@ -33,17 +34,14 @@ from cvn.graphs import (
     _form_type,
     _letter_paths,
     _matching,
-    _retree,
     apply_outer_automorphism,
     blow_up_vertex,
     collapse_forest,
     face_edges,
-    forests,
     marking_equivalent,
     resolutions,
     rose_type,
     tighten,
-    tree_path,
     type_key,
 )
 from cvn.metric import candidate_witnesses, stretch
@@ -249,7 +247,7 @@ def _fat_types():
         t = _random_trivalent_type(4, rng)
         for size in (1, 2):
             out.append(collapse_forest(t, rng.choice(
-                [f for f in forests(t) if len(f) == size])))
+                [f for f in marking_oracle.forests(t) if len(f) == size])))
     return out
 
 

@@ -36,7 +36,6 @@ from cvn.graphs import (
     barbell_type,
     collapse_forest,
     embed_point,
-    forests,
     graph_from_json,
     point_from_coords,
     resolutions,
@@ -92,7 +91,6 @@ def test_every_cache_is_bounded():
     caches = _caches()
     for name in ("cvn.metric.stretch_report", "cvn.envelopes._slice",
                  "cvn.envelopes._support", "cvn.graphs._collapse_keys",
-                 "cvn.graphs.forests",
                  "cvn.graphs._collapse_cached") + CLASS_MEMOS:
         assert name in caches
     for name, fn in caches.items():
@@ -147,15 +145,14 @@ def test_letter_path_table_is_bounded_and_cleared():
 
 def test_face_table_is_shared_and_cleared():
     t = theta_type()
-    assert forests(t) is forests(t)
-    assert type(forests(t)) is tuple
-    for forest in forests(t):
+    assert graphs._collapse_keys(t, 1) is graphs._collapse_keys(t, 1)
+    for forest in marking_oracle.forests(t):
         once = collapse_forest(t, forest)
         assert collapse_forest(t, set(forest)) is once
         assert collapse_forest(t, sorted(forest)) is once
     assert graphs._collapse_cached.cache_info().currsize > 0
     _bench_tracer().clear_caches()
-    assert graphs.forests.cache_info().currsize == 0
+    assert graphs._collapse_keys.cache_info().currsize == 0
     assert graphs._collapse_cached.cache_info().currsize == 0
 
 
@@ -375,7 +372,8 @@ def _rank3_face_points():
     rng = random.Random(53)
     for t in resolutions(rose_type(3))[::9]:
         for _ in range(3):
-            forest = rng.choice([f for f in forests(t) if 1 <= len(f) <= 2])
+            forest = rng.choice([f for f in marking_oracle.forests(t)
+                                 if 1 <= len(f) <= 2])
             coords = [0 if e.id in forest else rng.randint(1, 9)
                       for e in t.edges]
             yield t, point_from_coords(t, [Fraction(c, sum(coords))

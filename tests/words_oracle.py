@@ -38,7 +38,8 @@ from cvn.errors import (
     Unsupported,
 )
 from constructions import _WHITEHEAD_RANK_CAP, whitehead_automorphisms
-from cvn.graphs import TopologicalType, _petals, _tighten_cached, tree_path
+from marking_oracle import tree_path
+from cvn.graphs import TopologicalType, _petals, _tighten_cached
 from cvn.metric import _junction_table
 from cvn.words import (
     _basis_inverse,
@@ -333,8 +334,7 @@ def letter_paths(t: TopologicalType) -> tuple[tuple[int, ...], ...]:
     s * (i + 1), so a step's reverse is its negative.  Generator m is the
     word _basis_inverse gives it in the labels of the non-tree edges, and
     each of those letters is the coded petal of its edge."""
-    petals = [tuple(s * (t.index(eid) + 1) for eid, s in loop)
-              for loop in _petals(t)]
+    petals = _petals(t)
     inverse = _basis_inverse(
         tuple(e.label.letters for e in t.non_tree_edges()), t.rank)
     paths = []
