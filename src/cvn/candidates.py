@@ -5,6 +5,10 @@ meeting in one vertex), or a barbell (two disjoint simple loops joined by an
 embedded arc).  Maximal stretch between two points is always attained on a
 candidate of the source graph, so these finitely many classes determine the
 whole metric.
+
+Candidates are traced as coded loops (see graphs._letter_paths): the step
+over t.edges[i] with sign s is the int s * (i + 1), so a step's tail is
+t._edge_ends[|k| - 1][k < 0] and a path's reverse is words.invert.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from functools import lru_cache, reduce
 from operator import xor
 
 from .errors import TrivialClass
-from .graphs import Path, TopologicalType, _loop_codes, _petals, loop_word
+from .graphs import TopologicalType, _loop_codes, _petals
 from .values import Value
-from .words import ConjClass
+from .words import ConjClass, _class_of, _signed, _substitute, invert
 
 SIMPLE_LOOP = "simple-loop"
 FIGURE_EIGHT = "figure-eight"
@@ -25,15 +29,15 @@ BARBELL = "barbell"
 
 class Candidate(Value):
     kind: str
-    path: Path
     word: ConjClass
     counts: tuple[int, ...]
 
 
-def path_counts(t: TopologicalType, path) -> tuple[int, ...]:
-    c = [0] * len(t.edges)
-    for eid, _ in path:
-        c[t.index(eid)] += 1
+def _counts(size: int, codes) -> tuple[int, ...]:
+    """How often the coded loop steps over each of size edges."""
+    c = [0] * size
+    for k in codes:  # code k steps over t.edges[|k| - 1]
+        c[abs(k) - 1] += 1
     return tuple(c)
 
 
@@ -47,14 +51,11 @@ def edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8192)
 def _edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
-    c = [0] * len(t.edges)
-    for k in _loop_codes(t, gamma):  # code k steps over t.edges[|k| - 1]
-        c[abs(k) - 1] += 1
-    return tuple(c)
+    return _counts(len(t.edges), _loop_codes(t, gamma))
 
 
-def _simple_cycles(t: TopologicalType) -> list[Path]:
-    """Embedded cycles as oriented paths, by size and then edge positions,
+def _simple_cycles(t: TopologicalType) -> list[tuple[int, ...]]:
+    """Embedded cycles as coded loops, by size and then edge positions,
     each traced from the tail of its first edge.
 
     Each is a sum of fundamental cycles, as edge bitmasks (the petal of a
@@ -72,13 +73,13 @@ def _simple_cycles(t: TopologicalType) -> list[Path]:
         if len({v for i in idx for v in ends[i]}) != len(idx):
             continue
         start, v = ends[idx[0]]
-        path = [(t.edges[idx[0]].id, 1)]
+        path = [idx[0] + 1]
         left = idx[1:]
         while v != start:
             i = next(i for i in left if v in ends[i])
             left.remove(i)
             u, w = ends[i]
-            path.append((t.edges[i].id, 1 if u == v else -1))
+            path.append(i + 1 if u == v else -i - 1)
             v = w if u == v else u
         if not left:
             found.append((len(idx), idx, tuple(path)))
@@ -86,42 +87,25 @@ def _simple_cycles(t: TopologicalType) -> list[Path]:
     return [path for _, _, path in found]
 
 
-def _tail(t: TopologicalType, step) -> str:
-    e = t.edge(step[0])
-    return e.u if step[1] > 0 else e.v
-
-
-def _rotate_to(path: Path, t: TopologicalType, v: str) -> Path:
-    """Rotate a cyclic path so it starts at vertex v."""
-    for k, step in enumerate(path):
-        if _tail(t, step) == v:
-            return path[k:] + path[:k]
-    raise ValueError(f"cycle does not visit {v}")
-
-
-def _reverse(path: Path) -> Path:
-    return tuple((eid, -s) for eid, s in reversed(path))
-
-
-def _arcs_between(t, verts1: set[str], verts2: set[str], banned: set[str]):
-    """Embedded arcs from verts1 to verts2 avoiding banned edges and interior
-    vertices on either cycle."""
+def _arcs_between(t: TopologicalType, verts1, verts2, banned):
+    """Embedded coded arcs from verts1 to verts2 (vertex positions) avoiding
+    the edges t.edges[i] with i + 1 in banned and interior vertices on
+    either cycle, from the vertices of verts1 in vertex-name order."""
+    ends = t._edge_ends
     arcs = []
 
-    def extend(v, path, used_edges, used_verts):
-        for e in t.edges:
-            if (e.id in banned or e.id in used_edges or e.is_loop()
-                    or v not in (e.u, e.v)):
+    def extend(v, path, inner):
+        for i, (x, y) in enumerate(ends):
+            if i + 1 in banned or x == y or v not in (x, y):
                 continue
-            w, s = (e.v, 1) if e.u == v else (e.u, -1)
+            w, k = (y, i + 1) if x == v else (x, -i - 1)
             if w in verts2:
-                arcs.append(tuple(path + [(e.id, s)]))
-            elif w not in verts1 and w not in used_verts:
-                extend(w, path + [(e.id, s)], used_edges | {e.id},
-                       used_verts | {w})
+                arcs.append(path + (k,))
+            elif w not in verts1 and w not in inner:
+                extend(w, path + (k,), inner | {w})
 
-    for v in sorted(verts1):
-        extend(v, [], set(), {v})
+    for v in sorted(verts1, key=t.vertices.__getitem__):
+        extend(v, (), frozenset())
     return arcs
 
 
@@ -129,38 +113,41 @@ def _arcs_between(t, verts1: set[str], verts2: set[str], banned: set[str]):
 @lru_cache(maxsize=4096)
 def enumerate_candidates(t: TopologicalType) -> tuple[Candidate, ...]:
     """All candidates of the type, one per unoriented conjugacy class."""
+    ends, labels = t._edge_ends, _signed(e.label.letters for e in t.edges)
     cycles = _simple_cycles(t)
     found: list[Candidate] = []
     seen: set = set()
 
-    def add(kind, path):
-        w = loop_word(t, path)
+    def add(kind, codes):
+        w = _class_of(_substitute(codes, labels), t.rank)
         if w.is_trivial() or w in seen:
             return
         seen.add(w)
-        found.append(Candidate(kind, path, w, path_counts(t, path)))
+        found.append(Candidate(kind, w, _counts(len(ends), codes)))
+
+    def tail(k):
+        return ends[abs(k) - 1][k < 0]
 
     for c in cycles:
         add(SIMPLE_LOOP, c)
-    for c1, c2 in itertools.combinations(cycles, 2):
-        e1 = {eid for eid, _ in c1}
-        e2 = {eid for eid, _ in c2}
-        if e1 & e2:
+    # per cycle, its rotation starting at each vertex it visits
+    starts = [{tail(k): c[j:] + c[:j] for j, k in enumerate(c)}
+              for c in cycles]
+    for (c1, at1), (c2, at2) in itertools.combinations(zip(cycles, starts), 2):
+        banned = {abs(k) for k in c1 + c2}
+        if len(banned) < len(c1) + len(c2):  # the cycles share an edge
             continue
-        v1 = {_tail(t, step) for step in c1}
-        v2 = {_tail(t, step) for step in c2}
-        common = v1 & v2
+        common = at1.keys() & at2.keys()
         if len(common) == 1:
             (v,) = common
-            a, b = _rotate_to(c1, t, v), _rotate_to(c2, t, v)
-            add(FIGURE_EIGHT, a + b)
-            add(FIGURE_EIGHT, a + _reverse(b))
+            add(FIGURE_EIGHT, at1[v] + at2[v])
+            add(FIGURE_EIGHT, at1[v] + invert(at2[v]))
         elif not common:
-            for arc in _arcs_between(t, v1, v2, e1 | e2):
-                a = _rotate_to(c1, t, _tail(t, arc[0]))
-                b = _rotate_to(c2, t, _tail(t, _reverse(arc)[0]))
-                add(BARBELL, a + arc + b + _reverse(arc))
-                add(BARBELL, a + arc + _reverse(b) + _reverse(arc))
+            for arc in _arcs_between(t, at1, at2, banned):
+                a, back = at1[tail(arc[0])], invert(arc)
+                b = at2[tail(back[0])]
+                add(BARBELL, a + arc + b + back)
+                add(BARBELL, a + arc + invert(b) + back)
     return tuple(found)
 
 

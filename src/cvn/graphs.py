@@ -7,10 +7,11 @@ and the labels say which petal each surviving edge maps to.  Lengths are
 exact rationals normalized to total volume 1.
 
 Conventions: an oriented edge path is a tuple of (edge_id, sign) with sign
-+1 for u -> v; inside the package a tightened loop is kept coded, the step
-(t.edges[i].id, s) as the int s * (i + 1).  The basepoint used for all
-label computations is the first vertex in the vertex list.  Half-edges are
-pairs (edge_id, end) with end 0 at u and end 1 at v.
++1 for u -> v, which loop_word reads and tighten returns; inside the
+package every loop (petals, tightened loops, collapses, candidates) is kept
+coded, the step (t.edges[i].id, s) as the int s * (i + 1).  The basepoint
+used for all label computations is the first vertex in the vertex list.
+Half-edges are pairs (edge_id, end) with end 0 at u and end 1 at v.
 """
 
 from __future__ import annotations

@@ -127,19 +127,21 @@ class Layout(Value):
 
 
 def _maximal(simplices):
-    return [t for t in simplices if len(t.edges) == 3]
+    """The trivalent simplices, of 3n - 3 edges: the maximal ones."""
+    return [t for t in simplices if len(t.edges) == 3 * t.rank - 3]
 
 
 def _face_matches(t1: TopologicalType, t2: TopologicalType):
-    """Shared two-edge faces: (collapsed id in t1, collapsed id in t2, map)."""
+    """Shared faces of one collapsed edge: (its position in t1, its
+    position in t2, {position in t2: position in t1} of the other edges)."""
     faces2 = _collapse_keys(t2, 1)
     for key, ((i1,), lab1) in _collapse_keys(t1, 1).items():
         if key in faces2:
             (i2,), lab2 = faces2[key]
-            ids1 = [e.id for e in t1.edges[:i1] + t1.edges[i1 + 1:]]
-            ids2 = [e.id for e in t2.edges[:i2] + t2.edges[i2 + 1:]]
-            yield (t1.edges[i1].id, t2.edges[i2].id,
-                   {x: ids2[j] for x, j in zip(ids1, _matching(lab1, lab2))})
+            rest1 = [j for j in range(len(t1.edges)) if j != i1]
+            rest2 = [j for j in range(len(t2.edges)) if j != i2]
+            yield i1, i2, {rest2[k]: j
+                           for j, k in zip(rest1, _matching(lab1, lab2))}
 
 
 def _reflect(p, a, b):
@@ -172,25 +174,18 @@ def layout_support(simplices: tuple[TopologicalType, ...]) -> Layout:
         for t2 in list(pending):
             options = []
             for idx, (t1, corners) in enumerate(placed):
-                for gone1, gone2, emap in _face_matches(t1, t2):
+                for gone1, gone2, at in _face_matches(t1, t2):
                     fresh = (idx, gone1) not in used
-                    options.append((not fresh, idx, gone1, gone2, emap))
+                    options.append((not fresh, idx, t1.edges[gone1].id,
+                                    gone1, gone2, at))
             if not options:
                 continue
             # prefer a side of the picture nothing is glued to yet
-            _, idx, gone1, gone2, emap = min(
-                options, key=lambda o: (o[0], o[1], o[2]))
-            t1, corners = placed[idx]
-            ids1 = [e.id for e in t1.edges]
-            ids2 = [e.id for e in t2.edges]
-            inv = {v: k for k, v in emap.items()}
-            new = [None] * 3
-            for j, eid in enumerate(ids2):
-                if eid != gone2:
-                    new[j] = corners[ids1.index(inv[eid])]
-            shared = [c for c in new if c is not None]
-            free1 = corners[ids1.index(gone1)]
-            new[ids2.index(gone2)] = _reflect(free1, *shared)
+            _, idx, _, gone1, gone2, at = min(options, key=lambda o: o[:3])
+            corners = placed[idx][1]
+            new = [corners[at[j]] if j in at else None for j in range(3)]
+            new[gone2] = _reflect(corners[gone1],
+                                  *(c for c in new if c is not None))
             placed.append((t2, tuple(new)))
             used.add((idx, gone1))
             pending.remove(t2)
@@ -295,7 +290,8 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
 
 def envelope_vertices_json(a: SimplexPoint, b: SimplexPoint,
                            budget=None) -> list:
-    """Exact vertex lists per support simplex, mirroring the picture."""
+    """Exact vertex lists per maximal simplex of the support, in support
+    order, as the picture draws them at rank 2."""
     sup = support(a, b, budget)
     gamma = reference_witness(a, b)
     out = []

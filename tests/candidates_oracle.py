@@ -5,7 +5,8 @@ vertex has degree two and which are connected, as ``cvn.candidates`` did
 before it summed fundamental cycles.  ``loop_word`` checks closure step by
 step and then reads the marking through ``path_word``, as ``cvn.graphs`` did
 before it did both in one pass.  ``enumerate_candidates`` is the walk over
-cycle pairs that ``cvn.candidates`` makes, uncached, built on these two and
+cycle pairs that ``cvn.candidates`` makes, uncached, on (edge id, sign)
+paths rather than coded loops, built on these two, on ``path_counts`` and
 on its own copies of the rotation, vertex-set and arc helpers.
 """
 
@@ -18,12 +19,19 @@ from cvn.candidates import (
     FIGURE_EIGHT,
     SIMPLE_LOOP,
     Candidate,
-    path_counts,
 )
 from cvn.errors import NotClosed
 from cvn.graphs import is_connected
 from cvn.words import conj_normal_form
 from marking_oracle import path_word
+
+
+def path_counts(t, path):
+    """How often an (edge id, sign) path runs over each edge."""
+    c = [0] * len(t.edges)
+    for eid, _ in path:
+        c[t.index(eid)] += 1
+    return tuple(c)
 
 
 def _ends(t, step):
@@ -140,7 +148,7 @@ def enumerate_candidates(t):
         if w.is_trivial() or w in seen:
             return
         seen.add(w)
-        found.append(Candidate(kind, path, w, path_counts(t, path)))
+        found.append(Candidate(kind, w, path_counts(t, path)))
 
     for c in cycles:
         add(SIMPLE_LOOP, c)

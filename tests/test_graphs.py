@@ -16,7 +16,8 @@ import marking_oracle
 import words_oracle
 from marking_oracle import path_word, tree_path
 from cvn import graphs
-from cvn.candidates import edge_counts, enumerate_candidates, path_counts
+from candidates_oracle import path_counts
+from cvn.candidates import edge_counts, enumerate_candidates
 from cvn.errors import (
     BadPartition,
     BadValency,

@@ -7,7 +7,7 @@ import pytest
 from cvn.envelopes import reference_witness, slice_polytope, support
 from cvn.errors import Unsupported
 from cvn.graphs import rose_point, theta_point, twisted_theta_point
-from cvn.sampling import random_point
+from cvn.sampling import random_pair, random_point
 from cvn.svg import (
     _cyclic,
     envelope_vertices_json,
@@ -189,6 +189,22 @@ def test_svg_rank3_unsupported():
     b = random_point(3, rng)
     with pytest.raises(Unsupported):
         render_envelope_svg(a, b)
+
+
+def test_envelope_json_lists_the_trivalent_simplices_at_rank3():
+    # the maximal simplices are the trivalent ones, of 3n - 3 edges; at
+    # rank 3 the support also holds 3-edge roses, which are not maximal
+    a, b = random_pair(3, random.Random(7))
+    simplices = support(a, b).simplices
+    trivalent = [t for t in simplices if t.is_trivalent()]
+    assert len(trivalent) > 100
+    assert any(len(t.edges) == 3 for t in simplices)
+    gamma = reference_witness(a, b)
+    assert envelope_vertices_json(a, b) == [
+        {"edges": [e.id for e in t.edges],
+         "vertices": [[str(x) for x in v]
+                      for v in slice_polytope(a, b, gamma, t).vertices]}
+        for t in trivalent]
 
 
 def test_svg_numbers_are_all_fixed_point():

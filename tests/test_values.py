@@ -63,10 +63,9 @@ CASES = [
      lambda x: (x.ttype, x.lengths),
      "SimplexPoint(ttype=" + repr(T) + ", lengths=(Fraction(1, 3), "
      "Fraction(2, 3)))"),
-    (Candidate, ("simple-loop", (("f", 0),), G, (0, 1)),
-     ("barbell", (("e", 1),), H, (1, 0)),
-     lambda x: (x.kind, x.path, x.word, x.counts),
-     "Candidate(kind='simple-loop', path=(('f', 0),), word=ConjClass("
+    (Candidate, ("simple-loop", G, (0, 1)), ("barbell", H, (1, 0)),
+     lambda x: (x.kind, x.word, x.counts),
+     "Candidate(kind='simple-loop', word=ConjClass("
      "rep=Word(letters=(1,), rank=2), rank=2), counts=(0, 1))"),
     (StretchReport, (F(2), frozenset({G}), MappingProxyType({G: F(2)})),
      (F(2), frozenset(), MappingProxyType({G: F(2), H: F(1)})), None,
