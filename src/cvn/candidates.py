@@ -17,7 +17,6 @@ import itertools
 from functools import lru_cache, reduce
 from operator import xor
 
-from .errors import TrivialClass
 from .graphs import TopologicalType, _loop_codes, _petals
 from .values import Value
 from .words import ConjClass, _class_of, _signed, _substitute, invert
@@ -42,15 +41,9 @@ def _counts(size: int, codes) -> tuple[int, ...]:
 
 
 def edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
-    """How often the immersed loop of gamma runs over each edge, memoised
-    per (type, class)."""
-    if gamma.is_trivial():
-        raise TrivialClass("trivial class has no immersed representative")
-    return _edge_counts(t, gamma)
-
-
-@lru_cache(maxsize=8192)
-def _edge_counts(t: TopologicalType, gamma: ConjClass) -> tuple[int, ...]:
+    """How often the immersed loop of gamma runs over each edge, counted
+    along its coded loop, which _loop_codes memoises per (type, class) and
+    refuses for a trivial class or another rank."""
     return _counts(len(t.edges), _loop_codes(t, gamma))
 
 

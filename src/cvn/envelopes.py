@@ -75,24 +75,16 @@ def star_system(a: SimplexPoint, gamma: ConjClass,
     and n the edge counts in delta, candidate w gives the row
     L(w) n(gamma) - L(gamma) n(w) over d.  L(w) sums a's numerators over
     the candidate's own edge counts in a, so it needs no tightening, and
-    the counts n(w) in delta are read from one memo per (type of a,
-    delta)."""
+    n(w) counts the candidate's coded loop in delta."""
     if gamma.is_trivial():
         raise TrivialClass("trivial direction")
     nums, d = a.scaled_lengths
-    terms = ((c.word, sum(map(mul, nums, c.counts)), n)
-             for c, n in zip(enumerate_candidates(a.ttype),
-                             _star_counts(a.ttype, delta)))
+    terms = ((c.word, sum(map(mul, nums, c.counts)),
+              edge_counts(delta, c.word))
+             for c in enumerate_candidates(a.ttype))
     rows = _rows(length_numerator(a, gamma), edge_counts(delta, gamma),
                  terms, 1)
     return [HalfSpace(row, d, ("star", str(w))) for w, row in rows]
-
-
-@lru_cache(maxsize=1024)
-def _star_counts(t: TopologicalType,
-                 delta: TopologicalType) -> tuple[tuple[int, ...], ...]:
-    """Per candidate of t, in order, its edge counts in delta."""
-    return tuple(edge_counts(delta, c.word) for c in enumerate_candidates(t))
 
 
 def starstar_system(b: SimplexPoint, gamma: ConjClass,

@@ -13,10 +13,6 @@ class NotABasis(CvnError):
     pass
 
 
-class NotPrimitive(CvnError):
-    pass
-
-
 class NotReduced(CvnError, ValueError):
     """Letters that are not freely reduced.  Also a ValueError, so input
     parsing that catches ValueError treats it as bad input."""
@@ -78,10 +74,6 @@ class EmptyDirection(CvnError):
     pass
 
 
-class EmptySlice(CvnError):
-    pass
-
-
 class BudgetExceeded(CvnError):
     pass
 
@@ -95,10 +87,6 @@ class NotAGeodesic(CvnError):
 
 
 class NotMaximalSimplex(CvnError):
-    pass
-
-
-class NoFacetChain(CvnError):
     pass
 
 

@@ -332,16 +332,28 @@ def _normalized(lengths) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, total) for n in nums)
 
 
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:  # a float or a bool is not read as an int
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return value
+
+
 def graph_from_json(text) -> MarkedGraph:
+    """The graph of a JSON object: rank and label letters are integers,
+    and a length is a number or a string that Fraction reads."""
     data = json.loads(text) if isinstance(text, str) else text
     edges = []
     for e in data["edges"]:
+        if isinstance(e["length"], bool):
+            raise ValueError(f"edge {e['id']} length {e['length']!r} "
+                             "is not a number")
         edges.append(
             (e["id"], e["from"], e["to"], Fraction(e["length"]),
-             [int(a) for a in e.get("label", [])])
+             [_json_int(a, f"edge {e['id']} label letter")
+              for a in e.get("label", [])])
         )
-    return MarkedGraph(int(data["rank"]), list(data["vertices"]), edges,
-                       list(data["tree"]))
+    return MarkedGraph(_json_int(data["rank"], "rank"),
+                       list(data["vertices"]), edges, list(data["tree"]))
 
 
 def point_to_json(p: SimplexPoint) -> dict:

@@ -40,15 +40,9 @@ def length_numerator(p: SimplexPoint, gamma: ConjClass) -> int:
     along the loop.
 
     The loop is read in its coded steps, never decoded: p.code_weights
-    holds each edge's numerator at both codes of the edge.  Memoised per
-    (point, class)."""
-    if gamma.is_trivial():
-        raise TrivialClass("trivial class has zero length")
-    return _length_numerator(p, gamma)
-
-
-@lru_cache(maxsize=8192)
-def _length_numerator(p: SimplexPoint, gamma: ConjClass) -> int:
+    holds each edge's numerator at both codes of the edge.  _loop_codes
+    memoises the loop per (type, class) and refuses a trivial class or
+    another rank."""
     return sum(map(p.code_weights.__getitem__, _loop_codes(p.ttype, gamma)))
 
 

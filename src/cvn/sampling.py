@@ -8,7 +8,6 @@ Everything is driven by a caller-supplied random.Random so runs reproduce.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .graphs import (
     SimplexPoint,
@@ -46,7 +45,6 @@ def random_lengths(n: int, rng) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, total) for k in nums)
 
 
-@lru_cache(maxsize=8)
 def _types(rank: int):
     if rank == 2:
         return (rose_type(2), theta_type(), barbell_type())

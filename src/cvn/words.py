@@ -154,7 +154,7 @@ class Word(Value):
         return Value.__hash__(self)
 
     def __hash__(self) -> int:
-        return self._hash  # once: classes key the count and length memos
+        return self._hash  # once: classes key dicts, sets and the slice memo
 
     @cached_property
     def _name(self) -> str:

@@ -18,13 +18,7 @@ from functools import lru_cache
 
 from cvn.candidates import enumerate_candidates
 from cvn.envelopes import out_envelope
-from cvn.errors import (
-    EmptySlice,
-    NotPrimitive,
-    ParamOutOfRange,
-    SelfCheckFailed,
-    Unsupported,
-)
+from cvn.errors import CvnError, ParamOutOfRange, SelfCheckFailed, Unsupported
 from cvn.graphs import SimplexPoint, TopologicalType, make_type, point_from_coords
 from cvn.metric import conj_length, stretch_report
 from cvn.words import (
@@ -39,6 +33,14 @@ from cvn.words import (
     cyclic_reduce,
     generator,
 )
+
+
+class NotPrimitive(CvnError):
+    pass
+
+
+class EmptySlice(CvnError):
+    pass
 
 
 def _oriented_cyclic(letters: Letters) -> Letters:

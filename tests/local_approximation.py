@@ -15,11 +15,15 @@ from fractions import Fraction
 
 from cvn.candidates import candidate_words
 from cvn.envelopes import out_envelope, reference_witness
-from cvn.errors import NoFacetChain, ParamOutOfRange, Unsupported
+from cvn.errors import CvnError, ParamOutOfRange, Unsupported
 from cvn.geodesics import GeodesicPath, _check_ranks, check_gluing
 from cvn.graphs import SimplexPoint, point_from_coords
 from cvn.metric import candidate_witnesses, stretch
 from cvn.words import ConjClass, class_order
+
+
+class NoFacetChain(CvnError):
+    pass
 
 
 def _sym_excess(p: SimplexPoint, q: SimplexPoint) -> Fraction:

@@ -70,6 +70,26 @@ def test_validate_zero_denominator(tmp_path, files, capsys):
     assert main(["validate", str(bad)]) == 1
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label", [1.7]), ("label", [True]), ("rank", 2.9), ("length", True)])
+def test_validate_rejects_non_integer_rank_letters_and_bool_length(
+        tmp_path, capsys, field, value):
+    # each was once read as an integer: [1], [1], rank 2 and length 1
+    data = json.loads((FIXTURES / "a.json").read_text())
+    if field == "rank":
+        data["rank"] = value
+    else:
+        data["edges"][0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and field in err
+
+
 def test_missing_file_and_bad_word_are_input_errors(files, capsys):
     assert main(["validate", "no-such-file.json"]) == 1
     assert "input error" in capsys.readouterr().err

@@ -6,7 +6,12 @@ import pytest
 
 import envelopes_oracle
 import marking_oracle
-from constructions import direction_reduction, rainbow_graph
+from constructions import (
+    EmptySlice,
+    NotPrimitive,
+    direction_reduction,
+    rainbow_graph,
+)
 from cvn.candidates import enumerate_candidates
 from cvn.envelopes import (
     envelope,
@@ -22,8 +27,6 @@ from cvn.envelopes import (
 from cvn.errors import (
     BudgetExceeded,
     EmptyDirection,
-    EmptySlice,
-    NotPrimitive,
     ParamOutOfRange,
     TrivialClass,
 )

@@ -39,6 +39,20 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def test_every_error_class_is_raised_in_package():
+    # an error class that only the tests raise belongs to the tests
+    defined = [n.name for n in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(n, ast.ClassDef) and n.name != "CvnError"]
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id for n in ast.walk(node.exc)
+                           if isinstance(n, ast.Name)}
+    assert len(defined) > 20
+    assert [name for name in defined if name not in raised] == []
+
+
 def test_inconsistent_stretch_report_raises_typed_error():
     per = {conj_class([1], 2): Fraction(2), conj_class([2], 2): Fraction(3)}
     with pytest.raises(SelfCheckFailed):

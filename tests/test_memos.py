@@ -1,4 +1,5 @@
-"""The module-level memos: bounded, clearable, and invisible in results.
+"""The module-level memos: named in one inventory, bounded, clearable,
+and invisible in results.
 
 Each memoised answer is compared with the answer computed again after every
 cache of the package has been emptied, and embeddings, at ranks 2 and 3,
@@ -81,14 +82,42 @@ def _pairs():
     return out
 
 
-# the per-class memos: classes by letters, one object per class, edge
-# counts per (type, class) and length numerators per (point, class)
-CLASS_MEMOS = ("cvn.words._class_of", "cvn.words._interned",
-               "cvn.candidates._edge_counts", "cvn.metric._length_numerator")
+# the per-class memos: classes by letters and one object per class; edge
+# counts and lengths are read off the coded loop of graphs._tighten_cached
+CLASS_MEMOS = ("cvn.words._class_of", "cvn.words._interned")
+
+# every module-level memo of the package: adding or dropping one edits this
+MEMOS = (
+    "cvn.candidates.enumerate_candidates",
+    "cvn.envelopes._slice",
+    "cvn.envelopes._support",
+    "cvn.geodesics._ray_slice",
+    "cvn.graphs._letter_paths",
+    "cvn.graphs._tighten_cached",
+    "cvn.graphs._collapse_cached",
+    "cvn.graphs.marking_equivalent",
+    "cvn.graphs._collapse_keys",
+    "cvn.graphs.resolutions",
+    "cvn.graphs.rose_type",
+    "cvn.graphs.theta_type",
+    "cvn.graphs.twisted_theta_type",
+    "cvn.graphs.barbell_type",
+    "cvn.metric.stretch_report",
+    "cvn.metric._junction_middles",
+    "cvn.metric._class_prefixes",
+    "cvn.polytope._unit_rows",
+    "cvn.svg.layout_support",
+    "cvn.words._class_of",
+    "cvn.words._interned",
+    "cvn.words._basis_inverse",
+    "cvn.words._classes_up_to",
+)
 
 
 def test_every_cache_is_bounded():
     caches = _caches()
+    assert len(MEMOS) == 23
+    assert sorted(caches) == sorted(MEMOS)
     for name in ("cvn.metric.stretch_report", "cvn.envelopes._slice",
                  "cvn.envelopes._support", "cvn.graphs._collapse_keys",
                  "cvn.graphs._collapse_cached") + CLASS_MEMOS:
@@ -183,8 +212,7 @@ def test_brute_force_lambda_leaves_tighten_memo_empty():
     _clear_all()
     assert brute_force_lambda(a, b, 6) == lam
     assert graphs._tighten_cached.cache_info().currsize == 0
-    # enumeration wraps its classes itself, so no class is interned, and
-    # no edge count or length is memoised
+    # enumeration wraps its classes itself, so no class is interned
     assert not any(_class_memo_sizes())
     list(conjugacy_classes_up_to(3, 4))
     assert not any(_class_memo_sizes())

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import words_oracle
-from constructions import extend_to_basis, is_primitive
+from constructions import NotPrimitive, extend_to_basis, is_primitive
 from cvn import words
 from cvn.errors import (
     IndexOutOfRange,
     NotABasis,
-    NotPrimitive,
     ParamOutOfRange,
     RankMismatch,
     Unsupported,

@@ -33,11 +33,14 @@ from fractions import Fraction
 from cvn.errors import (
     BudgetExceeded,
     NotABasis,
-    NotPrimitive,
     RankMismatch,
     Unsupported,
 )
-from constructions import _WHITEHEAD_RANK_CAP, whitehead_automorphisms
+from constructions import (
+    _WHITEHEAD_RANK_CAP,
+    NotPrimitive,
+    whitehead_automorphisms,
+)
 from marking_oracle import tree_path
 from cvn.graphs import TopologicalType, _petals, _tighten_cached
 from cvn.metric import _junction_table
