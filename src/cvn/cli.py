@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, CvnError, ParamOutOfRange
 from .graphs import (
+    _json_int,
     graph_from_json,
     is_connected,
     point_to_json,
@@ -46,10 +47,11 @@ def _rat(q) -> dict:
 
 
 def parse_word(text: str, rank: int) -> ConjClass:
-    """Accept 'x y^-1', 'xy^-1' or a JSON letter list like [1,-2]."""
+    """Accept 'x y^-1', 'xy^-1' or a JSON integer list like [1,-2]."""
     text = text.strip()
     if text.startswith("["):
-        return conj_class(json.loads(text), rank)
+        return conj_class([_json_int(a, "direction letter")
+                           for a in json.loads(text)], rank)
     letters = []
     i = 0
     while i < len(text):
@@ -78,7 +80,7 @@ def _parsing():
     while domain errors (CvnError) pass through unchanged."""
     try:
         yield
-    except (OSError, ZeroDivisionError, KeyError, ValueError) as exc:
+    except (OSError, ArithmeticError, KeyError, ValueError) as exc:
         raise _InputError(exc) from exc
 
 

@@ -28,8 +28,8 @@ from .graphs import (
     TopologicalType,
     _collapse_keys,
     _face,
-    record_type,
     resolutions,
+    type_key,
 )
 from .metric import length_numerator, stretch_report
 from .polytope import HalfSpace, Polytope, equality
@@ -155,27 +155,23 @@ class EnvelopeSlice(Value):
     polytope: Polytope
 
 
-# a slice keeps its polytope (and its vertices once asked) alive, so this
-# cache stays small: enough for the support, walker and picture of a pair
+# a polytope keeps its vertices alive once asked, so this cache stays
+# small: enough for the support, walker and picture of a pair
 @lru_cache(maxsize=64)
-def _slice(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
-           delta: TopologicalType) -> EnvelopeSlice:
-    rows = star_system(a, gamma, delta) + starstar_system(b, gamma, delta)
-    return EnvelopeSlice(delta, gamma, Polytope(len(delta.edges), rows))
-
-
 def slice_polytope(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
                    delta: TopologicalType) -> Polytope:
     """The envelope of (a, b) in the simplex of delta with reference
     witness gamma: the star system of a, then the starstar system of b."""
-    return _slice(a, b, gamma, delta).polytope
+    return Polytope(len(delta.edges), star_system(a, gamma, delta)
+                    + starstar_system(b, gamma, delta))
 
 
 def envelope_slice(a: SimplexPoint, b: SimplexPoint,
                    delta: TopologicalType) -> EnvelopeSlice:
     if a.ttype.rank != b.ttype.rank or a.ttype.rank != delta.rank:
         raise RankMismatch("mixed ranks")
-    return _slice(a, b, reference_witness(a, b), delta)
+    gamma = reference_witness(a, b)
+    return EnvelopeSlice(delta, gamma, slice_polytope(a, b, gamma, delta))
 
 
 def envelope(a: SimplexPoint, b: SimplexPoint,
@@ -233,12 +229,10 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
     squeezed out, so only T(a) and the resolutions build a slice: a
     face's zero masks are read off its parent's.  Faces are keyed unbuilt
     (_collapse_keys), and a face is built only when it is queued."""
-    start = _slice(a, b, gamma, a.ttype)
-    if not start.polytope.is_feasible():
+    if not slice_polytope(a, b, gamma, a.ttype).is_feasible():
         return
     entered = 0
-    queued: dict = {}
-    record_type(queued, a.ttype)
+    queued = {type_key(a.ttype): a.ttype}
     queue = deque([(a.ttype, None)])
     while queue:
         t, masks = queue.popleft()
@@ -260,5 +254,8 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
                 queued[key] = f = _face(t, key, entry)
                 queue.append((f, [_squeeze(z, i) for z in masks
                                   if z >> i & 1]))
-        queue.extend((r, None) for r in resolutions(t)
-                     if record_type(queued, r))
+        for r in resolutions(t):
+            key = type_key(r)
+            if key not in queued:
+                queued[key] = r
+                queue.append((r, None))

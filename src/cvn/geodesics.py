@@ -438,7 +438,7 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
 
 
 # the in-chart step and the crossing sweeps revisit the same slices; each
-# keeps its polytope and vertices, like envelopes._slice
+# keeps its polytope and vertices, like envelopes.slice_polytope
 @lru_cache(maxsize=64)
 def _ray_slice(a: SimplexPoint, direction: tuple,
                delta: TopologicalType) -> Polytope:

@@ -107,8 +107,8 @@ class TopologicalType(Value):
 
     @cached_property
     def _canonical(self) -> tuple:
-        # record_type keys every type it sees; compute its key once, unless
-        # a parent keyed it first (resolutions, _face)
+        # the support fill keys every type it queues; compute its key once,
+        # unless a parent keyed it first (resolutions, _face)
         return _canonical_labelling(self._edge_ends, len(self.vertices),
                                     _letter_paths(self)[1:self.rank + 1])
 
@@ -338,22 +338,36 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_as(kind: type, value, field: str):
+    """value, unless it is not of kind: a JSON object, list or string."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "a list"}.get(kind, "a string")
+        raise ValueError(f"{field} {value!r} is not {name}")
+    return value
+
+
 def graph_from_json(text) -> MarkedGraph:
     """The graph of a JSON object: rank and label letters are integers,
-    and a length is a number or a string that Fraction reads."""
+    vertex names, edge ids and ends and tree entries are strings, and a
+    length is a number or a string that Fraction reads.  Any other shape
+    raises ValueError naming the field."""
     data = json.loads(text) if isinstance(text, str) else text
     edges = []
-    for e in data["edges"]:
-        if isinstance(e["length"], bool):
-            raise ValueError(f"edge {e['id']} length {e['length']!r} "
+    for e in _json_as(list, _json_as(dict, data, "graph")["edges"], "edges"):
+        eid = _json_as(str, _json_as(dict, e, "edge")["id"], "edge id")
+        if type(e["length"]) not in (int, float, str):  # nor a bool
+            raise ValueError(f"edge {eid} length {e['length']!r} "
                              "is not a number")
         edges.append(
-            (e["id"], e["from"], e["to"], Fraction(e["length"]),
-             [_json_int(a, f"edge {e['id']} label letter")
-              for a in e.get("label", [])])
+            (eid, _json_as(str, e["from"], f"edge {eid} from"),
+             _json_as(str, e["to"], f"edge {eid} to"), Fraction(e["length"]),
+             [_json_int(a, f"edge {eid} label letter")
+              for a in _json_as(list, e.get("label", []), f"edge {eid} label")])
         )
-    return MarkedGraph(_json_int(data["rank"], "rank"),
-                       list(data["vertices"]), edges, list(data["tree"]))
+    vertices, tree = ([_json_as(str, v, f"{field} entry")
+                       for v in _json_as(list, data[field], field)]
+                      for field in ("vertices", "tree"))
+    return MarkedGraph(_json_int(data["rank"], "rank"), vertices, edges, tree)
 
 
 def point_to_json(p: SimplexPoint) -> dict:
@@ -794,16 +808,6 @@ def marking_equivalent(a: TopologicalType, b: TopologicalType) -> bool:
     return type_key(a) == type_key(b)
 
 
-def record_type(seen: dict, t: TopologicalType) -> bool:
-    """Add t to seen (type_key -> type) unless a type marking equivalent
-    to it is already there; True when t was added."""
-    key = type_key(t)
-    if key in seen:
-        return False
-    seen[key] = t
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Simplex adjacency.
 # ---------------------------------------------------------------------------
@@ -833,16 +837,11 @@ def _face(t: TopologicalType, key: tuple, entry) -> TopologicalType:
     return face
 
 
-def face_edges(t: TopologicalType) -> tuple[tuple[int, TopologicalType], ...]:
-    """Codimension-1 faces up to equivalence, each with the position in
-    t.edges of the first edge whose collapse gives it (_collapse_keys)."""
-    return tuple((entry[0][0], _face(t, key, entry))
-                 for key, entry in _collapse_keys(t, 1).items())
-
-
 def faces(t: TopologicalType) -> tuple[TopologicalType, ...]:
-    """Codimension-1 faces: single-edge collapses, up to equivalence."""
-    return tuple(c for _, c in face_edges(t))
+    """Codimension-1 faces: single-edge collapses, up to equivalence, one
+    per _collapse_keys(t, 1) entry, in its order."""
+    return tuple(_face(t, key, entry)
+                 for key, entry in _collapse_keys(t, 1).items())
 
 
 @lru_cache(maxsize=4096)

@@ -117,14 +117,6 @@ class Layout(Value):
             return x, y, e * den
         return None
 
-    def position(self, p: SimplexPoint):
-        """Position of a point, via any chart that contains it."""
-        at = self.locate(p)
-        if at is None:
-            return None
-        x, y, q = at
-        return Fraction(x, q), Fraction(y, q)
-
 
 def _maximal(simplices):
     """The trivalent simplices, of 3n - 3 edges: the maximal ones."""

@@ -325,13 +325,6 @@ def is_basis(basis: list[Word], rank: int) -> bool:
     return True
 
 
-def _rewrite_letters(letters: Letters, basis_letters: tuple[Letters, ...],
-                     rank: int) -> Letters:
-    """rewrite_in_basis on bare letters, which must already be valid at
-    this rank: the freely reduced coordinates, without building a Word."""
-    return _substitute(letters, _signed(_basis_inverse(basis_letters, rank)))
-
-
 def rewrite_in_basis(w: Word, basis: list[Word]) -> Word:
     """Express w in the given basis; letter i of the result stands for basis[i-1].
 
@@ -341,8 +334,8 @@ def rewrite_in_basis(w: Word, basis: list[Word]) -> Word:
     if any(b.rank != w.rank for b in basis):
         raise RankMismatch(f"basis ranks {[b.rank for b in basis]}, "
                            f"word rank {w.rank}")
-    return Word(_rewrite_letters(w.letters, tuple(b.letters for b in basis),
-                                 w.rank), w.rank)
+    inverse = _basis_inverse(tuple(b.letters for b in basis), w.rank)
+    return Word(_substitute(w.letters, _signed(inverse)), w.rank)
 
 
 # ---------------------------------------------------------------------------

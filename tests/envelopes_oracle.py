@@ -21,15 +21,16 @@ from functools import reduce
 from operator import or_
 
 from cvn.candidates import edge_counts, enumerate_candidates
-from cvn.envelopes import _direction, _slice, slice_polytope
+from cvn.envelopes import _direction, slice_polytope
 from cvn.errors import BudgetExceeded, SelfCheckFailed, TrivialClass
 from cvn.graphs import (
     SimplexPoint,
     TopologicalType,
-    face_edges,
-    record_type,
+    _collapse_keys,
+    faces,
     resolutions,
     tighten,
+    type_key,
 )
 from cvn.polytope import HalfSpace, Polytope, equality
 from cvn.words import ConjClass
@@ -116,13 +117,19 @@ def fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
     """The flood fill from T(a), yielding (t, zero) per entered simplex in
     fill order, with zero the bitmask of t's edges that are 0 at some
     vertex of t's own slice, which is built for every t."""
-    start = _slice(a, b, gamma, a.ttype)
-    if not start.polytope.is_feasible():
+    if not slice_polytope(a, b, gamma, a.ttype).is_feasible():
         return
     entered = 0
     queued: dict = {}
-    record_type(queued, a.ttype)
-    queue = deque([a.ttype])
+    queue: deque = deque()
+
+    def enqueue(t):  # each marked type once
+        key = type_key(t)
+        if key not in queued:
+            queued[key] = t
+            queue.append(t)
+
+    enqueue(a.ttype)
     while queue:
         t = queue.popleft()
         if entered == budget:
@@ -134,6 +141,8 @@ def fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
         zero = reduce(or_, zs) & (1 << len(t.edges)) - 1
         entered += 1
         yield t, zero
-        queue.extend(f for i, f in face_edges(t)
-                     if zero >> i & 1 and record_type(queued, f))
-        queue.extend(r for r in resolutions(t) if record_type(queued, r))
+        for (sub, _), f in zip(_collapse_keys(t, 1).values(), faces(t)):
+            if zero >> sub[0] & 1:
+                enqueue(f)
+        for r in resolutions(t):
+            enqueue(r)

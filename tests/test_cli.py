@@ -90,6 +90,55 @@ def test_validate_rejects_non_integer_rank_letters_and_bool_length(
     assert "input error" in err and field in err
 
 
+def _integer_names(data):
+    names = {v: i for i, v in enumerate(data["vertices"], 1)}
+    data["vertices"] = list(names.values())
+    for e in data["edges"]:
+        e["from"], e["to"] = names[e["from"]], names[e["to"]]
+    return data
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda d: {**d, "edges": 3}, "edges"),
+    (lambda d: {**d, "vertices": 7}, "vertices"),
+    (lambda d: {**d, "tree": None}, "tree"),
+    (lambda d: {**d, "tree": [2]}, "tree"),
+    (lambda d: {**d, "edges": [1] + d["edges"][1:]}, "edge"),
+    (lambda d: [1, 2], "graph"),
+    (_integer_names, "from"),
+] + [(lambda d, k=k, v=v: {**d, "edges": [{**d["edges"][0], k: v}]
+                           + d["edges"][1:]}, k)
+     for k, v in [("label", None), ("length", None), ("length", [1]),
+                  ("id", ["x"]), ("from", 1), ("to", None)]])
+def test_validate_rejects_graph_json_of_the_wrong_shape(
+        tmp_path, capsys, change, field):
+    # each once died with a TypeError traceback, or, for integer vertex
+    # names, passed validate and died in a later command
+    data = change(json.loads((FIXTURES / "a.json").read_text()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and field in err
+
+
+def test_validate_rejects_an_infinite_length(tmp_path, capsys):
+    data = json.loads((FIXTURES / "a.json").read_text())
+    data["edges"][0]["length"] = float("inf")
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(data))  # written as Infinity, which JSON reads
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("word", ["[1.0]", "[1, 2.0]", "[1e0]", "[[1]]",
+                                  "[true]", '["x"]', "[null]"])
+def test_direction_letters_are_json_integers(files, capsys, word):
+    assert main(["ray-audit", files["rose"], "--direction", word]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "direction letter" in err
+
+
 def test_missing_file_and_bad_word_are_input_errors(files, capsys):
     assert main(["validate", "no-such-file.json"]) == 1
     assert "input error" in capsys.readouterr().err

@@ -174,6 +174,19 @@ def test_envelope_choice_independent():
         assert set(poly.vertices) == set(envelope(a, b, theta_type()).vertices)
 
 
+def test_envelope_slice_shares_the_memoised_polytope():
+    # the rank-3 benchmark sweep reads envelope_slice(...).polytope and
+    # relies on it being the polytope of the slice memo, vertices and all
+    a, b = theta_point(1, 2, 4), rose_point([1, 3])
+    for delta in (a.ttype, *resolutions(rose_type(2))):
+        first = envelope_slice(a, b, delta)
+        gamma = reference_witness(a, b)
+        assert first.simplex is delta and first.gamma == gamma
+        assert first.polytope is slice_polytope(a, b, gamma, delta)
+        assert envelope_slice(a, b, delta).polytope is first.polytope
+        assert envelope(a, b, delta) is first.polytope
+
+
 def test_envelope_of_equal_points_is_point():
     a = theta_point(1, 2, 4)
     poly = envelope(a, a, theta_type())
@@ -298,7 +311,7 @@ def test_fresh_support_tests_feasibility_once(monkeypatch):
 
     monkeypatch.setattr(cvn.polytope, "feasible", counted)
     cvn.envelopes._support.cache_clear()
-    cvn.envelopes._slice.cache_clear()
+    cvn.envelopes.slice_polytope.cache_clear()
     a = theta_point(1, 2, 4)
     sup = support(a, rose_point([1, 3]))
     assert len(sup.simplices) > 1

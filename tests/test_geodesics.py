@@ -368,14 +368,14 @@ def test_rank3_fixture_fill_builds_one_slice_per_trivalent_chart(monkeypatch):
 
     monkeypatch.setattr(polytope, "_extreme_rays", counted)
     envelopes._support.cache_clear()
-    envelopes._slice.cache_clear()
+    envelopes.slice_polytope.cache_clear()
     t0 = time.monotonic()
     sup = support(_fixture("r3a"), _fixture("r3b"), 2676)
     assert len(sup.simplices) == 2676
     assert sum(t.is_trivalent() for t in sup.simplices) == 1147
     # one slice per trivalent chart, and one more double description:
     # the feasibility run of T(a) before its full run
-    assert envelopes._slice.cache_info().misses == 1147
+    assert envelopes.slice_polytope.cache_info().misses == 1147
     assert len(runs) == 1148 and set(runs) == {6}
     assert time.monotonic() - t0 < 60
 
@@ -443,14 +443,14 @@ def test_widest_first_is_rigid_matches_in_order_oracle():
              GeodesicPath((edge_a, mid, chord_b), (frozenset(),) * 2, (0, 2))]
     for a, b in _general_position_pairs(2, 3, 20):
         path = piecewise_rigid_geodesic(a, b)
-        slices = envelopes._slice.cache_info().misses
+        slices = envelopes.slice_polytope.cache_info().misses
         reports = stretch_report.cache_info().misses
         assert not is_rigid(path)
         # (a, b) is tested first and its T(a) slice is enough; the end
         # pair is read as (a, b), so the walk already built that slice and
         # the stretch report of every pair it walked or ended at b, which
         # are all the chain identity of multiplicativity reads
-        assert envelopes._slice.cache_info().misses == slices
+        assert envelopes.slice_polytope.cache_info().misses == slices
         assert stretch_report.cache_info().misses == reports
         paths.append(path)
     outcomes = [is_rigid(path) for path in paths]

@@ -89,7 +89,7 @@ CLASS_MEMOS = ("cvn.words._class_of", "cvn.words._interned")
 # every module-level memo of the package: adding or dropping one edits this
 MEMOS = (
     "cvn.candidates.enumerate_candidates",
-    "cvn.envelopes._slice",
+    "cvn.envelopes.slice_polytope",
     "cvn.envelopes._support",
     "cvn.geodesics._ray_slice",
     "cvn.graphs._letter_paths",
@@ -118,7 +118,7 @@ def test_every_cache_is_bounded():
     caches = _caches()
     assert len(MEMOS) == 23
     assert sorted(caches) == sorted(MEMOS)
-    for name in ("cvn.metric.stretch_report", "cvn.envelopes._slice",
+    for name in ("cvn.metric.stretch_report", "cvn.envelopes.slice_polytope",
                  "cvn.envelopes._support", "cvn.graphs._collapse_keys",
                  "cvn.graphs._collapse_cached") + CLASS_MEMOS:
         assert name in caches

@@ -70,8 +70,8 @@ def test_layout_single_simplex():
     layout = layout_support(support(a, b).simplices)
     assert len(layout.placed) >= 1
     assert len(layout.placed[0][0].edges) == 3
-    assert layout.position(a) is not None
-    assert layout.position(b) is not None
+    assert layout.locate(a) is not None
+    assert layout.locate(b) is not None
 
 
 def test_layout_unfolds_across_rose_face():
@@ -79,9 +79,11 @@ def test_layout_unfolds_across_rose_face():
     b = twisted_theta_point(Fraction(2, 5), Fraction(1, 10), Fraction(1, 2))
     layout = layout_support(support(a, b).simplices)
     assert len(layout.placed) >= 2
-    pa = layout.position(a)
-    pb = layout.position(b)
-    assert pa is not None and pb is not None and pa != pb
+    pa = layout.locate(a)
+    pb = layout.locate(b)
+    assert pa is not None and pb is not None
+    # (x, y) over q: compare the points, not their denominators
+    assert (pa[0] * pb[2], pa[1] * pb[2]) != (pb[0] * pa[2], pb[1] * pa[2])
     # unfolded triangles share exactly two corners with their neighbor
     base = set(layout.placed[0][1])
     second = set(layout.placed[1][1])
@@ -132,8 +134,10 @@ def test_svg_coordinates_match_exact_vertices():
                 y = sum(c * corner[1] for c, corner in zip(v, corners))
                 assert ",".join(screen(x, y)) in text
         for p in (a, b):
-            if layout.position(p) is not None:
-                cx, cy = screen(*layout.position(p))
+            at = layout.locate(p)
+            if at is not None:
+                x, y, q = at
+                cx, cy = screen(Fraction(x, q), Fraction(y, q))
                 assert f'cx="{cx}" cy="{cy}" r="4"' in text
     assert moved
 

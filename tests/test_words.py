@@ -65,16 +65,6 @@ def test_invalid_letters_raise_even_when_they_cancel():
             conj_class(bad, 2)
 
 
-def test_letter_rewrite_matches_word_rewrite():
-    basis = [reduce((1, 2), 2), reduce((2,), 2)]
-    letters = tuple(b.letters for b in basis)
-    rng = random.Random(3)
-    for _ in range(50):
-        w = reduce([rng.choice((1, -1, 2, -2)) for _ in range(8)], 2)
-        assert (words._rewrite_letters(w.letters, letters, 2)
-                == rewrite_in_basis(w, basis).letters)
-
-
 def test_word_multiplication_and_inverse():
     x, y = generator(1, 2), generator(2, 2)
     w = x * y * x.inverse()
@@ -113,8 +103,7 @@ def test_substitution_kernel_matches_its_loop_twins(rank, max_len):
         if k % 2:  # _substitute must skip the empty entries
             images[rng.randrange(rank)] = Word((), target)
         maps.append(images)
-    bases = [tuple(w.letters for w in random_automorphism(rank, rng, 6))
-             for _ in range(4)]
+    bases = [random_automorphism(rank, rng, 6) for _ in range(4)]
     for letters in _reduced_words(rank, max_len):
         assert cyclic_reduce(letters) == words_oracle.cyclic_reduce(letters)
         w = Word(letters, rank)
@@ -122,8 +111,9 @@ def test_substitution_kernel_matches_its_loop_twins(rank, max_len):
             assert (apply_endomorphism(w, images)
                     == words_oracle.apply_endomorphism_loop(w, images))
         for basis in bases:
-            assert (words._rewrite_letters(letters, basis, rank)
-                    == words_oracle.rewrite_letters_loop(letters, basis, rank))
+            assert (rewrite_in_basis(w, basis).letters
+                    == words_oracle.rewrite_letters_loop(
+                        letters, tuple(b.letters for b in basis), rank))
 
 
 def test_conj_normal_form_invariance():
