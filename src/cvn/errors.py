@@ -38,6 +38,10 @@ class WrongRank(CvnError):
     pass
 
 
+class DuplicateName(CvnError):
+    pass
+
+
 class NonpositiveLength(CvnError):
     pass
 

@@ -29,6 +29,7 @@ from .errors import (
     BadPartition,
     BadValency,
     DisconnectedGraph,
+    DuplicateName,
     NonpositiveLength,
     NotABasis,
     NotAForest,
@@ -188,9 +189,6 @@ class SimplexPoint(Value):
     def __hash__(self) -> int:
         return self._hash  # points key the embedding and pair caches
 
-    def length_of(self, eid: str) -> Fraction:
-        return self.lengths[self.ttype.index(eid)]
-
     @cached_property
     def code_weights(self) -> tuple[int, ...]:
         """The numerators of scaled_lengths indexed by step code (see
@@ -275,10 +273,13 @@ def make_type(rank, vertices, edge_specs, tree) -> TopologicalType:
     edges = tuple(
         Edge(eid, u, v, reduce(tuple(lab), rank)) for eid, u, v, lab in edge_specs
     )
-    t = TopologicalType(rank, tuple(vertices), edges, frozenset(tree))
-    ids = [e.id for e in t.edges]
-    if len(set(ids)) != len(ids):
-        raise WrongRank("duplicate edge ids")
+    vertices, tree = tuple(vertices), tuple(tree)
+    for kind, names in (("vertex", vertices), ("edge id", [e.id for e in edges]),
+                        ("tree entry", tree)):
+        if len(set(names)) != len(names):
+            name = next(x for i, x in enumerate(names) if x in names[:i])
+            raise DuplicateName(f"{kind} {name!r} is listed twice")
+    t = TopologicalType(rank, vertices, edges, frozenset(tree))
     if not t.vertices:
         raise DisconnectedGraph("no vertices")
     for e in t.edges:

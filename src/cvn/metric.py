@@ -9,10 +9,10 @@ quantity here a finite exact maximum.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, mul
+from itertools import accumulate, chain
+from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
 
 from .candidates import enumerate_candidates
@@ -31,7 +31,7 @@ from .graphs import (
     embed_point,
 )
 from .values import Value
-from .words import ConjClass, _check_count, _classes_up_to, _walk_class
+from .words import ConjClass, _check_count, _class_walk, _walk_class
 
 
 def length_numerator(p: SimplexPoint, gamma: ConjClass) -> int:
@@ -156,73 +156,49 @@ def _cancel(left, right) -> int:
 
 @lru_cache(maxsize=4096)
 def _junction_middles(t: TopologicalType) -> tuple:
-    """Per letter triple (p, x, n), its junction index (p * m + x) * m + n,
-    with m = 2 * rank + 1 and letters mod m (their _letter_paths indices),
-    and the codes of path(x) that survive cancellation with path(p) and
-    path(n).  Triples whose two cancellations reach all of path(x), as at
-    p = x^-1 or n = x^-1, are left out: there cancellation can cascade."""
+    """The middle of letter triple (p, x, n), at junction index
+    (p * m + x) * m + n with m = 2 * rank + 1 and letters mod m (their
+    _letter_paths indices), is the part of path(x) that survives
+    cancellation with path(p) and path(n).  Returns the codes of all letter
+    paths end to end, getters of each middle's end and start among their
+    prefix sums, and a getter that spreads [sentinel, 0, *weights] over the
+    junction indices and the zero slot m^3.  Triples whose cancellations
+    reach all of path(x), as at p = x^-1, read the sentinel: there
+    cancellation can cascade.  Each letter has the middle of (x, x, x)."""
     paths = _letter_paths(t)
-    m, out = len(paths), []
-    letters = range(1, m)
+    m, ends, starts, spread = len(paths), [], [], [0] * len(paths) ** 3 + [1]
     for x, px in enumerate(paths[1:], 1):
-        his = [len(px) - _cancel(px, paths[n]) for n in letters]
-        for p in letters:
+        base = sum(map(len, paths[:x]))
+        his = [len(px) - _cancel(px, paths[n]) for n in range(1, m)]
+        for p in range(1, m):
             lo = _cancel(paths[p], px)
-            out += [((p * m + x) * m + n, px[lo:hi])
-                    for n, hi in enumerate(his, 1) if lo < hi]
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _class_prefixes(rank: int, max_len: int) -> tuple:
-    """Per depth d >= 1 of the prefix trie of _classes_up_to(rank, max_len),
-    as itemgetters, so that a point reads each in one C call: its nodes'
-    parent positions at depth d - 1, its classes' nodes, and the junction
-    indices of its nodes' last three letters (the zero slot m^3 for fewer)
-    and of its classes' wraps (x[-1], x[0], x[1]) and (x[-2], x[-1], x[0]),
-    or (x, x, x) and the zero slot: a class of length k reads k.  From rank
-    2 on, every depth has two classes or more, so each getter gives a tuple."""
-    m, r = 2 * rank + 1, range(-rank, rank + 1)
-    junction = dict.fromkeys(zip(r), m ** 3) | {
-        (p, x, n): ((p % m) * m + x % m) * m + n % m
-        for p in r for x in r for n in r}
-    table, out, pos, lo = _classes_up_to(rank, max_len), [], {(): 0}, 0
-    for d in range(1, max_len + 1):
-        nodes = tuple(dict.fromkeys(map(itemgetter(slice(d)), table[lo:])))
-        parents = map(itemgetter(slice(d - 1)), nodes)
-        up = itemgetter(*map(pos.__getitem__, parents))
-        pos = dict(zip(nodes, range(len(nodes))))
-        own = table[lo:bisect_left(table, d + 1, lo, key=len)]
-        lo += len(own)
-        last = itemgetter(-2, -1, 0) if d > 1 else itemgetter(slice(1))
-        reads = (map(itemgetter(slice(d - 3, d)), nodes),
-                 map(itemgetter(-1, 0, 1 % d), own), map(last, own))
-        out.append((up, itemgetter(*map(pos.__getitem__, own)), *(
-            itemgetter(*map(junction.__getitem__, js)) for js in reads)))
-    return tuple(out)
+            for n, hi in enumerate(his, 1):
+                if lo < hi:
+                    spread[(p * m + x) * m + n] = len(ends) + 2
+                    ends.append(base + hi)
+                    starts.append(base + lo)
+    return (tuple(chain.from_iterable(paths)), itemgetter(*ends),
+            itemgetter(*starts), itemgetter(*spread))
 
 
 def _junction_table(p: SimplexPoint, max_len: int) -> list[int]:
-    """p's junction table: the weight of each junction middle of p's type
-    by junction index, then the zero slot 0, and elsewhere a negative
-    sentinel below any sum of max_len entries.  By bounded cancellation
-    (Cooper 1987), when every triple around a cyclically reduced class
-    has a middle, the middles do not cancel (each cancellation is maximal)
-    and form the immersed loop: a class sums to its length numerator."""
-    w = p.code_weights.__getitem__
-    middles = [(i, sum(map(w, mid))) for i, mid in _junction_middles(p.ttype)]
-    sentinel = -1 - max_len * max((v for _, v in middles), default=0)
-    table = [sentinel] * (2 * p.ttype.rank + 1) ** 3 + [0]
-    for i, v in middles:
-        table[i] = v
-    return table
+    """p's junction table: each junction middle's weight (a difference of
+    prefix sums of p's weights along the letter paths) at its index, the
+    zero slot 0, elsewhere a sentinel below any sum of max_len entries.  By
+    bounded cancellation (Cooper 1987), when every triple around a
+    cyclically reduced class has a middle, the middles do not cancel and
+    form the immersed loop: a class sums to its length numerator."""
+    codes, ends, starts, spread = _junction_middles(p.ttype)
+    sums = [0, *accumulate(map(p.code_weights.__getitem__, codes))]
+    weights = list(map(sub, ends(sums), starts(sums)))
+    return list(spread([-1 - max_len * max(weights), 0, *weights]))
 
 
 def _class_lengths(p: SimplexPoint, max_len: int) -> list[int]:
-    """Per class of _classes_up_to, its sum in p's junction table."""
+    """Per class of _class_walk, its sum in p's junction table."""
     table = _junction_table(p, max_len)
     sums, out = [0], []
-    for up, nodes, mids, first, last in _class_prefixes(p.ttype.rank, max_len):
+    for up, nodes, mids, first, last in _class_walk(p.ttype.rank, max_len)[1]:
         sums = list(map(add, up(sums), mids(table)))
         out += map(add, nodes(sums), map(add, first(table), last(table)))
     return out
@@ -241,7 +217,7 @@ def brute_force_lambda(a: SimplexPoint, b: SimplexPoint, max_len: int):
     wa, wb = a.code_weights.__getitem__, b.code_weights.__getitem__
     best_b, best_a = 0, 1  # every ratio is positive
     argmax: list = []
-    for letters, lb, la in zip(_classes_up_to(ta.rank, max_len),
+    for letters, lb, la in zip(_class_walk(ta.rank, max_len)[0],
                                _class_lengths(b, max_len),
                                _class_lengths(a, max_len)):
         if lb < 0:

@@ -350,10 +350,3 @@ class Polytope:
         tight = [h.row for h, s in zip(self.constraints, slacks) if s == 0]
         return not tight or not any(sum(map(mul, row, r))
                                     for row in tight for r, _ in self.rays)
-
-    def barycenter(self) -> Vector:
-        vs = self.vertices
-        if not vs:
-            raise Infeasible("empty polytope")
-        n = len(vs)
-        return tuple(sum(v[i] for v in vs) / n for i in range(self.ambient_dim))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
-from operator import neg
+from operator import itemgetter, neg
 
 from .errors import (
     IndexOutOfRange,
@@ -358,12 +358,12 @@ def conjugacy_classes_up_to(rank: int, max_len: int):
     ParamOutOfRange on the first next."""
     _check_count("rank", rank)
     _check_count("max_len", max_len)
-    for letters in _classes_up_to(rank, max_len):
+    for letters in _class_walk(rank, max_len)[0]:
         yield _walk_class(letters, rank)
 
 
 def _walk_class(letters: Letters, rank: int) -> ConjClass:
-    """The class of letters from _classes_up_to, skipping Word's checks."""
+    """The class of letters from _class_walk, skipping Word's checks."""
     w, g = object.__new__(Word), object.__new__(ConjClass)
     setfield(w, "letters", letters)
     setfield(w, "rank", rank)
@@ -373,36 +373,62 @@ def _walk_class(letters: Letters, rank: int) -> ConjClass:
 
 
 @lru_cache(maxsize=32)
-def _classes_up_to(rank: int, max_len: int) -> tuple[Letters, ...]:
-    """The canonical representatives' letters, by length, then letter key.
-
-    One FKM walk (Ruskey, Savage & Wang 1992) to depth max_len visits the
-    prenecklaces over the letter keys in lexicographic order, never placing
-    a letter next to its inverse; every depth is a length.  A prenecklace
-    whose period divides its length is a necklace, and it is kept when its
-    last letter does not cancel its first and no rotation of its inverse is
-    smaller than itself.
-    """
+def _class_walk(rank: int, max_len: int) -> tuple:
+    """The class table and its prefix trie, from one FKM walk (Ruskey,
+    Savage & Wang 1992) over the prenecklaces in letter key order, never
+    placing a letter next to its inverse.  A necklace is kept when its ends
+    do not cancel and no rotation of its inverse is smaller.  It starts
+    with its least letter, so the walk enters no first letter x^-1 (the
+    inverse word holds x), and keeps at once a necklace without x^-1 after
+    a first letter x (all inverse letters are then above x).  The table
+    lists the classes' letters by length, then key; the trie, their
+    prefixes, each recorded when a class below it is kept, as five
+    itemgetters per depth (a tuple each from rank 2 on): the nodes' parents
+    one depth up, the classes' nodes, and the triple indices of the nodes'
+    last three letters and of the classes' wraps (x[-1], x[0], x[1]) and
+    (x[-2], x[-1], x[0]), or (x, x, x) and m^3 for one letter.  Triple
+    (p, x, n) has index (p * m + x) * m + n, letters mod m = 2 * rank + 1."""
     # position i in the key order; i ^ 1 is the position of the inverse
-    alphabet = [s * m for m in range(1, rank + 1) for s in (1, -1)]
+    alphabet = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+    m = 2 * rank + 1
+    mods = [x % m for x in alphabet]
     by_len: list[list[Letters]] = [[] for _ in range(max_len + 1)]
+    trie = [([], [], [], [], []) for _ in range(max_len + 1)]
     a = [0] * (max_len + 1)  # a[1..t]; a[0] is the FKM sentinel
+    ids = [0] * (max_len + 1)  # trie position of a[1..d], -1 until recorded
 
-    def extend(t: int, p: int) -> None:
-        for j in range(a[t - p], len(alphabet)):
-            if j == a[t - 1] ^ 1 and t > 1:
-                continue
-            a[t] = j
-            q = p if j == a[t - p] else t
-            if t % q == 0 and j != a[1] ^ 1:
-                word = tuple(a[1:t + 1])
-                inv = tuple([x ^ 1 for x in reversed(word)])
-                # a rotation starting above word[0] = a[1] is larger than word
-                if all(inv[i:] + inv[:i] >= word
-                       for i in range(t) if inv[i] <= a[1]):
-                    by_len[t].append(tuple([alphabet[x] for x in word]))
-            if t < max_len:
-                extend(t + 1, q)
+    def triple(i: int, j: int, k: int) -> int:
+        return (mods[a[i]] * m + mods[a[j]]) * m + mods[a[k]]
 
-    extend(1, 1)
-    return tuple(itertools.chain.from_iterable(by_len))
+    def keep(t: int) -> None:
+        for d in range(1, t + 1):
+            if ids[d] < 0:
+                parents, _, triples, _, _ = trie[d]
+                ids[d] = len(parents)
+                parents.append(ids[d - 1])
+                triples.append(triple(d - 2, d - 1, d) if d > 2 else m ** 3)
+        _, nodes, _, firsts, lasts = trie[t]
+        nodes.append(ids[t])
+        firsts.append(triple(t, 1, 1 % t + 1))
+        lasts.append(triple(t - 1, t, 1) if t > 1 else m ** 3)
+        by_len[t].append(tuple([alphabet[x] for x in a[1:t + 1]]))
+
+    def least(t: int) -> bool:  # only rotations from a[1] can be smaller
+        word, inv = a[1:t + 1], [x ^ 1 for x in reversed(a[1:t + 1])]
+        return all(inv[i:] + inv[:i] >= word
+                   for i in range(t) if inv[i] == a[1])
+
+    def extend(t: int, p: int, seen: bool) -> None:
+        # seen: a[2..t-1] holds the inverse of a[1]; a[1] is never an inverse
+        for j in range(a[t - p], len(alphabet), 1 + (t == 1)):
+            if j != a[t - 1] ^ 1:
+                a[t], ids[t] = j, -1
+                q = p if j == a[t - p] else t
+                if t % q == 0 and j != a[1] ^ 1 and (not seen or least(t)):
+                    keep(t)
+                if t < max_len:
+                    extend(t + 1, q, seen or j == a[1] ^ 1)
+
+    extend(1, 1, False)
+    return (tuple(itertools.chain.from_iterable(by_len)),
+            tuple(tuple(itemgetter(*xs) for xs in lists) for lists in trie[1:]))

@@ -33,6 +33,7 @@ from cvn.words import (
     cyclic_reduce,
     generator,
 )
+from point_readings import barycenter
 
 
 class NotPrimitive(CvnError):
@@ -134,7 +135,7 @@ def direction_reduction(a: SimplexPoint, m, delta: TopologicalType) -> frozenset
     sl = out_envelope(a, m, delta)
     if not sl.vertices:
         raise EmptySlice("out-envelope slice is empty in this simplex")
-    b0 = point_from_coords(delta, sl.barycenter())
+    b0 = point_from_coords(delta, barycenter(sl))
     s = stretch_report(a, b0).candidate_witnesses
     reduced = out_envelope(a, s, delta)
     if reduced.vertices != sl.vertices:

@@ -34,13 +34,14 @@ from cvn.graphs import (
 )
 from cvn.polytope import HalfSpace, Polytope, equality
 from cvn.words import ConjClass
+from point_readings import length_of
 
 
 def conj_length(p: SimplexPoint, gamma: ConjClass) -> Fraction:
     """Length of the immersed loop of gamma in p, edge length by edge length."""
     if gamma.is_trivial():
         raise TrivialClass("trivial class has zero length")
-    return sum((p.length_of(eid) for eid, _ in tighten(p.ttype, gamma)),
+    return sum((length_of(p, eid) for eid, _ in tighten(p.ttype, gamma)),
                Fraction(0))
 
 

@@ -20,6 +20,7 @@ from cvn.geodesics import GeodesicPath, _check_ranks, check_gluing
 from cvn.graphs import SimplexPoint, point_from_coords
 from cvn.metric import candidate_witnesses, stretch
 from cvn.words import ConjClass, class_order
+from point_readings import barycenter
 
 
 class NoFacetChain(CvnError):
@@ -57,7 +58,7 @@ def _facet_chain(u: SimplexPoint, start: ConjClass, goal: ConjClass):
 def _nudge(u: SimplexPoint, g1: ConjClass, g2: ConjClass, eps: Fraction):
     """A point near u inside both out-envelopes of g1 and g2."""
     poly = out_envelope(u, [g1, g2], u.ttype)
-    bary = poly.barycenter()
+    bary = barycenter(poly)
     t = Fraction(1, 2)
     while True:
         coords = tuple(

@@ -1,11 +1,16 @@
+import copy
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvn.cli import main, parse_word
 from cvn.graphs import (
@@ -180,6 +185,114 @@ def test_validate_edge_to_unlisted_vertex_is_a_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("DisconnectedGraph: ")
     assert "edge a" in err and "'p'" in err
+
+
+@pytest.mark.parametrize("change, kind, name", [
+    pytest.param(lambda d: d["vertices"].append("q"), "vertex", "q",
+                 id="vertex"),
+    pytest.param(lambda d: d["tree"].append("e2"), "tree entry", "e2",
+                 id="tree"),
+    pytest.param(lambda d: d["edges"][2].update(id="e1"), "edge id", "e1",
+                 id="edge"),
+])
+def test_validate_reports_a_repeated_name(tmp_path, capsys, change, kind,
+                                          name):
+    # once: DisconnectedGraph, exit 0 (the tree read as a set) and
+    # WrongRank("duplicate edge ids")
+    data = json.loads((FIXTURES / "a.json").read_text())
+    change(data)
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"DuplicateName: {kind} {name!r} is listed twice\n")
+
+
+class _Obj(list):
+    """A JSON object as its [key, value] pairs, so a key can repeat."""
+
+
+def _text(v) -> str:
+    if isinstance(v, _Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_text(x)}"
+                               for k, x in v) + "}"
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_text, v)) + "]"
+    return json.dumps(v)
+
+
+def _slots(v) -> list:
+    """Every entry of every array and object in v, as (container, index)."""
+    if not isinstance(v, list):
+        return []
+    out = [(v, i) for i in range(len(v))]
+    for x in v:
+        out += _slots(x[1] if isinstance(v, _Obj) else x)
+    return out
+
+
+_FUZZ_FIXTURES = {name: json.loads(
+    (FIXTURES / f"{name}.json").read_text(),
+    object_pairs_hook=lambda pairs: _Obj(map(list, pairs)))
+    for name in ("a", "r3a")}
+_EXTREMES = [None, True, False, 0, -1, 1, 3, 2 ** 63, -2 ** 63, 10 ** 40,
+             1e308, -1e308, 5e-324, 0.5, float("inf"), float("nan"), "",
+             "x", "p", "e1", "0", "-1/3", "1/0", "1e400", "1e-400", [], [0],
+             ["p", "q"], _Obj()]
+
+
+@given(st.sampled_from(sorted(_FUZZ_FIXTURES)),
+       st.lists(st.tuples(st.sampled_from(["drop", "repeat", "retype"]),
+                          st.integers(0, 10 ** 6),
+                          st.sampled_from(_EXTREMES)),
+                min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_validate_exits_cleanly_on_mutated_fixtures(name, mutations):
+    # dropped, repeated and retyped keys and entries, extreme numbers:
+    # validate answers 0, 1 or 2 and raises nothing
+    data = copy.deepcopy(_FUZZ_FIXTURES[name])
+    for kind, pick, value in mutations:
+        slots = _slots(data)
+        if not slots:
+            break
+        box, i = slots[pick % len(slots)]
+        if kind == "drop":
+            del box[i]
+        elif kind == "repeat":
+            box.insert(i, copy.deepcopy(box[i]))
+        elif isinstance(box, _Obj):
+            box[i][1] = copy.deepcopy(value)
+        else:
+            box[i] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(_text(data))
+        assert main(["validate", str(path)]) in (0, 1, 2)
+
+
+# the stdout digests that CI pins for these commands on the rank-3 fixtures
+CI_DIGESTS = {
+    ("general-position", "r3a", "r3b", "--via", "out"):
+        "038e521afa930d2454afce85b31490ca76216afc88f7c71a8ccd56a048a706fb",
+    ("general-position", "r3a", "r3b", "--via", "in"):
+        "d2e846cb69c8f6946f054a3308c1382380fca717e232b273c897fe83a614a9ce",
+    ("candidates", "r3b"):
+        "0395490a201d724d9019a4e05416a0dd0ad1929dcbc6fdfbafbcd843f5ac604b",
+    ("geodesic", "r3a", "r3b"):
+        "cbdb28c9e15dcf64d1a906df72475c29b3e5c39eb4257d14d37dcf16fb05176c",
+}
+
+
+def test_rank3_cli_outputs_match_ci_digests():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for command, digest in CI_DIGESTS.items():
+        argv = [str(FIXTURES / f"{a}.json") if a.startswith("r3") else a
+                for a in command]
+        res = subprocess.run([sys.executable, "-m", "cvn.cli", *argv],
+                             env=env, capture_output=True, timeout=120)
+        assert res.returncode == 0, res.stderr.decode()
+        assert hashlib.sha256(res.stdout).hexdigest() == digest, command
 
 
 def test_candidates_output(files, capsys):

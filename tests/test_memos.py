@@ -51,6 +51,7 @@ from cvn.graphs import (
 from cvn.metric import brute_force_lambda, length_numerator, stretch_report
 from cvn.sampling import random_pair
 from cvn.words import Word, conj_class, conjugacy_classes_up_to, invert
+from point_readings import length_of
 from test_marking_key import _edge_map
 
 
@@ -104,19 +105,18 @@ MEMOS = (
     "cvn.graphs.barbell_type",
     "cvn.metric.stretch_report",
     "cvn.metric._junction_middles",
-    "cvn.metric._class_prefixes",
     "cvn.polytope._unit_rows",
     "cvn.svg.layout_support",
     "cvn.words._class_of",
     "cvn.words._interned",
     "cvn.words._basis_inverse",
-    "cvn.words._classes_up_to",
+    "cvn.words._class_walk",  # the class table and its prefix trie
 )
 
 
 def test_every_cache_is_bounded():
     caches = _caches()
-    assert len(MEMOS) == 23
+    assert len(MEMOS) == 22
     assert sorted(caches) == sorted(MEMOS)
     for name in ("cvn.metric.stretch_report", "cvn.envelopes.slice_polytope",
                  "cvn.envelopes._support", "cvn.graphs._collapse_keys",
@@ -376,7 +376,7 @@ def _first_map_embedding(p, delta):
         if emap is None:
             continue
         return tuple(Fraction(0) if e.id in forest
-                     else p.length_of(emap[e.id][0]) for e in delta.edges)
+                     else length_of(p, emap[e.id][0]) for e in delta.edges)
     return None
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import marking_oracle
 import words_oracle
-from cvn import graphs, metric
+from cvn import graphs, metric, words
 from cvn.errors import ParamOutOfRange, RankMismatch, TrivialClass
 from cvn.graphs import (
     SimplexPoint,
@@ -38,6 +38,7 @@ from cvn.metric import (
 )
 from cvn.sampling import random_automorphism, random_pair, random_point
 from cvn.words import conj_class, conjugacy_classes_up_to, generator
+from point_readings import length_of
 from test_marking_key import _relabelled
 
 
@@ -160,6 +161,22 @@ def test_junction_table_lengths_match_tighten():
     assert fallbacks > 0
 
 
+def test_junction_table_matches_per_middle_sums():
+    # prefix-sum middle weights equal the twin's per-middle sums, sentinel
+    # and zero slot included, untwisted and twisted, at ranks 2 to 4
+    rng = random.Random(29)
+    points = [theta_point(1, 2, 3), twisted_theta_point(3, 1, 2),
+              barbell_point(2, 3, 5)]
+    for rank in (2, 3, 4):
+        points += random_pair(rank, rng, twist_steps=3)
+        points.append(_random_lengths_point(_random_trivalent_type(rank, rng),
+                                            rng))
+    for p in points:
+        for max_len in (1, 6):
+            assert (metric._junction_table(p, max_len)
+                    == words_oracle.junction_table(p, max_len))
+
+
 def test_junction_indices_wrap_around_short_classes():
     # a 1-letter class reads the triple (x, x, x), a 2-letter class xy
     # the triples (y, x, y) and (x, y, x)
@@ -175,11 +192,11 @@ def test_junction_indices_wrap_around_short_classes():
     for letters, idx in by_letters.items():
         got = sum(map(table.__getitem__, idx))
         assert got == length_numerator(p, conj_class(list(letters), 2))
-    # the prefix memo reads the same triples: a class of 1 or 2 letters
+    # the walk's trie reads the same triples: a class of 1 or 2 letters
     # reads the zero slot m^3 along its prefix and its triples at the wrap
     zero = m ** 3
     assert table[zero] == 0
-    for d, getters in enumerate(metric._class_prefixes(2, 2), 1):
+    for d, getters in enumerate(words._class_walk(2, 2)[1], 1):
         _, nodes, mids, first, last = map(_indices, getters)
         assert set(mids) == {zero}
         own = [g.rep.letters for g in conjugacy_classes_up_to(2, 2)
@@ -193,18 +210,18 @@ def test_junction_indices_wrap_around_short_classes():
 
 
 def _indices(getter):
-    """The indices an itemgetter of the prefix memo reads, as a tuple (a
+    """The indices an itemgetter of the walk's trie reads, as a tuple (a
     getter of one index, as at rank 1, gives that index alone)."""
     got = getter(range(10 ** 9))
     return got if isinstance(got, tuple) else (got,)
 
 
 def _prefix_reads(rank, max_len):
-    """Per class, in order, the junction indices the prefix memo reads for
+    """Per class, in order, the junction indices the walk's trie reads for
     it, zero slots left out: its prefix's, found by walking up the trie,
     and its two wraps."""
     depths = [tuple(map(_indices, getters))
-              for getters in metric._class_prefixes(rank, max_len)]
+              for getters in words._class_walk(rank, max_len)[1]]
     zero = (2 * rank + 1) ** 3
     out = []
     for d, (_, nodes, _, first, last) in enumerate(depths, 1):
@@ -226,9 +243,13 @@ def test_class_prefixes_read_each_cyclic_triple_once(rank, max_len):
     assert _prefix_reads(rank, max_len) == [sorted(idx) for idx in twin]
     # from rank 2 on every getter reads two indices or more, so it gives
     # a tuple, which _class_lengths maps over
+    table, trie = words._class_walk(rank, max_len)
     assert all(isinstance(g(range(10 ** 9)), tuple) == (rank > 1)
-               for getters in metric._class_prefixes(rank, max_len)
-               for g in getters)
+               for getters in trie for g in getters)
+    # the trie holds exactly the classes' prefixes, with no dead nodes
+    for d, (up, *_) in enumerate(trie, 1):
+        prefixes = {letters[:d] for letters in table if len(letters) >= d}
+        assert len(_indices(up)) == len(prefixes)
 
 
 def _prefix_points(rank, rng):
@@ -316,7 +337,7 @@ def _same_point_cases(rank, rng):
     t = _relabelled(p.ttype, rng)
     emap = next(marking_oracle.marking_isomorphisms(p.ttype, t))
     back = {f: e for e, (f, _) in emap.items()}
-    yield p, SimplexPoint(t, tuple(p.length_of(back[e.id]) for e in t.edges))
+    yield p, SimplexPoint(t, tuple(length_of(p, back[e.id]) for e in t.edges))
     yield p, apply_outer_automorphism(p, random_automorphism(rank, rng, 3))
     n = len(p.lengths)
     yield p, SimplexPoint(p.ttype, tuple(rng.sample(p.lengths, n)))

@@ -366,18 +366,20 @@ def _oracle_classes(rank, max_len):
     return tuple(words_oracle.conjugacy_classes_up_to(rank, max_len))
 
 
-@pytest.mark.parametrize("rank,max_len", [(1, 10), (2, 8), (3, 6), (4, 4)])
+@pytest.mark.parametrize("rank,max_len", [(1, 10), (2, 8), (3, 6), (4, 4),
+                                           (4, 5), (5, 4)])
 def test_class_enumeration_matches_letter_tuple_oracle(rank, max_len):
     fast = list(conjugacy_classes_up_to(rank, max_len))
     slow = list(_oracle_classes(rank, max_len))
     assert fast == slow  # the same classes in the same order
 
 
-@pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 8), (3, 6), (4, 4)])
+@pytest.mark.parametrize("rank,max_len", [(1, 6), (2, 8), (3, 6), (4, 4),
+                                           (4, 5), (5, 4)])
 def test_letter_table_matches_letter_tuple_oracle(rank, max_len):
-    # the one FKM walk over all lengths, read as the letter table that
-    # _class_junctions and brute_force_lambda use, in the oracle's order
-    table = words._classes_up_to(rank, max_len)
+    # the one pruned FKM walk over all lengths, read as the letter table
+    # that brute_force_lambda uses, in the oracle's order
+    table = words._class_walk(rank, max_len)[0]
     assert list(table) == [g.rep.letters
                            for g in _oracle_classes(rank, max_len)]
     assert list(table) == [g.rep.letters
@@ -386,10 +388,10 @@ def test_letter_table_matches_letter_tuple_oracle(rank, max_len):
 
 def test_class_enumeration_is_a_generator_over_an_immutable_memo():
     assert inspect.isgeneratorfunction(conjugacy_classes_up_to)
-    memo = words._classes_up_to(2, 3)
+    memo = words._class_walk(2, 3)[0]
     assert type(memo) is tuple
     assert all(type(letters) is tuple for letters in memo)
-    assert words._classes_up_to(2, 3) is memo
+    assert words._class_walk(2, 3)[0] is memo
     assert tuple(g.rep.letters for g in conjugacy_classes_up_to(2, 3)) == memo
 
 
@@ -400,7 +402,7 @@ def test_classes_built_without_checks_equal_checked_ones(rank, max_len):
     # gives equal, equally hashed, canonical classes
     fast = list(conjugacy_classes_up_to(rank, max_len))
     slow = [ConjClass(Word(letters, rank), rank)
-            for letters in words._classes_up_to(rank, max_len)]
+            for letters in words._class_walk(rank, max_len)[0]]
     assert fast == slow
     assert [hash(g) for g in fast] == [hash(g) for g in slow]
     assert all(conj_normal_form(g.rep) == g for g in fast)

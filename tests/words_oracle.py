@@ -20,8 +20,10 @@ hand-written substitution loops that ``cvn.words`` and ``cvn.graphs`` used
 before they shared one substitution kernel (``words._substitute``).
 ``class_junctions`` and ``brute_force_lambda`` are the per-class junction
 indices and scan that ``cvn.metric`` used before classes that share a prefix
-shared its junction sum (``metric._class_prefixes``): each class sums its
-own k cyclic triples in the point's junction table.
+shared its junction sum (the trie of ``words._class_walk``): each class sums
+its own k cyclic triples in the point's junction table.  ``junction_table``
+sums each junction middle's codes afresh, as ``cvn.metric`` did before it
+read the middles' weights off prefix sums along the letter paths.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from constructions import (
     whitehead_automorphisms,
 )
 from marking_oracle import tree_path
-from cvn.graphs import TopologicalType, _petals, _tighten_cached
-from cvn.metric import _junction_table
+from cvn.graphs import TopologicalType, _letter_paths, _petals, _tighten_cached
+from cvn.metric import _cancel, _junction_table
 from cvn.words import (
     _basis_inverse,
-    _classes_up_to,
+    _class_walk,
     _walk_class,
     ConjClass,
     Letters,
@@ -384,13 +386,36 @@ def tighten_codes(t: TopologicalType, rep_letters) -> tuple[int, ...]:
     return tuple(steps[i:j + 1])
 
 
+def junction_table(p, max_len: int) -> list[int]:
+    """metric._junction_table summing each junction middle's codes on its
+    own: per letter triple (p, x, n), the codes of path(x) that survive
+    cancellation with path(p) and path(n), at junction index
+    (p * m + x) * m + n; the zero slot m^3 holds 0, every other slot a
+    sentinel below any sum of max_len entries."""
+    paths = _letter_paths(p.ttype)
+    m, middles = len(paths), []
+    for x, px in enumerate(paths[1:], 1):
+        for q in range(1, m):
+            lo = _cancel(paths[q], px)
+            for n in range(1, m):
+                hi = len(px) - _cancel(px, paths[n])
+                if lo < hi:
+                    middles.append(((q * m + x) * m + n, sum(
+                        p.code_weights[c] for c in px[lo:hi])))
+    sentinel = -1 - max_len * max((v for _, v in middles), default=0)
+    table = [sentinel] * m ** 3 + [0]
+    for i, v in middles:
+        table[i] = v
+    return table
+
+
 def class_junctions(rank: int, max_len: int) -> tuple:
-    """Per class of cvn.words._classes_up_to(rank, max_len), in its order,
+    """Per class of cvn.words._class_walk(rank, max_len), in its order,
     the junction index of each cyclic letter triple of the representative:
     (x[i-1], x[i], x[i+1]) with indices mod the length, and every letter
     a taken as a mod 2 * rank + 1, its index in _letter_paths."""
     m, out = 2 * rank + 1, []
-    for letters in _classes_up_to(rank, max_len):
+    for letters in _class_walk(rank, max_len)[0]:
         xs = [a % m for a in letters]
         k = len(xs)
         out.append(tuple((xs[i - 1] * m + xs[i]) * m + xs[(i + 1) % k]
@@ -406,7 +431,7 @@ def brute_force_lambda(a, b, max_len: int):
     ja, jb = (_junction_table(p, max_len).__getitem__ for p in (a, b))
     best_b, best_a = 0, 1  # every ratio is positive
     argmax: list = []
-    for letters, idx in zip(_classes_up_to(ta.rank, max_len),
+    for letters, idx in zip(_class_walk(ta.rank, max_len)[0],
                             class_junctions(ta.rank, max_len)):
         lb = sum(map(jb, idx))
         if lb < 0:
