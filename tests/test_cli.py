@@ -280,6 +280,13 @@ CI_DIGESTS = {
         "0395490a201d724d9019a4e05416a0dd0ad1929dcbc6fdfbafbcd843f5ac604b",
     ("geodesic", "r3a", "r3b"):
         "cbdb28c9e15dcf64d1a906df72475c29b3e5c39eb4257d14d37dcf16fb05176c",
+    # the rank-3 fill both ways, and all 1,147 trivalent slices of it
+    ("support", "r3a", "r3b", "--budget", "2676"):
+        "e74a4f39d41e8c6a6fa0432d254b8ed0cbd4b7eccc9ba1dfd85512eb8e4d155f",
+    ("support", "r3b", "r3a", "--budget", "2461"):
+        "f37a37fa01956b5b82b904080e872252506635cd6ad072f3e2f715d59bec1965",
+    ("envelope", "r3a", "r3b", "--budget", "2676"):
+        "89b81631a93aa1f476ea94219f2ea47c78289620e38df356d865615b09d946f4",
 }
 
 
