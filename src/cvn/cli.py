@@ -260,7 +260,7 @@ def _default(value, fallback):
 
 
 def _verify_a1(args):
-    from .envelopes import reference_witness, slice_polytope
+    from .envelopes import envelope_slice
     from .metric import conj_length, stretch_report
     from .polytope import feasible
 
@@ -277,10 +277,8 @@ def _verify_a1(args):
     cw_ac = stretch_report(A, C).candidate_witnesses
     cw_ca = stretch_report(C, A).candidate_witnesses
     rose = rose_type(2)
-    g1 = reference_witness(A, C)
-    g2 = reference_witness(C, A)
-    joint = (slice_polytope(A, C, g1, rose).halfspaces
-             + slice_polytope(C, A, g2, rose).halfspaces)
+    joint = (envelope_slice(A, C, rose).polytope.halfspaces
+             + envelope_slice(C, A, rose).polytope.halfspaces)
     both_ways = feasible(joint, 2)
     checks = {
         "cw_a_to_c_is_xy_inverse": cw_ac == frozenset({xy_inv}),

@@ -156,28 +156,20 @@ class EnvelopeSlice(Value):
 
 
 # a polytope keeps its vertices alive once asked, so this cache stays
-# small: enough for the support, walker and picture of a pair
+# small: enough for the support, walker and picture of a rank-2 pair
 @lru_cache(maxsize=64)
-def slice_polytope(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
-                   delta: TopologicalType) -> Polytope:
-    """The envelope of (a, b) in the simplex of delta with reference
-    witness gamma: the star system of a, then the starstar system of b."""
-    return Polytope(len(delta.edges), star_system(a, gamma, delta)
-                    + starstar_system(b, gamma, delta))
-
-
 def envelope_slice(a: SimplexPoint, b: SimplexPoint,
                    delta: TopologicalType) -> EnvelopeSlice:
+    """The envelope of (a, b) in the simplex of delta, with the reference
+    witness gamma that cuts it out: the star system of a, then the
+    starstar system of b.  Every witness of (a, b) cuts out the same set,
+    so the slice depends on the pair and the simplex alone."""
     if a.ttype.rank != b.ttype.rank or a.ttype.rank != delta.rank:
         raise RankMismatch("mixed ranks")
     gamma = reference_witness(a, b)
-    return EnvelopeSlice(delta, gamma, slice_polytope(a, b, gamma, delta))
-
-
-def envelope(a: SimplexPoint, b: SimplexPoint,
-             delta: TopologicalType) -> Polytope:
-    """The envelope of the pair (a, b) inside the simplex of delta."""
-    return envelope_slice(a, b, delta).polytope
+    return EnvelopeSlice(delta, gamma, Polytope(
+        len(delta.edges),
+        star_system(a, gamma, delta) + starstar_system(b, gamma, delta)))
 
 
 class Support(Value):
@@ -192,17 +184,18 @@ def support(a: SimplexPoint, b: SimplexPoint, budget=None) -> Support:
     which is the number it finds.  Memoised per (a, b, budget), a missing
     budget read as DEFAULT_BUDGET: repeated calls return one shared,
     immutable Support.  The fill builds the slices of T(a) and of the
-    trivalent simplices only, and leaves them in the slice cache, with
-    their vertices, for the walker and the picture; a face's slice is
-    built when one of them asks for it.  BudgetExceeded is raised again
-    on every call."""
+    trivalent simplices only; a face's slice is built when the walker or
+    the picture asks for it.  The slice memo keeps the last 64 of them,
+    with their vertices, for the walker and the picture: all of them at
+    rank 2, but a rank-3 fill builds more than a thousand (1,147 from
+    the r3a fixture to r3b), so the picture builds those again.
+    BudgetExceeded is raised again on every call."""
     return _support(a, b, _budget(budget))
 
 
 @lru_cache(maxsize=64)
 def _support(a: SimplexPoint, b: SimplexPoint, budget: int) -> Support:
-    return Support(tuple(t for t, _ in _fill(a, b, reference_witness(a, b),
-                                             budget)))
+    return Support(tuple(t for t, _ in _fill(a, b, budget)))
 
 
 def _squeeze(z: int, i: int) -> int:
@@ -211,7 +204,7 @@ def _squeeze(z: int, i: int) -> int:
     return z & low | z >> 1 & ~low
 
 
-def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
+def _fill(a: SimplexPoint, b: SimplexPoint, budget: int):
     """The flood fill behind support, lazily: yields (t, zero) for each
     simplex t it enters, in fill order, with zero the bitmask of t's
     edges that are 0 at some vertex of t's slice, before t's neighbours
@@ -229,7 +222,7 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
     squeezed out, so only T(a) and the resolutions build a slice: a
     face's zero masks are read off its parent's.  Faces are keyed unbuilt
     (_collapse_keys), and a face is built only when it is queued."""
-    if not slice_polytope(a, b, gamma, a.ttype).is_feasible():
+    if not envelope_slice(a, b, a.ttype).polytope.is_feasible():
         return
     entered = 0
     queued = {type_key(a.ttype): a.ttype}
@@ -240,8 +233,8 @@ def _fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
             raise BudgetExceeded(f"support search entered > {budget} simplices")
         if masks is None:
             full = (1 << len(t.edges)) - 1
-            masks = [v[1] & full
-                     for v in slice_polytope(a, b, gamma, t)._vertex_rays]
+            masks = [v[1] & full for v
+                     in envelope_slice(a, b, t).polytope._vertex_rays]
             if not masks:
                 raise SelfCheckFailed("support entered an empty slice in "
                                       f"{[e.id for e in t.edges]}")

@@ -24,13 +24,13 @@ from operator import mul
 
 from .candidates import candidate_words, edge_counts
 from .envelopes import (
+    EnvelopeSlice,
     _budget,
     _direction,
     _fill,
+    envelope_slice,
     in_envelope,
     out_envelope,
-    reference_witness,
-    slice_polytope,
 )
 from .errors import (
     BudgetExceeded,
@@ -98,14 +98,6 @@ class GeodesicPath(Value):
                  target: SimplexPoint | None = None):
         Value.__init__(self, breakpoints, segment_witnesses, rigid_segments)
         setfield(self, "target", target)
-
-    @property
-    def start(self) -> SimplexPoint:
-        return self.breakpoints[0]
-
-    @property
-    def end(self) -> SimplexPoint:
-        return self.breakpoints[-1]
 
 
 def _chart_order(t: TopologicalType):
@@ -250,22 +242,22 @@ def _charts_at(delta: TopologicalType, here: SimplexPoint):
     return [(d2, emb) for d2, emb in embedded if emb is not None]
 
 
-def _first_step(charts, polytope, gamma, sweeps):
+def _first_step(charts, slice_of, sweeps):
     """The first (chart, target) of an allowed move, or None.
 
     Each sweep is a set of allowed move kinds (see _moves).  Sweeps are
     the outer loop; each tries the (chart, coords) pairs in their given
     order and takes the first move of _moves(poly, coords, counts, chart)
-    whose kind it allows, with poly = polytope(chart) and counts the edge
-    counts of gamma there.  A chart whose polytope has no vertex is
-    skipped."""
+    whose kind it allows, with poly the polytope of slice_of(chart) and
+    counts the edge counts there of the slice's walked class gamma.  A
+    chart whose polytope has no vertex is skipped."""
     for kinds in sweeps:
         for d2, coords in charts:
-            poly = polytope(d2)
-            if not poly.vertices:
+            sl = slice_of(d2)
+            if not sl.polytope.vertices:
                 continue
-            for kind, target in _moves(poly, coords, edge_counts(d2, gamma),
-                                       d2):
+            for kind, target in _moves(sl.polytope, coords,
+                                       edge_counts(d2, sl.gamma), d2):
                 if kind in kinds:
                     return d2, target
     return None
@@ -287,8 +279,6 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
         return GeodesicPath((a,), (), (0,), b)
 
     phase_base = a
-    gamma = reference_witness(phase_base, b)
-    base_witnesses = candidate_witnesses(phase_base, b)
     delta = a.ttype
     coords = a.lengths
     steps = 0
@@ -296,7 +286,7 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
         steps += 1
         if steps > budget:
             raise BudgetExceeded(f"walk exceeded {budget} steps")
-        moved = _advance(phase_base, b, gamma, delta, coords, breakpoints[-1])
+        moved = _advance(phase_base, b, delta, coords, breakpoints[-1])
         if moved is None:
             raise WalkStuck("no forward envelope edge from current point")
         delta, coords = moved
@@ -304,12 +294,10 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
         breakpoints.append(point)
         if same_point(point, b):
             break
-        if candidate_witnesses(point, b) - base_witnesses:
+        if candidate_witnesses(point, b) - candidate_witnesses(phase_base, b):
             # a new maximally-stretched class ends the current phase
             rigid.append(len(breakpoints) - 1)
             phase_base = point
-            gamma = reference_witness(phase_base, b)
-            base_witnesses = candidate_witnesses(phase_base, b)
     rigid.append(len(breakpoints) - 1)
     # the last segment ends at b itself, the same point as the last
     # breakpoint, so its witnesses come from the walk's own (p, b) memo
@@ -319,8 +307,8 @@ def piecewise_rigid_geodesic(a: SimplexPoint, b: SimplexPoint,
                         tuple(dict.fromkeys(rigid)), b)
 
 
-def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
-             delta: TopologicalType, coords, here: SimplexPoint):
+def _advance(base: SimplexPoint, b: SimplexPoint, delta: TopologicalType,
+             coords, here: SimplexPoint):
     """One skeleton-edge step forward from here, the point at coords of
     delta's chart; crosses simplices when needed.
 
@@ -330,17 +318,16 @@ def _advance(base: SimplexPoint, b: SimplexPoint, gamma: ConjClass,
     same charts in the same order.  Most steps are clean steps inside the
     current chart, so the adjacent charts are embedded and sorted on
     demand, only when the current chart has no clean step."""
-    polytope = partial(slice_polytope, base, b, gamma)
+    slice_of = partial(envelope_slice, base, b)
     current = [(delta, coords)]
-    moved = _first_step(current, polytope, gamma, ({CLEAN},))
+    moved = _first_step(current, slice_of, ({CLEAN},))
     if moved is not None:
         return moved
     near = _charts_at(delta, here)
     near.sort(key=lambda c: (embed_point(b, c[0]) is None,
                              -len(c[0].edges), _chart_order(c[0])))
-    return (_first_step(near, polytope, gamma, ({CLEAN},))
-            or _first_step(current + near, polytope, gamma,
-                           ({CLEAN, VERTEX},)))
+    return (_first_step(near, slice_of, ({CLEAN},))
+            or _first_step(current + near, slice_of, ({CLEAN, VERTEX},)))
 
 
 def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None,
@@ -357,12 +344,11 @@ def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None,
     scan, and no face's slice is built."""
     if cap is None:
         cap = 3 * p.ttype.rank - 4
-    gamma = reference_witness(p, q)
     best = -1
-    for k, (delta, _) in enumerate(_fill(p, q, gamma, _budget(budget))):
+    for k, (delta, _) in enumerate(_fill(p, q, _budget(budget))):
         if k and not delta.is_trivalent():
             continue
-        best = max(best, slice_polytope(p, q, gamma, delta).dim)
+        best = max(best, envelope_slice(p, q, delta).polytope.dim)
         if best >= cap:
             break
     return best
@@ -438,11 +424,14 @@ def general_position(a: SimplexPoint, b: SimplexPoint, via: str = "out"):
 
 
 # the in-chart step and the crossing sweeps revisit the same slices; each
-# keeps its polytope and vertices, like envelopes.slice_polytope
+# keeps its polytope and vertices, like envelopes.envelope_slice
 @lru_cache(maxsize=64)
 def _ray_slice(a: SimplexPoint, direction: tuple,
-               delta: TopologicalType) -> Polytope:
-    return out_envelope(a, direction, delta)
+               delta: TopologicalType) -> EnvelopeSlice:
+    """The out-envelope of a in the direction's classes, walked along its
+    first class."""
+    return EnvelopeSlice(delta, direction[0],
+                         out_envelope(a, direction, delta))
 
 
 class RayAudit(Value):
@@ -465,7 +454,6 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
     direction = tuple(_direction(s))
     _check_count("steps", steps)
     budget = _budget(budget)
-    gamma = direction[0]
     base = a
     delta = a.ttype
     coords = a.lengths
@@ -478,14 +466,14 @@ def ray_dimension_audit(a: SimplexPoint, s, steps: int,
         if guard > budget:
             raise BudgetExceeded(f"ray walk exceeded {budget} steps")
         moved = _first_step([(delta, coords)],
-                            partial(_ray_slice, base, direction), gamma,
+                            partial(_ray_slice, base, direction),
                             ({CLEAN, VERTEX},))
         if moved is None:
             here = points[-1]
             near = sorted(_charts_at(delta, here),
                           key=lambda c: _chart_order(c[0]))
             moved = _first_step(near, partial(_ray_slice, here, direction),
-                                gamma, ({CLEAN, VERTEX}, {IDEAL}))
+                                ({CLEAN, VERTEX}, {IDEAL}))
             if moved is None:
                 raise WalkStuck("ray cannot continue in any adjacent simplex")
             base = here

@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+import sys
 import weakref
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -117,9 +119,6 @@ class TopologicalType(Value):
     def _positions(self) -> dict[str, int]:
         return {e.id: i for i, e in enumerate(self.edges)}
 
-    def edge(self, eid: str) -> Edge:
-        return self.edges[self._positions[eid]]
-
     def index(self, eid: str) -> int:
         return self._positions[eid]
 
@@ -148,10 +147,13 @@ class TopologicalType(Value):
         return out
 
     def is_trivalent(self) -> bool:
-        return all(self.valency(v) == 3 for v in self.vertices)
+        """Whether every vertex has valency 3, read off the edge count.
 
-    def base(self) -> str:
-        return self.vertices[0]
+        Every type the package builds is connected with all valencies at
+        least 3 (make_type checks it; blow-ups and collapses keep it).
+        Then V - E = 1 - n and 2E = sum of valencies >= 3V give
+        E <= 3n - 3, with equality exactly when every valency is 3."""
+        return len(self.edges) == 3 * self.rank - 3
 
 
 class SimplexPoint(Value):
@@ -347,21 +349,47 @@ def _json_as(kind: type, value, field: str):
     return value
 
 
+# Lengths print exactly, and Python turns no int of more than 4,300 digits
+# into a string.  So a length string longer than that, or with a decimal
+# exponent larger in size, is refused before Fraction reads it (it would
+# build 10 ** exponent first), and so is a graph whose lengths carry more
+# bits in all than 3 per digit (2 ** 3 < 10): every normalised length is
+# a numerator and a denominator no larger than the sum of the lengths over
+# their common denominator, which has fewer bits than that.
+_DIGITS = sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _json_length(value, eid: str) -> Fraction:
+    if type(value) not in (int, float, str):  # nor a bool
+        raise ValueError(f"edge {eid} length {value!r} is not a number")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if (len(value) > _DIGITS
+                or exponent and abs(int(exponent[1])) > _DIGITS):
+            raise ValueError(f"edge {eid} length {value[:20]!r} has more "
+                             f"than {_DIGITS} digits")
+    return Fraction(value)
+
+
 def graph_from_json(text) -> MarkedGraph:
     """The graph of a JSON object: rank and label letters are integers,
     vertex names, edge ids and ends and tree entries are strings, and a
-    length is a number or a string that Fraction reads.  Any other shape
-    raises ValueError naming the field."""
+    length is a number or a string that Fraction reads, of bounded size.
+    Any other shape raises ValueError naming the field."""
     data = json.loads(text) if isinstance(text, str) else text
     edges = []
+    bits = 0
     for e in _json_as(list, _json_as(dict, data, "graph")["edges"], "edges"):
         eid = _json_as(str, _json_as(dict, e, "edge")["id"], "edge id")
-        if type(e["length"]) not in (int, float, str):  # nor a bool
-            raise ValueError(f"edge {eid} length {e['length']!r} "
-                             "is not a number")
+        length = _json_length(e["length"], eid)
+        bits += length.numerator.bit_length() + length.denominator.bit_length()
+        if bits > 3 * _DIGITS:
+            raise ValueError(f"edge {eid} length takes the lengths to {bits} "
+                             f"bits, more than {3 * _DIGITS}")
         edges.append(
             (eid, _json_as(str, e["from"], f"edge {eid} from"),
-             _json_as(str, e["to"], f"edge {eid} to"), Fraction(e["length"]),
+             _json_as(str, e["to"], f"edge {eid} to"), length,
              [_json_int(a, f"edge {eid} label letter")
               for a in _json_as(list, e.get("label", []), f"edge {eid} label")])
         )
@@ -856,7 +884,7 @@ def resolutions(t: TopologicalType) -> tuple[TopologicalType, ...]:
     rose, one _letter_paths and 540 leaf keys give 105 types, where
     building every blow-up and keying it from scratch took 745 types and
     540 _letter_paths."""
-    if all(t.valency(v) < 4 for v in t.vertices):
+    if t.is_trivalent():
         return ()
     seen: dict = {}
     for form in _blow_up_forms(t):

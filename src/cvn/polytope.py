@@ -70,20 +70,10 @@ class HalfSpace(Value):
         return HalfSpace(tuple(c.numerator * (scale // c.denominator)
                                for c in coeffs), den * scale, provenance)
 
-    @cached_property
-    def coeffs(self) -> Vector:
-        """The coefficients row / den as Fractions."""
-        return tuple(Fraction(q, self.den) for q in self.row)
-
     @property
     def degenerate(self) -> bool:
         """Whether every coefficient is zero, so the constraint always holds."""
         return not any(self.row)
-
-    def value(self, x) -> Fraction:
-        if len(x) != len(self.row):
-            raise DimensionMismatch(f"{len(x)} != {len(self.row)}")
-        return Fraction(sum(c * q for c, q in zip(self.row, x)), self.den)
 
 
 def equality(coeffs, provenance, den: int = 1) -> list[HalfSpace]:

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 
-from .envelopes import reference_witness, slice_polytope, support
+from .envelopes import envelope_slice, support
 from .errors import Unsupported
 from .graphs import (
     SimplexPoint,
@@ -120,7 +120,7 @@ class Layout(Value):
 
 def _maximal(simplices):
     """The trivalent simplices, of 3n - 3 edges: the maximal ones."""
-    return [t for t in simplices if len(t.edges) == 3 * t.rank - 3]
+    return [t for t in simplices if t.is_trivalent()]
 
 
 def _face_matches(t1: TopologicalType, t2: TopologicalType):
@@ -233,12 +233,11 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
         raise Unsupported("drawing is rank 2 only")
     sup = support(a, b, budget)
     layout = layout_support(sup.simplices)
-    gamma = reference_witness(a, b)
     corners, den = layout.scaled
     screen = layout.screen
     out = list(layout.frame)
     for (t, _), cs in zip(layout.placed, corners):
-        rays = slice_polytope(a, b, gamma, t).rays
+        rays = envelope_slice(a, b, t).polytope.rays
         if not rays:
             continue
         # vertex r / s sits at (q / s) r / q: one denominator per polygon
@@ -285,10 +284,9 @@ def envelope_vertices_json(a: SimplexPoint, b: SimplexPoint,
     """Exact vertex lists per maximal simplex of the support, in support
     order, as the picture draws them at rank 2."""
     sup = support(a, b, budget)
-    gamma = reference_witness(a, b)
     out = []
     for t in _maximal(sup.simplices):
-        verts = slice_polytope(a, b, gamma, t).vertices
+        verts = envelope_slice(a, b, t).polytope.vertices
         out.append({
             "edges": [e.id for e in t.edges],
             "vertices": [[str(x) for x in v] for v in verts],

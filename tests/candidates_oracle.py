@@ -24,6 +24,7 @@ from cvn.errors import NotClosed
 from cvn.graphs import is_connected
 from cvn.words import conj_normal_form
 from marking_oracle import path_word
+from point_readings import edge_of
 
 
 def path_counts(t, path):
@@ -35,7 +36,7 @@ def path_counts(t, path):
 
 
 def _ends(t, step):
-    e = t.edge(step[0])
+    e = edge_of(t, step[0])
     return (e.u, e.v) if step[1] > 0 else (e.v, e.u)
 
 
@@ -89,7 +90,7 @@ def _simple_cycles(t):
 def _rotate_to(path, t, v):
     """Rotate a cyclic path so it starts at vertex v."""
     for k, step in enumerate(path):
-        e = t.edge(step[0])
+        e = edge_of(t, step[0])
         tail = e.u if step[1] > 0 else e.v
         if tail == v:
             return path[k:] + path[:k]
@@ -103,7 +104,7 @@ def _reverse(path):
 def _cycle_vertices(t, path):
     verts = set()
     for eid, _ in path:
-        e = t.edge(eid)
+        e = edge_of(t, eid)
         verts.add(e.u)
         verts.add(e.v)
     return verts
@@ -168,9 +169,9 @@ def enumerate_candidates(t):
             add(FIGURE_EIGHT, a + _reverse(b))
         elif not common:
             for arc in _arcs_between(t, v1, v2, e1 | e2):
-                start = t.edge(arc[0][0])
+                start = edge_of(t, arc[0][0])
                 u = start.u if arc[0][1] > 0 else start.v
-                last = t.edge(arc[-1][0])
+                last = edge_of(t, arc[-1][0])
                 w = last.v if arc[-1][1] > 0 else last.u
                 a = _rotate_to(c1, t, u)
                 b = _rotate_to(c2, t, w)

@@ -21,7 +21,7 @@ from functools import reduce
 from operator import or_
 
 from cvn.candidates import edge_counts, enumerate_candidates
-from cvn.envelopes import _direction, slice_polytope
+from cvn.envelopes import _direction, envelope_slice
 from cvn.errors import BudgetExceeded, SelfCheckFailed, TrivialClass
 from cvn.graphs import (
     SimplexPoint,
@@ -114,11 +114,11 @@ def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
     return Polytope(len(delta.edges), hs)
 
 
-def fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
+def fill(a: SimplexPoint, b: SimplexPoint, budget: int):
     """The flood fill from T(a), yielding (t, zero) per entered simplex in
     fill order, with zero the bitmask of t's edges that are 0 at some
     vertex of t's own slice, which is built for every t."""
-    if not slice_polytope(a, b, gamma, a.ttype).is_feasible():
+    if not envelope_slice(a, b, a.ttype).polytope.is_feasible():
         return
     entered = 0
     queued: dict = {}
@@ -135,7 +135,7 @@ def fill(a: SimplexPoint, b: SimplexPoint, gamma: ConjClass, budget: int):
         t = queue.popleft()
         if entered == budget:
             raise BudgetExceeded(f"support search entered > {budget} simplices")
-        zs = [v[1] for v in slice_polytope(a, b, gamma, t)._vertex_rays]
+        zs = [v[1] for v in envelope_slice(a, b, t).polytope._vertex_rays]
         if not zs:
             raise SelfCheckFailed(
                 f"support entered an empty slice in {[e.id for e in t.edges]}")

@@ -19,7 +19,7 @@ uses them, so it shares no step code with the walker it checks.
 nonempty and reads membership and the strict constraints off integer
 slacks.  `general_position` here runs a feasibility check on each slice
 first, then the Fraction `polytope_oracle.contains`, and reads the strict
-constraints from `HalfSpace.value`.
+constraints from `point_readings.value`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import partial
 
 import polytope_oracle
 from cvn.candidates import edge_counts
-from cvn.envelopes import in_envelope, out_envelope, slice_polytope
+from cvn.envelopes import envelope_slice, in_envelope, out_envelope
 from cvn.geodesics import (
     PositionCertificate,
     _beats,
@@ -43,6 +43,7 @@ from cvn.graphs import embed_point, point_from_coords
 from cvn.metric import candidate_witnesses
 from cvn.polytope import Polytope
 from cvn.words import class_order
+from point_readings import value
 
 
 def _adjacency(poly: Polytope) -> dict:
@@ -154,34 +155,34 @@ def _ideal_half_step(poly: Polytope, coords, counts, delta):
     return tuple((c + t) / 2 for c, t in zip(coords, target))
 
 
-def _first_step(charts, polytope, gamma, sweeps):
+def _first_step(charts, slice_of, sweeps):
     """The first (chart, coords) that a step function moves to, or None.
 
     Sweeps are the outer loop; each tries the (chart, coords) pairs in
     their given order and calls step(poly, coords, counts, chart), with
-    poly = polytope(chart) and counts the edge counts of gamma there.  A
-    chart whose polytope has no vertex is skipped."""
+    poly the polytope of slice_of(chart) and counts the edge counts there
+    of the slice's class gamma.  A chart whose polytope has no vertex is
+    skipped."""
     for step in sweeps:
         for d2, coords in charts:
-            poly = polytope(d2)
-            if not poly.vertices:
+            sl = slice_of(d2)
+            if not sl.polytope.vertices:
                 continue
-            nxt = step(poly, coords, edge_counts(d2, gamma), d2)
+            nxt = step(sl.polytope, coords, edge_counts(d2, sl.gamma), d2)
             if nxt is not None:
                 return d2, nxt
     return None
 
 
-def eager_advance(base, b, gamma, delta, coords, here=None):
+def eager_advance(base, b, delta, coords, here=None):
     """One skeleton-edge step forward, with every adjacent chart embedded
     and sorted up front; here is ignored and rebuilt from coords."""
     near = _charts_at(delta, point_from_coords(delta, coords))
     near.sort(key=lambda c: (embed_point(b, c[0]) is None,
                              -len(c[0].edges), _chart_order(c[0])))
     return _first_step(
-        [(delta, coords)] + near, partial(slice_polytope, base, b, gamma),
-        gamma, (partial(_forward_vertex, require_clean=True),
-                _forward_vertex))
+        [(delta, coords)] + near, partial(envelope_slice, base, b),
+        (partial(_forward_vertex, require_clean=True), _forward_vertex))
 
 
 def general_position(a, b, via: str = "out"):
@@ -195,7 +196,7 @@ def general_position(a, b, via: str = "out"):
         if poly.is_feasible() and polytope_oracle.contains(
                 poly, x, "relative-interior"):
             strict = tuple(
-                h.provenance for h in poly.constraints if h.value(x) > 0
+                h.provenance for h in poly.constraints if value(h, x) > 0
             )
             return True, PositionCertificate(gamma, strict)
     return False, None

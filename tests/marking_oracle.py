@@ -64,6 +64,7 @@ from cvn.words import (
     reduce,
     rewrite_in_basis,
 )
+from point_readings import base_of, edge_of
 
 
 @lru_cache(maxsize=4096)
@@ -74,8 +75,8 @@ def _tree_parents(t: TopologicalType) -> dict:
         if e.id in t.tree:
             adj[e.u].append((e.v, e.id, 1))
             adj[e.v].append((e.u, e.id, -1))
-    parent = {t.base(): None}
-    order = [t.base()]
+    parent = {base_of(t): None}
+    order = [base_of(t)]
     i = 0
     while i < len(order):
         v = order[i]
@@ -112,7 +113,7 @@ def tree_path(t: TopologicalType, u: str, v: str):
 def petal(t: TopologicalType, e: Edge):
     """The loop from the base vertex through the tree to the non-tree edge
     e, across it and back to the base vertex."""
-    base = t.base()
+    base = base_of(t)
     return tree_path(t, base, e.u) + ((e.id, 1),) + tree_path(t, e.v, base)
 
 
@@ -120,7 +121,7 @@ def path_word(t: TopologicalType, path) -> Word:
     """Image of an edge path under the marking (concatenate labels)."""
     out: list[int] = []
     for eid, s in path:
-        lab = t.edge(eid).label.letters
+        lab = edge_of(t, eid).label.letters
         out.extend(lab if s > 0 else invert(lab))
     return reduce(out, t.rank)
 
@@ -140,7 +141,7 @@ def _retree(t: TopologicalType, new_tree: frozenset) -> TopologicalType:
 
 
 def _fundamental_cycle_tree_edges(t: TopologicalType, eid: str) -> list[str]:
-    e = t.edge(eid)
+    e = edge_of(t, eid)
     return [x for x, _ in tree_path(t, e.v, e.u)]
 
 
@@ -276,7 +277,7 @@ def collapse_forest(t: TopologicalType, forest) -> TopologicalType:
     """
     forest = set(forest)
     for eid in forest:
-        e = t.edge(eid)  # raises KeyError on unknown ids
+        e = edge_of(t, eid)  # raises KeyError on unknown ids
         if e.is_loop():
             raise NotAForest(f"{eid} is a loop edge")
     # edge order, not set order, so vertex names do not depend on the hash seed

@@ -20,6 +20,7 @@ from fractions import Fraction
 from operator import mul
 
 from cvn.errors import DimensionMismatch, ParamOutOfRange
+from point_readings import coeffs, value
 
 
 def _phase1_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
@@ -75,7 +76,7 @@ def lp_feasible(halfspaces, d: int) -> bool:
     rows = [[Fraction(1)] * d + [Fraction(0)] * k]
     rhs = [Fraction(1)]
     for j, h in enumerate(live):
-        row = list(h.coeffs) + [Fraction(0)] * k
+        row = list(coeffs(h)) + [Fraction(0)] * k
         row[d + j] = Fraction(-1)  # slack: c.x - s = 0
         rows.append(row)
         rhs.append(Fraction(0))
@@ -102,7 +103,7 @@ def _solve_square(rows, rhs):
 
 def constraint_rows(halfspaces, d: int) -> list[tuple[Fraction, ...]]:
     """Non-degenerate coefficient rows plus the simplex boundary, each once."""
-    rows = [h.coeffs for h in halfspaces if not h.degenerate]
+    rows = [coeffs(h) for h in halfspaces if not h.degenerate]
     rows += [tuple(Fraction(int(j == i)) for j in range(d)) for i in range(d)]
     return list(dict.fromkeys(rows))
 
@@ -206,7 +207,7 @@ def contains(poly, x, mode: str = "closed") -> bool:
         raise DimensionMismatch(f"point in dim {len(x)}")
     if sum(x) != 1:
         return False
-    if any(h.value(x) < 0 for h in poly.constraints):
+    if any(value(h, x) < 0 for h in poly.constraints):
         return False
     if mode == "closed":
         return True
@@ -214,6 +215,6 @@ def contains(poly, x, mode: str = "closed") -> bool:
     if not vs:
         return False
     for h in poly.constraints:
-        if h.value(x) == 0 and any(h.value(v) != 0 for v in vs):
+        if value(h, x) == 0 and any(value(h, v) != 0 for v in vs):
             return False
     return True

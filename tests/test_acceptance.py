@@ -10,9 +10,8 @@ from fractions import Fraction
 
 from cvn.candidates import candidate_words
 from cvn.envelopes import (
-    envelope,
+    envelope_slice,
     reference_witness,
-    slice_polytope,
     star_system,
     starstar_system,
     support,
@@ -165,7 +164,7 @@ def test_criterion_05_envelope_vertices():
         a = theta_point(*ls[:3])
         b = theta_point(*ls[3:])
         lam = stretch(a, b)
-        poly = envelope(a, b, theta_type())
+        poly = envelope_slice(a, b, theta_type()).polytope
         for v in poly.vertices:
             c = point_from_coords(theta_type(), v)
             ok &= stretch(a, c) * stretch(c, b) == lam
@@ -302,14 +301,13 @@ def test_criterion_10_svg_json_consistency():
         slices = envelope_vertices_json(a, b)
         ok &= slices == envelope_vertices_json(a, b)
         layout = layout_support(support(a, b).simplices)
-        gamma = reference_witness(a, b)
         xs = [c[0] for _, cs in layout.placed for c in cs]
         ys = [c[1] for _, cs in layout.placed for c in cs]
         minx, miny = min(xs), min(ys)
         json_verts = [{tuple(v) for v in s["vertices"]} for s in slices]
         seen = []
         for t, corners in layout.placed:
-            verts = slice_polytope(a, b, gamma, t).vertices
+            verts = envelope_slice(a, b, t).polytope.vertices
             seen.append({tuple(str(x) for x in v) for v in verts})
             for v in verts:
                 x = sum(c * corner[0] for c, corner in zip(v, corners))

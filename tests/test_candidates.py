@@ -7,6 +7,7 @@ import pytest
 
 import candidates_oracle
 from candidates_oracle import path_counts
+from point_readings import edge_of
 
 from cvn.candidates import (
     BARBELL,
@@ -127,7 +128,7 @@ def test_candidates_closed_under_short_word_search():
             # visits per vertex along the loop
             visits = {}
             for eid, s in path:
-                e = t.edge(eid)
+                e = edge_of(t, eid)
                 v = e.u if s > 0 else e.v
                 visits[v] = visits.get(v, 0) + 1
             embedded = all(k <= 2 for k in counts) and all(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,6 +135,28 @@ def test_validate_rejects_an_infinite_length(tmp_path, capsys):
     bad.write_text(json.dumps(data))  # written as Infinity, which JSON reads
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("lengths, code", [
+    (["1e5000"], 1), (["1e3000", "1e-3000"], 1), (["1e3000000"], 1),
+    (["1e1900", "1e-1900"], 0)])
+def test_validate_refuses_lengths_too_long_to_print(tmp_path, capsys,
+                                                    lengths, code):
+    # the refused ones each passed Fraction, the last after seconds there,
+    # and died in a traceback printing their normalised lengths
+    data = json.loads((FIXTURES / "a.json").read_text())
+    for e, length in zip(data["edges"], lengths):
+        e["length"] = length
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(data))
+    start = time.monotonic()
+    assert main(["validate", str(bad)]) == code
+    assert time.monotonic() - start < 1
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith(f"input error: edge e{len(lengths)} ")
+    else:
+        assert json.loads(out)["ok"]
 
 
 @pytest.mark.parametrize("word", ["[1.0]", "[1, 2.0]", "[1e0]", "[[1]]",

@@ -12,9 +12,10 @@ import geodesics_oracle
 import marking_oracle
 from geodesics_oracle import eager_advance
 from local_approximation import local_geodesic_approximation
+from point_readings import path_end, path_start
 from cvn import envelopes, geodesics
 from cvn.candidates import candidate_words, edge_counts
-from cvn.envelopes import _fill, reference_witness, slice_polytope, support
+from cvn.envelopes import EnvelopeSlice, _fill, envelope_slice, support
 from cvn.errors import (
     BudgetExceeded,
     EmptyDirection,
@@ -277,8 +278,7 @@ def _general_position_pairs(rank, seed, count):
 def _full_dim(p, q):
     """The largest slice dimension over the whole support: the uncapped
     definition of _pair_dim."""
-    gamma = reference_witness(p, q)
-    return max((slice_polytope(p, q, gamma, t).dim
+    return max((envelope_slice(p, q, t).polytope.dim
                 for t in support(p, q).simplices), default=-1)
 
 
@@ -310,16 +310,15 @@ def fill_pairs():
 def test_drained_fill_is_the_support(fill_pairs):
     sizes = set()
     for a, b in fill_pairs:
-        gamma = reference_witness(a, b)
         want = support(a, b).simplices
-        assert tuple(t for t, _ in _fill(a, b, gamma, len(want))) == want
+        assert tuple(t for t, _ in _fill(a, b, len(want))) == want
         if a.ttype.rank == 2:
             assert marking_oracle.support(a, b)[0].simplices == want
         if want:
             # the fill yields every simplex it entered before it raises
             got = []
             with pytest.raises(BudgetExceeded):
-                got.extend(_fill(a, b, gamma, len(want) - 1))
+                got.extend(_fill(a, b, len(want) - 1))
             assert tuple(t for t, _ in got) == want[:-1]
         sizes.add(len(want))
     assert max(sizes) > 4
@@ -345,9 +344,8 @@ def test_faces_read_off_their_parents_match_the_slice_per_face_twin():
     runs.append((_fixture("r3a"), _fixture("r3b"), 800))
     faces = set()
     for a, b, budget in runs:
-        gamma = reference_witness(a, b)
-        got = _drain(_fill(a, b, gamma, budget))
-        assert got == _drain(envelopes_oracle.fill(a, b, gamma, budget))
+        got = _drain(_fill(a, b, budget))
+        assert got == _drain(envelopes_oracle.fill(a, b, budget))
         entered, stopped = got
         assert stopped == (a.ttype.rank == 3)
         faces.update((a.ttype.rank, len(t.edges)) for t, _ in entered[1:]
@@ -368,14 +366,14 @@ def test_rank3_fixture_fill_builds_one_slice_per_trivalent_chart(monkeypatch):
 
     monkeypatch.setattr(polytope, "_extreme_rays", counted)
     envelopes._support.cache_clear()
-    envelopes.slice_polytope.cache_clear()
+    envelopes.envelope_slice.cache_clear()
     t0 = time.monotonic()
     sup = support(_fixture("r3a"), _fixture("r3b"), 2676)
     assert len(sup.simplices) == 2676
     assert sum(t.is_trivalent() for t in sup.simplices) == 1147
     # one slice per trivalent chart, and one more double description:
     # the feasibility run of T(a) before its full run
-    assert envelopes.slice_polytope.cache_info().misses == 1147
+    assert envelopes.envelope_slice.cache_info().misses == 1147
     assert len(runs) == 1148 and set(runs) == {6}
     assert time.monotonic() - t0 < 60
 
@@ -384,10 +382,9 @@ def _capped_by_scan(p, q, cap):
     """_pair_dim by its definition: the running maximum of the slice
     dimensions of every support simplex, faces included, in fill order,
     stopped at the first that reaches cap."""
-    gamma = reference_witness(p, q)
     best = -1
     for t in support(p, q).simplices:
-        best = max(best, slice_polytope(p, q, gamma, t).dim)
+        best = max(best, envelope_slice(p, q, t).polytope.dim)
         if best >= cap:
             break
     return best
@@ -443,14 +440,14 @@ def test_widest_first_is_rigid_matches_in_order_oracle():
              GeodesicPath((edge_a, mid, chord_b), (frozenset(),) * 2, (0, 2))]
     for a, b in _general_position_pairs(2, 3, 20):
         path = piecewise_rigid_geodesic(a, b)
-        slices = envelopes.slice_polytope.cache_info().misses
+        slices = envelopes.envelope_slice.cache_info().misses
         reports = stretch_report.cache_info().misses
         assert not is_rigid(path)
         # (a, b) is tested first and its T(a) slice is enough; the end
         # pair is read as (a, b), so the walk already built that slice and
         # the stretch report of every pair it walked or ended at b, which
         # are all the chain identity of multiplicativity reads
-        assert envelopes.slice_polytope.cache_info().misses == slices
+        assert envelopes.envelope_slice.cache_info().misses == slices
         assert stretch_report.cache_info().misses == reports
         paths.append(path)
     outcomes = [is_rigid(path) for path in paths]
@@ -507,8 +504,8 @@ def test_walk_inside_its_start_chart_embeds_no_neighbour(monkeypatch):
 
 def test_end_pair_reads_as_a_b(fresh_walks):
     for a, b, path in fresh_walks:
-        assert path.target is b and path.end is not b
-        assert same_point(path.end, b)
+        assert path.target is b and path_end(path) is not b
+        assert same_point(path_end(path), b)
         bare = GeodesicPath(path.breakpoints, path.segment_witnesses,
                             path.rigid_segments)
         assert bare == path and repr(bare) == repr(path)
@@ -523,7 +520,7 @@ def test_capped_fill_answers_within_a_budget_the_support_exceeds():
     for path in walks:
         assert not is_rigid(path, budget=1)
         with pytest.raises(BudgetExceeded):
-            support(path.start, path.end, budget=1)
+            support(path_start(path), path_end(path), budget=1)
     # a rigid segment is only known rigid once its whole support is in
     u, v = walks[0].breakpoints[1:3]
     size = len(support(u, v).simplices)
@@ -681,7 +678,7 @@ def test_ray_audit_builds_each_out_envelope_once(monkeypatch):
     a = rose_point([Fraction(5, 8), Fraction(3, 8)])
     direction = [CC([1]), CC([2])]
     with monkeypatch.context() as m:
-        m.setattr(geodesics, "_ray_slice", geodesics.out_envelope)
+        m.setattr(geodesics, "_ray_slice", geodesics._ray_slice.__wrapped__)
         want = ray_dimension_audit(a, direction, 4)
     builds = []
     build = geodesics.out_envelope
@@ -766,6 +763,7 @@ def test_first_step_sweeps_outside_charts_in_order(monkeypatch):
     moves = {a: [(CLEAN, 0)], b: [(VERTEX, 2)],
              c: [(CLEAN, 3), (VERTEX, 6)], d: [(CLEAN, 4), (VERTEX, 7)]}
     gamma = CC([1, 2])
+    slices = {t: EnvelopeSlice(t, gamma, poly) for t, poly in polys.items()}
     calls = []
 
     def stub(poly, coords, counts, chart):
@@ -779,7 +777,7 @@ def test_first_step_sweeps_outside_charts_in_order(monkeypatch):
 
     def first(sweeps, at=charts):
         calls.clear()
-        return _first_step(at, polys.__getitem__, gamma, sweeps)
+        return _first_step(at, slices.__getitem__, sweeps)
 
     assert first(({CLEAN}, {VERTEX})) == (c, 3)
     assert calls == ["b", "c"]
@@ -867,14 +865,14 @@ def _score_slices():
     chart around the rose."""
     for seed in range(8):
         a, b = random_pair(2, random.Random(300 + seed))
-        gamma = reference_witness(a, b)
         for delta in support(a, b).simplices:
-            yield delta, gamma, slice_polytope(a, b, gamma, delta)
+            s = envelope_slice(a, b, delta)
+            yield delta, s.gamma, s.polytope
     for seed in range(2):
         a, b = random_pair(3, random.Random(300 + seed))
-        gamma = reference_witness(a, b)
         for delta in resolutions(rose_type(3))[::5]:
-            yield delta, gamma, slice_polytope(a, b, gamma, delta)
+            s = envelope_slice(a, b, delta)
+            yield delta, s.gamma, s.polytope
 
 
 def test_vertex_scores_order_like_fraction_scores():

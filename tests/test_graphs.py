@@ -17,6 +17,7 @@ import words_oracle
 from marking_oracle import path_word, tree_path
 from cvn import graphs
 from candidates_oracle import path_counts
+from point_readings import base_of, edge_of
 from cvn.candidates import edge_counts, enumerate_candidates
 from cvn.errors import (
     BadPartition,
@@ -293,8 +294,8 @@ def test_letter_paths_realize_the_generators():
             assert back == tuple(-k for k in reversed(fwd))
             assert all(x != -y for x, y in zip(fwd, fwd[1:]))  # reduced
             path = _decode(t, fwd)
-            first = t.edge(path[0][0])
-            assert (first.u if path[0][1] > 0 else first.v) == t.base()
+            first = edge_of(t, path[0][0])
+            assert (first.u if path[0][1] > 0 else first.v) == base_of(t)
             loop_word(t, path)  # raises NotClosed unless the steps close up
             assert path_word(t, path) == generator(m, t.rank)
             assert path_word(t, _decode(t, back)) == generator(-m, t.rank)
@@ -421,6 +422,19 @@ def test_rose_resolutions():
 def test_trivalent_has_no_resolutions():
     assert resolutions(theta_type()) == ()
     assert adjacent_simplices(theta_type()) == faces(theta_type())
+
+
+def test_trivalence_is_read_off_the_edge_count():
+    # is_trivalent counts 3n - 3 edges; each valency agrees, on every
+    # resolution of the rose at ranks 2 and 3 and on each of its faces
+    seen = set()
+    for n in (2, 3):
+        for r in resolutions(rose_type(n)):
+            for t in (r,) + faces(r):
+                want = all(t.valency(v) == 3 for v in t.vertices)
+                assert t.is_trivalent() == want
+                seen.add((n, want))
+    assert seen == {(n, x) for n in (2, 3) for x in (True, False)}
 
 
 def test_resolutions_and_faces_match_oracle_rank2():
@@ -631,11 +645,11 @@ def test_types_are_interned_on_every_construction_path():
 
 def test_index_and_edge_raise_key_error_on_unknown_id():
     t = theta_type()
-    assert t.index("e2") == 1 and t.edge("e2") is t.edges[1]
+    assert t.index("e2") == 1 and edge_of(t, "e2") is t.edges[1]
     with pytest.raises(KeyError):
         t.index("nope")
     with pytest.raises(KeyError):
-        t.edge("nope")
+        edge_of(t, "nope")
 
 
 def test_marking_equivalent_permuted_ids():

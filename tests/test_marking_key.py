@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import marking_oracle
 from marking_oracle import _retree, tree_path
-from cvn.envelopes import reference_witness, slice_polytope, support
+from point_readings import base_of
+from cvn.envelopes import envelope_slice, support
 from cvn.geodesics import _pair_dim, general_position
 from cvn.graphs import (
     Edge,
@@ -167,8 +168,7 @@ def test_key_matches_marking_oracle():
 
 
 def _slice_dims(a, b):
-    gamma = reference_witness(a, b)
-    return Counter(slice_polytope(a, b, gamma, t).dim
+    return Counter(envelope_slice(a, b, t).polytope.dim
                    for t in support(a, b).simplices)
 
 
@@ -289,7 +289,7 @@ def test_collapses_inherit_the_faces_own_loops():
             start = face.vertices[form[0][k - 1][0] if k > 0
                                   else form[0][-k - 1][1]]
             path = tuple(s * (face.index(eid) + 1) for eid, s
-                         in tree_path(face, face.base(), start))
+                         in tree_path(face, base_of(face), start))
             assert tuple(free_reduce(path + loop + invert(path))
                          for loop in form[2]) == _own_loops(face)
             faces += 1

@@ -26,8 +26,7 @@ from cvn.errors import BudgetExceeded, NotAForest
 from cvn.envelopes import (
     DEFAULT_BUDGET,
     _fill,
-    reference_witness,
-    slice_polytope,
+    envelope_slice,
     support,
 )
 from cvn.geodesics import _pair_dim
@@ -90,7 +89,7 @@ CLASS_MEMOS = ("cvn.words._class_of", "cvn.words._interned")
 # every module-level memo of the package: adding or dropping one edits this
 MEMOS = (
     "cvn.candidates.enumerate_candidates",
-    "cvn.envelopes.slice_polytope",
+    "cvn.envelopes.envelope_slice",
     "cvn.envelopes._support",
     "cvn.geodesics._ray_slice",
     "cvn.graphs._letter_paths",
@@ -118,7 +117,7 @@ def test_every_cache_is_bounded():
     caches = _caches()
     assert len(MEMOS) == 22
     assert sorted(caches) == sorted(MEMOS)
-    for name in ("cvn.metric.stretch_report", "cvn.envelopes.slice_polytope",
+    for name in ("cvn.metric.stretch_report", "cvn.envelopes.envelope_slice",
                  "cvn.envelopes._support", "cvn.graphs._collapse_keys",
                  "cvn.graphs._collapse_cached") + CLASS_MEMOS:
         assert name in caches
@@ -345,15 +344,14 @@ def test_support_and_slices_match_fresh():
     for a, b in _pairs():
         memo = support(a, b)
         assert support(a, b) is memo
-        gamma = reference_witness(a, b)
-        verts = {t: slice_polytope(a, b, gamma, t).vertices
+        verts = {t: envelope_slice(a, b, t).polytope.vertices
                  for t in memo.simplices}
         _clear_all()
         fresh = support(a, b)
         assert fresh == memo
         for t in memo.simplices:
             _clear_all()
-            assert slice_polytope(a, b, gamma, t).vertices == verts[t]
+            assert envelope_slice(a, b, t).polytope.vertices == verts[t]
 
 
 def test_support_memo_keeps_the_budget_apart():
@@ -467,6 +465,6 @@ def test_support_builds_a_face_only_when_it_queues_it(monkeypatch):
                         lambda *args: queued.append(args) or face(*args))
     a, b = _fixture("r3a"), _fixture("r3b")
     _clear_all()
-    fill = _fill(a, b, reference_witness(a, b), 2676)
+    fill = _fill(a, b, 2676)
     assert len(list(itertools.islice(fill, 300))) == 300
     assert graphs._collapse_cached.cache_info().misses == len(queued) == 409

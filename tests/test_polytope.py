@@ -12,7 +12,7 @@ from polytope_oracle import (
     skeleton_edges,
     tight_set_vertices,
 )
-from point_readings import barycenter
+from point_readings import barycenter, coeffs, value
 
 from cvn import polytope
 from cvn.envelopes import envelope_slice
@@ -75,7 +75,7 @@ def test_halfspace_make_and_integer_rows_agree():
         assert h == forms[0]
         assert hash(h) == hash(forms[0])
         assert (h.row, h.den) == ((2, -3, 0), 4)
-        assert h.coeffs == (Fraction(1, 2), Fraction(-3, 4), Fraction(0))
+        assert coeffs(h) == (Fraction(1, 2), Fraction(-3, 4), Fraction(0))
     assert HalfSpace.make((1, 2), ("p",)) == HalfSpace((3, 6), 3, ("p",))
     assert HalfSpace.make((1, 2), ("p",)) != HalfSpace((1, 2), 2, ("p",))
     assert HalfSpace((1, 2), 1, ("p",)) != HalfSpace((1, 2), 1, ("q",))
@@ -90,7 +90,7 @@ def test_halfspace_lowest_terms():
         h = HalfSpace(row, den, ("r",))
         assert h.den > 0
         assert math.gcd(h.den, *h.row) == 1
-        assert h.coeffs == tuple(Fraction(q, den) for q in row)
+        assert coeffs(h) == tuple(Fraction(q, den) for q in row)
         assert h == HalfSpace.make([Fraction(q, den) for q in row], ("r",))
 
 
@@ -105,16 +105,16 @@ def test_halfspace_degenerate_exactly_for_zero_rows():
 def test_halfspace_value_is_exact():
     h = HalfSpace((1, -2, 3), 7, ("v",))
     x = (Fraction(1, 3), Fraction(1, 5), Fraction(7, 15))
-    assert h.value(x) == Fraction(1 * 5 - 2 * 3 + 3 * 7, 15 * 7)
-    assert isinstance(h.value((1, 1, 1)), Fraction)
-    assert h.value((1, 1, 1)) == Fraction(2, 7)
-    assert HalfSpace((1, -1), 3, ("v",)).value((Fraction(1, 2),) * 2) == 0
+    assert value(h, x) == Fraction(1 * 5 - 2 * 3 + 3 * 7, 15 * 7)
+    assert isinstance(value(h, (1, 1, 1)), Fraction)
+    assert value(h, (1, 1, 1)) == Fraction(2, 7)
+    assert value(HalfSpace((1, -1), 3, ("v",)), (Fraction(1, 2),) * 2) == 0
 
 
 def test_halfspace_wrong_length_and_bad_denominator():
     h = HalfSpace((1, -1), 2, ("w",))
     with pytest.raises(DimensionMismatch):
-        h.value((Fraction(1, 3),) * 3)
+        value(h, (Fraction(1, 3),) * 3)
     for den in (0, -2):
         with pytest.raises(ParamOutOfRange):
             HalfSpace((1, -1), den, ("w",))
@@ -235,7 +235,7 @@ def _polygon_oracle_2d(halfspaces):
     """Independent rank-2 check: intersect constraint lines pairwise in the
     plane sum = 1 and keep feasible intersection points."""
     unit = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
-    cons = [h.coeffs for h in halfspaces] + unit
+    cons = [coeffs(h) for h in halfspaces] + unit
     pts = set()
     for a, b in itertools.combinations(cons, 2):
         rows = [list(a), list(b), [1, 1, 1]]
@@ -294,7 +294,7 @@ def _random_system(rng, d):
         hs.append(rng.choice(hs))
     if rng.random() < 0.4:
         scale = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        hs.append(H(*[scale * c for c in rng.choice(hs).coeffs]))
+        hs.append(H(*[scale * c for c in coeffs(rng.choice(hs))]))
     if rng.random() < 0.3:
         hs.append(H(*[0] * d))
     if rng.random() < 0.15:
@@ -346,7 +346,7 @@ def _assert_witness(hs, d):
     assert rays
     for ray, _ in rays:
         assert min(ray) >= 0 and max(ray) > 0
-        assert all(h.value(ray) >= 0 for h in hs)
+        assert all(value(h, ray) >= 0 for h in hs)
 
 
 def _assert_matches_oracle(hs, d):

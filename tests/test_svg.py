@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cvn.envelopes import reference_witness, slice_polytope, support
+from cvn.envelopes import envelope_slice, support
 from cvn.errors import Unsupported
 from cvn.graphs import rose_point, theta_point, twisted_theta_point
 from cvn.sampling import random_pair, random_point
@@ -115,7 +115,6 @@ def test_svg_coordinates_match_exact_vertices():
     for a, b in pairs:
         text = render_envelope_svg(a, b)
         layout = layout_support(support(a, b).simplices)
-        gamma = reference_witness(a, b)
         xs = [c[0] for _, cs in layout.placed for c in cs]
         ys = [c[1] for _, cs in layout.placed for c in cs]
         minx, miny = min(xs), min(ys)
@@ -128,7 +127,7 @@ def test_svg_coordinates_match_exact_vertices():
         json_verts = {tuple(v) for sl in envelope_vertices_json(a, b)
                       for v in sl["vertices"]}
         for t, corners in layout.placed:
-            for v in slice_polytope(a, b, gamma, t).vertices:
+            for v in envelope_slice(a, b, t).polytope.vertices:
                 assert tuple(str(q) for q in v) in json_verts
                 x = sum(c * corner[0] for c, corner in zip(v, corners))
                 y = sum(c * corner[1] for c, corner in zip(v, corners))
@@ -203,11 +202,10 @@ def test_envelope_json_lists_the_trivalent_simplices_at_rank3():
     trivalent = [t for t in simplices if t.is_trivalent()]
     assert len(trivalent) > 100
     assert any(len(t.edges) == 3 for t in simplices)
-    gamma = reference_witness(a, b)
     assert envelope_vertices_json(a, b) == [
         {"edges": [e.id for e in t.edges],
          "vertices": [[str(x) for x in v]
-                      for v in slice_polytope(a, b, gamma, t).vertices]}
+                      for v in envelope_slice(a, b, t).polytope.vertices]}
         for t in trivalent]
 
 

@@ -44,6 +44,7 @@ from constructions import (
     whitehead_automorphisms,
 )
 from marking_oracle import tree_path
+from point_readings import base_of
 from cvn.graphs import TopologicalType, _letter_paths, _petals, _tighten_cached
 from cvn.metric import _cancel, _junction_table
 from cvn.words import (
@@ -113,7 +114,7 @@ def conjugacy_classes_up_to(rank: int, max_len: int):
 def tighten(t, gamma: ConjClass):
     """The immersed loop realizing gamma, petals rebuilt from tree_path."""
     rep_letters = gamma.rep.letters
-    base = t.base()
+    base = base_of(t)
     basis = t.basis_words()
     petals = []
     for e in t.non_tree_edges():
