@@ -170,7 +170,8 @@ def test_envelope_choice_independent():
             b, g, theta_type()
         )
         poly = Polytope(3, hs)
-        assert set(poly.vertices) == set(envelope_slice(a, b, theta_type()).polytope.vertices)
+        want = envelope_slice(a, b, theta_type()).polytope
+        assert set(poly.vertices) == set(want.vertices)
 
 
 def test_envelope_slice_shares_the_memoised_polytope():
