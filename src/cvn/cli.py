@@ -20,6 +20,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, CvnError, ParamOutOfRange
 from .graphs import (
     _json_int,
+    _json_length,
     graph_from_json,
     is_connected,
     point_to_json,
@@ -40,10 +41,16 @@ _NAMES = "xyzuvw"
 
 
 def _rat(q) -> dict:
+    """q as an exact string and a float; the float is None past float
+    range, where float(q) raises OverflowError."""
     q = Fraction(q)
+    try:
+        approx = float(q)
+    except OverflowError:
+        approx = None
     return {"exact": f"{q.numerator}/{q.denominator}"
             if q.denominator != 1 else str(q.numerator),
-            "approx": float(q)}
+            "approx": approx}
 
 
 def parse_word(text: str, rank: int) -> ConjClass:
@@ -252,7 +259,11 @@ def cmd_ray_audit(args) -> int:
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    """A verify-appendix parameter, of the size a graph length may have."""
+    try:
+        return _json_length(text, "parameter")
+    except (ArithmeticError, ValueError) as exc:  # such as 1/0
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _default(value, fallback):

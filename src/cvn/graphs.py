@@ -360,14 +360,14 @@ _DIGITS = sys.int_info.default_max_str_digits
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _json_length(value, eid: str) -> Fraction:
+def _json_length(value, field: str) -> Fraction:
     if type(value) not in (int, float, str):  # nor a bool
-        raise ValueError(f"edge {eid} length {value!r} is not a number")
+        raise ValueError(f"{field} {value!r} is not a number")
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
         if (len(value) > _DIGITS
                 or exponent and abs(int(exponent[1])) > _DIGITS):
-            raise ValueError(f"edge {eid} length {value[:20]!r} has more "
+            raise ValueError(f"{field} {value[:20]!r} has more "
                              f"than {_DIGITS} digits")
     return Fraction(value)
 
@@ -382,7 +382,7 @@ def graph_from_json(text) -> MarkedGraph:
     bits = 0
     for e in _json_as(list, _json_as(dict, data, "graph")["edges"], "edges"):
         eid = _json_as(str, _json_as(dict, e, "edge")["id"], "edge id")
-        length = _json_length(e["length"], eid)
+        length = _json_length(e["length"], f"edge {eid} length")
         bits += length.numerator.bit_length() + length.denominator.bit_length()
         if bits > 3 * _DIGITS:
             raise ValueError(f"edge {eid} length takes the lengths to {bits} "

@@ -106,7 +106,10 @@ class Distance(Value):
 
     @property
     def log(self) -> float:
-        return math.log(self.lam)
+        try:
+            return math.log(self.lam)
+        except OverflowError:  # lam past float range; log reads big ints
+            return math.log(self.lam.numerator) - math.log(self.lam.denominator)
 
 
 def distance(a: SimplexPoint, b: SimplexPoint, mode: str = "right") -> Distance:
