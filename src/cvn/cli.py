@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import BudgetExceeded, CvnError, ParamOutOfRange
@@ -42,15 +43,17 @@ _NAMES = "xyzuvw"
 
 def _rat(q) -> dict:
     """q as an exact string and a float; the float is None past float
-    range, where float(q) raises OverflowError."""
+    range, where float(q) raises OverflowError.  Decimal writes the
+    digits str() of an int writes, also past its 4,300-digit limit."""
     q = Fraction(q)
     try:
         approx = float(q)
     except OverflowError:
         approx = None
-    return {"exact": f"{q.numerator}/{q.denominator}"
-            if q.denominator != 1 else str(q.numerator),
-            "approx": approx}
+    exact = str(Decimal(q.numerator))
+    if q.denominator != 1:
+        exact += f"/{Decimal(q.denominator)}"
+    return {"exact": exact, "approx": approx}
 
 
 def parse_word(text: str, rank: int) -> ConjClass:
@@ -375,13 +378,20 @@ def _verify_r2i(args):
     }
 
 
+# the verify-appendix parameters, and each scenario with those it reads
+_PARAMETERS = ("a", "b", "c", "d", "delta", "eps")
+_SCENARIOS = {"A1": (_verify_a1, ("a", "delta", "eps")),
+              "A2": (_verify_a2, ("a", "b", "c", "d")),
+              "R2i": (_verify_r2i, ())}
+
+
 def cmd_verify_appendix(args) -> int:
-    if args.which == "A1":
-        result = _verify_a1(args)
-    elif args.which == "A2":
-        result = _verify_a2(args)
-    else:
-        result = _verify_r2i(args)
+    verify, reads = _SCENARIOS[args.which]
+    for name in _PARAMETERS:
+        if getattr(args, name) is not None and name not in reads:
+            raise _InputError(f"verify-appendix {args.which} does not "
+                              f"read --{name}")
+    result = verify(args)
     _emit(result, args.json)
     return 0 if result["pass"] else 2
 
@@ -456,13 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-appendix",
                        help="re-run a worked scenario and report pass/fail")
-    p.add_argument("which", choices=["A1", "A2", "R2i"])
-    p.add_argument("--a", type=_frac)
-    p.add_argument("--b", type=_frac)
-    p.add_argument("--c", type=_frac)
-    p.add_argument("--d", type=_frac)
-    p.add_argument("--delta", type=_frac)
-    p.add_argument("--eps", type=_frac)
+    p.add_argument("which", choices=list(_SCENARIOS))
+    for name in _PARAMETERS:
+        p.add_argument(f"--{name}", type=_frac)
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify_appendix)
     return ap

@@ -205,25 +205,27 @@ def _squeeze(z: int, i: int) -> int:
 
 
 def _fill(a: SimplexPoint, b: SimplexPoint, budget: int):
-    """The flood fill behind support, lazily: yields (t, zero) for each
-    simplex t it enters, in fill order, with zero the bitmask of t's
-    edges that are 0 at some vertex of t's slice, before t's neighbours
-    are queued, so a caller that stops early queues and keys nothing
-    further.
+    """The flood fill behind support, lazily: yields (t, slice) for each
+    simplex t it enters, in fill order, with slice the EnvelopeSlice the
+    fill read for t, or None for a face, before t's neighbours are
+    queued, so a caller that stops early queues and keys nothing further.
 
     Only T(a) is tested for feasibility, by its polytope: a fresh slice
-    calls feasible() once, a memoised one reads its known vertices.
-    Every other simplex is queued from an entered simplex t whose vertex
-    zero masks are known: t's slice is a face of each resolution's
-    slice, so every resolution is queued; and the slice of the face
-    collapsing edge i is slice(t) on x_i = 0, so the face is queued when
-    some vertex of t has x_i = 0, and its vertices are exactly those, in
-    the face's coordinates.  It is queued with their masks, bit i
-    squeezed out, so only T(a) and the resolutions build a slice: a
-    face's zero masks are read off its parent's.  Faces are keyed unbuilt
-    (_collapse_keys), and a face is built only when it is queued."""
+    calls feasible() once, a memoised one reads its known vertices.  a
+    lies in that slice, so an empty one raises SelfCheckFailed.  Every
+    other simplex is queued from an entered simplex t whose vertex zero
+    masks are known: t's slice is a face of each resolution's slice, so
+    every resolution is queued; and the slice of the face collapsing
+    edge i is slice(t) on x_i = 0, so the face is queued when some vertex
+    of t has x_i = 0, and its vertices are exactly those, in the face's
+    coordinates.  It is queued with their masks, bit i squeezed out, so
+    only T(a) and the resolutions (the trivalent charts) carry a slice:
+    a face's zero masks are read off its parent's.  Faces are keyed
+    unbuilt (_collapse_keys), and a face is built only when it is
+    queued."""
     if not envelope_slice(a, b, a.ttype).polytope.is_feasible():
-        return
+        raise SelfCheckFailed("support found no envelope point in the "
+                              f"chart of a, {[e.id for e in a.ttype.edges]}")
     entered = 0
     queued = {type_key(a.ttype): a.ttype}
     queue = deque([(a.ttype, None)])
@@ -231,16 +233,17 @@ def _fill(a: SimplexPoint, b: SimplexPoint, budget: int):
         t, masks = queue.popleft()
         if entered == budget:
             raise BudgetExceeded(f"support search entered > {budget} simplices")
+        read = None
         if masks is None:
+            read = envelope_slice(a, b, t)
             full = (1 << len(t.edges)) - 1
-            masks = [v[1] & full for v
-                     in envelope_slice(a, b, t).polytope._vertex_rays]
+            masks = [v[1] & full for v in read.polytope._vertex_rays]
             if not masks:
                 raise SelfCheckFailed("support entered an empty slice in "
                                       f"{[e.id for e in t.edges]}")
         zero = reduce(or_, masks)
         entered += 1
-        yield t, zero
+        yield t, read
         for key, entry in _collapse_keys(t, 1).items():
             i = entry[0][0]
             if zero >> i & 1 and key not in queued:

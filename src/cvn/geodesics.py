@@ -337,20 +337,20 @@ def _pair_dim(p: SimplexPoint, q: SimplexPoint, budget=None,
     stops.  The default cap 3n-4 is exact: a trivalent chart has 3n-3
     edges, so no slice is larger.
 
-    Only T(p) and the trivalent simplices are measured.  Every other
-    simplex the fill enters is a face, whose slice is a face of its
-    parent's slice, and the parent was entered before it; so the largest
-    dimension so far, and where the fill stops, are those of the full
-    scan, and no face's slice is built."""
+    Only the slices the fill read are measured, those of T(p) and the
+    trivalent charts.  Every other simplex the fill enters is a face,
+    whose slice is a face of its parent's slice, and the parent was
+    entered before it; so the largest dimension so far, and where the
+    fill stops, are those of the full scan, and no face's slice is
+    built."""
     if cap is None:
         cap = 3 * p.ttype.rank - 4
     best = -1
-    for k, (delta, _) in enumerate(_fill(p, q, _budget(budget))):
-        if k and not delta.is_trivalent():
-            continue
-        best = max(best, envelope_slice(p, q, delta).polytope.dim)
-        if best >= cap:
-            break
+    for _, read in _fill(p, q, _budget(budget)):
+        if read is not None:
+            best = max(best, read.polytope.dim)
+            if best >= cap:
+                break
     return best
 
 

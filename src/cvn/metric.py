@@ -118,7 +118,7 @@ def distance(a: SimplexPoint, b: SimplexPoint, mode: str = "right") -> Distance:
         lam = stretch(a, b)
     elif mode == "left":
         lam = stretch(b, a)
-    elif mode in ("symmetric", "sym"):
+    elif mode == "symmetric":
         lam = stretch(a, b) * stretch(b, a)
     else:
         raise ParamOutOfRange(f"unknown mode {mode!r}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 
 from .envelopes import envelope_slice, support
-from .errors import Unsupported
+from .errors import SelfCheckFailed, Unsupported
 from .graphs import (
     SimplexPoint,
     TopologicalType,
@@ -150,9 +150,11 @@ def _reflect(p, a, b):
 # picture of a pair draws the support of the pair
 @lru_cache(maxsize=64)
 def layout_support(simplices: tuple[TopologicalType, ...]) -> Layout:
-    """Unfold the maximal simplices of a support into the plane.
-    Memoised on the tuple of simplices, so equal supports share one
-    Layout, with its frame."""
+    """Unfold the maximal simplices of a support into the plane, each
+    glued to one placed before it along a shared face; a support is
+    connected through such faces, so a simplex with none raises
+    SelfCheckFailed.  Memoised on the tuple of simplices, so equal
+    supports share one Layout, with its frame."""
     maximal = _maximal(simplices)
     if not maximal:
         raise Unsupported("no maximal rank 2 simplex to draw")
@@ -162,8 +164,7 @@ def layout_support(simplices: tuple[TopologicalType, ...]) -> Layout:
     pending = list(maximal[1:])
     used: set = set()
     while pending:
-        progressed = False
-        for t2 in list(pending):
+        for t2 in pending:
             options = []
             for idx, (t1, corners) in enumerate(placed):
                 for gone1, gone2, at in _face_matches(t1, t2):
@@ -181,11 +182,11 @@ def layout_support(simplices: tuple[TopologicalType, ...]) -> Layout:
             placed.append((t2, tuple(new)))
             used.add((idx, gone1))
             pending.remove(t2)
-            progressed = True
             break
-        if not progressed:
-            # disconnected from everything placed so far: drop it
-            pending.pop(0)
+        else:
+            raise SelfCheckFailed(
+                "layout found no face gluing the support chart "
+                f"{[e.id for e in pending[0].edges]} to the placed charts")
     return Layout(tuple(placed))
 
 
@@ -239,7 +240,8 @@ def render_envelope_svg(a: SimplexPoint, b: SimplexPoint,
     for (t, _), cs in zip(layout.placed, corners):
         rays = envelope_slice(a, b, t).polytope.rays
         if not rays:
-            continue
+            raise SelfCheckFailed("picture found an empty envelope slice in "
+                                  f"the support chart {[e.id for e in t.edges]}")
         # vertex r / s sits at (q / s) r / q: one denominator per polygon
         q = math.lcm(*(s for _, s in rays))
         placed_pts = _cyclic([_place([(q // s) * x for x in r], cs)

@@ -80,39 +80,18 @@ def _letter_key(a: int) -> int:
     return 2 * abs(a) - (1 if a > 0 else 0)
 
 
-def _least_rotation(keys) -> int:
-    """Start of the lexicographically least rotation of a sequence, by
-    Booth's O(n) algorithm (a failure function over the doubled sequence)."""
-    s = list(keys) * 2
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:  # here i == -1
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
 def _canonical_cyclic(letters: Letters) -> Letters:
     """Least rotation of the cyclic word or its inverse, letters ordered
-    1 < -1 < 2 < -2 < ..."""
-    if not letters:
-        return ()
+    1 < -1 < 2 < -2 < ..., by a plain scan over the rotations that start
+    with a least letter: quadratic in the length, and the classes
+    canonicalized here are short."""
     rotations = []
     for seq in (letters, invert(letters)):
-        keys = [_letter_key(a) for a in seq]
-        k = _least_rotation(keys)
-        rotations.append((keys[k:] + keys[:k], seq[k:] + seq[:k]))
-    return min(rotations)[1]
+        keys = tuple(map(_letter_key, seq))
+        least = min(keys, default=0)
+        rotations += [(keys[k:] + keys[:k], seq[k:] + seq[:k])
+                      for k in range(len(seq)) if keys[k] == least]
+    return min(rotations, default=((), ()))[1]
 
 
 class Word(Value):

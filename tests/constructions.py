@@ -19,14 +19,20 @@ from functools import lru_cache
 from cvn.candidates import enumerate_candidates
 from cvn.envelopes import out_envelope
 from cvn.errors import CvnError, ParamOutOfRange, SelfCheckFailed, Unsupported
-from cvn.graphs import SimplexPoint, TopologicalType, make_type, point_from_coords
+from cvn.graphs import (
+    SimplexPoint,
+    TopologicalType,
+    blow_up_vertex,
+    make_type,
+    point_from_coords,
+    rose_type,
+)
 from cvn.metric import conj_length, stretch_report
 from cvn.words import (
     ConjClass,
     Letters,
     Word,
     _basis_inverse,
-    _least_rotation,
     _letter_key,
     apply_endomorphism,
     conj_normal_form,
@@ -48,8 +54,23 @@ def _oriented_cyclic(letters: Letters) -> Letters:
     """Least rotation of the cyclic reduction, orientation kept: equal
     exactly for conjugate words."""
     core = cyclic_reduce(letters)[0]
-    k = _least_rotation([_letter_key(a) for a in core])
-    return core[k:] + core[:k]
+    return min((core[k:] + core[:k] for k in range(len(core))),
+               key=lambda r: [*map(_letter_key, r)], default=())
+
+
+def _random_trivalent_type(rank, rng):
+    """Blow the rose up at random until every vertex is trivalent."""
+    t = rose_type(rank)
+    while True:
+        fat = [v for v in t.vertices if t.valency(v) >= 4]
+        if not fat:
+            return t
+        v = rng.choice(fat)
+        half = t.half_edges_at(v)
+        rng.shuffle(half)
+        k = rng.randint(2, len(half) - 2)
+        t = blow_up_vertex(t, v, half[:k], half[k:])
+
 
 _WHITEHEAD_RANK_CAP = 3
 

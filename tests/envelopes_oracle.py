@@ -115,9 +115,9 @@ def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
 
 
 def fill(a: SimplexPoint, b: SimplexPoint, budget: int):
-    """The flood fill from T(a), yielding (t, zero) per entered simplex in
-    fill order, with zero the bitmask of t's edges that are 0 at some
-    vertex of t's own slice, which is built for every t."""
+    """The flood fill from T(a), yielding (t, slice) per entered simplex
+    in fill order, with slice t's own EnvelopeSlice, which is built for
+    every t; the faces queued are read off its vertex zero masks."""
     if not envelope_slice(a, b, a.ttype).polytope.is_feasible():
         return
     entered = 0
@@ -135,13 +135,14 @@ def fill(a: SimplexPoint, b: SimplexPoint, budget: int):
         t = queue.popleft()
         if entered == budget:
             raise BudgetExceeded(f"support search entered > {budget} simplices")
-        zs = [v[1] for v in envelope_slice(a, b, t).polytope._vertex_rays]
+        own = envelope_slice(a, b, t)
+        zs = [v[1] for v in own.polytope._vertex_rays]
         if not zs:
             raise SelfCheckFailed(
                 f"support entered an empty slice in {[e.id for e in t.edges]}")
         zero = reduce(or_, zs) & (1 << len(t.edges)) - 1
         entered += 1
-        yield t, zero
+        yield t, own
         for (sub, _), f in zip(_collapse_keys(t, 1).values(), faces(t)):
             if zero >> sub[0] & 1:
                 enqueue(f)

@@ -1,12 +1,10 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
 import candidates_oracle
 from candidates_oracle import path_counts
+from constructions import _random_trivalent_type
 from point_readings import edge_of
 
 from cvn.candidates import (
@@ -168,19 +166,6 @@ def test_twisted_types_enumerate_consistently():
             assert c.counts == edge_counts(p.ttype, c.word)
 
 
-def _random_trivalent_type():
-    """perfbench/workloads.py's seeded trivalent type builder (it uses
-    public cvn constructors only)."""
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        mod = importlib.util.module_from_spec(spec)
-        sys.modules[name] = mod  # dataclasses look their module up
-        spec.loader.exec_module(mod)
-    return sys.modules[name].random_trivalent_type
-
-
 def _name_order_barbells():
     """Two 2-edge cycles joined by two arcs, one from each vertex of the
     first cycle: vertex 'b' comes before 'a' in position, after it in name,
@@ -200,9 +185,8 @@ def test_candidates_match_edge_subset_oracle():
         types.append(t)
         types.extend(collapse_forest(t, {e.id})
                      for e in t.edges if not e.is_loop())
-    build = _random_trivalent_type()
     rng = random.Random(14)
-    types.extend(build(2 + k % 3, rng) for k in range(600))
+    types.extend(_random_trivalent_type(2 + k % 3, rng) for k in range(600))
     types += [rose_type(2), rose_type(3), rose_type(4), theta_type(),
               twisted_theta_type(), barbell_type(), _name_order_barbells()]
     assert len(types) >= 1200

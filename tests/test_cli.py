@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvn.cli import main, parse_word
+from cvn.cli import _load_point, main, parse_word
 from cvn.graphs import (
     barbell_point,
     point_to_json,
@@ -21,6 +22,7 @@ from cvn.graphs import (
     theta_point,
     twisted_theta_point,
 )
+from cvn.metric import conj_length, stretch_report
 from cvn.words import conj_class
 
 
@@ -353,6 +355,66 @@ def test_stretch_past_float_range_prints_exactly(tmp_path, capsys, command):
     if command == "distance":
         digits = len(str(lam.numerator)) - len(str(lam.denominator))
         assert abs(out["log"] / math.log(10) - digits) <= 1
+
+
+def _exact(text: str) -> Fraction:
+    """The ratio an "exact" string writes, read through Decimal, which
+    reads any number of digits."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
+@pytest.mark.parametrize("command", ["distance", "witnesses"])
+def test_ratio_past_the_int_string_limit_prints_every_digit(tmp_path, capsys,
+                                                            command):
+    # two copies of a.json whose first two lengths are about 10^-1900:
+    # each validates, and the stretch between them has about 7,600 digits
+    # over 7,600, where str() of an int raised ValueError past 4,300
+    paths = []
+    for name, (i, j) in (("u", (1, 7)), ("v", (3, 9))):
+        graph = json.loads((FIXTURES / "a.json").read_text())
+        graph["edges"][0]["length"] = f"1/{10 ** 1900 + i}"
+        graph["edges"][1]["length"] = f"1/{10 ** 1900 + j}"
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(graph))
+    assert main([command, *map(str, paths)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    rep = stretch_report(*map(_load_point, map(str, paths)))
+    exact = out["stretch"]["exact"]
+    assert len(exact) > 2 * 4300 and _exact(exact) == rep.lam
+    if command == "witnesses":
+        assert {g: _exact(r["exact"]) for g, r
+                in out["per_candidate"].items()} == {
+            str(g): r for g, r in rep.per_candidate.items()}
+
+
+def test_verify_appendix_prints_ratios_past_the_int_string_limit(capsys):
+    # each parameter is inside the bound on one length, but the ratios
+    # of A1 carry the digits of both
+    eps, delta = Fraction(1, 10 ** 4290 + 1), Fraction(1, 10 ** 4295 + 3)
+    assert main(["verify-appendix", "A1", "--eps", str(eps),
+                 "--delta", str(delta)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"]
+    assert [out["params"][k]["exact"] for k in ("eps", "delta")] == [
+        str(eps), str(delta)]
+    half = Fraction(1, 2)
+    a = theta_point(half + delta, eps, 1 - (half + delta) - eps)
+    c = twisted_theta_point(half - delta, eps, 1 - (half - delta) - eps)
+    x = conj_class([1], 2)
+    exact = out["ratio_x"]["exact"]
+    assert len(exact) > 4300
+    assert _exact(exact) == conj_length(a, x) / conj_length(c, x)
+
+
+@pytest.mark.parametrize("argv", [
+    ["R2i", "--a", "1/3"], ["R2i", "--eps", "1/3"], ["A1", "--b", "1/3"],
+    ["A1", "--d", "1/3"], ["A2", "--delta", "1/100"], ["A2", "--eps", "1/3"]])
+def test_verify_appendix_refuses_a_parameter_its_scenario_does_not_read(
+        capsys, argv):
+    assert main(["verify-appendix", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert not out and f"does not read {argv[1]}" in err
 
 
 def test_envelope_json_and_svg(files, tmp_path, capsys):

@@ -26,6 +26,7 @@ from cvn.errors import (
     BudgetExceeded,
     EmptyDirection,
     ParamOutOfRange,
+    SelfCheckFailed,
     TrivialClass,
 )
 from cvn.graphs import (
@@ -321,6 +322,22 @@ def test_fresh_support_tests_feasibility_once(monkeypatch):
     cvn.envelopes._support.cache_clear()
     assert support(a, rose_point([1, 3])) == sup
     assert calls == []
+
+
+def test_support_raises_when_the_slice_of_a_is_empty(monkeypatch):
+    # a lies in the slice of its own chart, so an empty one is a fault of
+    # the program, not an empty support
+    import cvn.envelopes
+    import cvn.polytope
+
+    monkeypatch.setattr(cvn.polytope.Polytope, "is_feasible",
+                        lambda self: False)
+    cvn.envelopes._support.cache_clear()
+    a = theta_point(1, 2, 4)
+    with pytest.raises(SelfCheckFailed,
+                       match=r"chart of a, \['e1', 'e2', 'e3'\]"):
+        support(a, rose_point([1, 3]))
+    cvn.envelopes._support.cache_clear()
 
 
 def test_direction_reduction_idempotent():

@@ -334,20 +334,30 @@ def _drain(fill):
     return got, False
 
 
+def _rows(read):
+    """What an EnvelopeSlice holds, compared by value: its polytope
+    compares by identity, and the slice memo may have built it again."""
+    if read is not None:
+        return read.simplex, read.gamma, read.polytope.halfspaces
+
+
 def test_faces_read_off_their_parents_match_the_slice_per_face_twin():
     # the twin builds every entered simplex's own slice and ORs its vertex
     # zero masks; the fill reads a face's masks off its parent's slice
     # with the collapsed coordinate squeezed out, and must yield the same
-    # simplices in the same order with the same zero sets
+    # simplices in the same order, with the slice of T(a) and of each
+    # trivalent chart, and no slice for a face
     t0 = time.monotonic()
     runs = [(a, b, 500) for a, b in _general_position_pairs(2, 3, 20)]
     runs.append((_fixture("r3a"), _fixture("r3b"), 800))
     faces = set()
     for a, b, budget in runs:
-        got = _drain(_fill(a, b, budget))
-        assert got == _drain(envelopes_oracle.fill(a, b, budget))
-        entered, stopped = got
-        assert stopped == (a.ttype.rank == 3)
+        entered, stopped = _drain(_fill(a, b, budget))
+        twin, twin_stopped = _drain(envelopes_oracle.fill(a, b, budget))
+        assert stopped == twin_stopped == (a.ttype.rank == 3)
+        assert [(t, _rows(read)) for t, read in entered] == [
+            (t, _rows(own) if k == 0 or t.is_trivalent() else None)
+            for k, (t, own) in enumerate(twin)]
         faces.update((a.ttype.rank, len(t.edges)) for t, _ in entered[1:]
                      if not t.is_trivalent())
     assert faces == {(2, 2), (3, 5), (3, 4), (3, 3)}

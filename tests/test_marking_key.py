@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import marking_oracle
 from marking_oracle import _retree, tree_path
+from constructions import _random_trivalent_type
 from point_readings import base_of
 from cvn.envelopes import envelope_slice, support
 from cvn.geodesics import _pair_dim, general_position
@@ -37,7 +38,6 @@ from cvn.graphs import (
     _letter_paths,
     _matching,
     apply_outer_automorphism,
-    blow_up_vertex,
     collapse_forest,
     faces,
     marking_equivalent,
@@ -218,20 +218,6 @@ def test_witness_sets_follow_the_automorphism():
                     for g in candidate_witnesses(p, q)}
                 cases += 1
     assert cases == 48
-
-
-def _random_trivalent_type(rank, rng):
-    """Blow the rose up at random until every vertex is trivalent."""
-    t = rose_type(rank)
-    while True:
-        fat = [v for v in t.vertices if t.valency(v) >= 4]
-        if not fat:
-            return t
-        v = rng.choice(fat)
-        half = t.half_edges_at(v)
-        rng.shuffle(half)
-        k = rng.randint(2, len(half) - 2)
-        t = blow_up_vertex(t, v, half[:k], half[k:])
 
 
 def _fat_types():

@@ -14,11 +14,9 @@ from cvn.graphs import (
     apply_outer_automorphism,
     barbell_point,
     barbell_type,
-    blow_up_vertex,
     embed_point,
     point_from_coords,
     rose_point,
-    rose_type,
     theta_point,
     theta_type,
     twisted_theta_point,
@@ -38,6 +36,7 @@ from cvn.metric import (
 )
 from cvn.sampling import random_automorphism, random_pair, random_point
 from cvn.words import conj_class, conjugacy_classes_up_to, generator
+from constructions import _random_trivalent_type
 from point_readings import length_of
 from test_marking_key import _relabelled
 
@@ -63,19 +62,6 @@ def test_conj_length_conjugation_invariant():
 def test_conj_length_trivial_rejected():
     with pytest.raises(TrivialClass):
         conj_length(theta_point(1, 1, 1), CC([]))
-
-
-def _random_trivalent_type(rank, rng):
-    t = rose_type(rank)
-    while True:
-        fat = [v for v in t.vertices if t.valency(v) >= 4]
-        if not fat:
-            return t
-        v = rng.choice(fat)
-        half = t.half_edges_at(v)
-        rng.shuffle(half)
-        k = rng.randint(2, len(half) - 2)
-        t = blow_up_vertex(t, v, half[:k], half[k:])
 
 
 def _random_lengths_point(t, rng):
@@ -394,6 +380,12 @@ def test_distance_unknown_mode_is_typed():
     a = theta_point(1, 1, 1)
     with pytest.raises(ParamOutOfRange, match="bogus"):
         distance(a, theta_point(2, 1, 1), "bogus")
+
+
+def test_distance_has_one_spelling_of_symmetric():
+    a = theta_point(1, 1, 1)
+    with pytest.raises(ParamOutOfRange, match="'sym'"):
+        distance(a, theta_point(2, 1, 1), "sym")
 
 
 def test_rank_mismatch():

@@ -1,11 +1,13 @@
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from cvn import svg
 from cvn.envelopes import envelope_slice, support
-from cvn.errors import Unsupported
+from cvn.errors import SelfCheckFailed, Unsupported
 from cvn.graphs import rose_point, theta_point, twisted_theta_point
 from cvn.sampling import random_pair, random_point
 from cvn.svg import (
@@ -88,6 +90,52 @@ def test_layout_unfolds_across_rose_face():
     base = set(layout.placed[0][1])
     second = set(layout.placed[1][1])
     assert len(base & second) == 2
+
+
+def _unfolding_pair():
+    """A pair whose support has two or more maximal simplices."""
+    return (theta_point(Fraction(45, 100), Fraction(1, 10), Fraction(45, 100)),
+            twisted_theta_point(Fraction(2, 5), Fraction(1, 10),
+                                Fraction(1, 2)))
+
+
+def test_layout_raises_on_a_maximal_simplex_it_cannot_glue(monkeypatch):
+    # a support is connected through shared faces, so a maximal simplex
+    # with none to a placed one is a fault, not one to leave undrawn
+    sup = support(*_unfolding_pair()).simplices
+    second = [t for t in sup if t.is_trivalent()][1]
+    monkeypatch.setattr(svg, "_face_matches", lambda t1, t2: iter(()))
+    layout_support.cache_clear()
+    with pytest.raises(SelfCheckFailed,
+                       match=re.escape(str([e.id for e in second.edges]))):
+        layout_support(sup)
+
+
+def test_picture_raises_on_a_maximal_simplex_with_an_empty_slice(monkeypatch):
+    # the fill checks that every slice it enters has a vertex, so a
+    # maximal simplex with none is a fault, not a polygon to leave out
+    a, b = _unfolding_pair()
+    second = [t for t in support(a, b).simplices if t.is_trivalent()][1]
+    empty = SimpleNamespace(polytope=SimpleNamespace(rays=()))
+    monkeypatch.setattr(
+        svg, "envelope_slice",
+        lambda a, b, t: empty if t is second else envelope_slice(a, b, t))
+    with pytest.raises(SelfCheckFailed,
+                       match=re.escape(str([e.id for e in second.edges]))):
+        render_envelope_svg(a, b)
+
+
+def test_no_rank2_support_reaches_the_self_checks():
+    # every maximal simplex of seeded rank-2 supports is glued and drawn
+    rng = random.Random(600)
+    for _ in range(200):
+        a, b = random_pair(2, rng)
+        sup = support(a, b).simplices
+        maximal = [t for t in sup if t.is_trivalent()]
+        text = render_envelope_svg(a, b)
+        placed = [t for t, _ in layout_support(sup).placed]
+        assert len(placed) == len(maximal) and set(placed) == set(maximal)
+        assert text.count('stroke="#225599"') == len(maximal)
 
 
 def test_svg_contains_endpoint_markers():

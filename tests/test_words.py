@@ -418,7 +418,7 @@ def test_class_enumeration_rejects_bad_rank_and_max_len(rank, max_len):
         next(gen)
 
 
-def test_booth_canonical_form_matches_rotation_scan():
+def test_canonical_cyclic_matches_the_oracle():
     rng = random.Random(4)
     for _ in range(2000):
         rank = rng.randint(1, 4)
