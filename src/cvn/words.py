@@ -80,18 +80,27 @@ def _letter_key(a: int) -> int:
     return 2 * abs(a) - (1 if a > 0 else 0)
 
 
+def _least_rotation(seq: Letters) -> tuple[tuple[int, ...], Letters]:
+    """Keys and letters of the least rotation of seq, in linear time: all
+    starts below j but i are ruled out, and where the rotations from i and
+    j first differ, k keys on, the larger and the k starts after it are
+    ruled out too, until j passes the end or the two rotations are equal."""
+    keys = tuple(map(_letter_key, seq))
+    n, i, j, k = len(keys), 0, 1, 0
+    while j < n and k < n:
+        x, y = keys[(i + k) % n], keys[(j + k) % n]
+        if x == y:
+            k += 1
+        elif x > y:
+            i, j, k = max(i + k + 1, j), max(i + k + 2, j + 1), 0
+        else:
+            j, k = j + k + 1, 0
+    return keys[i:] + keys[:i], seq[i:] + seq[:i]
+
+
 def _canonical_cyclic(letters: Letters) -> Letters:
-    """Least rotation of the cyclic word or its inverse, letters ordered
-    1 < -1 < 2 < -2 < ..., by a plain scan over the rotations that start
-    with a least letter: quadratic in the length, and the classes
-    canonicalized here are short."""
-    rotations = []
-    for seq in (letters, invert(letters)):
-        keys = tuple(map(_letter_key, seq))
-        least = min(keys, default=0)
-        rotations += [(keys[k:] + keys[:k], seq[k:] + seq[:k])
-                      for k in range(len(seq)) if keys[k] == least]
-    return min(rotations, default=((), ()))[1]
+    """Least rotation of the cyclic word or its inverse, by _letter_key."""
+    return min(_least_rotation(letters), _least_rotation(invert(letters)))[1]
 
 
 class Word(Value):

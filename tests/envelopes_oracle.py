@@ -117,9 +117,11 @@ def in_envelope(b: SimplexPoint, s, delta: TopologicalType) -> Polytope:
 def fill(a: SimplexPoint, b: SimplexPoint, budget: int):
     """The flood fill from T(a), yielding (t, slice) per entered simplex
     in fill order, with slice t's own EnvelopeSlice, which is built for
-    every t; the faces queued are read off its vertex zero masks."""
+    every t; the faces queued are read off its vertex zero masks.  a
+    lies in the slice of T(a), so an empty one raises SelfCheckFailed."""
     if not envelope_slice(a, b, a.ttype).polytope.is_feasible():
-        return
+        raise SelfCheckFailed("support found no envelope point in the "
+                              f"chart of a, {[e.id for e in a.ttype.edges]}")
     entered = 0
     queued: dict = {}
     queue: deque = deque()

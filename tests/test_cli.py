@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -189,6 +190,27 @@ def test_ray_audit_exits_cleanly_on_drawn_directions(name, words, steps):
     assert main(["ray-audit", str(FIXTURES / f"{name}.json"), "--direction",
                  *words, "--steps", str(steps)]) in (0, 1, 2, 3)
     assert time.monotonic() - start < 10
+
+
+def _one_gigabyte():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("word", [
+    "x" * 40000, "xy" * 20000, json.dumps([1, -2] * 20000, separators=",:")],
+    ids=["x^40000", "(xy)^20000", "(xy^-1)^20000"])
+def test_long_periodic_direction_audits_in_linear_space(files, word):
+    # every rotation of such a word, and of its inverse, starts with a
+    # least letter; the class is canonicalized without copying them all,
+    # in a process held to 1 GB of address space
+    root = Path(__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-m", "cvn.cli", "ray-audit", files["rose"],
+         "--direction", word, "--json", os.devnull],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=20,
+        preexec_fn=_one_gigabyte)
+    assert res.returncode == 0, res.stderr[-500:]
 
 
 def test_missing_file_and_bad_word_are_input_errors(files, capsys):

@@ -326,17 +326,19 @@ def test_fresh_support_tests_feasibility_once(monkeypatch):
 
 def test_support_raises_when_the_slice_of_a_is_empty(monkeypatch):
     # a lies in the slice of its own chart, so an empty one is a fault of
-    # the program, not an empty support
+    # the program, not an empty support; the fill's twin says the same
     import cvn.envelopes
     import cvn.polytope
 
     monkeypatch.setattr(cvn.polytope.Polytope, "is_feasible",
                         lambda self: False)
     cvn.envelopes._support.cache_clear()
-    a = theta_point(1, 2, 4)
-    with pytest.raises(SelfCheckFailed,
-                       match=r"chart of a, \['e1', 'e2', 'e3'\]"):
-        support(a, rose_point([1, 3]))
+    a, b = theta_point(1, 2, 4), rose_point([1, 3])
+    for run in (lambda: support(a, b),
+                lambda: list(envelopes_oracle.fill(a, b, 100))):
+        with pytest.raises(SelfCheckFailed,
+                           match=r"chart of a, \['e1', 'e2', 'e3'\]"):
+            run()
     cvn.envelopes._support.cache_clear()
 
 

@@ -341,23 +341,45 @@ def _rows(read):
         return read.simplex, read.gamma, read.polytope.halfspaces
 
 
-def test_faces_read_off_their_parents_match_the_slice_per_face_twin():
+def test_faces_read_off_their_parents_match_the_slice_per_face_twin(
+        monkeypatch):
     # the twin builds every entered simplex's own slice and ORs its vertex
     # zero masks; the fill reads a face's masks off its parent's slice
     # with the collapsed coordinate squeezed out, and must yield the same
     # simplices in the same order, with the slice of T(a) and of each
-    # trivalent chart, and no slice for a face
+    # trivalent chart, and no slice for a face; the masks a face was
+    # queued with are those of the vertices of its own slice
+    queued = {}  # face -> the masks the fill queued it with
+    face, squeeze = envelopes._face, envelopes._squeeze
+
+    def recorded_face(*args):
+        f = face(*args)
+        queued[None] = queued[f] = []
+        return f
+
+    def recorded_squeeze(z, i):
+        queued[None].append(squeeze(z, i))
+        return queued[None][-1]
+
+    monkeypatch.setattr(envelopes, "_face", recorded_face)
+    monkeypatch.setattr(envelopes, "_squeeze", recorded_squeeze)
     t0 = time.monotonic()
     runs = [(a, b, 500) for a, b in _general_position_pairs(2, 3, 20)]
     runs.append((_fixture("r3a"), _fixture("r3b"), 800))
     faces = set()
     for a, b, budget in runs:
+        queued.clear()
         entered, stopped = _drain(_fill(a, b, budget))
         twin, twin_stopped = _drain(envelopes_oracle.fill(a, b, budget))
         assert stopped == twin_stopped == (a.ttype.rank == 3)
         assert [(t, _rows(read)) for t, read in entered] == [
             (t, _rows(own) if k == 0 or t.is_trivalent() else None)
             for k, (t, own) in enumerate(twin)]
+        for (t, read), (_, own) in zip(entered, twin):
+            if read is None:
+                full = (1 << len(t.edges)) - 1
+                assert sorted(queued[t]) == sorted(
+                    v[1] & full for v in own.polytope._vertex_rays)
         faces.update((a.ttype.rank, len(t.edges)) for t, _ in entered[1:]
                      if not t.is_trivalent())
     assert faces == {(2, 2), (3, 5), (3, 4), (3, 3)}

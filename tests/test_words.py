@@ -431,6 +431,17 @@ def test_canonical_cyclic_matches_the_oracle():
             words_oracle._canonical_cyclic(letters)
 
 
+def test_least_rotation_is_the_least_of_all_rotations():
+    # every word of up to 9 letters over three letters, periodic ones
+    # (several least rotations) included
+    for n in range(1, 10):
+        for seq in itertools.product((1, -1, 2), repeat=n):
+            want = min((seq[k:] + seq[:k] for k in range(n)),
+                       key=lambda r: [*map(words._letter_key, r)])
+            assert words._least_rotation(seq) == (
+                tuple(map(words._letter_key, want)), want)
+
+
 def test_plateau_basis_is_inverted_without_a_search():
     # a basis of F_3 whose Nielsen reduction needed a search at constant
     # total length; folding inverts it directly
