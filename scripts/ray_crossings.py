@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from cvn.errors import BudgetExceeded, WalkStuck
 from cvn.geodesics import ray_dimension_audit
-from cvn.graphs import rose_point
+from cvn.graphs import _exact, rose_point
 from cvn.words import conj_class
 
 
@@ -24,11 +24,11 @@ def run(a: Fraction, steps: int) -> None:
     try:
         audit = ray_dimension_audit(start, direction, steps)
     except (BudgetExceeded, WalkStuck) as e:
-        print(f"a = {a}: stuck ({e})")
+        print(f"a = {_exact(a)}: stuck ({e})")
         return
-    print(f"a = {a}: {audit.crossings[-1]} crossings")
+    print(f"a = {_exact(a)}: {audit.crossings[-1]} crossings")
     for p, c in zip(audit.points, audit.crossings):
-        lens = ", ".join(str(l) for l in p.lengths)
+        lens = ", ".join(map(_exact, p.lengths))
         print(f"  crossing {c}: {len(p.ttype.edges)} edges  ({lens})")
     dims = sorted(set(audit.dims.values()))
     print(f"  pair envelope dimensions seen: {dims}, stable from index "
@@ -45,7 +45,7 @@ def main() -> None:
     args = parser.parse_args()
     for a in args.a:
         if not Fraction(1, 2) < a < 1:
-            print(f"a = {a}: skipped, need 1/2 < a < 1")
+            print(f"a = {_exact(a)}: skipped, need 1/2 < a < 1")
             continue
         run(a, args.steps)
 

@@ -10,7 +10,7 @@ import argparse
 from fractions import Fraction
 
 from cvn.geodesics import is_rigid, piecewise_rigid_geodesic
-from cvn.graphs import theta_point
+from cvn.graphs import _exact, theta_point
 from cvn.metric import stretch
 from cvn.svg import render_envelope_svg
 
@@ -30,9 +30,9 @@ def main() -> None:
     path = piecewise_rigid_geodesic(a, b)
 
     total = stretch(a, b)
-    print(f"stretch(a, b) = {total}")
+    print(f"stretch(a, b) = {_exact(total)}")
     for k, p in enumerate(path.breakpoints):
-        lens = ", ".join(str(l) for l in p.lengths)
+        lens = ", ".join(map(_exact, p.lengths))
         line = f"  breakpoint {k}: ({lens})"
         if k > 0:
             ws = sorted(str(w) for w in path.segment_witnesses[k - 1])
@@ -42,7 +42,7 @@ def main() -> None:
     prod = Fraction(1)
     for u, v in zip(path.breakpoints, path.breakpoints[1:]):
         prod *= stretch(u, v)
-    print(f"product of segment stretches = {prod} "
+    print(f"product of segment stretches = {_exact(prod)} "
           f"({'ok' if prod == total else 'MISMATCH'})")
     print(f"rigid segments: {path.rigid_segments}  "
           f"fully rigid: {is_rigid(path)}")

@@ -15,11 +15,11 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import BudgetExceeded, CvnError, ParamOutOfRange
 from .graphs import (
+    _exact,
     _json_int,
     _json_length,
     graph_from_json,
@@ -41,19 +41,14 @@ from .words import ConjClass, class_order, conj_class
 _NAMES = "xyzuvw"
 
 
-def _rat(q) -> dict:
+def _rat(q: Fraction) -> dict:
     """q as an exact string and a float; the float is None past float
-    range, where float(q) raises OverflowError.  Decimal writes the
-    digits str() of an int writes, also past its 4,300-digit limit."""
-    q = Fraction(q)
+    range, where float(q) raises OverflowError."""
     try:
         approx = float(q)
     except OverflowError:
         approx = None
-    exact = str(Decimal(q.numerator))
-    if q.denominator != 1:
-        exact += f"/{Decimal(q.denominator)}"
-    return {"exact": exact, "approx": approx}
+    return {"exact": _exact(q), "approx": approx}
 
 
 def parse_word(text: str, rank: int) -> ConjClass:
@@ -269,22 +264,15 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _default(value, fallback):
-    return fallback if value is None else value
-
-
-def _verify_a1(args):
+def _verify_a1(a, delta, eps):
     from .envelopes import envelope_slice
     from .metric import conj_length, stretch_report
     from .polytope import feasible
 
-    a0 = _default(args.a, Fraction(1, 2))
-    delta = _default(args.delta, Fraction(1, 100))
-    eps = _default(args.eps, Fraction(1, 10))
-    if not (0 < eps and 0 < delta < a0 * eps and a0 + delta + eps < 1):
+    if not (0 < eps and 0 < delta < a * eps and a + delta + eps < 1):
         raise ParamOutOfRange("need 0 < delta < a*eps and valid lengths")
-    A = theta_point(a0 + delta, eps, 1 - (a0 + delta) - eps)
-    C = twisted_theta_point(a0 - delta, eps, 1 - (a0 - delta) - eps)
+    A = theta_point(a + delta, eps, 1 - (a + delta) - eps)
+    C = twisted_theta_point(a - delta, eps, 1 - (a - delta) - eps)
     rank2 = 2
     xy_inv = conj_class([1, -2], rank2)
     xy = conj_class([1, 2], rank2)
@@ -294,46 +282,34 @@ def _verify_a1(args):
     joint = (envelope_slice(A, C, rose).polytope.halfspaces
              + envelope_slice(C, A, rose).polytope.halfspaces)
     both_ways = feasible(joint, 2)
-    checks = {
-        "cw_a_to_c_is_xy_inverse": cw_ac == frozenset({xy_inv}),
-        "cw_c_to_a_is_xy": cw_ca == frozenset({xy}),
-        "no_common_rose_point": not both_ways,
-    }
     return {
-        "scenario": "A1",
-        "params": {k: _rat(v) for k, v in
-                   (("a", a0), ("delta", delta), ("eps", eps))},
         "ratio_x": _rat(conj_length(A, conj_class([1], 2))
                         / conj_length(C, conj_class([1], 2))),
         "ratio_xy": _rat(conj_length(A, xy) / conj_length(C, xy)),
-        "checks": checks,
-        "pass": all(checks.values()),
+        "checks": {
+            "cw_a_to_c_is_xy_inverse": cw_ac == frozenset({xy_inv}),
+            "cw_c_to_a_is_xy": cw_ca == frozenset({xy}),
+            "no_common_rose_point": not both_ways,
+        },
     }
 
 
-def _verify_a2(args):
+def _verify_a2(a, b, c, d):
     from .geodesics import on_geodesic
     from .graphs import barbell_point, rose_point
 
-    a0 = _default(args.a, Fraction(1, 4))
-    b0 = _default(args.b, Fraction(1, 4))
-    c0 = _default(args.c, Fraction(3, 10))
-    d0 = _default(args.d, Fraction(1, 5))
-    if not (0 < a0 and 0 < b0 and a0 + b0 < 1 and 0 < c0 and 0 < d0
-            and c0 + d0 < 1):
+    if not (0 < a and 0 < b and a + b < 1 and 0 < c and 0 < d
+            and c + d < 1):
         raise ParamOutOfRange("lengths must be positive and sum below 1")
-    if Fraction(a0, 1) / (c0 + d0) > (1 - a0 - b0) / (1 - c0):
+    if a / (c + d) > (1 - a - b) / (1 - c):
         raise ParamOutOfRange("parameters fall in the mirrored branch; "
                               "swap the roles of the two loops")
-    A = barbell_point(a0, b0, 1 - a0 - b0)
-    C = twisted_theta_point(c0, d0, 1 - c0 - d0)
-    lo = a0 / (1 - b0)
-    hi = (c0 + d0) / (1 + d0)
+    A = barbell_point(a, b, 1 - a - b)
+    C = twisted_theta_point(c, d, 1 - c - d)
+    lo = a / (1 - b)
+    hi = (c + d) / (1 + d)
     nonempty = lo <= hi
-    result = {"scenario": "A2",
-              "params": {k: _rat(v) for k, v in
-                         (("a", a0), ("b", b0), ("c", c0), ("d", d0))},
-              "interval": [_rat(lo), _rat(hi)],
+    result = {"interval": [_rat(lo), _rat(hi)],
               "checks": {"interval_nonempty": nonempty}}
     if nonempty:
         alpha = (lo + hi) / 2
@@ -341,11 +317,10 @@ def _verify_a2(args):
         result["midpoint"] = _rat(alpha)
         result["checks"]["forward"] = on_geodesic(A, B, C)
         result["checks"]["backward"] = on_geodesic(C, B, A)
-    result["pass"] = all(result["checks"].values())
     return result
 
 
-def _verify_r2i(args):
+def _verify_r2i():
     from .geodesics import check_gluing
     from .metric import stretch, stretch_report
 
@@ -358,40 +333,51 @@ def _verify_r2i(args):
     w_ab = stretch_report(A, B).candidate_witnesses
     w_bc = stretch_report(B, C).candidate_witnesses
     w_ca = stretch_report(C, A).candidate_witnesses
-    checks = {
-        "witnesses_a_b": {x, xy_inv} <= w_ab,
-        "witnesses_b_c": {y, xy_inv} <= w_bc,
-        "witnesses_c_a": {x, y} <= w_ca,
-        "glue_at_b": bool(check_gluing(A, B, C)),
-        "glue_at_c": bool(check_gluing(B, C, A)),
-        "glue_at_a": bool(check_gluing(C, A, B)),
-    }
     return {
-        "scenario": "R2i",
         "stretches": {"a_to_b": _rat(stretch(A, B)),
                       "b_to_a": _rat(stretch(B, A))},
         "witness_sets": {"a_b": sorted(str(g) for g in w_ab),
                          "b_c": sorted(str(g) for g in w_bc),
                          "c_a": sorted(str(g) for g in w_ca)},
-        "checks": checks,
-        "pass": all(checks.values()),
+        "checks": {
+            "witnesses_a_b": {x, xy_inv} <= w_ab,
+            "witnesses_b_c": {y, xy_inv} <= w_bc,
+            "witnesses_c_a": {x, y} <= w_ca,
+            "glue_at_b": bool(check_gluing(A, B, C)),
+            "glue_at_c": bool(check_gluing(B, C, A)),
+            "glue_at_a": bool(check_gluing(C, A, B)),
+        },
     }
 
 
-# the verify-appendix parameters, and each scenario with those it reads
-_PARAMETERS = ("a", "b", "c", "d", "delta", "eps")
-_SCENARIOS = {"A1": (_verify_a1, ("a", "delta", "eps")),
-              "A2": (_verify_a2, ("a", "b", "c", "d")),
-              "R2i": (_verify_r2i, ())}
+# each verify-appendix scenario: its function, and the parameters it
+# reads with their defaults; each parameter is an option of the command
+_SCENARIOS = {
+    "A1": (_verify_a1, {"a": Fraction(1, 2), "delta": Fraction(1, 100),
+                        "eps": Fraction(1, 10)}),
+    "A2": (_verify_a2, {"a": Fraction(1, 4), "b": Fraction(1, 4),
+                        "c": Fraction(3, 10), "d": Fraction(1, 5)}),
+    "R2i": (_verify_r2i, {}),
+}
+_PARAMETERS = sorted({name for _, defaults in _SCENARIOS.values()
+                      for name in defaults})
 
 
 def cmd_verify_appendix(args) -> int:
-    verify, reads = _SCENARIOS[args.which]
+    verify, defaults = _SCENARIOS[args.which]
+    params = dict(defaults)
     for name in _PARAMETERS:
-        if getattr(args, name) is not None and name not in reads:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in defaults:
             raise _InputError(f"verify-appendix {args.which} does not "
                               f"read --{name}")
-    result = verify(args)
+        params[name] = value
+    result = {"scenario": args.which, **verify(**params)}
+    if params:
+        result["params"] = {k: _rat(v) for k, v in params.items()}
+    result["pass"] = all(result["checks"].values())
     _emit(result, args.json)
     return 0 if result["pass"] else 2
 

@@ -22,6 +22,7 @@ import math
 import re
 import sys
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -399,6 +400,19 @@ def graph_from_json(text) -> MarkedGraph:
     return MarkedGraph(_json_int(data["rank"], "rank"), vertices, edges, tree)
 
 
+def _exact(q: Fraction) -> str:
+    """The text of every printed rational: str(q).  Past the 4,300-digit
+    limit on str() of an int, where str() raises ValueError, Decimal
+    writes the same digits; the interpreter's limit is left as it is."""
+    try:
+        return str(q)
+    except ValueError:
+        text = str(Decimal(q.numerator))
+        if q.denominator != 1:
+            text += f"/{Decimal(q.denominator)}"
+        return text
+
+
 def point_to_json(p: SimplexPoint) -> dict:
     t = p.ttype
     return {
@@ -409,7 +423,7 @@ def point_to_json(p: SimplexPoint) -> dict:
                 "id": e.id,
                 "from": e.u,
                 "to": e.v,
-                "length": str(p.lengths[i]),
+                "length": _exact(p.lengths[i]),
                 "label": list(e.label.letters),
             }
             for i, e in enumerate(t.edges)

@@ -23,6 +23,7 @@ from .graphs import (
     SimplexPoint,
     TopologicalType,
     _collapse_keys,
+    _exact,
     _matching,
     embed_point,
 )
@@ -118,11 +119,6 @@ class Layout(Value):
         return None
 
 
-def _maximal(simplices):
-    """The trivalent simplices, of 3n - 3 edges: the maximal ones."""
-    return [t for t in simplices if t.is_trivalent()]
-
-
 def _face_matches(t1: TopologicalType, t2: TopologicalType):
     """Shared faces of one collapsed edge: (its position in t1, its
     position in t2, {position in t2: position in t1} of the other edges)."""
@@ -155,7 +151,7 @@ def layout_support(simplices: tuple[TopologicalType, ...]) -> Layout:
     connected through such faces, so a simplex with none raises
     SelfCheckFailed.  Memoised on the tuple of simplices, so equal
     supports share one Layout, with its frame."""
-    maximal = _maximal(simplices)
+    maximal = [t for t in simplices if t.is_trivalent()]
     if not maximal:
         raise Unsupported("no maximal rank 2 simplex to draw")
     base = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
@@ -287,10 +283,10 @@ def envelope_vertices_json(a: SimplexPoint, b: SimplexPoint,
     order, as the picture draws them at rank 2."""
     sup = support(a, b, budget)
     out = []
-    for t in _maximal(sup.simplices):
+    for t in filter(TopologicalType.is_trivalent, sup.simplices):
         verts = envelope_slice(a, b, t).polytope.vertices
         out.append({
             "edges": [e.id for e in t.edges],
-            "vertices": [[str(x) for x in v] for v in verts],
+            "vertices": [list(map(_exact, v)) for v in verts],
         })
     return out

@@ -8,6 +8,10 @@ and `is_primitive`.  `cvn.envelopes` had `rainbow_graph`, a point where a
 primitive class is the shortest candidate by far, built on
 `extend_to_basis`, and `direction_reduction`, which trades a direction
 set for candidates with the same out-envelope slice.
+
+`cvn.sampling` drew the seeded random points and pairs of the property
+tests: a standard type, a marking twisted by random Nielsen moves, and
+random rational lengths, all from a caller's random.Random.
 """
 
 from __future__ import annotations
@@ -22,10 +26,14 @@ from cvn.errors import CvnError, ParamOutOfRange, SelfCheckFailed, Unsupported
 from cvn.graphs import (
     SimplexPoint,
     TopologicalType,
+    apply_outer_automorphism,
+    barbell_type,
     blow_up_vertex,
     make_type,
     point_from_coords,
+    resolutions,
     rose_type,
+    theta_type,
 )
 from cvn.metric import conj_length, stretch_report
 from cvn.words import (
@@ -70,6 +78,50 @@ def _random_trivalent_type(rank, rng):
         rng.shuffle(half)
         k = rng.randint(2, len(half) - 2)
         t = blow_up_vertex(t, v, half[:k], half[k:])
+
+
+def random_automorphism(rank: int, rng, steps: int = 4) -> list[Word]:
+    """Images of the generators under a random composition of Nielsen moves."""
+    images = [generator(i, rank) for i in range(1, rank + 1)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i = rng.randrange(rank)
+        if kind == 0:
+            images[i] = images[i].inverse()
+        else:
+            j = rng.choice([k for k in range(rank) if k != i]) if rank > 1 else i
+            if rank == 1:
+                continue
+            other = images[j] if rng.random() < 0.5 else images[j].inverse()
+            new = images[i] * other if kind == 1 else other * images[i]
+            if not new.is_trivial():
+                images[i] = new
+    return images
+
+
+def random_lengths(n: int, rng) -> tuple[Fraction, ...]:
+    nums = [rng.randint(1, 12) for _ in range(n)]
+    total = sum(nums)
+    return tuple(Fraction(k, total) for k in nums)
+
+
+def _types(rank: int):
+    if rank == 2:
+        return (rose_type(2), theta_type(), barbell_type())
+    if rank != 3:
+        return (rose_type(rank),)
+    # the maximal simplices around the rose: its trivalent resolutions
+    return resolutions(rose_type(3))
+
+
+def random_point(rank: int, rng, twist_steps: int = 4) -> SimplexPoint:
+    t = rng.choice(_types(rank))
+    p = SimplexPoint(t, random_lengths(len(t.edges), rng))
+    return apply_outer_automorphism(p, random_automorphism(rank, rng, twist_steps))
+
+
+def random_pair(rank: int, rng, twist_steps: int = 4):
+    return random_point(rank, rng, twist_steps), random_point(rank, rng, twist_steps)
 
 
 _WHITEHEAD_RANK_CAP = 3

@@ -42,7 +42,7 @@ from cvn.metric import (
     stretch_report,
 )
 from cvn.polytope import Polytope, feasible
-from cvn.sampling import random_pair, random_point
+from constructions import random_pair, random_point
 from cvn.svg import (
     envelope_vertices_json,
     fmt,

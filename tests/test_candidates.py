@@ -4,7 +4,7 @@ import pytest
 
 import candidates_oracle
 from candidates_oracle import path_counts
-from constructions import _random_trivalent_type
+from constructions import _random_trivalent_type, random_point
 from point_readings import edge_of
 
 from cvn.candidates import (
@@ -26,7 +26,6 @@ from cvn.graphs import (
     tighten,
     twisted_theta_type,
 )
-from cvn.sampling import random_point
 from cvn.words import conj_class, conjugacy_classes_up_to
 
 

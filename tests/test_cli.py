@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvn.cli import _load_point, main, parse_word
+from cvn.envelopes import envelope_slice, support
+from cvn.geodesics import piecewise_rigid_geodesic, ray_dimension_audit
 from cvn.graphs import (
     barbell_point,
     point_to_json,
@@ -386,12 +388,11 @@ def _exact(text: str) -> Fraction:
     return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
-@pytest.mark.parametrize("command", ["distance", "witnesses"])
-def test_ratio_past_the_int_string_limit_prints_every_digit(tmp_path, capsys,
-                                                            command):
-    # two copies of a.json whose first two lengths are about 10^-1900:
-    # each validates, and the stretch between them has about 7,600 digits
-    # over 7,600, where str() of an int raised ValueError past 4,300
+def _big_pair(tmp_path) -> list[str]:
+    """Two copies of a.json whose first two lengths are about 10^-1900:
+    each validates, and the stretch between them has about 7,600 digits
+    over 7,600, where str() of an int raises ValueError past 4,300.
+    tests/fixtures/big-u.json and big-v.json are the same two graphs."""
     paths = []
     for name, (i, j) in (("u", (1, 7)), ("v", (3, 9))):
         graph = json.loads((FIXTURES / "a.json").read_text())
@@ -399,15 +400,90 @@ def test_ratio_past_the_int_string_limit_prints_every_digit(tmp_path, capsys,
         graph["edges"][1]["length"] = f"1/{10 ** 1900 + j}"
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(graph))
-    assert main([command, *map(str, paths)]) == 0
+    return [str(path) for path in paths]
+
+
+@pytest.mark.parametrize("command", ["distance", "witnesses"])
+def test_ratio_past_the_int_string_limit_prints_every_digit(tmp_path, capsys,
+                                                            command):
+    paths = _big_pair(tmp_path)
+    assert main([command, *paths]) == 0
     out = json.loads(capsys.readouterr().out)
-    rep = stretch_report(*map(_load_point, map(str, paths)))
+    rep = stretch_report(*map(_load_point, paths))
     exact = out["stretch"]["exact"]
     assert len(exact) > 2 * 4300 and _exact(exact) == rep.lam
     if command == "witnesses":
         assert {g: _exact(r["exact"]) for g, r
                 in out["per_candidate"].items()} == {
             str(g): r for g, r in rep.per_candidate.items()}
+
+
+def _lengths(points) -> list:
+    return [[_exact(e["length"]) for e in p["edges"]] for p in points]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{u}"], ["distance", "{u}", "{v}"],
+    ["witnesses", "{u}", "{v}"], ["envelope", "{u}", "{v}"],
+    ["envelope", "{u}", "{v}", "--json", "{out}.json", "--svg", "{out}.svg"],
+    ["geodesic", "{u}", "{v}"],
+    ["geodesic", "{u}", "{v}", "--json", "{out}.json", "--svg", "{out}.svg"],
+    ["ray-audit", "{u}", "--direction", "x", "y"]],
+    ids=lambda argv: argv[0] + ("-files" if "--json" in argv else ""))
+def test_every_number_past_the_int_string_limit_prints_exactly(tmp_path,
+                                                               capsys, argv):
+    # envelope and geodesic ended in ValueError from str() of a vertex
+    # coordinate or a breakpoint length past 4,300 digits
+    u, v = _big_pair(tmp_path)
+    argv = [arg.format(u=u, v=v, out=tmp_path / "out") for arg in argv]
+    start = time.monotonic()
+    assert main(argv) == 0
+    assert time.monotonic() - start < 10
+    text = capsys.readouterr().out
+    out = json.loads(text)
+    if "--json" in argv:
+        assert (tmp_path / "out.json").read_text() == text
+        assert (tmp_path / "out.svg").read_text().startswith("<?xml")
+    a, b = _load_point(u), _load_point(v)
+    command = argv[0]
+    if command == "validate":
+        assert _lengths([out["normalized"]]) == [list(a.lengths)]
+    elif command == "ray-audit":
+        audit = ray_dimension_audit(a, [conj_class([1], 2),
+                                        conj_class([2], 2)], 2)
+        assert _lengths(out["points"]) == [list(p.lengths)
+                                           for p in audit.points]
+    else:
+        rep = stretch_report(a, b)
+        assert _exact(out["stretch"]["exact"]) == rep.lam
+    if command == "witnesses":
+        assert {g: _exact(r["exact"]) for g, r
+                in out["per_candidate"].items()} == {
+            str(g): r for g, r in rep.per_candidate.items()}
+    elif command == "envelope":
+        maximal = [t for t in support(a, b).simplices if t.is_trivalent()]
+        assert [s["edges"] for s in out["slices"]] == [
+            [e.id for e in t.edges] for t in maximal]
+        assert [[list(map(_exact, x)) for x in s["vertices"]]
+                for s in out["slices"]] == [
+            [list(x) for x in envelope_slice(a, b, t).polytope.vertices]
+            for t in maximal]
+        assert max(len(c) for s in out["slices"] for x in s["vertices"]
+                   for c in x) > 4300
+    elif command == "geodesic":
+        path = piecewise_rigid_geodesic(a, b)
+        assert _lengths(out["breakpoints"]) == [list(p.lengths)
+                                                for p in path.breakpoints]
+        assert max(len(e["length"]) for p in out["breakpoints"]
+                   for e in p["edges"]) > 4300
+
+
+def test_big_pair_fixtures_are_the_generated_pair(tmp_path):
+    # the pinned outputs big-envelope and big-geodesic run on these files
+    here = Path(__file__).resolve().parent / "fixtures"
+    for path in map(Path, _big_pair(tmp_path)):
+        assert (json.loads((here / f"big-{path.name}").read_text())
+                == json.loads(path.read_text()))
 
 
 def test_verify_appendix_prints_ratios_past_the_int_string_limit(capsys):

@@ -11,6 +11,8 @@ from constructions import (
     NotPrimitive,
     direction_reduction,
     rainbow_graph,
+    random_pair,
+    random_point,
 )
 from cvn.candidates import enumerate_candidates
 from cvn.envelopes import (
@@ -42,7 +44,6 @@ from cvn.graphs import (
 )
 from cvn.metric import conj_length, is_witness, stretch, stretch_report
 from cvn.polytope import Polytope, feasible
-from cvn.sampling import random_pair, random_point
 from cvn.words import class_order, conj_class
 from point_readings import coeffs
 

@@ -65,7 +65,7 @@ from cvn.metric import (
     stretch,
     stretch_report,
 )
-from cvn.sampling import random_pair, random_point
+from constructions import random_pair, random_point
 from cvn.words import conj_class, generator
 
 

@@ -66,7 +66,7 @@ from cvn.graphs import (
     type_key,
     validate_and_normalize,
 )
-from cvn.sampling import random_pair
+from constructions import random_pair
 from cvn.words import (
     Word,
     conj_class,

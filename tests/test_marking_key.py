@@ -22,7 +22,11 @@ from fractions import Fraction
 
 import marking_oracle
 from marking_oracle import _retree, tree_path
-from constructions import _random_trivalent_type
+from constructions import (
+    _random_trivalent_type,
+    random_automorphism,
+    random_pair,
+)
 from point_readings import base_of
 from cvn.envelopes import envelope_slice, support
 from cvn.geodesics import _pair_dim, general_position
@@ -47,7 +51,6 @@ from cvn.graphs import (
     type_key,
 )
 from cvn.metric import candidate_witnesses, stretch
-from cvn.sampling import random_automorphism, random_pair
 from cvn.words import (
     apply_endomorphism,
     conj_class,

@@ -48,7 +48,7 @@ from cvn.graphs import (
     validate_and_normalize,
 )
 from cvn.metric import brute_force_lambda, length_numerator, stretch_report
-from cvn.sampling import random_pair
+from constructions import random_pair
 from cvn.words import Word, conj_class, conjugacy_classes_up_to, invert
 from point_readings import length_of
 from test_marking_key import _edge_map

@@ -34,9 +34,13 @@ from cvn.metric import (
     stretch,
     stretch_report,
 )
-from cvn.sampling import random_automorphism, random_pair, random_point
 from cvn.words import conj_class, conjugacy_classes_up_to, generator
-from constructions import _random_trivalent_type
+from constructions import (
+    _random_trivalent_type,
+    random_automorphism,
+    random_pair,
+    random_point,
+)
 from point_readings import length_of
 from test_marking_key import _relabelled
 

@@ -24,7 +24,7 @@ from cvn.polytope import (
     equality,
     feasible,
 )
-from cvn.sampling import random_pair
+from constructions import random_pair
 
 
 def H(*coeffs):

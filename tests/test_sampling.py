@@ -1,7 +1,7 @@
 import random
 
 from cvn.graphs import marking_equivalent
-from cvn.sampling import _types, random_pair, random_point
+from constructions import _types, random_pair, random_point
 
 
 def test_rank3_types_are_trivalent_with_six_edges():

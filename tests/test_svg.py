@@ -9,7 +9,7 @@ from cvn import svg
 from cvn.envelopes import envelope_slice, support
 from cvn.errors import SelfCheckFailed, Unsupported
 from cvn.graphs import rose_point, theta_point, twisted_theta_point
-from cvn.sampling import random_pair, random_point
+from constructions import random_pair, random_point
 from cvn.svg import (
     _cyclic,
     envelope_vertices_json,

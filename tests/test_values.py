@@ -27,7 +27,7 @@ from cvn.graphs import (
 )
 from cvn.metric import Distance, StretchReport
 from cvn.polytope import HalfSpace
-from cvn.sampling import random_pair
+from constructions import random_pair
 from cvn.svg import Layout
 from cvn.values import Value
 from cvn.words import ConjClass, Word, conj_class

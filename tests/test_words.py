@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import words_oracle
-from constructions import NotPrimitive, extend_to_basis, is_primitive
+from constructions import (
+    NotPrimitive,
+    extend_to_basis,
+    is_primitive,
+    random_automorphism,
+)
 from cvn import words
 from cvn.errors import (
     IndexOutOfRange,
@@ -18,7 +23,6 @@ from cvn.errors import (
     RankMismatch,
     Unsupported,
 )
-from cvn.sampling import random_automorphism
 from cvn.words import (
     ConjClass,
     Word,
