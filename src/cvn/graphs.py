@@ -401,16 +401,13 @@ def graph_from_json(text) -> MarkedGraph:
 
 
 def _exact(q: Fraction) -> str:
-    """The text of every printed rational: str(q).  Past the 4,300-digit
-    limit on str() of an int, where str() raises ValueError, Decimal
-    writes the same digits; the interpreter's limit is left as it is."""
-    try:
-        return str(q)
-    except ValueError:
-        text = str(Decimal(q.numerator))
-        if q.denominator != 1:
-            text += f"/{Decimal(q.denominator)}"
-        return text
+    """The text of every printed rational, the digits of str(q).  Decimal
+    writes them, since str() of an int raises ValueError past the
+    4,300-digit limit; the interpreter's limit is left as it is."""
+    text = str(Decimal(q.numerator))
+    if q.denominator != 1:
+        text += f"/{Decimal(q.denominator)}"
+    return text
 
 
 def point_to_json(p: SimplexPoint) -> dict:

@@ -165,6 +165,15 @@ def test_json_round_trip():
     assert marking_equivalent(q.ttype, p.ttype)
 
 
+def test_exact_writes_the_bytes_of_str_inside_the_limit():
+    rng = random.Random(5)
+    for _ in range(2000):
+        digits = rng.choice([1, 3, 20, 4300])
+        q = Fraction(rng.randrange(-10 ** digits, 10 ** digits),
+                     rng.randrange(1, 10 ** digits))
+        assert graphs._exact(q) == str(q)
+
+
 def test_loop_word_rose_petal():
     t = rose_type(2)
     assert loop_word(t, [("p1", 1)]) == conj_class([1], 2)
